@@ -21,22 +21,21 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
-	"jmtam"
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
 	"jmtam/internal/isa"
 	"jmtam/internal/machine"
-	"jmtam/internal/mem"
 	"jmtam/internal/obs"
-	"jmtam/internal/parallel"
 	"jmtam/internal/programs"
 	"jmtam/internal/report"
 	"jmtam/internal/trace"
@@ -103,15 +102,8 @@ func main() {
 	}
 	var opt core.Options
 	opt.PairedQueueWrites = *pairedQW
-	var sink *obs.Sink
-	if *eventsOut != "" || *metricsOut != "" || *hist {
-		var oo []obs.Option
-		if *eventsOut != "" {
-			oo = append(oo, obs.WithEvents())
-		}
-		sink = obs.New(oo...)
-		opt.Obs = sink
-	}
+	sink := newSink(*eventsOut, *metricsOut, *hist)
+	opt.Obs = sink
 	sim, err := core.Build(impl, spec.Build(n), opt)
 	if err != nil {
 		fail(err)
@@ -130,120 +122,59 @@ func main() {
 		fail(err)
 	}
 
-	// Replay the recorded stream through every geometry concurrently.
-	// With a sink attached, each replay also attributes misses by cause
-	// and class; the attributions fold into the registry serially.
-	caches := make([]experiments.CacheStats, len(geoms))
-	mcs := make([]trace.MissCounts, len(geoms))
-	err = parallel.ForEach(*par, len(geoms), func(i int) error {
-		p, err := trace.NewPair(geoms[i])
-		if err != nil {
-			return err
-		}
-		if sink != nil {
-			mcs[i] = rec.ReplayObserved(p)
-		} else {
-			rec.Replay(p)
-		}
-		caches[i] = experiments.CacheStats{
-			Config:     p.I.Config(),
-			IMisses:    p.I.Stats().Misses,
-			DMisses:    p.D.Stats().Misses,
-			Writebacks: p.D.Stats().Writebacks,
-		}
-		return nil
-	})
-	if err != nil {
+	// Replay the recorded stream through every geometry on the
+	// experiments fan-out. With a sink attached the replay also
+	// attributes misses by cause and class into its registry, under each
+	// geometry's label.
+	r := &experiments.Run{Instructions: sim.M.Instructions()}
+	if sink != nil {
+		r.Metrics = sink.Metrics
+	}
+	if err := experiments.ReplayFanOutContext(context.Background(), r, rec, geoms, *par); err != nil {
 		fail(err)
 	}
 	if sink != nil {
-		for i := range mcs {
-			label := ""
-			if len(geoms) > 1 {
-				label = geoms[i].String()
-			}
-			mcs[i].AddTo(sink.Metrics, label)
-		}
 		if sink.Events != nil && len(geoms) > 0 {
 			// Miss-density counter track: per-1K-instruction I/D cache
 			// miss samples at the first geometry, on the same
 			// instruction clock as the scheduler spans, so conflict-miss
 			// bursts line up with the quanta they occur in.
-			if _, err := rec.MissDensityTrack(sink.Events, int32(sim.M.Node()), geoms[0], 1000); err != nil {
+			if _, err := rec.MissDensityTrack(sink.Events, int32(sim.M.Node()), geoms[0], 1000, ""); err != nil {
 				fail(err)
 			}
 			if nicRec != nil {
 				// A second labeled track for the NIC engine's stream at
 				// its own geometry, so handler-side miss bursts are
 				// visually separable from compute misses.
-				if _, err := nicRec.MissDensityTrackLabeled(sink.Events, int32(sim.M.Node()),
+				if _, err := nicRec.MissDensityTrack(sink.Events, int32(sim.M.Node()),
 					experiments.NICGeom(opt), 1000, "nic"); err != nil {
 					fail(err)
 				}
 			}
 		}
-		// The recording replaced the inline collector; fold its
-		// per-class reference counts into the registry here.
-		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-			name := cls.String()
-			sink.Metrics.Counter("ref.fetch." + name).Add(rec.Fetches[cls])
-			sink.Metrics.Counter("ref.read." + name).Add(rec.Reads[cls])
-			sink.Metrics.Counter("ref.write." + name).Add(rec.Writes[cls])
-		}
+		rec.Counts.AddTo(sink.Metrics, "")
 	}
-	res := resultOf(sim, rec, caches)
 
 	// Replay the NIC engine's stream (if any) against its private
 	// geometry; the cycle model then takes the slower of the two engines
 	// per geometry, as the experiments package does.
-	var nic *experiments.NICStats
 	if nicRec != nil {
-		ng := experiments.NICGeom(opt)
-		p, err := trace.NewPair(ng)
-		if err != nil {
-			fail(err)
-		}
-		nicRec.Replay(p)
-		nic = &experiments.NICStats{
-			Instructions: sim.M.HighInstructions(),
-			Config:       ng,
-			IMisses:      p.I.Stats().Misses,
-			DMisses:      p.D.Stats().Misses,
-			Writebacks:   p.D.Stats().Writebacks,
-		}
+		r.NIC = replayNIC([]*trace.Recording{nicRec}, sim.M.HighInstructions(), experiments.NICGeom(opt))
 	}
-	cycles := func(i, p int) uint64 {
-		if nic == nil {
-			return res.Cycles(i, p)
-		}
-		compute := res.Instructions - nic.Instructions + uint64(p)*(caches[i].IMisses+caches[i].DMisses)
-		n := nic.Instructions + uint64(p)*(nic.IMisses+nic.DMisses)
-		if n > compute {
-			return n
-		}
-		return compute
-	}
+	nic := r.NIC
 
 	fmt.Printf("%s %d under %v\n", spec.Name, n, impl)
 	fmt.Printf("  %s\n\n", spec.Doc)
-	fmt.Printf("  instructions      %12d\n", res.Instructions)
-	fmt.Printf("  data reads        %12d\n", res.Reads)
-	fmt.Printf("  data writes       %12d\n", res.Writes)
-	fmt.Printf("  threads           %12d\n", res.Threads)
-	fmt.Printf("  quanta            %12d\n", res.Quanta)
-	fmt.Printf("  threads/quantum   %12.1f\n", res.TPQ)
-	fmt.Printf("  instrs/thread     %12.1f\n", res.IPT)
-	fmt.Printf("  instrs/quantum    %12.1f\n", res.IPQ)
+	fmt.Printf("  instructions      %12d\n", r.Instructions)
+	fmt.Printf("  data reads        %12d\n", rec.TotalReads())
+	fmt.Printf("  data writes       %12d\n", rec.TotalWrites())
+	fmt.Printf("  threads           %12d\n", sim.Gran.Threads)
+	fmt.Printf("  quanta            %12d\n", sim.Gran.Quanta)
+	fmt.Printf("  threads/quantum   %12.1f\n", sim.Gran.TPQ())
+	fmt.Printf("  instrs/thread     %12.1f\n", sim.Gran.IPT())
+	fmt.Printf("  instrs/quantum    %12.1f\n", sim.Gran.IPQ())
 	fmt.Printf("  trace             %12d refs (%d KB recorded)\n", rec.Len(), rec.Bytes()/1024)
-	for i, c := range res.Caches {
-		fmt.Printf("\n  cache %v\n", c.Config)
-		fmt.Printf("  I-misses          %12d\n", c.IMisses)
-		fmt.Printf("  D-misses          %12d\n", c.DMisses)
-		fmt.Printf("  writebacks        %12d\n", c.Writebacks)
-		for _, p := range []int{12, 24, 48} {
-			fmt.Printf("  cycles (miss=%2d)  %12d\n", p, cycles(i, p))
-		}
-	}
+	printCaches(r, "")
 	if nic != nil {
 		fmt.Printf("\n  nic engine (private cache %v)\n", nic.Config)
 		fmt.Printf("  instructions      %12d\n", nic.Instructions)
@@ -278,27 +209,11 @@ func main() {
 		}
 		for _, e := range all {
 			fmt.Printf("    %-8v %10d (%4.1f%%)\n", e.op, e.count,
-				100*float64(e.count)/float64(res.Instructions))
+				100*float64(e.count)/float64(r.Instructions))
 		}
 	}
 
-	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, func(w *os.File) error {
-			return sink.Metrics.WriteJSON(w)
-		}); err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nmetrics written to %s\n", *metricsOut)
-	}
-	if *eventsOut != "" {
-		if err := writeFile(*eventsOut, func(w *os.File) error {
-			return sink.Events.WriteJSON(w)
-		}); err != nil {
-			fail(err)
-		}
-		fmt.Printf("events written to %s (%d records; load in https://ui.perfetto.dev)\n",
-			*eventsOut, sink.Events.Len())
-	}
+	writeObs(sink, *metricsOut, *eventsOut)
 }
 
 // runCluster executes the benchmark on an N-node mesh and reports the
@@ -306,15 +221,8 @@ func main() {
 // counts and the network traffic breakdown.
 func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, arg, nodes int, pairedQW bool, geoms []cache.Config, par int, hist bool, eventsOut, metricsOut string) {
 	opt := core.Options{Nodes: nodes, Placement: placement, PairedQueueWrites: pairedQW}
-	var sink *obs.Sink
-	if eventsOut != "" || metricsOut != "" || hist {
-		var oo []obs.Option
-		if eventsOut != "" {
-			oo = append(oo, obs.WithEvents())
-		}
-		sink = obs.New(oo...)
-		opt.Obs = sink
-	}
+	sink := newSink(eventsOut, metricsOut, hist)
+	opt.Obs = sink
 	cs, err := core.BuildCluster(impl, spec.Build(arg), opt)
 	if err != nil {
 		fail(err)
@@ -341,24 +249,11 @@ func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, ar
 	}
 
 	// Each node owns a private cache pair per geometry; misses sum.
-	caches := make([]experiments.CacheStats, len(geoms))
-	err = parallel.ForEach(par, len(geoms), func(i int) error {
-		st := experiments.CacheStats{Config: geoms[i]}
-		for _, rec := range recs {
-			p, err := trace.NewPair(geoms[i])
-			if err != nil {
-				return err
-			}
-			rec.Replay(p)
-			st.Config = p.I.Config()
-			st.IMisses += p.I.Stats().Misses
-			st.DMisses += p.D.Stats().Misses
-			st.Writebacks += p.D.Stats().Writebacks
-		}
-		caches[i] = st
-		return nil
-	})
-	if err != nil {
+	r := &experiments.Run{Instructions: cs.Instructions()}
+	if sink != nil {
+		r.Metrics = sink.Metrics
+	}
+	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, geoms, par); err != nil {
 		fail(err)
 	}
 
@@ -370,25 +265,18 @@ func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, ar
 		traceBytes += uint64(rec.Bytes())
 	}
 	if sink != nil {
-		// The recordings replaced the inline collectors; fold their
-		// per-class reference counts into the registry here.
-		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-			name := cls.String()
-			for _, rec := range recs {
-				sink.Metrics.Counter("ref.fetch." + name).Add(rec.Fetches[cls])
-				sink.Metrics.Counter("ref.read." + name).Add(rec.Reads[cls])
-				sink.Metrics.Counter("ref.write." + name).Add(rec.Writes[cls])
-			}
+		for _, rec := range recs {
+			rec.Counts.AddTo(sink.Metrics, "")
 		}
 		if sink.Events != nil && len(geoms) > 0 {
 			// Per-node miss-density counter tracks at the first geometry.
 			for k, rec := range recs {
-				if _, err := rec.MissDensityTrack(sink.Events, int32(k), geoms[0], 1000); err != nil {
+				if _, err := rec.MissDensityTrack(sink.Events, int32(k), geoms[0], 1000, ""); err != nil {
 					fail(err)
 				}
 			}
 			for k, rec := range nicRecs {
-				if _, err := rec.MissDensityTrackLabeled(sink.Events, int32(k),
+				if _, err := rec.MissDensityTrack(sink.Events, int32(k),
 					experiments.NICGeom(opt), 1000, "nic"); err != nil {
 					fail(err)
 				}
@@ -398,41 +286,19 @@ func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, ar
 
 	// Sum the per-node NIC streams (if any) through private pairs of the
 	// NIC geometry; the cycle lines below then take the slower engine.
-	var nic *experiments.NICStats
 	if nicRecs != nil {
-		ng := experiments.NICGeom(opt)
-		nic = &experiments.NICStats{Config: ng}
+		var hi uint64
 		for _, m := range cs.C.Machines {
-			nic.Instructions += m.HighInstructions()
+			hi += m.HighInstructions()
 		}
-		for _, rec := range nicRecs {
-			p, err := trace.NewPair(ng)
-			if err != nil {
-				fail(err)
-			}
-			rec.Replay(p)
-			nic.IMisses += p.I.Stats().Misses
-			nic.DMisses += p.D.Stats().Misses
-			nic.Writebacks += p.D.Stats().Writebacks
-		}
+		r.NIC = replayNIC(nicRecs, hi, experiments.NICGeom(opt))
 	}
+	nic := r.NIC
 
 	g := cs.MergedGran()
-	instrs := cs.Instructions()
-	cycles := func(i, p int) uint64 {
-		c := instrs + uint64(p)*(caches[i].IMisses+caches[i].DMisses)
-		if nic == nil {
-			return c
-		}
-		c -= nic.Instructions
-		if n := nic.Instructions + uint64(p)*(nic.IMisses+nic.DMisses); n > c {
-			return n
-		}
-		return c
-	}
 	fmt.Printf("%s %d under %v on %d nodes (%v placement)\n", spec.Name, arg, impl, cs.Nodes, placement)
 	fmt.Printf("  %s\n\n", spec.Doc)
-	fmt.Printf("  instructions      %12d\n", instrs)
+	fmt.Printf("  instructions      %12d\n", r.Instructions)
 	for k, m := range cs.C.Machines {
 		fmt.Printf("    node %-2d         %12d\n", k, m.Instructions())
 	}
@@ -455,15 +321,7 @@ func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, ar
 			}
 		}
 	}
-	for i, c := range caches {
-		fmt.Printf("\n  cache %v (per node)\n", c.Config)
-		fmt.Printf("  I-misses          %12d\n", c.IMisses)
-		fmt.Printf("  D-misses          %12d\n", c.DMisses)
-		fmt.Printf("  writebacks        %12d\n", c.Writebacks)
-		for _, p := range []int{12, 24, 48} {
-			fmt.Printf("  cycles (miss=%2d)  %12d\n", p, cycles(i, p))
-		}
-	}
+	printCaches(r, " (per node)")
 	if nic != nil {
 		fmt.Printf("\n  nic engines (private cache %v per node)\n", nic.Config)
 		fmt.Printf("  instructions      %12d\n", nic.Instructions)
@@ -480,18 +338,61 @@ func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, ar
 			"quantum-length histogram (instructions per quantum)", &g.QuantumInstrs), "  "))
 	}
 
+	writeObs(sink, metricsOut, eventsOut)
+}
+
+// replayNIC replays the NIC engines' streams (one per node) through
+// private pairs of the NIC geometry, misses summed, as the experiments
+// package does for its runs.
+func replayNIC(recs []*trace.Recording, instrs uint64, ng cache.Config) *experiments.NICStats {
+	r := &experiments.Run{}
+	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, []cache.Config{ng}, 1); err != nil {
+		fail(err)
+	}
+	c := r.Caches[0]
+	return &experiments.NICStats{
+		Instructions: instrs, Config: ng,
+		IMisses: c.IMisses, DMisses: c.DMisses, Writebacks: c.Writebacks,
+	}
+}
+
+// newSink returns the observability sink the output flags need (with a
+// timeline only when one is written), or nil when none do.
+func newSink(eventsOut, metricsOut string, hist bool) *obs.Sink {
+	if eventsOut == "" && metricsOut == "" && !hist {
+		return nil
+	}
+	if eventsOut != "" {
+		return obs.New(obs.WithEvents())
+	}
+	return obs.New()
+}
+
+// printCaches prints one block per geometry: misses, writebacks and
+// the cycle counts at the paper's three miss penalties.
+func printCaches(r *experiments.Run, suffix string) {
+	for i, c := range r.Caches {
+		fmt.Printf("\n  cache %v%s\n", c.Config, suffix)
+		fmt.Printf("  I-misses          %12d\n", c.IMisses)
+		fmt.Printf("  D-misses          %12d\n", c.DMisses)
+		fmt.Printf("  writebacks        %12d\n", c.Writebacks)
+		for _, p := range []int{12, 24, 48} {
+			fmt.Printf("  cycles (miss=%2d)  %12d\n", p, r.Cycles(i, p, false))
+		}
+	}
+}
+
+// writeObs writes the sink's metrics registry and timeline to the
+// files the -metrics and -events flags name (empty = skip).
+func writeObs(sink *obs.Sink, metricsOut, eventsOut string) {
 	if metricsOut != "" {
-		if err := writeFile(metricsOut, func(w *os.File) error {
-			return sink.Metrics.WriteJSON(w)
-		}); err != nil {
+		if err := writeFile(metricsOut, sink.Metrics.WriteJSON); err != nil {
 			fail(err)
 		}
 		fmt.Printf("\nmetrics written to %s\n", metricsOut)
 	}
 	if eventsOut != "" {
-		if err := writeFile(eventsOut, func(w *os.File) error {
-			return sink.Events.WriteJSON(w)
-		}); err != nil {
+		if err := writeFile(eventsOut, sink.Events.WriteJSON); err != nil {
 			fail(err)
 		}
 		fmt.Printf("events written to %s (%d records; load in https://ui.perfetto.dev)\n",
@@ -500,7 +401,7 @@ func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, ar
 }
 
 // writeFile creates path and streams fn's output into it.
-func writeFile(path string, fn func(*os.File) error) error {
+func writeFile(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -562,23 +463,6 @@ func geometries(sizesKB, assocs, blocks string) ([]cache.Config, error) {
 		}
 	}
 	return geoms, nil
-}
-
-// resultOf converts a finished simulation into the public Result shape.
-func resultOf(sim *core.Sim, rec *trace.Recording, caches []experiments.CacheStats) *jmtam.Result {
-	return &jmtam.Result{
-		Program:      sim.Prog.Name,
-		Impl:         sim.Impl,
-		Instructions: sim.M.Instructions(),
-		Reads:        rec.TotalReads(),
-		Writes:       rec.TotalWrites(),
-		Threads:      sim.Gran.Threads,
-		Quanta:       sim.Gran.Quanta,
-		TPQ:          sim.Gran.TPQ(),
-		IPT:          sim.Gran.IPT(),
-		IPQ:          sim.Gran.IPQ(),
-		Caches:       caches,
-	}
 }
 
 func fail(err error) {

@@ -52,14 +52,3 @@ func TestSweepExecuteContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-// TestDeprecatedNewSinkShim keeps the original boolean constructor
-// working for existing callers.
-func TestDeprecatedNewSinkShim(t *testing.T) {
-	if s := NewSinkWithEvents(false); s.Metrics == nil || s.Events != nil {
-		t.Error("NewSinkWithEvents(false) should be metrics-only")
-	}
-	if s := NewSinkWithEvents(true); s.Metrics == nil || s.Events == nil {
-		t.Error("NewSinkWithEvents(true) should carry an event buffer")
-	}
-}

@@ -249,12 +249,7 @@ func (s *Sim) finishMetrics() {
 	r.Histogram("quantum.instrs").Merge(&g.QuantumInstrs)
 	s.M.FinishMetrics()
 	if s.Tracer == nil {
-		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-			name := cls.String()
-			r.Counter("ref.fetch." + name).Add(s.Collector.Fetches[cls])
-			r.Counter("ref.read." + name).Add(s.Collector.Reads[cls])
-			r.Counter("ref.write." + name).Add(s.Collector.Writes[cls])
-		}
+		s.Collector.Counts.AddTo(r, "")
 	}
 }
 

@@ -471,13 +471,8 @@ func (cs *ClusterSim) finishMetrics() {
 	}
 	cs.C.FinishMetrics()
 	if cs.Tracers == nil {
-		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-			name := cls.String()
-			for _, col := range cs.Collectors {
-				r.Counter("ref.fetch." + name).Add(col.Fetches[cls])
-				r.Counter("ref.read." + name).Add(col.Reads[cls])
-				r.Counter("ref.write." + name).Add(col.Writes[cls])
-			}
+		for _, col := range cs.Collectors {
+			col.Counts.AddTo(r, "")
 		}
 	}
 }

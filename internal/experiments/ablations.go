@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/isa"
@@ -286,12 +288,11 @@ func VictimSweep(ws []Workload, impls []core.Impl, entries []int, opt core.Optio
 			VictimHits:   make([]uint64, len(entries)),
 			Instructions: r.Instructions,
 		}
-		p, err := trace.NewPair(setAssoc)
+		base, _, err := fanOut(context.Background(), packed([]*trace.Recording{rec}), 1, []cache.Config{setAssoc}, 1, false)
 		if err != nil {
 			return err
 		}
-		rec.Replay(p)
-		row.SetAssocMisses = p.I.Stats().Misses + p.D.Stats().Misses
+		row.SetAssocMisses = base[0].IMisses + base[0].DMisses
 		for ei, n := range entries {
 			vi, err := cache.NewVictim(direct, n)
 			if err != nil {

@@ -52,7 +52,7 @@ func TestStreamReplayMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ReplayFanOut(r, rec, geoms, 1); err != nil {
+		if err := ReplayFanOutContext(context.Background(), r, rec, geoms, 1); err != nil {
 			t.Fatal(err)
 		}
 		data := rec.Compact()
@@ -63,7 +63,7 @@ func TestStreamReplayMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		rDec := &Run{}
-		if err := ReplayFanOut(rDec, dec, geoms, 1); err != nil {
+		if err := ReplayFanOutContext(context.Background(), rDec, dec, geoms, 1); err != nil {
 			t.Fatal(err)
 		}
 

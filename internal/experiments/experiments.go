@@ -302,7 +302,7 @@ func (s *Sweep) Execute() (*Dataset, error) {
 
 // ExecuteContext is Execute with cooperative cancellation: simulations
 // poll the context in their step loops, replays check it between
-// geometries, and unclaimed jobs are abandoned once it is cancelled, so
+// trace chunks, and unclaimed jobs are abandoned once it is cancelled, so
 // a cancelled sweep returns (with an error wrapping ctx.Err()) within
 // one machine.CancelCheckInterval.
 func (s *Sweep) ExecuteContext(ctx context.Context) (*Dataset, error) {
@@ -335,7 +335,7 @@ func (s *Sweep) ExecuteContext(ctx context.Context) (*Dataset, error) {
 	// pool first, and each job's replay fan-out gets the leftover share.
 	// A job with one replay worker runs the fully vectorized single-pass
 	// kernel over all geometries; with more workers the geometries split
-	// into that many vectorized groups (see ReplayFanOut). Results are
+	// into that many vectorized groups (see fanOut). Results are
 	// byte-identical at every split.
 	replayPar := 1
 	if len(jobs) > 0 && par/len(jobs) > 1 {
@@ -437,107 +437,47 @@ func RecordOneContext(ctx context.Context, w Workload, impl core.Impl, opt core.
 	}
 	if sim.Obs != nil {
 		r.Metrics = sim.Obs.Metrics
-		// The recording replaced the inline collector, so the run
-		// finalizer could not fold reference-class counts; do it here.
-		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-			name := cls.String()
-			r.Metrics.Counter("ref.fetch." + name).Add(rec.Fetches[cls])
-			r.Metrics.Counter("ref.read." + name).Add(rec.Reads[cls])
-			r.Metrics.Counter("ref.write." + name).Add(rec.Writes[cls])
-			if nicRec != nil {
-				r.Metrics.Counter("nic.ref.fetch." + name).Add(nicRec.Fetches[cls])
-				r.Metrics.Counter("nic.ref.read." + name).Add(nicRec.Reads[cls])
-				r.Metrics.Counter("nic.ref.write." + name).Add(nicRec.Writes[cls])
-			}
+		rec.Counts.AddTo(r.Metrics, "")
+		if nicRec != nil {
+			nicRec.Counts.AddTo(r.Metrics, "nic.")
 		}
 	}
 	return r, rec, nil
 }
 
-// ReplayFanOut fills r.Caches by replaying rec through every geometry.
-// Caches are indexed by geometry position regardless of completion
-// order. When the run carries a metrics registry, each replay also
-// attributes its misses by cause; the per-geometry attributions are
-// folded into the registry serially, in geometry order, after the
-// parallel phase.
-//
-// The fan-out chooses its kernel from the parallelism and geometry
-// count (see replayGroups): with at least as many workers as
-// geometries, each worker replays one geometry independently (the
-// original per-geometry path); with fewer, the geometries are split
-// into one contiguous group per worker and each group runs the
-// vectorized single-pass kernel (trace.ReplayAll), which reads and
-// decodes the packed stream once for the whole group. Both paths are
-// byte-identical.
-func ReplayFanOut(r *Run, rec *trace.Recording, geoms []cache.Config, parallelism int) error {
-	return ReplayFanOutContext(context.Background(), r, rec, geoms, parallelism)
+// ReplayFanOutContext fills r.Caches by replaying rec through every
+// geometry (see fanOut), indexed by geometry position regardless of
+// completion order. When the run carries a metrics registry, the replay
+// also attributes misses by cause; the per-geometry attributions are
+// folded into the registry serially, in geometry order, under the
+// geometry's label. The run's recorded NIC streams, if any, replay last
+// into r.NIC.
+func ReplayFanOutContext(ctx context.Context, r *Run, rec *trace.Recording, geoms []cache.Config, parallelism int) error {
+	return r.replay(ctx, []*trace.Recording{rec}, geoms, parallelism)
 }
 
-// ReplayFanOutContext is ReplayFanOut with cooperative cancellation:
-// the context is checked before each geometry group is claimed and
-// between chunks inside the vectorized kernel.
-func ReplayFanOutContext(ctx context.Context, r *Run, rec *trace.Recording, geoms []cache.Config, parallelism int) error {
-	r.Caches = make([]CacheStats, len(geoms))
-	var mcs []trace.MissCounts
-	if r.Metrics != nil {
-		mcs = make([]trace.MissCounts, len(geoms))
-	}
-	groups := replayGroups(len(geoms), parallelism)
-	err := parallel.ForEachContext(ctx, parallelism, len(groups), func(gi int) error {
-		lo, hi := groups[gi][0], groups[gi][1]
-		pairs := make([]trace.Pair, hi-lo)
-		for g := lo; g < hi; g++ {
-			p, err := trace.NewPair(geoms[g])
-			if err != nil {
-				return err
-			}
-			pairs[g-lo] = p
-		}
-		if mcs != nil {
-			copy(mcs[lo:hi], rec.ReplayAllObserved(pairs))
-		} else if err := rec.ReplayAllContext(ctx, pairs); err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			r.Caches[lo+i] = CacheStats{
-				Config:     p.I.Config(),
-				IMisses:    p.I.Stats().Misses,
-				DMisses:    p.D.Stats().Misses,
-				Writebacks: p.D.Stats().Writebacks,
-			}
-		}
-		return nil
-	})
+// replay is the body of ReplayFanOutContext and
+// ReplayClusterFanOutContext: one packed stream per node.
+func (r *Run) replay(ctx context.Context, recs []*trace.Recording, geoms []cache.Config, parallelism int) error {
+	caches, mcs, err := fanOut(ctx, packed(recs), len(recs), geoms, parallelism, r.Metrics != nil)
 	if err != nil {
 		return err
 	}
+	r.Caches = caches
 	for g := range mcs {
 		mcs[g].AddTo(r.Metrics, geoms[g].String())
 	}
-	return replayNIC(r)
-}
-
-// replayNIC consumes the run's recorded NIC reference streams (if any)
-// into r.NIC: each node's stream replays through its own private cache
-// pair of the NIC geometry, and the misses are summed. The NIC cache is
-// a single fixed geometry, not a grid, so this is one cheap pass per
-// node. When the run carries a metrics registry, the NIC totals land
-// under nic.* counters.
-func replayNIC(r *Run) error {
 	if r.NIC == nil || r.nicRecs == nil {
 		return nil
 	}
-	for _, rec := range r.nicRecs {
-		p, err := trace.NewPair(r.NIC.Config)
-		if err != nil {
-			return err
-		}
-		rec.Replay(p)
-		r.NIC.IMisses += p.I.Stats().Misses
-		r.NIC.DMisses += p.D.Stats().Misses
-		r.NIC.Writebacks += p.D.Stats().Writebacks
+	// The NIC cache is one fixed geometry, not a grid: each node's
+	// stream replays through its own private pair and the misses sum.
+	nic, _, err := fanOut(ctx, packed(r.nicRecs), len(r.nicRecs), []cache.Config{r.NIC.Config}, 1, false)
+	if err != nil {
+		return err
 	}
 	r.nicRecs = nil
+	r.NIC.IMisses, r.NIC.DMisses, r.NIC.Writebacks = nic[0].IMisses, nic[0].DMisses, nic[0].Writebacks
 	if r.Metrics != nil {
 		r.Metrics.Counter("nic.instructions").Add(r.NIC.Instructions)
 		r.Metrics.Counter("nic.miss.fetch").Add(r.NIC.IMisses)
@@ -545,6 +485,71 @@ func replayNIC(r *Run) error {
 		r.Metrics.Counter("nic.writebacks").Add(r.NIC.Writebacks)
 	}
 	return nil
+}
+
+// packed opens node k's packed recording as a chunk source.
+func packed(recs []*trace.Recording) func(k int) (trace.Source, error) {
+	return func(k int) (trace.Source, error) { return recs[k].Chunks(), nil }
+}
+
+// fanOut is the one geometry fan-out every replay goes through. The
+// geometries are split into contiguous groups (see replayGroups), each
+// group replays on one pool worker, and within a group every node's
+// stream — opened through open, once per group — passes once through
+// the trace kernel into a fresh private cache pair per geometry (a mesh
+// node owns its caches). Misses, writebacks and, when attribute is set,
+// per-cause miss attribution sum over nodes per geometry. Results are
+// position-indexed, so they are identical at every parallelism.
+func fanOut(ctx context.Context, open func(node int) (trace.Source, error), nodes int, geoms []cache.Config, parallelism int, attribute bool) ([]CacheStats, []trace.MissCounts, error) {
+	for _, g := range geoms {
+		if err := g.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
+	out := make([]CacheStats, len(geoms))
+	for g := range geoms {
+		out[g].Config = geoms[g]
+	}
+	var mcs []trace.MissCounts
+	if attribute {
+		mcs = make([]trace.MissCounts, len(geoms))
+	}
+	groups := replayGroups(len(geoms), parallelism)
+	err := parallel.ForEachContext(ctx, parallelism, len(groups), func(gi int) error {
+		lo, hi := groups[gi][0], groups[gi][1]
+		var h *trace.Hooks
+		if mcs != nil {
+			h = &trace.Hooks{Misses: mcs[lo:hi]}
+		}
+		pairs := make([]trace.Pair, hi-lo)
+		for k := 0; k < nodes; k++ {
+			for g := lo; g < hi; g++ {
+				p, err := trace.NewPair(geoms[g])
+				if err != nil {
+					return err
+				}
+				pairs[g-lo] = p
+			}
+			src, err := open(k)
+			if err != nil {
+				return err
+			}
+			if err := trace.Replay(ctx, src, pairs, h); err != nil {
+				return err
+			}
+			for i, p := range pairs {
+				cs := &out[lo+i]
+				cs.IMisses += p.I.Stats().Misses
+				cs.DMisses += p.D.Stats().Misses
+				cs.Writebacks += p.D.Stats().Writebacks
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, mcs, nil
 }
 
 // replayGroups partitions n geometries into contiguous [lo, hi) groups
@@ -585,16 +590,6 @@ func RunOneParContext(ctx context.Context, w Workload, impl core.Impl, geoms []c
 	return runOneParContext(ctx, w, impl, geoms, opt, parallelism, nil)
 }
 
-// RunOneParHookContext is RunOneParContext with the live
-// recording-bytes hook Sweep.OnRecordingBytes threads through — for
-// callers that drive sweep units one at a time (checkpoint/resume)
-// but still want the in-flight recording gauge. It is exactly the
-// per-unit body of Sweep.ExecuteContext, so a unit-at-a-time sweep is
-// byte-identical to a whole-grid one.
-func RunOneParHookContext(ctx context.Context, w Workload, impl core.Impl, geoms []cache.Config, opt core.Options, parallelism int, onRecBytes func(delta int64)) (*Run, error) {
-	return runOneParContext(ctx, w, impl, geoms, opt, parallelism, onRecBytes)
-}
-
 // runOneParContext is RunOneParContext with a live-recording-bytes
 // hook (see Sweep.OnRecordingBytes). The cluster path records one
 // stream per node with its own lifecycle and skips the hook.
@@ -624,50 +619,13 @@ func runOneParContext(ctx context.Context, w Workload, impl core.Impl, geoms []c
 
 // ReplayStreamFanOutContext fills per-geometry cache statistics by
 // streaming a compacted recording (see trace.Reader) through the same
-// grouped fan-out as ReplayFanOutContext, without ever materializing
-// the packed form: each worker group opens its own Reader via open and
-// holds one decoded chunk at a time. The statistics are identical to
-// replaying the original Recording — both paths drive the same
-// partition/batch kernel.
+// fan-out as ReplayFanOutContext, without ever materializing the packed
+// form: each worker group opens its own Reader via open and holds one
+// decoded chunk at a time. The statistics are identical to replaying
+// the original Recording.
 func ReplayStreamFanOutContext(ctx context.Context, open func() (*trace.Reader, error), geoms []cache.Config, parallelism int) ([]CacheStats, error) {
-	for _, g := range geoms {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]CacheStats, len(geoms))
-	groups := replayGroups(len(geoms), parallelism)
-	err := parallel.ForEachContext(ctx, parallelism, len(groups), func(gi int) error {
-		lo, hi := groups[gi][0], groups[gi][1]
-		pairs := make([]trace.Pair, hi-lo)
-		for g := lo; g < hi; g++ {
-			p, err := trace.NewPair(geoms[g])
-			if err != nil {
-				return err
-			}
-			pairs[g-lo] = p
-		}
-		rd, err := open()
-		if err != nil {
-			return err
-		}
-		if err := rd.ReplayAllContext(ctx, pairs); err != nil {
-			return err
-		}
-		for i, p := range pairs {
-			out[lo+i] = CacheStats{
-				Config:     p.I.Config(),
-				IMisses:    p.I.Stats().Misses,
-				DMisses:    p.D.Stats().Misses,
-				Writebacks: p.D.Stats().Writebacks,
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	caches, _, err := fanOut(ctx, func(int) (trace.Source, error) { return open() }, 1, geoms, parallelism, false)
+	return caches, err
 }
 
 // RunOne simulates one workload under one implementation with the given

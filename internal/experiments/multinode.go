@@ -93,14 +93,7 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 	}
 	if cs.Obs != nil {
 		r.Metrics = cs.Obs.Metrics
-		// The recordings replaced the inline collectors, so the run
-		// finalizer could not fold reference-class counts; do it here.
-		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-			name := cls.String()
-			r.Metrics.Counter("ref.fetch." + name).Add(r.Counts.Fetches[cls])
-			r.Metrics.Counter("ref.read." + name).Add(r.Counts.Reads[cls])
-			r.Metrics.Counter("ref.write." + name).Add(r.Counts.Writes[cls])
-		}
+		r.Counts.AddTo(r.Metrics, "")
 	}
 	return r, recs, nil
 }
@@ -108,60 +101,10 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 // ReplayClusterFanOutContext fills r.Caches by replaying the per-node
 // recordings through every geometry: each node gets its own private
 // I/D cache pair per geometry (a mesh node owns its caches), and the
-// per-node misses are summed into one CacheStats per geometry. Like
-// the uniprocessor ReplayFanOutContext, the geometries are split into
-// one contiguous group per worker and each node's stream is replayed
-// once through the whole group with the vectorized kernel; with
-// workers >= geometries this degenerates to one geometry per worker.
+// per-node misses are summed into one CacheStats per geometry. It runs
+// the same fan-out as ReplayFanOutContext, with one stream per node.
 func ReplayClusterFanOutContext(ctx context.Context, r *Run, recs []*trace.Recording, geoms []cache.Config, parallelism int) error {
-	r.Caches = make([]CacheStats, len(geoms))
-	var mcs []trace.MissCounts
-	if r.Metrics != nil {
-		mcs = make([]trace.MissCounts, len(geoms))
-	}
-	groups := replayGroups(len(geoms), parallelism)
-	err := parallel.ForEachContext(ctx, parallelism, len(groups), func(gi int) error {
-		lo, hi := groups[gi][0], groups[gi][1]
-		for g := lo; g < hi; g++ {
-			r.Caches[g] = CacheStats{Config: geoms[g]}
-		}
-		pairs := make([]trace.Pair, hi-lo)
-		for _, rec := range recs {
-			for g := lo; g < hi; g++ {
-				p, err := trace.NewPair(geoms[g])
-				if err != nil {
-					return err
-				}
-				pairs[g-lo] = p
-			}
-			if mcs != nil {
-				for i, mc := range rec.ReplayAllObserved(pairs) {
-					for c := mem.Class(0); c < mem.NumClasses; c++ {
-						mcs[lo+i].Fetch[c] += mc.Fetch[c]
-						mcs[lo+i].Read[c] += mc.Read[c]
-						mcs[lo+i].Write[c] += mc.Write[c]
-					}
-				}
-			} else if err := rec.ReplayAllContext(ctx, pairs); err != nil {
-				return err
-			}
-			for i, p := range pairs {
-				cst := &r.Caches[lo+i]
-				cst.Config = p.I.Config()
-				cst.IMisses += p.I.Stats().Misses
-				cst.DMisses += p.D.Stats().Misses
-				cst.Writebacks += p.D.Stats().Writebacks
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for g := range mcs {
-		mcs[g].AddTo(r.Metrics, geoms[g].String())
-	}
-	return replayNIC(r)
+	return r.replay(ctx, recs, geoms, parallelism)
 }
 
 // RunClusterParContext simulates one workload on an opt.Nodes mesh,

@@ -1,20 +1,21 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
+	"jmtam/internal/obs"
 	"jmtam/internal/programs"
-	"jmtam/internal/trace"
 )
 
-// TestReplayEquivalence asserts the engine's core invariant across all
-// three replay paths: the per-geometry scalar fan-out (workers >=
-// geometries), the vectorized single-pass kernel (one group over all
-// geometries), and ReplayObserved's attributing variants all yield miss
-// and writeback counts identical to attaching that geometry's pair
+// TestReplayEquivalence asserts the engine's core invariant across the
+// fan-out's shapes: singleton geometry groups (workers >= geometries),
+// one group over all geometries, and the attributing replay all yield
+// miss and writeback counts identical to attaching that geometry's pair
 // inline during simulation (the pre-record/replay collector path), for
 // every quick workload and both implementations.
 func TestReplayEquivalence(t *testing.T) {
@@ -65,12 +66,12 @@ func TestReplayEquivalence(t *testing.T) {
 				t.Errorf("%s/%v: instructions %d != %d", w.Name, impl, r.Instructions, sim.M.Instructions())
 			}
 			// Workers >= geometries: singleton groups, the per-geometry path.
-			if err := ReplayFanOut(r, rec, geoms, len(geoms)+1); err != nil {
+			if err := ReplayFanOutContext(context.Background(), r, rec, geoms, len(geoms)+1); err != nil {
 				t.Fatal(err)
 			}
 			scalar := append([]CacheStats(nil), r.Caches...)
 			// One worker: a single vectorized group over every geometry.
-			if err := ReplayFanOut(r, rec, geoms, 1); err != nil {
+			if err := ReplayFanOutContext(context.Background(), r, rec, geoms, 1); err != nil {
 				t.Fatal(err)
 			}
 			vectorized := append([]CacheStats(nil), r.Caches...)
@@ -85,42 +86,27 @@ func TestReplayEquivalence(t *testing.T) {
 				}
 			}
 
-			// Attributing replays: scalar ReplayObserved vs vectorized
-			// ReplayAllObserved, stats and per-cause miss attribution.
-			obsPairs := make([]trace.Pair, len(geoms))
-			for g := range geoms {
-				if obsPairs[g], err = trace.NewPair(geoms[g]); err != nil {
-					t.Fatal(err)
-				}
+			// Attributing replay: a run with a metrics registry takes the
+			// kernel's attribution hook; its statistics must not move and
+			// its per-cause counters must sum to each geometry's misses.
+			rObs := &Run{Metrics: obs.NewRegistry()}
+			if err := ReplayFanOutContext(context.Background(), rObs, rec, geoms, 1); err != nil {
+				t.Fatal(err)
 			}
-			mcsAll := rec.ReplayAllObserved(obsPairs)
 			for g := range geoms {
-				p, err := trace.NewPair(geoms[g])
-				if err != nil {
-					t.Fatal(err)
+				if rObs.Caches[g] != want[g] {
+					t.Errorf("%s/%v geom %v: attributing replay %+v != inline %+v",
+						w.Name, impl, geoms[g], rObs.Caches[g], want[g])
 				}
-				mc := rec.ReplayObserved(p)
-				if mc != mcsAll[g] {
-					t.Errorf("%s/%v geom %v: ReplayObserved attribution %+v != ReplayAllObserved %+v",
-						w.Name, impl, geoms[g], mc, mcsAll[g])
+				var attributed uint64
+				for _, name := range rObs.Metrics.CounterNames() {
+					if strings.HasPrefix(name, geoms[g].String()+": cache.miss.") {
+						attributed += rObs.Metrics.Counter(name).Value()
+					}
 				}
-				got := CacheStats{
-					Config:     p.I.Config(),
-					IMisses:    p.I.Stats().Misses,
-					DMisses:    p.D.Stats().Misses,
-					Writebacks: p.D.Stats().Writebacks,
-				}
-				if got != want[g] {
-					t.Errorf("%s/%v geom %v: observed replay %+v != inline %+v",
-						w.Name, impl, geoms[g], got, want[g])
-				}
-				if total := mc.Total(); total != want[g].IMisses+want[g].DMisses {
+				if attributed != want[g].IMisses+want[g].DMisses {
 					t.Errorf("%s/%v geom %v: attributed misses %d != total %d",
-						w.Name, impl, geoms[g], total, want[g].IMisses+want[g].DMisses)
-				}
-				if vo := obsPairs[g]; vo.I.Stats() != p.I.Stats() || vo.D.Stats() != p.D.Stats() {
-					t.Errorf("%s/%v geom %v: ReplayAllObserved pair stats diverge from ReplayObserved",
-						w.Name, impl, geoms[g])
+						w.Name, impl, geoms[g], attributed, want[g].IMisses+want[g].DMisses)
 				}
 			}
 		}

@@ -59,18 +59,6 @@ func New(opts ...Option) *Sink {
 	return s
 }
 
-// NewSink returns a sink with a fresh registry, plus an event buffer
-// when withEvents is set.
-//
-// Deprecated: use New with WithEvents; NewSink survives as a shim for
-// the original boolean signature.
-func NewSink(withEvents bool) *Sink {
-	if withEvents {
-		return New(WithEvents())
-	}
-	return New()
-}
-
 // ensureEvents attaches an event buffer if the sink lacks one.
 func (s *Sink) ensureEvents() *EventBuffer {
 	if s.Events == nil {

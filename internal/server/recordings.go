@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"jmtam/api"
+	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
-	"jmtam/internal/parallel"
-	"jmtam/internal/shard"
 	"jmtam/internal/trace"
 	"jmtam/internal/tracestore"
 )
@@ -74,113 +72,59 @@ func (s *Server) handleRecordingPut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// storeSweepUnits executes a sweep grid through the recording store:
-// each (workload, impl) unit resolves its compacted recording — local
-// store, then peers, then simulate once — and replays it through the
-// geometry grid as a stream, never materializing the packed form. The
+// storeUnit resolves one grid cell's compacted recording through the
+// fleet — local store, then peers, then simulate once — and streams it
+// through the grid without materializing the packed form. The
 // simulation summary rides in the recording's annotation, so a fetched
-// unit is assembled without re-simulating, and the replay drives the
-// same kernel as the direct path, so the sweep document is
-// byte-identical to localSweepUnits whatever mix of sources served it.
-// Positions present in resume are filled from their journaled
-// checkpoints without touching the store; fresh completions are
-// checkpointed as they land.
-func (s *Server) storeSweepUnits(ctx context.Context, job *Job, req *SweepRequest, resume map[int]shard.UnitResult) ([]shard.UnitResult, error) {
-	geoms := sweepGeoms(req)
-	jobs := sweepUnitJobs(req)
-	par := parallel.Workers(s.cfg.ReplayParallelism)
-	replayPar := 1
-	if len(jobs) > 0 && par/len(jobs) > 1 {
-		replayPar = par / len(jobs)
-	}
-	units := make([]shard.UnitResult, len(jobs))
-	var done atomic.Int64
-	err := parallel.ForEachContext(ctx, par, len(jobs), func(i int) error {
-		uj := jobs[i]
-		if u, ok := resume[i]; ok {
-			units[i] = u
-			job.emit(api.RunProgressEvent{
-				Type: api.EventRun, ID: job.ID,
-				Done: int(done.Add(1)), Total: len(jobs),
-				Program: uj.program, Arg: uj.arg,
-				Impl: uj.impl.String(), Source: "checkpoint",
-			})
-			return nil
-		}
-		// For backends with NIC-resident inlets the recorded stream is
-		// the compute engine's references only — the NIC's stream
-		// replays against its own fixed geometry, never the sweep grid —
-		// so a store-served unit is identical to a locally simulated one
-		// for every backend.
-		desc := tracestore.Desc{Program: uj.program, Arg: uj.arg, Impl: uj.impl.String(), Nodes: 1}
-		data, src, err := s.fleet.GetOrRecord(ctx, desc.Key(), func(ctx context.Context) ([]byte, error) {
-			r, rec, err := experiments.RecordOneContext(ctx,
-				experiments.Workload{Name: uj.program, Arg: uj.arg}, uj.impl, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			s.gauge("sweep.recording.bytes", int64(rec.Bytes()))
-			defer s.gauge("sweep.recording.bytes", -int64(rec.Bytes()))
-			meta := tracestore.RunMeta{
-				Desc:         desc,
-				Instructions: r.Instructions,
-				TPQ:          r.TPQ,
-				IPT:          r.IPT,
-				IPQ:          r.IPQ,
-				Threads:      r.Threads,
-				Quanta:       r.Quanta,
-			}
-			return rec.CompactAnnotated(meta.Encode()), nil
-		})
+// unit needs no re-simulation. For backends with NIC-resident inlets the
+// recorded stream is the compute engine's references only (the NIC's
+// stream replays against its own fixed geometry, never the grid), so a
+// store-served unit is identical to a freshly simulated one for every
+// backend. The returned source names where the recording came from.
+func (s *Server) storeUnit(ctx context.Context, w experiments.Workload, impl core.Impl, geoms []cache.Config, par int) (*experiments.Run, string, error) {
+	desc := tracestore.Desc{Program: w.Name, Arg: w.Arg, Impl: impl.String(), Nodes: 1}
+	data, src, err := s.fleet.GetOrRecord(ctx, desc.Key(), func(ctx context.Context) ([]byte, error) {
+		r, rec, err := experiments.RecordOneContext(ctx, w, impl, core.Options{})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		info, err := trace.CompactStat(data)
-		if err != nil {
-			return fmt.Errorf("stored recording %s: %w", desc.Key(), err)
+		s.gauge("sweep.recording.bytes", int64(rec.Bytes()))
+		defer s.gauge("sweep.recording.bytes", -int64(rec.Bytes()))
+		meta := tracestore.RunMeta{
+			Desc:         desc,
+			Instructions: r.Instructions,
+			TPQ:          r.TPQ,
+			IPT:          r.IPT,
+			IPQ:          r.IPQ,
+			Threads:      r.Threads,
+			Quanta:       r.Quanta,
 		}
-		meta, err := tracestore.DecodeMeta(info.Annotation)
-		if err != nil {
-			return fmt.Errorf("stored recording %s: %w", desc.Key(), err)
-		}
-		caches, err := experiments.ReplayStreamFanOutContext(ctx, func() (*trace.Reader, error) {
-			return trace.NewReader(bytes.NewReader(data))
-		}, geoms, replayPar)
-		if err != nil {
-			return err
-		}
-		u := shard.UnitResult{
-			Program:      uj.program,
-			Arg:          uj.arg,
-			Impl:         uj.impl.String(),
-			Instructions: meta.Instructions,
-			TPQ:          meta.TPQ,
-			IPT:          meta.IPT,
-			IPQ:          meta.IPQ,
-			Caches:       make([]shard.GeomStats, len(caches)),
-		}
-		for g, cs := range caches {
-			u.Caches[g] = shard.GeomStats{
-				SizeKB:     cs.Config.SizeBytes / 1024,
-				BlockBytes: cs.Config.BlockBytes,
-				Assoc:      cs.Config.Assoc,
-				IMisses:    cs.IMisses,
-				DMisses:    cs.DMisses,
-				Writebacks: cs.Writebacks,
-			}
-		}
-		units[i] = u
-		s.checkpointUnit(job, i, u)
-		job.emit(api.RunProgressEvent{
-			Type: api.EventRun, ID: job.ID,
-			Done: int(done.Add(1)), Total: len(jobs),
-			Program: uj.program, Arg: uj.arg,
-			Impl: uj.impl.String(), Source: src.String(),
-		})
-		return nil
+		return rec.CompactAnnotated(meta.Encode()), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return units, nil
+	info, err := trace.CompactStat(data)
+	if err != nil {
+		return nil, "", fmt.Errorf("stored recording %s: %w", desc.Key(), err)
+	}
+	meta, err := tracestore.DecodeMeta(info.Annotation)
+	if err != nil {
+		return nil, "", fmt.Errorf("stored recording %s: %w", desc.Key(), err)
+	}
+	r := &experiments.Run{
+		Workload:     w,
+		Impl:         impl,
+		Instructions: meta.Instructions,
+		TPQ:          meta.TPQ,
+		IPT:          meta.IPT,
+		IPQ:          meta.IPQ,
+	}
+	r.Caches, err = experiments.ReplayStreamFanOutContext(ctx, func() (*trace.Reader, error) {
+		return trace.NewReader(bytes.NewReader(data))
+	}, geoms, par)
+	if err != nil {
+		return nil, "", err
+	}
+	return r, src.String(), nil
 }

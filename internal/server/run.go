@@ -7,7 +7,6 @@ import (
 	"jmtam/api"
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
-	"jmtam/internal/parallel"
 	"jmtam/internal/programs"
 	"jmtam/internal/trace"
 )
@@ -15,10 +14,10 @@ import (
 // executeRun runs one simulation job: bind a fresh Program onto the
 // cached (or freshly compiled) artifact, simulate once with a trace
 // recording attached, then fan the recording out across the requested
-// cache geometries, emitting one NDJSON progress event per completed
-// geometry. The arithmetic is the same as jmtam.Run's — one recording,
-// ReplayPair per geometry, position-indexed assembly — so the result
-// document matches a direct façade call exactly.
+// cache geometries and emit one NDJSON progress event per geometry, in
+// index order. The arithmetic is jmtam.Run's — one combined recording
+// through the experiments fan-out, position-indexed assembly — so the
+// result document matches a direct façade call exactly.
 func (s *Server) executeRun(ctx context.Context, job *Job, req *RunRequest) (json.RawMessage, error) {
 	return s.cachedResult(ctx, job, "run", &req.RunRequest, func(ctx context.Context) (json.RawMessage, error) {
 		return s.freshRun(ctx, job, req)
@@ -56,29 +55,19 @@ func (s *Server) freshRun(ctx context.Context, job *Job, req *RunRequest) (json.
 	}
 	job.emit(api.Simulated(job.ID, sim.M.Instructions(), hit))
 
-	stats := make([]experiments.CacheStats, len(req.geoms))
-	err = parallel.ForEachContext(ctx, s.cfg.ReplayParallelism, len(req.geoms), func(i int) error {
-		pr, err := rec.ReplayPair(req.geoms[i])
-		if err != nil {
-			return err
-		}
-		stats[i] = experiments.CacheStats{
-			Config:     pr.I.Config(),
-			IMisses:    pr.I.Stats().Misses,
-			DMisses:    pr.D.Stats().Misses,
-			Writebacks: pr.D.Stats().Writebacks,
-		}
+	r := &experiments.Run{}
+	if err := experiments.ReplayFanOutContext(ctx, r, rec, req.geoms, s.cfg.ReplayParallelism); err != nil {
+		return nil, err
+	}
+	stats := r.Caches
+	for i, st := range stats {
 		job.emit(api.GeometryEvent{
 			Type: api.EventGeometry, ID: job.ID, Index: i,
-			Cache:      specOf(stats[i].Config),
-			IMisses:    stats[i].IMisses,
-			DMisses:    stats[i].DMisses,
-			Writebacks: stats[i].Writebacks,
+			Cache:      specOf(st.Config),
+			IMisses:    st.IMisses,
+			DMisses:    st.DMisses,
+			Writebacks: st.Writebacks,
 		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	res := runResultOf(req.Program, req.Arg, req.impl,
 		sim.M.Instructions(), rec.TotalReads(), rec.TotalWrites(),

@@ -15,15 +15,15 @@ import (
 
 // executeSweep runs a grid job. With a shard coordinator configured the
 // grid is partitioned into leased shards and farmed out to remote
-// workers (degrading to local execution when none is reachable); with
-// the recording store enabled (the default) units resolve their
-// reference streams through the content-addressed store and replay
-// them as compacted streams; otherwise it runs in-process through
-// experiments.Sweep. All paths produce position-indexed unit results
-// and assemble the final document through assembleSweepResult, so a
-// distributed or store-served sweep is byte-identical to a local one. Sweeps bypass the compiled-code cache: a grid
-// simulates each (workload, impl) exactly once anyway, so caching would
-// only pin paper-scale artifacts for no repeat benefit.
+// workers (degrading to local execution when none is reachable);
+// otherwise the grid runs in-process through sweepUnits, resolving
+// each unit's recording through the content-addressed store when it is
+// enabled (the default). All paths produce position-indexed unit
+// results and assemble the final document through assembleSweepResult,
+// so a distributed or store-served sweep is byte-identical to a local
+// one. Sweeps bypass the compiled-code cache: a grid simulates each
+// (workload, impl) exactly once anyway, so caching would only pin
+// paper-scale artifacts for no repeat benefit.
 func (s *Server) executeSweep(ctx context.Context, job *Job, req *SweepRequest, resume map[int]shard.UnitResult) (json.RawMessage, error) {
 	return s.cachedResult(ctx, job, "sweep", &req.SweepRequest, func(ctx context.Context) (json.RawMessage, error) {
 		return s.freshSweep(ctx, job, req, resume)
@@ -61,10 +61,8 @@ func (s *Server) freshSweep(ctx context.Context, job *Job, req *SweepRequest, re
 				units[i] = u
 			}
 		}
-	} else if s.fleet != nil {
-		units, err = s.storeSweepUnits(ctx, job, req, resume)
 	} else {
-		units, err = s.localSweepUnits(ctx, job, req, resume)
+		units, err = s.sweepUnits(ctx, job, req, resume)
 	}
 	if err != nil {
 		return nil, err
@@ -119,97 +117,50 @@ func (s *Server) decodeCheckpoints(req *SweepRequest, units map[int]json.RawMess
 	return resume
 }
 
-// sweepUnitJob is one grid position: shard.Spec.Units order
-// (workload-major, implementation-minor), shared by the store and
-// local execution paths.
-type sweepUnitJob struct {
-	program string
-	arg     int
-	impl    core.Impl
-}
-
-func sweepUnitJobs(req *SweepRequest) []sweepUnitJob {
-	jobs := make([]sweepUnitJob, 0, len(req.Workloads)*len(req.impls))
-	for _, w := range req.Workloads {
-		for _, impl := range req.impls {
-			jobs = append(jobs, sweepUnitJob{w.Program, w.Arg, impl})
-		}
-	}
-	return jobs
-}
-
-// sweepGeoms expands the request's size × associativity grid.
-func sweepGeoms(req *SweepRequest) []cache.Config {
-	var geoms []cache.Config
-	for _, kb := range req.SizesKB {
-		for _, a := range req.Assocs {
-			geoms = append(geoms, cache.Config{SizeBytes: kb * 1024, BlockBytes: req.BlockBytes, Assoc: a})
-		}
-	}
-	return geoms
-}
-
-// localSweepUnits executes the grid in-process, one unit at a time —
-// the same per-unit body Sweep.ExecuteContext runs, so the document is
-// byte-identical to the whole-grid path — skipping resumed positions
-// and checkpointing each completed unit.
-func (s *Server) localSweepUnits(ctx context.Context, job *Job, req *SweepRequest, resume map[int]shard.UnitResult) ([]shard.UnitResult, error) {
-	geoms := sweepGeoms(req)
-	jobs := sweepUnitJobs(req)
+// sweepUnits executes the grid in-process, one unit at a time on a
+// bounded pool: resumed positions are filled from their journaled
+// checkpoints, every fresh unit is checkpointed as it lands, and each
+// position emits one progress event. The two modes differ only in where
+// a unit's recording comes from — a fresh simulation replayed packed
+// when the recording store is disabled (freshUnit), the fleet's
+// compacted bytes streamed when it is enabled (storeUnit) — and both
+// replay through the same fan-out, so the document is byte-identical
+// whichever served it.
+func (s *Server) sweepUnits(ctx context.Context, job *Job, req *SweepRequest, resume map[int]shard.UnitResult) ([]shard.UnitResult, error) {
+	geoms := req.Spec().CacheConfigs()
+	nimpl := len(req.impls)
+	total := len(req.Workloads) * nimpl
 	par := parallel.Workers(s.cfg.ReplayParallelism)
 	replayPar := 1
-	if len(jobs) > 0 && par/len(jobs) > 1 {
-		replayPar = par / len(jobs)
+	if total > 0 && par/total > 1 {
+		replayPar = par / total
 	}
-	units := make([]shard.UnitResult, len(jobs))
+	unit := s.freshUnit
+	if s.fleet != nil {
+		unit = s.storeUnit
+	}
+	units := make([]shard.UnitResult, total)
 	var done atomic.Int64
-	err := parallel.ForEachContext(ctx, par, len(jobs), func(i int) error {
-		uj := jobs[i]
-		if u, ok := resume[i]; ok {
-			units[i] = u
-			job.emit(api.RunProgressEvent{
-				Type: api.EventRun, ID: job.ID,
-				Done: int(done.Add(1)), Total: len(jobs),
-				Program: uj.program, Arg: uj.arg,
-				Impl: uj.impl.String(), Source: "checkpoint",
-			})
-			return nil
-		}
-		r, err := experiments.RunOneParHookContext(ctx,
-			experiments.Workload{Name: uj.program, Arg: uj.arg}, uj.impl, geoms,
-			core.Options{}, replayPar, func(delta int64) {
-				s.gauge("sweep.recording.bytes", delta)
-			})
-		if err != nil {
-			return err
-		}
-		u := shard.UnitResult{
-			Program:      uj.program,
-			Arg:          uj.arg,
-			Impl:         uj.impl.String(),
-			Instructions: r.Instructions,
-			TPQ:          r.TPQ,
-			IPT:          r.IPT,
-			IPQ:          r.IPQ,
-			Caches:       make([]shard.GeomStats, len(r.Caches)),
-		}
-		for g, cs := range r.Caches {
-			u.Caches[g] = shard.GeomStats{
-				SizeKB:     cs.Config.SizeBytes / 1024,
-				BlockBytes: cs.Config.BlockBytes,
-				Assoc:      cs.Config.Assoc,
-				IMisses:    cs.IMisses,
-				DMisses:    cs.DMisses,
-				Writebacks: cs.Writebacks,
+	err := parallel.ForEachContext(ctx, par, total, func(i int) error {
+		// Grid positions are shard.Spec.Units order: workload-major,
+		// implementation-minor.
+		wl, impl := req.Workloads[i/nimpl], req.impls[i%nimpl]
+		u, resumed := resume[i]
+		source := "checkpoint"
+		if !resumed {
+			r, src, err := unit(ctx, experiments.Workload{Name: wl.Program, Arg: wl.Arg}, impl, geoms, replayPar)
+			if err != nil {
+				return err
 			}
+			u, source = shard.UnitResultOf(r), src
+			s.checkpointUnit(job, i, u)
 		}
 		units[i] = u
-		s.checkpointUnit(job, i, u)
 		job.emit(api.RunProgressEvent{
 			Type: api.EventRun, ID: job.ID,
-			Done: int(done.Add(1)), Total: len(jobs),
-			Program: uj.program, Arg: uj.arg,
-			Impl: uj.impl.String(),
+			Done: int(done.Add(1)), Total: total,
+			Program: wl.Program, Arg: wl.Arg,
+			Impl: impl.String(), Source: source,
 		})
 		return nil
 	})
@@ -217,6 +168,24 @@ func (s *Server) localSweepUnits(ctx context.Context, job *Job, req *SweepReques
 		return nil, err
 	}
 	return units, nil
+}
+
+// freshUnit simulates one grid cell with a recording attached and
+// replays the packed recording through the grid — the per-unit body of
+// Sweep.ExecuteContext — holding the recording's size on the
+// sweep.recording.bytes gauge while it is live. Its progress events
+// name no source.
+func (s *Server) freshUnit(ctx context.Context, w experiments.Workload, impl core.Impl, geoms []cache.Config, par int) (*experiments.Run, string, error) {
+	r, rec, err := experiments.RecordOneContext(ctx, w, impl, core.Options{})
+	if err != nil {
+		return nil, "", err
+	}
+	s.gauge("sweep.recording.bytes", int64(rec.Bytes()))
+	defer s.gauge("sweep.recording.bytes", -int64(rec.Bytes()))
+	if err := experiments.ReplayFanOutContext(ctx, r, rec, geoms, par); err != nil {
+		return nil, "", err
+	}
+	return r, "", nil
 }
 
 // Spec converts a normalized request into the shard coordinator's wire

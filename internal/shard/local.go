@@ -27,10 +27,17 @@ func (c *Coordinator) runLocal(ctx context.Context, spec *Spec, u Unit) (UnitRes
 		}
 		return UnitResult{}, &PermanentError{Err: err}
 	}
+	return UnitResultOf(r), nil
+}
+
+// UnitResultOf converts a replayed run into its grid-cell result — the
+// one conversion every execution path (local shard, in-process sweep,
+// store-served sweep) shares, so their unit numbers cannot drift.
+func UnitResultOf(r *experiments.Run) UnitResult {
 	res := UnitResult{
-		Program:      u.Workload.Program,
-		Arg:          u.Workload.Arg,
-		Impl:         impl.String(),
+		Program:      r.Workload.Name,
+		Arg:          r.Workload.Arg,
+		Impl:         r.Impl.String(),
 		Instructions: r.Instructions,
 		TPQ:          r.TPQ,
 		IPT:          r.IPT,
@@ -47,5 +54,5 @@ func (c *Coordinator) runLocal(ctx context.Context, spec *Spec, u Unit) (UnitRes
 			Writebacks: cs.Writebacks,
 		}
 	}
-	return res, nil
+	return res
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"jmtam/internal/cache"
@@ -33,24 +34,10 @@ func table2Geoms() []cache.Config {
 	return geoms
 }
 
-// BenchmarkReplay measures the single-geometry replay path.
-func BenchmarkReplay(b *testing.B) {
+// benchReplay measures one kernel pass over a 1M-reference recording
+// per iteration, through fresh pairs of the given geometries.
+func benchReplay(b *testing.B, geoms []cache.Config) {
 	rec := benchRecording(1 << 20)
-	b.SetBytes(int64(rec.Len()) * 4)
-	for i := 0; i < b.N; i++ {
-		p, err := NewPair(cache.Config{SizeBytes: 8192, BlockBytes: 64, Assoc: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec.Replay(p)
-	}
-}
-
-// BenchmarkReplayAll measures the vectorized kernel over the full
-// Table-2 grid: one pass over the stream drives all 24 geometries.
-func BenchmarkReplayAll(b *testing.B) {
-	rec := benchRecording(1 << 20)
-	geoms := table2Geoms()
 	b.SetBytes(int64(rec.Len()) * 4 * int64(len(geoms)))
 	for i := 0; i < b.N; i++ {
 		pairs := make([]Pair, len(geoms))
@@ -61,6 +48,19 @@ func BenchmarkReplayAll(b *testing.B) {
 			}
 			pairs[j] = p
 		}
-		rec.ReplayAll(pairs)
+		if err := Replay(context.Background(), rec.Chunks(), pairs, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// BenchmarkReplay measures the kernel on a single geometry.
+func BenchmarkReplay(b *testing.B) {
+	benchReplay(b, []cache.Config{{SizeBytes: 8192, BlockBytes: 64, Assoc: 4}})
+}
+
+// BenchmarkReplayAll measures the kernel over the full Table-2 grid:
+// one pass over the stream drives all 24 geometries.
+func BenchmarkReplayAll(b *testing.B) {
+	benchReplay(b, table2Geoms())
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -338,46 +337,6 @@ func (rd *Reader) Do(fn func(k Kind, addr uint32)) error {
 		for _, w := range c {
 			fn(Decode(w))
 		}
-	}
-}
-
-// ReplayAll streams the remaining chunks through any number of cache
-// pairs, exactly as Recording.ReplayAll would — same partition kernel,
-// same per-pair statistics — without ever materializing the packed
-// recording: resident state is one decoded chunk plus the replay
-// partition buffers.
-func (rd *Reader) ReplayAll(pairs []Pair) error {
-	return rd.ReplayAllContext(context.Background(), pairs)
-}
-
-// ReplayAllContext is ReplayAll with cooperative cancellation, checked
-// between chunks. On cancellation the pairs' statistics are partial and
-// must be discarded.
-func (rd *Reader) ReplayAllContext(ctx context.Context, pairs []Pair) error {
-	done := ctx.Done()
-	var (
-		fetch = make([]uint32, 0, replayBlockWords)
-		data  = make([]uint32, 0, replayBlockWords)
-	)
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		c, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		fetch, data = replayChunk(c, pairs, fetch, data)
 	}
 }
 

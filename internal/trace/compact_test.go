@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -138,23 +139,15 @@ func TestReaderReplayMatchesRecording(t *testing.T) {
 		{SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4},
 		{SizeBytes: 2 << 10, BlockBytes: 32, Assoc: 2},
 	}
-	direct := make([]Pair, len(geoms))
-	streamed := make([]Pair, len(geoms))
-	for i, g := range geoms {
-		var err error
-		if direct[i], err = NewPair(g); err != nil {
-			t.Fatal(err)
-		}
-		if streamed[i], err = NewPair(g); err != nil {
-			t.Fatal(err)
-		}
+	direct, streamed := newPairs(t, geoms), newPairs(t, geoms)
+	if err := Replay(context.Background(), rec.Chunks(), direct, nil); err != nil {
+		t.Fatal(err)
 	}
-	rec.ReplayAll(direct)
 	rd, err := NewReader(bytes.NewReader(rec.Compact()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rd.ReplayAll(streamed); err != nil {
+	if err := Replay(context.Background(), rd, streamed, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range geoms {
@@ -183,8 +176,8 @@ func TestDecompactRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("JTR"),
 		[]byte("XXXX\x01"),
-		[]byte("JTR2\x02"),          // unsupported version
-		[]byte("JTR2\x01\xff\xff"),  // torn annotation length
+		[]byte("JTR2\x02"),                   // unsupported version
+		[]byte("JTR2\x01\xff\xff"),           // torn annotation length
 		append([]byte("JTR2\x01\x00"), 0xff), // torn total
 	}
 	for i, data := range cases {

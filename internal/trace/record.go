@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"errors"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
@@ -47,8 +46,8 @@ const chunkWords = 1 << 16
 
 // Recording is a compact in-memory reference trace. It implements
 // machine.Tracer, so a simulation records its stream by running with a
-// Recording attached; Replay then streams the recording through a cache
-// pair. Recording once and replaying per geometry turns the N-geometry
+// Recording attached; Replay then streams the recording through cache
+// pairs. Recording once and replaying per geometry turns the N-geometry
 // fan-out into N independent, parallelizable passes instead of N
 // synchronous Access calls per reference inside the simulator loop.
 //
@@ -132,249 +131,11 @@ func (r *Recording) Do(fn func(k Kind, addr uint32)) {
 	}
 }
 
-// replayBlockWords sizes the replay kernel's partition buffers: 4K
-// references (16 KB of packed words, at most 32 KB of partitioned
-// output) stay resident in L1 while a whole geometry group consumes
-// them.
-const replayBlockWords = 1 << 12
-
-// Replay streams the recording through one cache pair: fetches probe the
-// instruction cache, reads and writes the data cache — exactly the
-// accesses Collector issues inline. Replaying into a fresh pair yields
-// statistics identical to having attached that pair during simulation.
-func (r *Recording) Replay(p Pair) {
-	r.ReplayAll([]Pair{p})
-}
-
 // ReplayAll streams the recording through any number of cache pairs in
-// one pass: each block of packed words is decoded once and partitioned
-// into an instruction-fetch stream and a data stream (write flag in bit
-// 0), then every resident pair's I and D caches consume the partitions
-// while they are hot in L1. Per-pair statistics are identical to len(p)
-// independent Replay passes — the stream just isn't re-read and
-// re-decoded per geometry.
+// one pass of the replay kernel (see Replay).
 func (r *Recording) ReplayAll(pairs []Pair) {
-	r.replayAll(nil, pairs)
-}
-
-// ReplayAllContext is ReplayAll with cooperative cancellation, checked
-// between chunks (every 64K references per resident pair). On
-// cancellation the pairs' statistics are partial and must be discarded.
-func (r *Recording) ReplayAllContext(ctx context.Context, pairs []Pair) error {
-	done := ctx.Done()
-	if done == nil {
-		r.replayAll(nil, pairs)
-		return nil
-	}
-	if err := r.replayAll(done, pairs); err != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
-var errCancelled = errors.New("trace: replay cancelled")
-
-func (r *Recording) replayAll(done <-chan struct{}, pairs []Pair) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	var (
-		fetch = make([]uint32, 0, replayBlockWords)
-		data  = make([]uint32, 0, replayBlockWords)
-	)
-	for _, c := range r.chunks() {
-		if done != nil {
-			select {
-			case <-done:
-				return errCancelled
-			default:
-			}
-		}
-		fetch, data = replayChunk(c, pairs, fetch, data)
-	}
-	return nil
-}
-
-// replayChunk partitions one packed chunk block-by-block and drives
-// every resident pair's I and D caches while each block is hot in L1.
-// It is the shared kernel of Recording.ReplayAll and Reader.ReplayAll;
-// fetch and data are reusable scratch buffers, returned for reuse.
-func replayChunk(c []uint32, pairs []Pair, fetch, data []uint32) ([]uint32, []uint32) {
-	for off := 0; off < len(c); off += replayBlockWords {
-		end := off + replayBlockWords
-		if end > len(c) {
-			end = len(c)
-		}
-		fetch, data = partition(c[off:end], fetch[:0], data[:0])
-		for _, p := range pairs {
-			// The I-cache only ever sees this read-only fetch
-			// stream, so the no-dirty-state kernel applies.
-			p.I.AccessBatchFetch(fetch)
-			p.D.AccessBatch(data)
-		}
-	}
-	return fetch, data
-}
-
-// partition decodes one block of packed trace words into the
-// instruction-fetch address stream and the data stream. Data references
-// carry the write flag in bit 0 (addresses are word-aligned, so the bit
-// is free); KindWrite is 2 and KindRead 1, so kind>>1 is that flag.
-func partition(block []uint32, fetch, data []uint32) ([]uint32, []uint32) {
-	for _, w := range block {
-		k := w >> kindShift
-		addr := w << 2 & (addrMask << 2)
-		if k == uint32(KindFetch) {
-			fetch = append(fetch, addr)
-		} else {
-			data = append(data, addr|k>>1)
-		}
-	}
-	return fetch, data
-}
-
-// ReplayPair builds a fresh pair of the given geometry and replays the
-// recording through it.
-func (r *Recording) ReplayPair(cfg cache.Config) (Pair, error) {
-	p, err := NewPair(cfg)
-	if err != nil {
-		return Pair{}, err
-	}
-	r.Replay(p)
-	return p, nil
-}
-
-// MissCounts attributes cache misses by cause: fetch misses and data
-// read/write misses, each split by the §3.1 reference class of the
-// missing address.
-type MissCounts struct {
-	Fetch [mem.NumClasses]uint64
-	Read  [mem.NumClasses]uint64
-	Write [mem.NumClasses]uint64
-}
-
-// Total returns all misses across kinds and classes.
-func (mc *MissCounts) Total() uint64 {
-	var t uint64
-	for c := 0; c < int(mem.NumClasses); c++ {
-		t += mc.Fetch[c] + mc.Read[c] + mc.Write[c]
-	}
-	return t
-}
-
-// ReplayObserved replays the recording through p like Replay while
-// classifying every miss by reference kind and class. The cache
-// statistics it leaves in p are identical to Replay's; the returned
-// attribution feeds the observability registry's per-cause miss
-// counters.
-func (r *Recording) ReplayObserved(p Pair) MissCounts {
-	var mc MissCounts
-	ic, dc := p.I, p.D
-	for _, c := range r.chunks() {
-		replayObservedChunk(c, ic, dc, &mc)
-	}
-	return mc
-}
-
-// replayObservedChunk is the direct chunk loop shared by ReplayObserved
-// and ReplayAllObserved: no per-reference closure, misses classified in
-// place.
-func replayObservedChunk(c []uint32, ic, dc *cache.Cache, mc *MissCounts) {
-	for _, w := range c {
-		addr := w << 2 & (addrMask << 2)
-		switch Kind(w >> kindShift) {
-		case KindFetch:
-			if !ic.Access(addr, false) {
-				mc.Fetch[mem.Classify(addr)]++
-			}
-		case KindRead:
-			if !dc.Access(addr, false) {
-				mc.Read[mem.Classify(addr)]++
-			}
-		default:
-			if !dc.Access(addr, true) {
-				mc.Write[mem.Classify(addr)]++
-			}
-		}
-	}
-}
-
-// ReplayAllObserved is ReplayAll with per-pair miss attribution: every
-// pair's statistics and MissCounts are identical to len(pairs)
-// independent ReplayObserved passes, but the packed stream is read once
-// and each chunk stays cache-hot while every resident pair consumes it.
-func (r *Recording) ReplayAllObserved(pairs []Pair) []MissCounts {
-	mcs := make([]MissCounts, len(pairs))
-	for _, c := range r.chunks() {
-		for i, p := range pairs {
-			replayObservedChunk(c, p.I, p.D, &mcs[i])
-		}
-	}
-	return mcs
-}
-
-// AddTo folds the attribution into an observability registry under
-// cache.miss.{fetch,read,write}.<class>, prefixed by label when label is
-// non-empty (e.g. "8K/4-way/64B: cache.miss.fetch.sys-code").
-func (mc *MissCounts) AddTo(r *obs.Registry, label string) {
-	pre := ""
-	if label != "" {
-		pre = label + ": "
-	}
-	for c := mem.Class(0); c < mem.NumClasses; c++ {
-		if n := mc.Fetch[c]; n != 0 {
-			r.Counter(pre + "cache.miss.fetch." + c.String()).Add(n)
-		}
-		if n := mc.Read[c]; n != 0 {
-			r.Counter(pre + "cache.miss.read." + c.String()).Add(n)
-		}
-		if n := mc.Write[c]; n != 0 {
-			r.Counter(pre + "cache.miss.write." + c.String()).Add(n)
-		}
-	}
-}
-
-// ReplaySampled replays the recording through p like Replay while
-// sampling miss density: after every `every` instruction fetches, emit
-// receives the cumulative fetch count and the I- and D-cache miss
-// deltas accumulated since the previous sample; a final partial sample
-// flushes any remainder. The cache statistics left in p are identical
-// to Replay's.
-func (r *Recording) ReplaySampled(p Pair, every int, emit func(instrs, iMisses, dMisses uint64)) {
-	if every <= 0 {
-		every = 1000
-	}
-	ic, dc := p.I, p.D
-	var fetches, iMiss, dMiss uint64
-	next := uint64(every)
-	for _, c := range r.chunks() {
-		for _, w := range c {
-			addr := w << 2 & (addrMask << 2)
-			switch Kind(w >> kindShift) {
-			case KindFetch:
-				if !ic.Access(addr, false) {
-					iMiss++
-				}
-				fetches++
-				if fetches >= next {
-					emit(fetches, iMiss, dMiss)
-					iMiss, dMiss = 0, 0
-					next += uint64(every)
-				}
-			case KindRead:
-				if !dc.Access(addr, false) {
-					dMiss++
-				}
-			default:
-				if !dc.Access(addr, true) {
-					dMiss++
-				}
-			}
-		}
-	}
-	if iMiss != 0 || dMiss != 0 {
-		emit(fetches, iMiss, dMiss)
-	}
+	// A packed source never fails and Background is never cancelled.
+	_ = Replay(context.Background(), r.Chunks(), pairs, nil)
 }
 
 // MissDensityTrack replays the recording through a fresh cache pair of
@@ -382,33 +143,26 @@ func (r *Recording) ReplaySampled(p Pair, every int, emit func(instrs, iMisses, 
 // onto b's pid timeline, one sample per `every` instructions (1000 when
 // every <= 0). Timestamps are cumulative instruction counts — the same
 // clock as the machine's scheduler spans — so conflict-miss bursts line
-// up with the quantum and inlet spans they occur inside. Returns the
-// replayed pair for its aggregate statistics.
-func (r *Recording) MissDensityTrack(b *obs.EventBuffer, pid int32, cfg cache.Config, every int) (Pair, error) {
+// up with the quantum and inlet spans they occur inside. A non-empty
+// label prefixes the track names ("nic.I-miss density"), so a second
+// reference stream on the same pid (e.g. a NIC engine's share under an
+// offload backend) gets its own pair of tracks instead of colliding
+// with the compute-side ones. Returns the replayed pair for its
+// aggregate statistics.
+func (r *Recording) MissDensityTrack(b *obs.EventBuffer, pid int32, cfg cache.Config, every int, label string) (Pair, error) {
 	p, err := NewPair(cfg)
 	if err != nil {
 		return Pair{}, err
 	}
-	r.ReplaySampled(p, every, func(instrs, iMiss, dMiss uint64) {
-		b.Counter("I-miss density", "miss-density", pid, instrs, "misses", iMiss)
-		b.Counter("D-miss density", "miss-density", pid, instrs, "misses", dMiss)
-	})
-	return p, nil
-}
-
-// MissDensityTrackLabeled is MissDensityTrack with a label prefixed to
-// the counter-track names, so a second reference stream on the same pid
-// (e.g. a NIC engine's share under an offload backend) gets its own
-// pair of tracks ("nic.I-miss density") instead of colliding with the
-// compute-side tracks.
-func (r *Recording) MissDensityTrackLabeled(b *obs.EventBuffer, pid int32, cfg cache.Config, every int, label string) (Pair, error) {
-	p, err := NewPair(cfg)
-	if err != nil {
-		return Pair{}, err
+	if label != "" {
+		label += "."
 	}
-	r.ReplaySampled(p, every, func(instrs, iMiss, dMiss uint64) {
-		b.Counter(label+"I-miss density", "miss-density", pid, instrs, "misses", iMiss)
-		b.Counter(label+"D-miss density", "miss-density", pid, instrs, "misses", dMiss)
+	err = Replay(context.Background(), r.Chunks(), []Pair{p}, &Hooks{
+		SampleEvery: every,
+		Sample: func(_ int, instrs, iMiss, dMiss uint64) {
+			b.Counter(label+"I-miss density", "miss-density", pid, instrs, "misses", iMiss)
+			b.Counter(label+"D-miss density", "miss-density", pid, instrs, "misses", dMiss)
+		},
 	})
-	return p, nil
+	return p, err
 }

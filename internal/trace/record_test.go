@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"context"
+	"maps"
 	"testing"
 
 	"jmtam/internal/cache"
@@ -108,12 +110,16 @@ func TestReplayMatchesInlineFanOut(t *testing.T) {
 	}
 	emit(&col)
 	emit(&rec)
+	pairs := make([]Pair, len(cfgs))
 	for i, cfg := range cfgs {
-		p, err := rec.ReplayPair(cfg)
-		if err != nil {
+		var err error
+		if pairs[i], err = NewPair(cfg); err != nil {
 			t.Fatal(err)
 		}
-		want := col.Pairs[i]
+	}
+	rec.ReplayAll(pairs)
+	for i, cfg := range cfgs {
+		p, want := pairs[i], col.Pairs[i]
 		if p.I.Stats() != want.I.Stats() {
 			t.Errorf("%v: replayed I stats %+v != inline %+v", cfg, p.I.Stats(), want.I.Stats())
 		}
@@ -126,12 +132,12 @@ func TestReplayMatchesInlineFanOut(t *testing.T) {
 	}
 }
 
-// TestReplayAllMatchesReplay drives the vectorized multi-pair kernel
-// and N independent single-pair replays over the same recording and
-// requires identical statistics for every pair.
+// TestReplayAllMatchesReplay drives every pair through one grouped
+// kernel pass and each pair through a replay of its own, over a stream
+// crossing several chunk and replay-block boundaries, and requires
+// identical statistics for every pair.
 func TestReplayAllMatchesReplay(t *testing.T) {
 	var rec Recording
-	// Cross several chunk and replay-block boundaries.
 	n := uint32(chunkWords + replayBlockWords + 123)
 	for i := uint32(0); i < n; i++ {
 		rec.Fetch(mem.UserCodeBase + 4*(i%3000))
@@ -146,37 +152,25 @@ func TestReplayAllMatchesReplay(t *testing.T) {
 		{SizeBytes: 8192, BlockBytes: 64, Assoc: 4},
 		{SizeBytes: 8192, BlockBytes: 64, Assoc: 8},
 	}
-	pairs := make([]Pair, len(cfgs))
-	for i, cfg := range cfgs {
-		p, err := NewPair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs[i] = p
-	}
+	pairs := newPairs(t, cfgs)
 	rec.ReplayAll(pairs)
 	for i, cfg := range cfgs {
-		want, err := rec.ReplayPair(cfg)
-		if err != nil {
+		want := newPairs(t, cfgs[i:i+1])
+		if err := Replay(context.Background(), rec.Chunks(), want, nil); err != nil {
 			t.Fatal(err)
 		}
-		if pairs[i].I.Stats() != want.I.Stats() {
-			t.Errorf("%v: ReplayAll I stats %+v != Replay %+v", cfg, pairs[i].I.Stats(), want.I.Stats())
+		if pairs[i].I.Stats() != want[0].I.Stats() {
+			t.Errorf("%v: grouped I stats %+v != single %+v", cfg, pairs[i].I.Stats(), want[0].I.Stats())
 		}
-		if pairs[i].D.Stats() != want.D.Stats() {
-			t.Errorf("%v: ReplayAll D stats %+v != Replay %+v", cfg, pairs[i].D.Stats(), want.D.Stats())
+		if pairs[i].D.Stats() != want[0].D.Stats() {
+			t.Errorf("%v: grouped D stats %+v != single %+v", cfg, pairs[i].D.Stats(), want[0].D.Stats())
 		}
 	}
 }
 
-func TestReplayPairRejectsBadGeometry(t *testing.T) {
-	var rec Recording
-	rec.Read(mem.HeapBase)
-	if _, err := rec.ReplayPair(cache.Config{SizeBytes: 100, BlockBytes: 64, Assoc: 1}); err == nil {
-		t.Error("bad geometry accepted")
-	}
-}
-
+// TestReplaySampledMatchesReplay checks the sampling hook observes
+// without perturbing: statistics match an unhooked replay, samples are
+// monotone, and their miss deltas sum to the total misses.
 func TestReplaySampledMatchesReplay(t *testing.T) {
 	var rec Recording
 	for i := uint32(0); i < 5000; i++ {
@@ -186,18 +180,14 @@ func TestReplaySampledMatchesReplay(t *testing.T) {
 			rec.Write(mem.FrameBase + 4*(i%500))
 		}
 	}
-	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
-	want, err := rec.ReplayPair(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewPair(cfg)
-	if err != nil {
+	cfgs := []cache.Config{{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}}
+	want, got := newPairs(t, cfgs), newPairs(t, cfgs)
+	if err := Replay(context.Background(), rec.Chunks(), want, nil); err != nil {
 		t.Fatal(err)
 	}
 	var samples int
 	var iSum, dSum, lastInstr uint64
-	rec.ReplaySampled(got, 1000, func(instrs, iMiss, dMiss uint64) {
+	h := &Hooks{SampleEvery: 1000, Sample: func(_ int, instrs, iMiss, dMiss uint64) {
 		samples++
 		iSum += iMiss
 		dSum += dMiss
@@ -205,14 +195,18 @@ func TestReplaySampledMatchesReplay(t *testing.T) {
 			t.Errorf("sample timestamps not monotone: %d after %d", instrs, lastInstr)
 		}
 		lastInstr = instrs
-	})
-	if got.I.Stats() != want.I.Stats() || got.D.Stats() != want.D.Stats() {
-		t.Errorf("sampled replay stats differ: I %+v vs %+v, D %+v vs %+v",
-			got.I.Stats(), want.I.Stats(), got.D.Stats(), want.D.Stats())
+	}}
+	if err := Replay(context.Background(), rec.Chunks(), got, h); err != nil {
+		t.Fatal(err)
 	}
-	if iSum != want.I.Stats().Misses || dSum != want.D.Stats().Misses {
+	g, w := got[0], want[0]
+	if g.I.Stats() != w.I.Stats() || g.D.Stats() != w.D.Stats() {
+		t.Errorf("sampled replay stats differ: I %+v vs %+v, D %+v vs %+v",
+			g.I.Stats(), w.I.Stats(), g.D.Stats(), w.D.Stats())
+	}
+	if iSum != w.I.Stats().Misses || dSum != w.D.Stats().Misses {
 		t.Errorf("sample sums (%d, %d) != total misses (%d, %d)",
-			iSum, dSum, want.I.Stats().Misses, want.D.Stats().Misses)
+			iSum, dSum, w.I.Stats().Misses, w.D.Stats().Misses)
 	}
 	if samples < 5 {
 		t.Errorf("only %d samples for 5000 fetches at every=1000", samples)
@@ -225,28 +219,35 @@ func TestMissDensityTrackEmitsCounters(t *testing.T) {
 		rec.Fetch(mem.UserCodeBase + 4*(i%700))
 		rec.Read(mem.HeapBase + 4*(i%900))
 	}
-	b := obs.NewEventBuffer()
 	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
-	p, err := rec.MissDensityTrack(b, 3, cfg, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Misses() == 0 {
-		t.Fatal("no misses; test data too small")
-	}
-	var counters int
-	for _, e := range b.Events() {
-		if e.Ph != obs.PhCounter {
-			t.Errorf("unexpected phase %c", e.Ph)
-			continue
+	for _, label := range []string{"", "nic"} {
+		b := obs.NewEventBuffer()
+		p, err := rec.MissDensityTrack(b, 3, cfg, 1000, label)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e.Pid != 3 {
-			t.Errorf("pid = %d, want 3", e.Pid)
+		if p.Misses() == 0 {
+			t.Fatal("no misses; test data too small")
 		}
-		counters++
-	}
-	// Two series (I and D) per sample, 3 full samples for 3000 fetches.
-	if counters != 6 {
-		t.Errorf("got %d counter events, want 6", counters)
+		pre := ""
+		if label != "" {
+			pre = label + "."
+		}
+		names := map[string]int{}
+		for _, e := range b.Events() {
+			if e.Ph != obs.PhCounter {
+				t.Errorf("unexpected phase %c", e.Ph)
+				continue
+			}
+			if e.Pid != 3 {
+				t.Errorf("pid = %d, want 3", e.Pid)
+			}
+			names[e.Name]++
+		}
+		// Two series (I and D), 3 full samples each for 3000 fetches.
+		want := map[string]int{pre + "I-miss density": 3, pre + "D-miss density": 3}
+		if !maps.Equal(names, want) {
+			t.Errorf("label %q: counter tracks %v, want %v", label, names, want)
+		}
 	}
 }

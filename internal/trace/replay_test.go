@@ -1,0 +1,200 @@
+package trace
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"jmtam/internal/cache"
+	"jmtam/internal/mem"
+)
+
+// kernelGeoms spans every cache kernel specialization (1, 2, 4 and
+// N-way) across block sizes.
+var kernelGeoms = []cache.Config{
+	{SizeBytes: 1 << 10, BlockBytes: 64, Assoc: 1},
+	{SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4},
+	{SizeBytes: 2 << 10, BlockBytes: 32, Assoc: 2},
+	{SizeBytes: 4 << 10, BlockBytes: 16, Assoc: 8},
+	{SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 1},
+	{SizeBytes: 16 << 10, BlockBytes: 64, Assoc: 2},
+	{SizeBytes: 2 << 10, BlockBytes: 8, Assoc: 4},
+	{SizeBytes: 64 << 10, BlockBytes: 64, Assoc: 16},
+}
+
+// sample is one miss-density sample as the Sample hook reports it.
+type sample struct{ instrs, iMiss, dMiss uint64 }
+
+// outcome is everything one pair's replay can be observed to produce.
+type outcome struct {
+	i, d    cache.Stats
+	misses  MissCounts
+	samples []sample
+}
+
+const testSampleEvery = 97
+
+// scalarReplay is the reference: Recording.Do plus one cache.Access per
+// reference, attributing and sampling misses inline.
+func scalarReplay(t *testing.T, rec *Recording, geoms []cache.Config) []outcome {
+	t.Helper()
+	out := make([]outcome, len(geoms))
+	for g, cfg := range geoms {
+		p, err := NewPair(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &out[g]
+		var fetches, iMiss, dMiss uint64
+		rec.Do(func(k Kind, addr uint32) {
+			cls := mem.Classify(addr)
+			switch k {
+			case KindFetch:
+				if !p.I.Access(addr, false) {
+					o.misses.Fetch[cls]++
+					iMiss++
+				}
+				fetches++
+				if fetches%testSampleEvery == 0 {
+					o.samples = append(o.samples, sample{fetches, iMiss, dMiss})
+					iMiss, dMiss = 0, 0
+				}
+			case KindRead:
+				if !p.D.Access(addr, false) {
+					o.misses.Read[cls]++
+					dMiss++
+				}
+			default:
+				if !p.D.Access(addr, true) {
+					o.misses.Write[cls]++
+					dMiss++
+				}
+			}
+		})
+		if iMiss != 0 || dMiss != 0 {
+			o.samples = append(o.samples, sample{fetches, iMiss, dMiss})
+		}
+		o.i, o.d = p.I.Stats(), p.D.Stats()
+	}
+	return out
+}
+
+// sources opens the recording as each kind of chunk source the kernel
+// accepts.
+func sources(t *testing.T, rec *Recording) map[string]func() Source {
+	compacted := rec.Compact()
+	return map[string]func() Source{
+		"packed": rec.Chunks,
+		"streamed": func() Source {
+			rd, err := NewReader(bytes.NewReader(compacted))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rd
+		},
+	}
+}
+
+func newPairs(t *testing.T, geoms []cache.Config) []Pair {
+	t.Helper()
+	pairs := make([]Pair, len(geoms))
+	for i, g := range geoms {
+		var err error
+		if pairs[i], err = NewPair(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pairs
+}
+
+// TestReplayKernelEquivalence drives the replay kernel over every
+// combination of chunk source, hook set, geometry count and trace
+// length — lengths straddle the partition-block and chunk boundaries —
+// and requires cache statistics, miss attribution and density samples
+// identical to the scalar reference.
+func TestReplayKernelEquivalence(t *testing.T) {
+	lengths := []int{0, 1, replayBlockWords - 1, replayBlockWords + 1,
+		chunkWords - 1, chunkWords + 1, 2*chunkWords + 7}
+	for _, n := range lengths {
+		rec := record(randomRefs(uint64(n)+11, n))
+		srcs := sources(t, rec)
+		for _, ng := range []int{1, 3, 8} {
+			geoms := kernelGeoms[:ng]
+			want := scalarReplay(t, rec, geoms)
+			for _, srcName := range []string{"packed", "streamed"} {
+				for _, hook := range []string{"none", "attribution", "sampling", "both"} {
+					name := fmt.Sprintf("n=%d/geoms=%d/%s/%s", n, ng, srcName, hook)
+					pairs := newPairs(t, geoms)
+					h := &Hooks{SampleEvery: testSampleEvery}
+					samples := make([][]sample, ng)
+					if hook == "attribution" || hook == "both" {
+						h.Misses = make([]MissCounts, ng)
+					}
+					if hook == "sampling" || hook == "both" {
+						h.Sample = func(pair int, instrs, iMiss, dMiss uint64) {
+							samples[pair] = append(samples[pair], sample{instrs, iMiss, dMiss})
+						}
+					}
+					if err := Replay(context.Background(), srcs[srcName](), pairs, h); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for g, p := range pairs {
+						w := want[g]
+						if p.I.Stats() != w.i || p.D.Stats() != w.d {
+							t.Errorf("%s geom %v: stats I=%+v D=%+v, want I=%+v D=%+v",
+								name, geoms[g], p.I.Stats(), p.D.Stats(), w.i, w.d)
+						}
+						if h.Misses != nil && h.Misses[g] != w.misses {
+							t.Errorf("%s geom %v: attribution %+v, want %+v", name, geoms[g], h.Misses[g], w.misses)
+						}
+						if h.Sample != nil && !slices.Equal(samples[g], w.samples) {
+							t.Errorf("%s geom %v: %d samples %v, want %d %v",
+								name, geoms[g], len(samples[g]), samples[g], len(w.samples), w.samples)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReplayCancelled pins cancellation on every kernel path: an
+// already-cancelled context returns its error before any chunk is
+// consumed, with or without hooks.
+func TestReplayCancelled(t *testing.T) {
+	rec := record(randomRefs(5, chunkWords+1))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hooks := map[string]*Hooks{
+		"none":        nil,
+		"attribution": {Misses: make([]MissCounts, 1)},
+		"sampling":    {Sample: func(int, uint64, uint64, uint64) { t.Error("sample emitted after cancellation") }},
+	}
+	for srcName, open := range sources(t, rec) {
+		for hook, h := range hooks {
+			pairs := newPairs(t, kernelGeoms[:1])
+			if err := Replay(ctx, open(), pairs, h); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s/%s: err = %v, want context.Canceled", srcName, hook, err)
+			}
+			if n := pairs[0].I.Stats().Accesses + pairs[0].D.Stats().Accesses; n != 0 {
+				t.Errorf("%s/%s: %d accesses replayed after cancellation", srcName, hook, n)
+			}
+		}
+	}
+}
+
+// TestReplaySourceError checks a corrupt stream surfaces the source's
+// decode error instead of a silently short replay.
+func TestReplaySourceError(t *testing.T) {
+	data := record(randomRefs(6, chunkWords+1)).Compact()
+	rd, err := NewReader(bytes.NewReader(data[:len(data)-3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Replay(context.Background(), rd, newPairs(t, kernelGeoms[:1]), nil); err == nil {
+		t.Error("truncated stream replayed without error")
+	}
+}

@@ -15,6 +15,7 @@ package trace
 import (
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
+	"jmtam/internal/obs"
 )
 
 // Counts aggregates reference counts by class.
@@ -49,6 +50,19 @@ func (c *Counts) TotalWrites() uint64 {
 		t += v
 	}
 	return t
+}
+
+// AddTo folds the counts into an observability registry as
+// <prefix>ref.{fetch,read,write}.<class> counters, created even when
+// zero. A recording that replaces the inline collector leaves the run
+// finalizer nothing to fold, so its owner calls this instead.
+func (c *Counts) AddTo(r *obs.Registry, prefix string) {
+	for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
+		name := cls.String()
+		r.Counter(prefix + "ref.fetch." + name).Add(c.Fetches[cls])
+		r.Counter(prefix + "ref.read." + name).Add(c.Reads[cls])
+		r.Counter(prefix + "ref.write." + name).Add(c.Writes[cls])
+	}
 }
 
 // Pair is a matched instruction/data cache pair of one geometry, as in

@@ -36,7 +36,6 @@ import (
 	"jmtam/internal/machine"
 	"jmtam/internal/netsim"
 	"jmtam/internal/obs"
-	"jmtam/internal/parallel"
 	"jmtam/internal/programs"
 	"jmtam/internal/report"
 	"jmtam/internal/trace"
@@ -154,11 +153,6 @@ func WithEventWriter(w io.Writer) SinkOption { return obs.WithEventWriter(w) }
 // WithEventCap or WithEventWriter for a timeline.
 func NewSink(opts ...SinkOption) *Sink { return obs.New(opts...) }
 
-// NewSinkWithEvents is the redesigned NewSink's predecessor.
-//
-// Deprecated: use NewSink with the WithEvents option.
-func NewSinkWithEvents(withEvents bool) *Sink { return obs.NewSink(withEvents) }
-
 // RenderMetrics renders a metrics registry as an ASCII report: counters,
 // gauges, then histograms as bar charts.
 func RenderMetrics(r *Metrics) string { return report.Metrics(r) }
@@ -251,16 +245,16 @@ func (r *Result) Cycles(i, penalty int) uint64 {
 
 // Run builds and executes prog under impl with the given cache
 // geometries attached, verifying the program's result. The simulation
-// records its reference stream once; the geometry fan-out replays the
-// recording through each cache pair concurrently (bounded by
-// GOMAXPROCS), yielding statistics identical to inline evaluation.
+// records its reference stream once; the experiments geometry fan-out
+// replays the recording through every cache pair (on up to GOMAXPROCS
+// workers), yielding statistics identical to inline evaluation.
 func Run(impl Impl, p *Program, opt Options, geoms ...CacheConfig) (*Result, error) {
 	return RunContext(context.Background(), impl, p, opt, geoms...)
 }
 
 // RunContext is Run with cooperative cancellation: the simulation polls
 // the context every machine.CancelCheckInterval instructions and the
-// geometry fan-out checks it between replays, so a cancelled run — even
+// geometry fan-out checks it between trace chunks, so a cancelled run — even
 // one hung mid-benchmark — returns an error wrapping ctx.Err() within
 // one check interval.
 func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms ...CacheConfig) (*Result, error) {
@@ -277,12 +271,17 @@ func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms .
 	if err != nil {
 		return nil, err
 	}
+	defer sim.Close()
 	rec := &trace.Recording{}
 	sim.Tracer = rec
 	if err := sim.RunContext(ctx); err != nil {
 		return nil, err
 	}
-	res := &Result{
+	r := &experiments.Run{}
+	if err := experiments.ReplayFanOutContext(ctx, r, rec, geoms, 0); err != nil {
+		return nil, err
+	}
+	return &Result{
 		Program:      p.Name,
 		Impl:         impl,
 		Nodes:        1,
@@ -294,25 +293,8 @@ func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms .
 		TPQ:          sim.Gran.TPQ(),
 		IPT:          sim.Gran.IPT(),
 		IPQ:          sim.Gran.IPQ(),
-		Caches:       make([]experiments.CacheStats, len(geoms)),
-	}
-	err = parallel.ForEachContext(ctx, 0, len(geoms), func(i int) error {
-		pr, err := rec.ReplayPair(geoms[i])
-		if err != nil {
-			return err
-		}
-		res.Caches[i] = experiments.CacheStats{
-			Config:     pr.I.Config(),
-			IMisses:    pr.I.Stats().Misses,
-			DMisses:    pr.D.Stats().Misses,
-			Writebacks: pr.D.Stats().Writebacks,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+		Caches:       r.Caches,
+	}, nil
 }
 
 // runClusterContext is RunContext's multi-node path: the program runs
@@ -348,31 +330,16 @@ func runClusterContext(ctx context.Context, impl Impl, p *Program, opt Options, 
 		TPQ:          g.TPQ(),
 		IPT:          g.IPT(),
 		IPQ:          g.IPQ(),
-		Caches:       make([]experiments.CacheStats, len(geoms)),
 	}
 	for _, rec := range recs {
 		res.Reads += rec.TotalReads()
 		res.Writes += rec.TotalWrites()
 	}
-	err = parallel.ForEachContext(ctx, 0, len(geoms), func(i int) error {
-		st := experiments.CacheStats{Config: geoms[i]}
-		for _, rec := range recs {
-			pr, err := trace.NewPair(geoms[i])
-			if err != nil {
-				return err
-			}
-			rec.Replay(pr)
-			st.Config = pr.I.Config()
-			st.IMisses += pr.I.Stats().Misses
-			st.DMisses += pr.D.Stats().Misses
-			st.Writebacks += pr.D.Stats().Writebacks
-		}
-		res.Caches[i] = st
-		return nil
-	})
-	if err != nil {
+	r := &experiments.Run{}
+	if err := experiments.ReplayClusterFanOutContext(ctx, r, recs, geoms, 0); err != nil {
 		return nil, err
 	}
+	res.Caches = r.Caches
 	return res, nil
 }
 
