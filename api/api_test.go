@@ -29,7 +29,7 @@ func TestEventRoundTrip(t *testing.T) {
 			}
 		}},
 		{GeometryEvent{Type: EventGeometry, ID: "r-000001", Index: 0,
-			Cache: CacheSpec{SizeKB: 8, BlockBytes: 64, Assoc: 4},
+			Cache:   CacheSpec{SizeKB: 8, BlockBytes: 64, Assoc: 4},
 			IMisses: 7, DMisses: 9, Writebacks: 3}, func(t *testing.T, e Event) {
 			if e.Type != EventGeometry || e.Index != 0 || e.Cache == nil ||
 				e.Cache.SizeKB != 8 || e.IMisses != 7 || e.DMisses != 9 || e.Writebacks != 3 {

@@ -151,28 +151,28 @@ type Event struct {
 	Type string `json:"type"`
 	ID   string `json:"id"`
 
-	Kind         string          `json:"kind"`          // accepted
-	QueueMS      int64           `json:"queue_ms"`      // started
-	Instructions uint64          `json:"instructions"`  // simulated
-	CacheHit     bool            `json:"cache_hit"`     // simulated
-	Index        int             `json:"index"`         // geometry
-	Cache        *CacheSpec      `json:"cache"`         // geometry
-	IMisses      uint64          `json:"i_misses"`      // geometry
-	DMisses      uint64          `json:"d_misses"`      // geometry
-	Writebacks   uint64          `json:"writebacks"`    // geometry
-	Done         int             `json:"done"`          // run
-	Total        int             `json:"total"`         // run
-	Program      string          `json:"program"`       // run
-	Arg          int             `json:"arg"`           // run
-	Impl         string          `json:"impl"`          // run
-	Source       string          `json:"source"`        // run, cached
-	Key          string          `json:"key"`           // cached
-	Event        string          `json:"event"`         // shard
-	Shard        int             `json:"shard"`         // shard
-	Worker       string          `json:"worker"`        // shard
-	Attempt      int             `json:"attempt"`       // shard
-	Error        string          `json:"error"`         // shard, error, canceled
-	Result       json.RawMessage `json:"result"`        // result
+	Kind         string          `json:"kind"`         // accepted
+	QueueMS      int64           `json:"queue_ms"`     // started
+	Instructions uint64          `json:"instructions"` // simulated
+	CacheHit     bool            `json:"cache_hit"`    // simulated
+	Index        int             `json:"index"`        // geometry
+	Cache        *CacheSpec      `json:"cache"`        // geometry
+	IMisses      uint64          `json:"i_misses"`     // geometry
+	DMisses      uint64          `json:"d_misses"`     // geometry
+	Writebacks   uint64          `json:"writebacks"`   // geometry
+	Done         int             `json:"done"`         // run
+	Total        int             `json:"total"`        // run
+	Program      string          `json:"program"`      // run
+	Arg          int             `json:"arg"`          // run
+	Impl         string          `json:"impl"`         // run
+	Source       string          `json:"source"`       // run, cached
+	Key          string          `json:"key"`          // cached
+	Event        string          `json:"event"`        // shard
+	Shard        int             `json:"shard"`        // shard
+	Worker       string          `json:"worker"`       // shard
+	Attempt      int             `json:"attempt"`      // shard
+	Error        string          `json:"error"`        // shard, error, canceled
+	Result       json.RawMessage `json:"result"`       // result
 }
 
 // Terminal reports whether the event ends its job's stream.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,8 +26,13 @@ import (
 	"jmtam/internal/report"
 )
 
+// artifacts lists the names -run accepts besides "all".
+var artifacts = []string{"table1", "table2", "figure2", "figure3", "figure4", "figure5", "figure6",
+	"accessratios", "blocksweep", "assocsweep", "victimsweep", "mdopt", "oam", "classes", "mix",
+	"penalties", "noderatio"}
+
 func main() {
-	runArg := flag.String("run", "all", "artifact to regenerate: table1|table2|figure2|figure3|figure4|figure5|figure6|accessratios|blocksweep|assocsweep|victimsweep|mdopt|oam|classes|mix|penalties|noderatio|all")
+	runArg := flag.String("run", "all", "artifact to regenerate: "+strings.Join(artifacts, "|")+"|all")
 	scale := flag.String("scale", "quick", "problem sizes: quick|paper")
 	format := flag.String("format", "text", "figure output: text (ASCII charts) | csv (figure,penalty,series,sizeKB,ratio rows)")
 	par := flag.Int("parallel", 0, "concurrent simulations and trace replays (0 = GOMAXPROCS); results are identical at any setting")
@@ -35,6 +41,11 @@ func main() {
 	placementName := flag.String("placement", "round-robin", "frame placement policy for -nodes > 1: round-robin|local")
 	implsArg := flag.String("impls", "md,am,offload,aa", "comma-separated backends for the noderatio and victimsweep artifacts (known: "+strings.Join(core.BackendNames(), ", ")+")")
 	flag.Parse()
+
+	if *runArg != "all" && !slices.Contains(artifacts, *runArg) {
+		fmt.Fprintf(os.Stderr, "unknown -run %q (known: %s, all)\n", *runArg, strings.Join(artifacts, ", "))
+		os.Exit(2)
+	}
 
 	placement, err := core.ParsePlacement(*placementName)
 	if err != nil {

@@ -34,7 +34,6 @@ import (
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
 	"jmtam/internal/isa"
-	"jmtam/internal/machine"
 	"jmtam/internal/obs"
 	"jmtam/internal/programs"
 	"jmtam/internal/report"
@@ -95,90 +94,128 @@ func main() {
 		fail(err)
 	}
 
-	if *nodes > 1 {
-		runCluster(impl, placement, spec, n, *nodes, *pairedQW, geoms, *par, *hist,
-			*eventsOut, *metricsOut)
-		return
-	}
-	var opt core.Options
-	opt.PairedQueueWrites = *pairedQW
 	sink := newSink(*eventsOut, *metricsOut, *hist)
-	opt.Obs = sink
-	sim, err := core.Build(impl, spec.Build(n), opt)
+	opt := core.Options{Nodes: *nodes, Placement: placement, PairedQueueWrites: *pairedQW, Obs: sink}
+	ng := experiments.NICGeom(opt)
+	cs, err := core.BuildCluster(impl, spec.Build(n), opt)
 	if err != nil {
 		fail(err)
 	}
-	rec := &trace.Recording{}
-	sim.Tracer = rec
-	// NIC-offload backends split the trace by execution locus: inlets
-	// and system handlers record into their own stream and replay
-	// against the NIC engine's private cache pair.
-	var nicRec *trace.Recording
+	// Each node records its own reference stream. NIC-offload backends
+	// split it by execution locus: inlets and system handlers record
+	// into a second stream that replays against the node's private NIC
+	// cache pair.
+	recs := make([]*trace.Recording, cs.Nodes)
+	var nicRecs []*trace.Recording
 	if impl.Caps().NICInlets {
-		nicRec = &trace.Recording{}
-		sim.NICTracer = nicRec
+		nicRecs = make([]*trace.Recording, cs.Nodes)
 	}
-	if err := sim.Run(); err != nil {
+	for k, s := range cs.Sims {
+		recs[k] = &trace.Recording{}
+		s.Tracer = recs[k]
+		if nicRecs != nil {
+			nicRecs[k] = &trace.Recording{}
+			s.NICTracer = nicRecs[k]
+		}
+	}
+	if err := cs.Run(); err != nil {
 		fail(err)
 	}
 
-	// Replay the recorded stream through every geometry on the
-	// experiments fan-out. With a sink attached the replay also
+	// Replay the recorded streams through every geometry on the
+	// experiments fan-out; each node owns a private cache pair per
+	// geometry and misses sum. With a sink attached the replay also
 	// attributes misses by cause and class into its registry, under each
 	// geometry's label.
-	r := &experiments.Run{Instructions: sim.M.Instructions()}
+	r := &experiments.Run{Instructions: cs.Instructions()}
 	if sink != nil {
 		r.Metrics = sink.Metrics
 	}
-	if err := experiments.ReplayFanOutContext(context.Background(), r, rec, geoms, *par); err != nil {
+	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, geoms, *par); err != nil {
 		fail(err)
 	}
+	var counts trace.Counts
+	var refs, traceBytes, nicRefs uint64
+	for _, rec := range recs {
+		counts.Add(&rec.Counts)
+		refs += uint64(rec.Len())
+		traceBytes += uint64(rec.Bytes())
+	}
+	for _, rec := range nicRecs {
+		nicRefs += uint64(rec.Len())
+	}
 	if sink != nil {
+		counts.AddTo(sink.Metrics, "")
 		if sink.Events != nil && len(geoms) > 0 {
-			// Miss-density counter track: per-1K-instruction I/D cache
-			// miss samples at the first geometry, on the same
+			// Per-node miss-density counter tracks: per-1K-instruction
+			// I/D cache miss samples at the first geometry, on the same
 			// instruction clock as the scheduler spans, so conflict-miss
-			// bursts line up with the quanta they occur in.
-			if _, err := rec.MissDensityTrack(sink.Events, int32(sim.M.Node()), geoms[0], 1000, ""); err != nil {
-				fail(err)
+			// bursts line up with the quanta they occur in. NIC streams
+			// get their own labeled tracks at the NIC geometry.
+			for k, rec := range recs {
+				if _, err := rec.MissDensityTrack(sink.Events, int32(k), geoms[0], 1000, ""); err != nil {
+					fail(err)
+				}
 			}
-			if nicRec != nil {
-				// A second labeled track for the NIC engine's stream at
-				// its own geometry, so handler-side miss bursts are
-				// visually separable from compute misses.
-				if _, err := nicRec.MissDensityTrack(sink.Events, int32(sim.M.Node()),
-					experiments.NICGeom(opt), 1000, "nic"); err != nil {
+			for k, rec := range nicRecs {
+				if _, err := rec.MissDensityTrack(sink.Events, int32(k), ng, 1000, "nic"); err != nil {
 					fail(err)
 				}
 			}
 		}
-		rec.Counts.AddTo(sink.Metrics, "")
 	}
 
-	// Replay the NIC engine's stream (if any) against its private
-	// geometry; the cycle model then takes the slower of the two engines
-	// per geometry, as the experiments package does.
-	if nicRec != nil {
-		r.NIC = replayNIC([]*trace.Recording{nicRec}, sim.M.HighInstructions(), experiments.NICGeom(opt))
+	// Sum the per-node NIC streams (if any) through private pairs of the
+	// NIC geometry; the cycle lines below then take the slower engine,
+	// as the experiments package does.
+	if nicRecs != nil {
+		r.NIC = replayNIC(nicRecs, cs.HighInstructions(), ng)
 	}
 	nic := r.NIC
 
-	fmt.Printf("%s %d under %v\n", spec.Name, n, impl)
+	// A mesh adds its placement, per-node, tick and network lines.
+	mesh := cs.C != nil
+	g := cs.MergedGran()
+	if mesh {
+		fmt.Printf("%s %d under %v on %d nodes (%v placement)\n", spec.Name, n, impl, cs.Nodes, placement)
+	} else {
+		fmt.Printf("%s %d under %v\n", spec.Name, n, impl)
+	}
 	fmt.Printf("  %s\n\n", spec.Doc)
 	fmt.Printf("  instructions      %12d\n", r.Instructions)
-	fmt.Printf("  data reads        %12d\n", rec.TotalReads())
-	fmt.Printf("  data writes       %12d\n", rec.TotalWrites())
-	fmt.Printf("  threads           %12d\n", sim.Gran.Threads)
-	fmt.Printf("  quanta            %12d\n", sim.Gran.Quanta)
-	fmt.Printf("  threads/quantum   %12.1f\n", sim.Gran.TPQ())
-	fmt.Printf("  instrs/thread     %12.1f\n", sim.Gran.IPT())
-	fmt.Printf("  instrs/quantum    %12.1f\n", sim.Gran.IPQ())
-	fmt.Printf("  trace             %12d refs (%d KB recorded)\n", rec.Len(), rec.Bytes()/1024)
-	printCaches(r, "")
+	if mesh {
+		for k, s := range cs.Sims {
+			fmt.Printf("    node %-2d         %12d\n", k, s.M.Instructions())
+		}
+		fmt.Printf("  elapsed ticks     %12d\n", cs.Ticks())
+	}
+	fmt.Printf("  data reads        %12d\n", counts.TotalReads())
+	fmt.Printf("  data writes       %12d\n", counts.TotalWrites())
+	fmt.Printf("  threads           %12d\n", g.Threads)
+	fmt.Printf("  quanta            %12d\n", g.Quanta)
+	fmt.Printf("  threads/quantum   %12.1f\n", g.TPQ())
+	fmt.Printf("  instrs/thread     %12.1f\n", g.IPT())
+	fmt.Printf("  instrs/quantum    %12.1f\n", g.IPQ())
+	fmt.Printf("  trace             %12d refs (%d KB recorded)\n", refs, traceBytes/1024)
+	suffix, nicHead := "", fmt.Sprintf("nic engine (private cache %v)", ng)
+	if mesh {
+		fmt.Printf("  net messages      %12d delivered (%d words sent)\n",
+			cs.C.Net.Delivered, cs.C.Net.WordsSent)
+		if sink != nil {
+			for _, name := range sink.Metrics.CounterNames() {
+				if strings.HasPrefix(name, "net.class.") || strings.HasPrefix(name, "net.latency.") {
+					fmt.Printf("    %-16s%12d\n", strings.TrimPrefix(name, "net."),
+						sink.Metrics.Counter(name).Value())
+				}
+			}
+		}
+		suffix, nicHead = " (per node)", fmt.Sprintf("nic engines (private cache %v per node)", ng)
+	}
+	printCaches(r, suffix)
 	if nic != nil {
-		fmt.Printf("\n  nic engine (private cache %v)\n", nic.Config)
+		fmt.Printf("\n  %s\n", nicHead)
 		fmt.Printf("  instructions      %12d\n", nic.Instructions)
-		fmt.Printf("  trace             %12d refs\n", nicRec.Len())
+		fmt.Printf("  trace             %12d refs\n", nicRefs)
 		fmt.Printf("  I-misses          %12d\n", nic.IMisses)
 		fmt.Printf("  D-misses          %12d\n", nic.DMisses)
 		fmt.Printf("  writebacks        %12d\n", nic.Writebacks)
@@ -187,20 +224,25 @@ func main() {
 	if *hist {
 		fmt.Println()
 		fmt.Print(indent(report.Histogram(
-			"quantum-size histogram (threads per quantum)", &sim.Gran.QuantumHist), "  "))
+			"quantum-size histogram (threads per quantum)", &g.QuantumHist), "  "))
 		fmt.Print(indent(report.Histogram(
-			"quantum-length histogram (instructions per quantum)", &sim.Gran.QuantumInstrs), "  "))
-		fmt.Printf("    largest quantum: %d threads\n", sim.Gran.MaxQuantum())
+			"quantum-length histogram (instructions per quantum)", &g.QuantumInstrs), "  "))
+		fmt.Printf("    largest quantum: %d threads\n", g.MaxQuantum())
 		fmt.Println("\n  dynamic opcode counts (top 12)")
 		type oc struct {
 			op    isa.Op
 			count uint64
 		}
-		counts := sim.M.OpCounts()
+		var ops [isa.NumOps]uint64
+		for _, s := range cs.Sims {
+			for op, c := range s.M.OpCounts() {
+				ops[op] += c
+			}
+		}
 		var all []oc
 		for op := isa.Op(0); op < isa.NumOps; op++ {
-			if counts[op] > 0 {
-				all = append(all, oc{op, counts[op]})
+			if ops[op] > 0 {
+				all = append(all, oc{op, ops[op]})
 			}
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].count > all[j].count })
@@ -214,131 +256,6 @@ func main() {
 	}
 
 	writeObs(sink, *metricsOut, *eventsOut)
-}
-
-// runCluster executes the benchmark on an N-node mesh and reports the
-// aggregate statistics, elapsed lockstep time, per-node instruction
-// counts and the network traffic breakdown.
-func runCluster(impl core.Impl, placement core.Placement, spec programs.Spec, arg, nodes int, pairedQW bool, geoms []cache.Config, par int, hist bool, eventsOut, metricsOut string) {
-	opt := core.Options{Nodes: nodes, Placement: placement, PairedQueueWrites: pairedQW}
-	sink := newSink(eventsOut, metricsOut, hist)
-	opt.Obs = sink
-	cs, err := core.BuildCluster(impl, spec.Build(arg), opt)
-	if err != nil {
-		fail(err)
-	}
-	recs := make([]*trace.Recording, cs.Nodes)
-	cs.Tracers = make([]machine.Tracer, cs.Nodes)
-	for k := range recs {
-		recs[k] = &trace.Recording{}
-		cs.Tracers[k] = recs[k]
-	}
-	// NIC-offload backends record each node's high-priority stream
-	// separately; it replays against the node's private NIC cache pair.
-	var nicRecs []*trace.Recording
-	if impl.Caps().NICInlets {
-		nicRecs = make([]*trace.Recording, cs.Nodes)
-		cs.NICTracers = make([]machine.Tracer, cs.Nodes)
-		for k := range nicRecs {
-			nicRecs[k] = &trace.Recording{}
-			cs.NICTracers[k] = nicRecs[k]
-		}
-	}
-	if err := cs.Run(); err != nil {
-		fail(err)
-	}
-
-	// Each node owns a private cache pair per geometry; misses sum.
-	r := &experiments.Run{Instructions: cs.Instructions()}
-	if sink != nil {
-		r.Metrics = sink.Metrics
-	}
-	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, geoms, par); err != nil {
-		fail(err)
-	}
-
-	var reads, writes, refs, traceBytes uint64
-	for _, rec := range recs {
-		reads += rec.TotalReads()
-		writes += rec.TotalWrites()
-		refs += uint64(rec.Len())
-		traceBytes += uint64(rec.Bytes())
-	}
-	if sink != nil {
-		for _, rec := range recs {
-			rec.Counts.AddTo(sink.Metrics, "")
-		}
-		if sink.Events != nil && len(geoms) > 0 {
-			// Per-node miss-density counter tracks at the first geometry.
-			for k, rec := range recs {
-				if _, err := rec.MissDensityTrack(sink.Events, int32(k), geoms[0], 1000, ""); err != nil {
-					fail(err)
-				}
-			}
-			for k, rec := range nicRecs {
-				if _, err := rec.MissDensityTrack(sink.Events, int32(k),
-					experiments.NICGeom(opt), 1000, "nic"); err != nil {
-					fail(err)
-				}
-			}
-		}
-	}
-
-	// Sum the per-node NIC streams (if any) through private pairs of the
-	// NIC geometry; the cycle lines below then take the slower engine.
-	if nicRecs != nil {
-		var hi uint64
-		for _, m := range cs.C.Machines {
-			hi += m.HighInstructions()
-		}
-		r.NIC = replayNIC(nicRecs, hi, experiments.NICGeom(opt))
-	}
-	nic := r.NIC
-
-	g := cs.MergedGran()
-	fmt.Printf("%s %d under %v on %d nodes (%v placement)\n", spec.Name, arg, impl, cs.Nodes, placement)
-	fmt.Printf("  %s\n\n", spec.Doc)
-	fmt.Printf("  instructions      %12d\n", r.Instructions)
-	for k, m := range cs.C.Machines {
-		fmt.Printf("    node %-2d         %12d\n", k, m.Instructions())
-	}
-	fmt.Printf("  elapsed ticks     %12d\n", cs.Ticks())
-	fmt.Printf("  data reads        %12d\n", reads)
-	fmt.Printf("  data writes       %12d\n", writes)
-	fmt.Printf("  threads           %12d\n", g.Threads)
-	fmt.Printf("  quanta            %12d\n", g.Quanta)
-	fmt.Printf("  threads/quantum   %12.1f\n", g.TPQ())
-	fmt.Printf("  instrs/thread     %12.1f\n", g.IPT())
-	fmt.Printf("  instrs/quantum    %12.1f\n", g.IPQ())
-	fmt.Printf("  trace             %12d refs (%d KB recorded)\n", refs, traceBytes/1024)
-	fmt.Printf("  net messages      %12d delivered (%d words sent)\n",
-		cs.C.Net.Delivered, cs.C.Net.WordsSent)
-	if sink != nil {
-		for _, name := range sink.Metrics.CounterNames() {
-			if strings.HasPrefix(name, "net.class.") || strings.HasPrefix(name, "net.latency.") {
-				fmt.Printf("    %-16s%12d\n", strings.TrimPrefix(name, "net."),
-					sink.Metrics.Counter(name).Value())
-			}
-		}
-	}
-	printCaches(r, " (per node)")
-	if nic != nil {
-		fmt.Printf("\n  nic engines (private cache %v per node)\n", nic.Config)
-		fmt.Printf("  instructions      %12d\n", nic.Instructions)
-		fmt.Printf("  I-misses          %12d\n", nic.IMisses)
-		fmt.Printf("  D-misses          %12d\n", nic.DMisses)
-		fmt.Printf("  writebacks        %12d\n", nic.Writebacks)
-	}
-
-	if hist {
-		fmt.Println()
-		fmt.Print(indent(report.Histogram(
-			"quantum-size histogram (threads per quantum)", &g.QuantumHist), "  "))
-		fmt.Print(indent(report.Histogram(
-			"quantum-length histogram (instructions per quantum)", &g.QuantumInstrs), "  "))
-	}
-
-	writeObs(sink, metricsOut, eventsOut)
 }
 
 // replayNIC replays the NIC engines' streams (one per node) through

@@ -69,9 +69,10 @@ type Options struct {
 	NICCacheAssoc      int
 }
 
-// Sim is one ready-to-run simulation: a program compiled by one backend,
+// Sim is one node of a simulation: a program compiled by one backend,
 // loaded on a machine, with a trace collector and granularity observer
-// attached at Run time.
+// attached at Run time. A one-node simulation is a Sim on its own (see
+// Build); a mesh is a ClusterSim holding one Sim per node.
 type Sim struct {
 	Impl Impl
 	Prog *Program
@@ -99,7 +100,7 @@ type Sim struct {
 	// Host provides untraced access for setup and verification.
 	Host *Host
 
-	ran bool
+	cs *ClusterSim // the simulation this node belongs to
 }
 
 // Build compiles prog with the given backend and prepares a simulation.
@@ -187,35 +188,14 @@ func (s *Sim) Run() error {
 // the context every machine.CancelCheckInterval instructions, so a
 // cancelled simulation — even a hung one making no scheduling progress
 // — stops within one interval and returns an error wrapping ctx.Err().
-// A context that can never be cancelled costs nothing.
+// A context that can never be cancelled costs nothing. One node of a
+// mesh cannot run alone (its machine would park at WAIT for network
+// deliveries that never come); run its ClusterSim instead.
 func (s *Sim) RunContext(ctx context.Context) error {
-	if s.ran {
-		return fmt.Errorf("core: %s/%s already ran", s.Prog.Name, s.Impl)
+	if s.cs.C != nil {
+		return fmt.Errorf("%s: node %d cannot run alone; run the ClusterSim", s.cs.where(), s.M.Node())
 	}
-	s.ran = true
-	if s.Tracer != nil {
-		s.M.SetTracer(s.Tracer)
-	} else {
-		s.M.SetTracer(s.Collector)
-	}
-	if s.NICTracer != nil {
-		s.M.SetNICTracer(s.NICTracer)
-	}
-	s.M.SetObserver(s.Gran)
-	if err := s.M.RunContext(ctx); err != nil {
-		return fmt.Errorf("core: %s/%s: %w", s.Prog.Name, s.Impl, err)
-	}
-	s.Gran.TotalInstrs = s.M.Instructions()
-	s.Gran.Finish()
-	if s.Obs != nil {
-		s.finishMetrics()
-	}
-	if s.Prog.Verify != nil {
-		if err := s.Prog.Verify(s.Host); err != nil {
-			return fmt.Errorf("core: %s/%s verify: %w", s.Prog.Name, s.Impl, err)
-		}
-	}
-	return nil
+	return s.cs.RunContext(ctx)
 }
 
 // Close releases the simulation's pooled resources — currently the
@@ -232,13 +212,38 @@ func (s *Sim) Close() {
 	s.M.Mem = nil
 }
 
-// finishMetrics folds the run's aggregate statistics into the sink's
-// registry: scheduler counts, the quantum histograms, machine-level
-// instruction mix and queue high-water marks, and (when the trace
-// collector ran inline) the per-class reference counts.
-func (s *Sim) finishMetrics() {
-	r := s.Obs.Metrics
+// tracer returns the node's reference consumer: the explicit Tracer
+// when the record/replay engine supplied one, the Collector otherwise.
+func (s *Sim) tracer() machine.Tracer {
+	if s.Tracer != nil {
+		return s.Tracer
+	}
+	return s.Collector
+}
+
+// attach wires the node's reference consumers and observer into its
+// machine before the run.
+func (s *Sim) attach() {
+	s.M.SetTracer(s.tracer())
+	if s.NICTracer != nil {
+		s.M.SetNICTracer(s.NICTracer)
+	}
+	s.M.SetObserver(s.Gran)
+}
+
+// finish closes the node's last quantum and folds its aggregate
+// statistics into the sink's registry: scheduler counts, the quantum
+// histograms and (when the trace collector ran inline) the per-class
+// reference counts. Nodes sharing a sink sum into one registry; the
+// machine-level totals are flushed by ClusterSim.RunContext.
+func (s *Sim) finish() {
 	g := s.Gran
+	g.TotalInstrs = s.M.Instructions()
+	g.Finish()
+	if s.Obs == nil {
+		return
+	}
+	r := s.Obs.Metrics
 	r.Counter("tam.threads").Add(g.Threads)
 	r.Counter("tam.inlets").Add(g.Inlets)
 	r.Counter("tam.quanta").Add(g.Quanta)
@@ -247,7 +252,6 @@ func (s *Sim) finishMetrics() {
 	r.Counter("dispatch.high").Add(g.Dispatches[1])
 	r.Histogram("quantum.threads").Merge(&g.QuantumHist)
 	r.Histogram("quantum.instrs").Merge(&g.QuantumInstrs)
-	s.M.FinishMetrics()
 	if s.Tracer == nil {
 		s.Collector.Counts.AddTo(r, "")
 	}
@@ -271,15 +275,6 @@ type Host struct {
 	ms         []*machine.Machine
 	heapBump   []uint32 // per-node heap bump (host view)
 	rr         int      // round-robin cursor for AllocData
-}
-
-// newUniHost returns the uniprocessor host for a single machine.
-func newUniHost(impl Impl, m *machine.Machine) *Host {
-	fs, hs := partitionShifts(1)
-	return &Host{
-		impl: impl, nodes: 1, frameShift: fs, heapShift: hs,
-		ms: []*machine.Machine{m}, heapBump: []uint32{mem.HeapBase},
-	}
 }
 
 // heapLimit returns the exclusive upper bound of node k's heap chunk.

@@ -14,58 +14,49 @@ import (
 	"jmtam/internal/word"
 )
 
-// ClusterSim is one ready-to-run multi-node simulation: a program
-// compiled mesh-aware by one backend, loaded on N machines that share
-// the compiled code store and the frame/heap memory segments (each with
-// private system data holding its hardware queues, runtime globals and
-// LCV), driven in lockstep against the netsim mesh. The six benchmarks
-// run on it unmodified: frame placement, remote I-structure access and
+// ClusterSim is one ready-to-run simulation on any number of nodes: a
+// program compiled by one backend (mesh-aware when Nodes > 1) and loaded
+// as one Sim per node. On one node the machine runs its own loop over
+// pooled memory. On a mesh the machines share the compiled code store
+// and the frame/heap memory segments (each with private system data
+// holding its hardware queues, runtime globals and LCV) and are driven
+// in lockstep against the netsim mesh. The six benchmarks run on it
+// unmodified: frame placement, remote I-structure access and
 // inter-frame messages are routed by the compiled runtime code, not by
 // the programs.
 type ClusterSim struct {
 	Impl  Impl
 	Prog  *Program
 	RT    *Runtime
-	C     *cluster.Cluster
 	Nodes int
 
-	// Collectors count references per node and feed attached cache
-	// pairs; index = node id.
-	Collectors []*trace.Collector
-	// Tracers, when non-nil, replace the Collectors as the machines'
-	// reference consumers during Run (one per node, for the
-	// record/replay engine).
-	Tracers []machine.Tracer
-	// NICTracers, when non-nil, receive each node's high-priority
-	// reference share (NIC-offloaded inlet execution) instead of the
-	// node's main tracer; only meaningful for backends with the
-	// NICInlets capability.
-	NICTracers []machine.Tracer
-	// Grans accumulate per-node granularity statistics during Run.
-	Grans []*stats.Granularity
+	// Sims holds the per-node state, index = node id: each node's
+	// machine, reference consumers (attach Tracer/NICTracer before
+	// Run) and granularity statistics.
+	Sims []*Sim
+	// C steps the nodes' machines and the mesh in lockstep; nil on one
+	// node, which has no network.
+	C *cluster.Cluster
 	// Obs is the observability sink from Options, or nil.
 	Obs *obs.Sink
 	// Host provides untraced access for setup and verification.
 	Host *Host
 
-	// MaxTicks bounds RunContext (0 = no limit).
-	MaxTicks uint64
-
 	ran bool
 }
 
-// NewCluster instantiates a multi-node simulation from the compiled
-// artifact: N fresh machines over shared frame/heap memory, runtime
-// globals and descriptors materialized in every node's system data with
-// the frame and heap bump allocators partitioned across nodes, the
-// program's Setup run through the node-aware Host, and (for the AM
-// backends) the scheduler booted on every node. Works for any compiled
-// node count including 1, so an N=1 cluster can be compared
-// byte-for-byte against the uniprocessor NewSim.
+// NewCluster instantiates a simulation from the compiled artifact: one
+// fresh machine per compiled node, runtime globals and descriptors
+// materialized in every node's system data with the frame and heap bump
+// allocators partitioned across nodes, the program's Setup run through
+// the node-aware Host, and (for the AM backends) the scheduler booted
+// on every node. One node takes pooled memory and no network; a mesh
+// shares node 0's frame and heap segments and wires every machine's
+// router to the netsim mesh.
 func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			cs, err = nil, fmt.Errorf("core: building %s/%v cluster: %v", prog.Name, c.Impl, r)
+			cs, err = nil, fmt.Errorf("core: building %s/%v: %v", prog.Name, c.Impl, r)
 		}
 	}()
 	if err := c.bind(prog); err != nil {
@@ -73,23 +64,7 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 	}
 	impl := c.Impl
 	nodes := c.nodes
-	if nodes < 1 {
-		nodes = 1
-	}
-
-	netcfg := netsim.DefaultConfig(nodes)
-	if opt.Net != nil {
-		netcfg = *opt.Net
-	}
-	if netcfg.Width*netcfg.Height < nodes {
-		return nil, fmt.Errorf("core: %d nodes exceed the %dx%d mesh",
-			nodes, netcfg.Width, netcfg.Height)
-	}
-
 	frameShift, heapShift := partitionShifts(nodes)
-	frameChunk := uint32(1) << frameShift
-	heapChunk := uint32(1) << heapShift
-
 	cfg := machine.Config{
 		QueueCapWords:     opt.QueueCapWords,
 		CountQueueWrites:  !opt.NoQueueWriteTrace,
@@ -97,23 +72,33 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 		MaxInstructions:   opt.MaxInstructions,
 	}
 
-	base := mem.NewDefault()
+	cs = &ClusterSim{Impl: impl, Prog: prog, RT: c.RT, Nodes: nodes, Obs: opt.Obs}
 	ms := make([]*machine.Machine, nodes)
 	heapBumps := make([]uint32, nodes)
-	for k := 0; k < nodes; k++ {
-		m := base
-		if k > 0 {
-			m = mem.NewShared(base, mem.DefaultSysDataWords)
+	for k := range ms {
+		var m *mem.Memory
+		switch {
+		case nodes == 1:
+			// Pooled: a sweep builds one simulation per (workload,
+			// impl) cell, and zeroing fresh 24 MB segments per cell
+			// dominated the record phase. Close returns the memory.
+			m = mem.GetDefault()
+		case k == 0:
+			m = mem.NewDefault()
+		default:
+			m = mem.NewShared(ms[0].Mem, mem.DefaultSysDataWords)
 		}
 		ms[k] = machine.NewMachine(m, c.Code, cfg)
 
-		// Initialize node k's runtime globals: the bump allocators
-		// start at the node's partition chunk, and the round-robin
-		// placement cursor is staggered so node k's first allocation
-		// request goes to node k+1 (spreading work even when one node
-		// drives the fan-out).
-		m.Store(GFrameBump, word.Ptr(mem.FrameBase+uint32(k)*frameChunk))
-		heapBumps[k] = mem.HeapBase + uint32(k)*heapChunk
+		// Initialize node k's runtime globals and materialize the
+		// descriptors (untraced: the loader, not the simulated program,
+		// performs these writes). The bump allocators start at the
+		// node's partition chunk, and the round-robin placement cursor
+		// is staggered so node k's first allocation request goes to
+		// node k+1 (spreading work even when one node drives the
+		// fan-out).
+		m.Store(GFrameBump, word.Ptr(mem.FrameBase+uint32(k)<<frameShift))
+		heapBumps[k] = mem.HeapBase + uint32(k)<<heapShift
 		m.Store(GHeapBump, word.Ptr(heapBumps[k]))
 		m.Store(GNodeBump, word.Ptr(nodePoolBase))
 		m.Store(GNodeFree, word.Int(0))
@@ -133,39 +118,50 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 			}
 		}
 	}
-
-	cl, err := cluster.New(ms, netcfg)
-	if err != nil {
-		return nil, err
-	}
-	cl.Classify = c.RT.classify
-
-	cs = &ClusterSim{
-		Impl:       impl,
-		Prog:       prog,
-		RT:         c.RT,
-		C:          cl,
-		Nodes:      nodes,
-		Collectors: make([]*trace.Collector, nodes),
-		Grans:      make([]*stats.Granularity, nodes),
-		Obs:        opt.Obs,
-	}
-	for k := 0; k < nodes; k++ {
-		cs.Collectors[k] = &trace.Collector{}
-		cs.Grans[k] = &stats.Granularity{Node: k}
-	}
 	cs.Host = &Host{
 		impl: impl, nodes: nodes, placement: c.placement,
 		frameShift: frameShift, heapShift: heapShift,
 		ms: ms, heapBump: heapBumps,
 	}
+	for k, m := range ms {
+		cs.Sims = append(cs.Sims, &Sim{
+			Impl: impl, Prog: prog, RT: c.RT, M: m,
+			Collector: &trace.Collector{},
+			Gran:      &stats.Granularity{Node: k},
+			Obs:       opt.Obs,
+			Host:      cs.Host,
+			cs:        cs,
+		})
+	}
+
+	if nodes > 1 {
+		netcfg := netsim.DefaultConfig(nodes)
+		if opt.Net != nil {
+			netcfg = *opt.Net
+		}
+		if netcfg.Width*netcfg.Height < nodes {
+			return nil, fmt.Errorf("core: %d nodes exceed the %dx%d mesh",
+				nodes, netcfg.Width, netcfg.Height)
+		}
+		if cs.C, err = cluster.New(ms, netcfg); err != nil {
+			return nil, err
+		}
+		cs.C.Classify = c.RT.classify
+		if impl.Caps().DirectAccess {
+			cs.installAAService()
+		}
+	}
 
 	// Attach the sink before Setup runs so boot-time message injections
-	// are observed.
+	// are observed (their flow arrows start at ts 0).
 	if cs.Obs != nil {
-		cl.SetSink(cs.Obs)
-		for k := 0; k < nodes; k++ {
-			cs.Grans[k].Sink = cs.Obs
+		if cs.C != nil {
+			cs.C.SetSink(cs.Obs)
+		} else {
+			ms[0].SetSink(cs.Obs)
+		}
+		for k, s := range cs.Sims {
+			s.Gran.Sink = cs.Obs
 			if cs.Obs.Events != nil {
 				cs.Obs.Events.SetProcessName(int32(k),
 					fmt.Sprintf("%s/%s node %d", prog.Name, impl, k))
@@ -179,24 +175,13 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 		}
 	}
 	if impl.Caps().Scheduler == SchedBackground {
+		// Backends with a background scheduler enter its loop at boot;
+		// the others are driven entirely by messages.
 		for _, m := range ms {
 			m.Boot(c.RT.schedAddr)
 		}
 	}
-	if impl.Caps().DirectAccess {
-		cs.installAAService()
-	}
 	return cs, nil
-}
-
-// nodeTracer returns the reference consumer attached to node k during
-// Run: the explicit tracer when the record/replay engine supplied one,
-// the node's collector otherwise.
-func (cs *ClusterSim) nodeTracer(k int) machine.Tracer {
-	if cs.Tracers != nil && cs.Tracers[k] != nil {
-		return cs.Tracers[k]
-	}
-	return cs.Collectors[k]
 }
 
 // installAAService wires the Active-Access hook: remote I-structure
@@ -224,7 +209,7 @@ func (cs *ClusterSim) installAAService() {
 		// updates, so fall back to ordinary handler injection whenever
 		// the node's high-priority engine is busy — both paths implement
 		// the same I-structure transition, only atomicity matters.
-		if cs.C.Machines[m.Dst].Busy(machine.High) {
+		if cs.Sims[m.Dst].M.Busy(machine.High) {
 			return false, nil
 		}
 		if m.Words[0].Addr() == rt.ireadAddr {
@@ -249,8 +234,8 @@ func (cs *ClusterSim) aaReply(tick uint64, src int, pri, inlet, frame, val word.
 // deferred-reader list (nodes allocated from the owner's pool).
 func (cs *ClusterSim) aaRead(tick uint64, m *netsim.Message) error {
 	k := m.Dst
-	mm := cs.C.Machines[k].Mem
-	trc := cs.nodeTracer(k)
+	mm := cs.Sims[k].M.Mem
+	trc := cs.Sims[k].tracer()
 	addr := m.Words[1].Addr()
 	trc.Read(addr)
 	cell := mm.Load(addr)
@@ -300,8 +285,8 @@ func (cs *ClusterSim) aaRead(tick uint64, m *netsim.Message) error {
 // handler's trap would.
 func (cs *ClusterSim) aaWrite(tick uint64, m *netsim.Message) error {
 	k := m.Dst
-	mm := cs.C.Machines[k].Mem
-	trc := cs.nodeTracer(k)
+	mm := cs.Sims[k].M.Mem
+	trc := cs.Sims[k].tracer()
 	addr := m.Words[1].Addr()
 	val := m.Words[2]
 	trc.Read(addr)
@@ -344,9 +329,8 @@ func (cs *ClusterSim) aaWrite(tick uint64, m *netsim.Message) error {
 	return nil
 }
 
-// BuildCluster compiles prog with the given backend for opt.Nodes mesh
-// nodes and prepares a multi-node simulation; Compile followed by
-// NewCluster.
+// BuildCluster compiles prog with the given backend for opt.Nodes nodes
+// and prepares the simulation; Compile followed by NewCluster.
 func BuildCluster(impl Impl, prog *Program, opt Options) (*ClusterSim, error) {
 	c, err := Compile(impl, prog, opt)
 	if err != nil {
@@ -382,65 +366,106 @@ func (rt *Runtime) classify(pri int, ws []word.Word) string {
 	}
 }
 
-// Run executes the cluster to global quiescence and verifies the result.
+// Run executes the simulation to global quiescence and verifies the
+// result.
 func (cs *ClusterSim) Run() error {
 	return cs.RunContext(context.Background())
 }
 
 // RunContext is Run with cooperative cancellation (see Sim.RunContext).
+// One node runs the machine's own loop; a mesh runs the lockstep
+// cluster loop, which executes the same reference stream on one node
+// but costs more per instruction.
 func (cs *ClusterSim) RunContext(ctx context.Context) error {
 	if cs.ran {
-		return fmt.Errorf("core: %s/%s cluster already ran", cs.Prog.Name, cs.Impl)
+		return fmt.Errorf("%s already ran", cs.where())
 	}
 	cs.ran = true
-	for k, m := range cs.C.Machines {
-		if cs.Tracers != nil && cs.Tracers[k] != nil {
-			m.SetTracer(cs.Tracers[k])
-		} else {
-			m.SetTracer(cs.Collectors[k])
-		}
-		if cs.NICTracers != nil && cs.NICTracers[k] != nil {
-			m.SetNICTracer(cs.NICTracers[k])
-		}
-		m.SetObserver(cs.Grans[k])
+	for _, s := range cs.Sims {
+		s.attach()
 	}
-	if err := cs.C.RunContext(ctx, cs.MaxTicks); err != nil {
-		return fmt.Errorf("core: %s/%s on %d nodes: %w", cs.Prog.Name, cs.Impl, cs.Nodes, err)
+	var err error
+	if cs.C != nil {
+		err = cs.C.RunContext(ctx, 0)
+	} else {
+		err = cs.Sims[0].M.RunContext(ctx)
 	}
-	for k, m := range cs.C.Machines {
-		cs.Grans[k].TotalInstrs = m.Instructions()
-		cs.Grans[k].Finish()
+	if err != nil {
+		return fmt.Errorf("%s: %w", cs.where(), err)
+	}
+	for _, s := range cs.Sims {
+		s.finish()
 	}
 	if cs.Obs != nil {
-		cs.finishMetrics()
+		// Machine-level totals, plus the network's on a mesh.
+		if cs.C != nil {
+			cs.C.FinishMetrics()
+		} else {
+			cs.Sims[0].M.FinishMetrics()
+		}
 	}
 	if cs.Prog.Verify != nil {
 		if err := cs.Prog.Verify(cs.Host); err != nil {
-			return fmt.Errorf("core: %s/%s on %d nodes verify: %w",
-				cs.Prog.Name, cs.Impl, cs.Nodes, err)
+			return fmt.Errorf("%s verify: %w", cs.where(), err)
 		}
 	}
 	return nil
 }
 
+// where names the simulation in errors: program, backend and, on a
+// mesh, the node count.
+func (cs *ClusterSim) where() string {
+	if cs.C != nil {
+		return fmt.Sprintf("core: %s/%s on %d nodes", cs.Prog.Name, cs.Impl, cs.Nodes)
+	}
+	return fmt.Sprintf("core: %s/%s", cs.Prog.Name, cs.Impl)
+}
+
+// Close releases every node's pooled resources (see Sim.Close).
+func (cs *ClusterSim) Close() {
+	for _, s := range cs.Sims {
+		s.Close()
+	}
+}
+
 // Instructions returns the total instruction count across all nodes.
 func (cs *ClusterSim) Instructions() uint64 {
 	var n uint64
-	for _, m := range cs.C.Machines {
-		n += m.Instructions()
+	for _, s := range cs.Sims {
+		n += s.M.Instructions()
 	}
 	return n
 }
 
-// Ticks returns the cluster's elapsed lockstep time.
-func (cs *ClusterSim) Ticks() uint64 { return cs.C.Tick() }
+// HighInstructions returns how many of those instructions executed at
+// high priority, across all nodes: the NIC engines' share on backends
+// with NIC-offloaded inlets.
+func (cs *ClusterSim) HighInstructions() uint64 {
+	var n uint64
+	for _, s := range cs.Sims {
+		n += s.M.HighInstructions()
+	}
+	return n
+}
+
+// Ticks returns the elapsed lockstep time. One node executes one
+// instruction per tick and needs one more to observe quiescence, so its
+// run takes instructions + 1 ticks — exactly what the lockstep cluster
+// loop measures on one node.
+func (cs *ClusterSim) Ticks() uint64 {
+	if cs.C == nil {
+		return cs.Instructions() + 1
+	}
+	return cs.C.Tick()
+}
 
 // MergedGran folds the per-node granularity statistics into one
 // aggregate (quanta are per-node thread runs, so counts sum directly).
 // The returned value carries no sink.
 func (cs *ClusterSim) MergedGran() *stats.Granularity {
 	t := &stats.Granularity{}
-	for _, g := range cs.Grans {
+	for _, s := range cs.Sims {
+		g := s.Gran
 		t.Threads += g.Threads
 		t.Inlets += g.Inlets
 		t.Quanta += g.Quanta
@@ -452,27 +477,4 @@ func (cs *ClusterSim) MergedGran() *stats.Granularity {
 		t.QuantumInstrs.Merge(&g.QuantumInstrs)
 	}
 	return t
-}
-
-// finishMetrics folds the run's aggregate statistics into the sink's
-// registry, summed across nodes; cluster.FinishMetrics adds the
-// per-machine and network totals.
-func (cs *ClusterSim) finishMetrics() {
-	r := cs.Obs.Metrics
-	for _, g := range cs.Grans {
-		r.Counter("tam.threads").Add(g.Threads)
-		r.Counter("tam.inlets").Add(g.Inlets)
-		r.Counter("tam.quanta").Add(g.Quanta)
-		r.Counter("tam.activations").Add(g.Activations)
-		r.Counter("dispatch.low").Add(g.Dispatches[0])
-		r.Counter("dispatch.high").Add(g.Dispatches[1])
-		r.Histogram("quantum.threads").Merge(&g.QuantumHist)
-		r.Histogram("quantum.instrs").Merge(&g.QuantumInstrs)
-	}
-	cs.C.FinishMetrics()
-	if cs.Tracers == nil {
-		for _, col := range cs.Collectors {
-			col.Counts.AddTo(r, "")
-		}
-	}
 }

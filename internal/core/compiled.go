@@ -5,9 +5,6 @@ import (
 
 	"jmtam/internal/machine"
 	"jmtam/internal/mem"
-	"jmtam/internal/stats"
-	"jmtam/internal/trace"
-	"jmtam/internal/word"
 )
 
 // Compiled is the reusable product of one backend compilation: the
@@ -15,10 +12,10 @@ import (
 // and a snapshot of the layout assigned to the source program's
 // codeblocks. A Compiled is immutable after Compile, so a serving
 // daemon can cache one per (program, size, impl) and instantiate any
-// number of concurrent simulations from it via NewSim — repeat jobs
-// skip code generation entirely. Each NewSim call must be given its own
-// *Program instance (programs carry per-run Setup/Verify closure state),
-// which NewSim binds to the compiled layout.
+// number of concurrent simulations from it via NewSim or NewCluster —
+// repeat jobs skip code generation entirely. Each instantiation must be
+// given its own *Program instance (programs carry per-run Setup/Verify
+// closure state), which it binds to the compiled layout.
 type Compiled struct {
 	Impl Impl
 	RT   *Runtime
@@ -164,91 +161,19 @@ func (c *Compiled) bind(prog *Program) error {
 	return nil
 }
 
-// NewSim instantiates one ready-to-run simulation from the compiled
-// artifact: fresh memory, a fresh machine sharing the compiled code
-// store, runtime globals and descriptors materialized, the program's
-// Setup run, and (for the AM backends) the scheduler booted. Options
-// fields affecting code generation are ignored here — they were fixed
-// at Compile time. Concurrent NewSim calls on one Compiled are safe as
-// long as each receives its own *Program instance.
-func (c *Compiled) NewSim(prog *Program, opt Options) (sim *Sim, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sim, err = nil, fmt.Errorf("core: building %s/%v: %v", prog.Name, c.Impl, r)
-		}
-	}()
-	if err := c.bind(prog); err != nil {
-		return nil, err
-	}
+// NewSim instantiates one ready-to-run simulation from an artifact
+// compiled for one node: the single node of a one-node NewCluster.
+// Options fields affecting code generation are ignored here — they were
+// fixed at Compile time. Concurrent NewSim calls on one Compiled are
+// safe as long as each receives its own *Program instance.
+func (c *Compiled) NewSim(prog *Program, opt Options) (*Sim, error) {
 	if c.nodes > 1 {
 		return nil, fmt.Errorf("core: %s/%v compiled for %d nodes; use NewCluster",
 			prog.Name, c.Impl, c.nodes)
 	}
-	impl := c.Impl
-
-	// Pooled: a sweep builds one Sim per (workload, impl) cell, and
-	// zeroing fresh 24 MB segments per cell dominated the record phase.
-	// Sim.Close returns the memory once its statistics are extracted.
-	m := mem.GetDefault()
-	mach := machine.NewMachine(m, c.Code, machine.Config{
-		QueueCapWords:     opt.QueueCapWords,
-		CountQueueWrites:  !opt.NoQueueWriteTrace,
-		PairedQueueWrites: opt.PairedQueueWrites,
-		MaxInstructions:   opt.MaxInstructions,
-	})
-
-	// Initialize runtime globals and materialize descriptors (untraced:
-	// the loader, not the simulated program, performs these writes).
-	m.Store(GFrameBump, word.Ptr(mem.FrameBase))
-	m.Store(GNodeBump, word.Ptr(nodePoolBase))
-	m.Store(GHeapBump, word.Ptr(mem.HeapBase))
-	m.Store(GNodeFree, word.Int(0))
-	m.Store(GReadyHead, word.Int(0))
-	m.Store(GReadyTail, word.Int(0))
-	m.Store(GLCVBase, word.Int(0)) // LCV bottom sentinel
-	m.Store(GLCVTop, word.Ptr(GLCVBase+4))
-	for _, cb := range prog.Blocks {
-		_, rcvOff := cb.layout(impl)
-		m.Store(cb.descAddr+dFrameWords, word.Int(int64(cb.frameWords)))
-		m.Store(cb.descAddr+dNumCounts, word.Int(int64(cb.NumCounts)))
-		m.Store(cb.descAddr+dFreeHead, word.Int(0))
-		m.Store(cb.descAddr+dRCVOff, word.Int(rcvOff))
-		for i, cnt := range cb.InitCounts {
-			m.Store(cb.descAddr+dCounts+uint32(4*i), word.Int(cnt))
-		}
+	cs, err := c.NewCluster(prog, opt)
+	if err != nil {
+		return nil, err
 	}
-
-	sim = &Sim{
-		Impl:      impl,
-		Prog:      prog,
-		RT:        c.RT,
-		M:         mach,
-		Collector: &trace.Collector{},
-		Gran:      &stats.Granularity{},
-		Obs:       opt.Obs,
-	}
-	sim.Host = newUniHost(impl, mach)
-
-	// Attach the sink before Setup runs so boot-time message
-	// injections are observed (their flow arrows start at ts 0).
-	if sim.Obs != nil {
-		mach.SetSink(sim.Obs)
-		sim.Gran.Sink = sim.Obs
-		if sim.Obs.Events != nil {
-			sim.Obs.Events.SetProcessName(int32(mach.Node()),
-				fmt.Sprintf("%s/%s node %d", prog.Name, impl, mach.Node()))
-		}
-	}
-
-	if prog.Setup != nil {
-		if err := prog.Setup(sim.Host); err != nil {
-			return nil, fmt.Errorf("core: %s setup: %w", prog.Name, err)
-		}
-	}
-	if impl.Caps().Scheduler == SchedBackground {
-		// Backends with a background scheduler enter its loop at boot;
-		// the others are driven entirely by messages.
-		mach.Boot(c.RT.schedAddr)
-	}
-	return sim, nil
+	return cs.Sims[0], nil
 }

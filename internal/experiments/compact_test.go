@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"jmtam/internal/cache"
@@ -84,41 +83,6 @@ func TestStreamReplayMatchesDirect(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSweepOnRecordingBytes checks the live-footprint hook: deltas sum
-// to zero once the sweep completes and the peak is positive.
-func TestSweepOnRecordingBytes(t *testing.T) {
-	var live, peak, calls atomic.Int64
-	sw := &Sweep{
-		Workloads:  []Workload{{"dtw", 8}},
-		SizesKB:    []int{8},
-		Assocs:     []int{4},
-		BlockBytes: 64,
-		Penalties:  []int{24},
-		OnRecordingBytes: func(delta int64) {
-			calls.Add(1)
-			v := live.Add(delta)
-			for {
-				p := peak.Load()
-				if v <= p || peak.CompareAndSwap(p, v) {
-					break
-				}
-			}
-		},
-	}
-	if _, err := sw.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 4 { // 2 impls × (+ and −)
-		t.Fatalf("hook called %d times, want 4", calls.Load())
-	}
-	if live.Load() != 0 {
-		t.Fatalf("live bytes = %d after sweep, want 0", live.Load())
-	}
-	if peak.Load() <= 0 {
-		t.Fatalf("peak bytes = %d, want > 0", peak.Load())
 	}
 }
 

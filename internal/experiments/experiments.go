@@ -89,14 +89,6 @@ type Sweep struct {
 	// concurrently from pool workers; implementations must be their own
 	// synchronization. Progress reporting never affects results.
 	OnProgress func(p Progress)
-	// OnRecordingBytes, when non-nil, receives the packed size of each
-	// live recording as a delta: +Bytes() when a simulation finishes
-	// recording, -Bytes() once its replay fan-out completes and the
-	// recording is released. Summing deltas gives the sweep's live
-	// recording footprint (the sweep.recording.bytes gauge). Like
-	// OnProgress it may be called concurrently and never affects
-	// results.
-	OnRecordingBytes func(delta int64)
 }
 
 // Progress describes one completed (workload, implementation) run
@@ -127,9 +119,8 @@ type Run struct {
 	Impl     core.Impl
 
 	// Nodes is the mesh size the workload ran on (1 = uniprocessor),
-	// and Ticks the cluster's elapsed lockstep time (for multi-node
-	// runs; 0 on the uniprocessor path, where elapsed time is the
-	// cycle model's concern).
+	// and Ticks the elapsed lockstep time: one instruction per node per
+	// tick, so instructions + 1 on one node.
 	Nodes int
 	Ticks uint64
 
@@ -350,7 +341,7 @@ func (s *Sweep) ExecuteContext(ctx context.Context) (*Dataset, error) {
 			// for concurrent use across parallel simulations.
 			o.Obs = obs.New()
 		}
-		r, err := runOneParContext(ctx, jobs[i].w, jobs[i].impl, geoms, o, replayPar, s.OnRecordingBytes)
+		r, err := RunOneParContext(ctx, jobs[i].w, jobs[i].impl, geoms, o, replayPar)
 		if err != nil {
 			return err
 		}
@@ -391,58 +382,16 @@ func RecordOne(w Workload, impl core.Impl, opt core.Options) (*Run, *trace.Recor
 }
 
 // RecordOneContext is RecordOne with cooperative cancellation of the
-// simulation step loop.
+// simulation step loop: the one-node case of RecordClusterContext.
 func RecordOneContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, *trace.Recording, error) {
-	spec, err := programs.ByName(w.Name)
+	if opt.Nodes > 1 {
+		return nil, nil, fmt.Errorf("experiments: RecordOne runs one node, not %d; use RecordCluster", opt.Nodes)
+	}
+	r, recs, err := RecordClusterContext(ctx, w, impl, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.MaxInstructions == 0 {
-		opt.MaxInstructions = 2_000_000_000
-	}
-	sim, err := core.Build(impl, spec.Build(w.Arg), opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := &trace.Recording{}
-	sim.Tracer = rec
-	var nicRec *trace.Recording
-	if impl.Caps().NICInlets {
-		nicRec = &trace.Recording{}
-		sim.NICTracer = nicRec
-	}
-	defer sim.Close()
-	if err := sim.RunContext(ctx); err != nil {
-		return nil, nil, err
-	}
-	r := &Run{
-		Workload:     w,
-		Impl:         impl,
-		Nodes:        1,
-		Instructions: sim.M.Instructions(),
-		Counts:       rec.Counts,
-		TPQ:          sim.Gran.TPQ(),
-		IPT:          sim.Gran.IPT(),
-		IPQ:          sim.Gran.IPQ(),
-		Threads:      sim.Gran.Threads,
-		Quanta:       sim.Gran.Quanta,
-	}
-	if nicRec != nil {
-		r.NIC = &NICStats{
-			Instructions: sim.M.HighInstructions(),
-			Counts:       nicRec.Counts,
-			Config:       NICGeom(opt),
-		}
-		r.nicRecs = []*trace.Recording{nicRec}
-	}
-	if sim.Obs != nil {
-		r.Metrics = sim.Obs.Metrics
-		rec.Counts.AddTo(r.Metrics, "")
-		if nicRec != nil {
-			nicRec.Counts.AddTo(r.Metrics, "nic.")
-		}
-	}
-	return r, rec, nil
+	return r, recs[0], nil
 }
 
 // ReplayFanOutContext fills r.Caches by replaying rec through every
@@ -581,37 +530,23 @@ func RunOnePar(w Workload, impl core.Impl, geoms []cache.Config, opt core.Option
 }
 
 // RunOneParContext is RunOnePar with cooperative cancellation of both
-// the simulation and the replay fan-out. When opt.Nodes > 1 the
-// workload runs on an N-node mesh instead of the uniprocessor: each
-// node records its own reference stream and the geometry fan-out
-// replays every node through its own private cache pair, summing the
-// misses (see RunClusterParContext).
+// the simulation and the replay fan-out. The workload runs on
+// opt.Nodes nodes (one by default): each node records its own reference
+// stream and the geometry fan-out replays every node through its own
+// private cache pair, summing the misses, so a Sweep gains a nodes axis
+// simply by setting Sweep.Options.Nodes.
 func RunOneParContext(ctx context.Context, w Workload, impl core.Impl, geoms []cache.Config, opt core.Options, parallelism int) (*Run, error) {
-	return runOneParContext(ctx, w, impl, geoms, opt, parallelism, nil)
-}
-
-// runOneParContext is RunOneParContext with a live-recording-bytes
-// hook (see Sweep.OnRecordingBytes). The cluster path records one
-// stream per node with its own lifecycle and skips the hook.
-func runOneParContext(ctx context.Context, w Workload, impl core.Impl, geoms []cache.Config, opt core.Options, parallelism int, onRecBytes func(delta int64)) (*Run, error) {
-	if opt.Nodes > 1 {
-		return RunClusterParContext(ctx, w, impl, geoms, opt, parallelism)
-	}
 	// Surface geometry errors before paying for a simulation.
 	for _, g := range geoms {
 		if err := g.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	r, rec, err := RecordOneContext(ctx, w, impl, opt)
+	r, recs, err := RecordClusterContext(ctx, w, impl, opt)
 	if err != nil {
 		return nil, err
 	}
-	if onRecBytes != nil {
-		onRecBytes(int64(rec.Bytes()))
-		defer onRecBytes(-int64(rec.Bytes()))
-	}
-	if err := ReplayFanOutContext(ctx, r, rec, geoms, parallelism); err != nil {
+	if err := r.replay(ctx, recs, geoms, parallelism); err != nil {
 		return nil, err
 	}
 	return r, nil

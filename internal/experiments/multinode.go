@@ -6,25 +6,23 @@ import (
 
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
-	"jmtam/internal/machine"
-	"jmtam/internal/mem"
 	"jmtam/internal/netsim"
 	"jmtam/internal/parallel"
 	"jmtam/internal/programs"
 	"jmtam/internal/trace"
 )
 
-// RecordCluster simulates one workload on an opt.Nodes mesh with a
+// RecordCluster simulates one workload on opt.Nodes nodes with a
 // per-node trace recording attached, returning the run (cache
 // statistics unfilled) and one reference stream per node. Granularity
-// statistics are merged across nodes; Run.Ticks carries the cluster's
-// elapsed lockstep time, the multi-node analogue of a cycle count.
+// statistics are merged across nodes; Run.Ticks carries the elapsed
+// lockstep time, the multi-node analogue of a cycle count.
 func RecordCluster(w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
 	return RecordClusterContext(context.Background(), w, impl, opt)
 }
 
 // RecordClusterContext is RecordCluster with cooperative cancellation
-// of the cluster step loop.
+// of the simulation step loop.
 func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
 	spec, err := programs.ByName(w.Name)
 	if err != nil {
@@ -37,19 +35,21 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 	if err != nil {
 		return nil, nil, err
 	}
+	defer cs.Close()
 	recs := make([]*trace.Recording, cs.Nodes)
-	cs.Tracers = make([]machine.Tracer, cs.Nodes)
-	for k := range recs {
-		recs[k] = &trace.Recording{}
-		cs.Tracers[k] = recs[k]
-	}
+	// NIC-offload backends split each node's trace by execution locus:
+	// inlets and system handlers record into their own stream and
+	// replay against the node's private NIC cache pair.
 	var nicRecs []*trace.Recording
 	if impl.Caps().NICInlets {
 		nicRecs = make([]*trace.Recording, cs.Nodes)
-		cs.NICTracers = make([]machine.Tracer, cs.Nodes)
-		for k := range nicRecs {
+	}
+	for k, s := range cs.Sims {
+		recs[k] = &trace.Recording{}
+		s.Tracer = recs[k]
+		if nicRecs != nil {
 			nicRecs[k] = &trace.Recording{}
-			cs.NICTracers[k] = nicRecs[k]
+			s.NICTracer = nicRecs[k]
 		}
 	}
 	if err := cs.RunContext(ctx); err != nil {
@@ -69,24 +69,12 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 		Quanta:       g.Quanta,
 	}
 	for _, rec := range recs {
-		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-			r.Counts.Fetches[cls] += rec.Fetches[cls]
-			r.Counts.Reads[cls] += rec.Reads[cls]
-			r.Counts.Writes[cls] += rec.Writes[cls]
-		}
+		r.Counts.Add(&rec.Counts)
 	}
 	if nicRecs != nil {
-		var hi uint64
-		for _, m := range cs.C.Machines {
-			hi += m.HighInstructions()
-		}
-		nic := &NICStats{Instructions: hi, Config: NICGeom(opt)}
+		nic := &NICStats{Instructions: cs.HighInstructions(), Config: NICGeom(opt)}
 		for _, rec := range nicRecs {
-			for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
-				nic.Counts.Fetches[cls] += rec.Fetches[cls]
-				nic.Counts.Reads[cls] += rec.Reads[cls]
-				nic.Counts.Writes[cls] += rec.Writes[cls]
-			}
+			nic.Counts.Add(&rec.Counts)
 		}
 		r.NIC = nic
 		r.nicRecs = nicRecs
@@ -94,6 +82,9 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 	if cs.Obs != nil {
 		r.Metrics = cs.Obs.Metrics
 		r.Counts.AddTo(r.Metrics, "")
+		if r.NIC != nil {
+			r.NIC.Counts.AddTo(r.Metrics, "nic.")
+		}
 	}
 	return r, recs, nil
 }
@@ -105,29 +96,6 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 // the same fan-out as ReplayFanOutContext, with one stream per node.
 func ReplayClusterFanOutContext(ctx context.Context, r *Run, recs []*trace.Recording, geoms []cache.Config, parallelism int) error {
 	return r.replay(ctx, recs, geoms, parallelism)
-}
-
-// RunClusterParContext simulates one workload on an opt.Nodes mesh,
-// recording each node's reference stream, then replays the streams
-// through the given cache geometries (per-node private caches, misses
-// summed per geometry). RunOneParContext dispatches here whenever
-// Options.Nodes > 1, so a Sweep gains a nodes axis simply by setting
-// Sweep.Options.Nodes.
-func RunClusterParContext(ctx context.Context, w Workload, impl core.Impl, geoms []cache.Config, opt core.Options, parallelism int) (*Run, error) {
-	// Surface geometry errors before paying for a simulation.
-	for _, g := range geoms {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	r, recs, err := RecordClusterContext(ctx, w, impl, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := ReplayClusterFanOutContext(ctx, r, recs, geoms, parallelism); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // --- backend ratios versus node count and hop latency ------------------------
@@ -204,7 +172,7 @@ func NodeRatioSweep(ws []Workload, impls []core.Impl, nodeCounts []int, geom cac
 	err := parallel.ForEach(par, len(jobs), func(i int) error {
 		o := opt
 		o.Nodes = jobs[i].n
-		r, err := RunClusterParContext(context.Background(), jobs[i].w, jobs[i].impl,
+		r, err := RunOneParContext(context.Background(), jobs[i].w, jobs[i].impl,
 			[]cache.Config{geom}, o, 1)
 		if err != nil {
 			return fmt.Errorf("%s/%s n=%d: %w", jobs[i].w.Name, jobs[i].impl, jobs[i].n, err)

@@ -6,6 +6,7 @@ import (
 
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
+	"jmtam/internal/mem"
 )
 
 var tinyWorkloads = []Workload{{"mmt", 8}, {"wavefront", 8}}
@@ -134,5 +135,44 @@ func TestHopLatencySweepStretchesTicks(t *testing.T) {
 	am, md := core.ImplAM.Name(), core.ImplMD.Name()
 	if rows[1].Ticks[am] < rows[0].Ticks[am] || rows[1].Ticks[md] < rows[0].Ticks[md] {
 		t.Errorf("higher hop latency reduced ticks: %+v", rows)
+	}
+}
+
+// TestNICRefCountersEveryNodeCount checks that a metrics-collecting
+// sweep of the NIC-offload backend folds the NIC engine's reference
+// counts into each run's registry as nic.ref.{fetch,read,write}.<class>
+// equal to Run.NIC.Counts, on a mesh exactly as on one node.
+func TestNICRefCountersEveryNodeCount(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		s := &Sweep{
+			Workloads:      []Workload{{"dtw", 8}},
+			SizesKB:        []int{8},
+			Assocs:         []int{4},
+			BlockBytes:     64,
+			Penalties:      []int{24},
+			Impls:          []core.Impl{core.ImplOffload},
+			CollectMetrics: true,
+			Options:        core.Options{Nodes: n},
+		}
+		d, err := s.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := d.Run("dtw", core.ImplOffload)
+		if r.NIC == nil || r.NIC.Counts.TotalFetches() == 0 {
+			t.Fatalf("n=%d: no NIC engine fetches recorded: %+v", n, r.NIC)
+		}
+		for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
+			for kind, want := range map[string]uint64{
+				"fetch": r.NIC.Counts.Fetches[cls],
+				"read":  r.NIC.Counts.Reads[cls],
+				"write": r.NIC.Counts.Writes[cls],
+			} {
+				name := "nic.ref." + kind + "." + cls.String()
+				if got := r.Metrics.Counter(name).Value(); got != want {
+					t.Errorf("n=%d: %s = %d, want %d", n, name, got, want)
+				}
+			}
+		}
 	}
 }

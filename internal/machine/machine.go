@@ -122,8 +122,8 @@ type Machine struct {
 	// qwSeq indexes words within the message currently being buffered,
 	// for the paired (two-word-per-cycle) queue write-through model;
 	// qwPri is the destination queue's priority, for trace attribution.
-	qwSeq   int
-	qwPri   int
+	qwSeq    int
+	qwPri    int
 	hiInstrs uint64
 	trapErr  error
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"jmtam/internal/cluster"
 	"jmtam/internal/core"
 	"jmtam/internal/machine"
+	"jmtam/internal/netsim"
 	"jmtam/internal/trace"
 )
 
@@ -13,8 +15,6 @@ import (
 var smallArgs = map[string]int{
 	"mmt": 8, "qs": 24, "dtw": 4, "paraffins": 8, "wavefront": 8, "ss": 16,
 }
-
-var multinodeImpls = []core.Impl{core.ImplAM, core.ImplMD}
 
 // recordingSig flattens a reference recording into comparable values.
 func recordingSig(r *trace.Recording) []uint64 {
@@ -25,80 +25,136 @@ func recordingSig(r *trace.Recording) []uint64 {
 	return sig
 }
 
-// TestMultinodeSmoke runs every benchmark unmodified on 1-, 2- and
-// 4-node meshes under both TAM backends; each run's Verify checks the
-// result against the pure-Go reference.
+// sameStream fails the test at the first entry where two recordings of
+// one stream diverge.
+func sameStream(t *testing.T, what string, got, want *trace.Recording) {
+	t.Helper()
+	g, w := recordingSig(got), recordingSig(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s length: lockstep %d, own loop %d", what, len(g), len(w))
+	}
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("%s diverges at entry %d of %d: lockstep %#x, own loop %#x",
+				what, i, len(w), g[i], w[i])
+		}
+	}
+}
+
+// TestMultinodeSmoke runs every benchmark unmodified under every
+// registered backend on 1-, 2-, 4- and 8-node meshes with both
+// placement policies; each run's Verify checks the result against the
+// pure-Go reference.
 func TestMultinodeSmoke(t *testing.T) {
 	for _, spec := range All() {
-		for _, impl := range multinodeImpls {
-			for _, n := range []int{1, 2, 4} {
-				cs, err := core.BuildCluster(impl, spec.Build(smallArgs[spec.Name]),
-					core.Options{Nodes: n, MaxInstructions: 50_000_000})
-				if err != nil {
-					t.Fatalf("%s/%s n=%d build: %v", spec.Name, impl, n, err)
+		for _, b := range core.Backends() {
+			for _, n := range []int{1, 2, 4, 8} {
+				for _, pl := range []core.Placement{core.PlaceRoundRobin, core.PlaceLocal} {
+					cs, err := core.BuildCluster(b.Impl, spec.Build(smallArgs[spec.Name]),
+						core.Options{Nodes: n, Placement: pl, MaxInstructions: 50_000_000})
+					if err != nil {
+						t.Fatalf("%s/%s n=%d %v build: %v", spec.Name, b.Name, n, pl, err)
+					}
+					if err := cs.Run(); err != nil {
+						t.Errorf("%s/%s n=%d %v run: %v", spec.Name, b.Name, n, pl, err)
+					}
+					cs.Close()
 				}
-				if err := cs.Run(); err != nil {
-					t.Errorf("%s/%s n=%d run: %v", spec.Name, impl, n, err)
-					continue
-				}
-				t.Logf("%s/%s n=%d instrs=%d ticks=%d", spec.Name, impl, n, cs.Instructions(), cs.Ticks())
 			}
 		}
 	}
 }
 
-// TestClusterN1MatchesUniprocessor asserts the tentpole's
-// no-regression property: a 1-node cluster executes the byte-identical
-// reference stream as the uniprocessor simulator for every benchmark
-// under both backends. Multi-node code generation is gated behind
-// nodes > 1 and the lockstep driver adds no work, so nothing may
-// diverge — not the instruction count, not a single fetch/read/write
-// address, not the result.
+// TestClusterN1MatchesUniprocessor pins the one-node fast path against
+// the lockstep cluster loop it replaces: for every benchmark under every
+// registered backend, a one-node ClusterSim (which runs the machine's
+// own loop) and cluster.New driving the single machine of a core.Build
+// simulation must execute the byte-identical reference and NIC streams,
+// the same instruction count and result, and the lockstep run must take
+// exactly instructions + 1 ticks — the value ClusterSim.Ticks reports.
 func TestClusterN1MatchesUniprocessor(t *testing.T) {
 	for _, spec := range All() {
-		for _, impl := range multinodeImpls {
-			spec, impl := spec, impl
-			t.Run(fmt.Sprintf("%s/%s", spec.Name, impl.Short()), func(t *testing.T) {
+		for _, b := range core.Backends() {
+			spec, impl := spec, b.Impl
+			t.Run(fmt.Sprintf("%s/%s", spec.Name, impl), func(t *testing.T) {
 				t.Parallel()
-				uni, err := core.Build(impl, spec.Build(smallArgs[spec.Name]), core.Options{})
+				nic := impl.Caps().NICInlets
+				cs, err := core.BuildCluster(impl, spec.Build(smallArgs[spec.Name]), core.Options{})
 				if err != nil {
-					t.Fatalf("build uni: %v", err)
+					t.Fatalf("build: %v", err)
 				}
-				uniRec := &trace.Recording{}
-				uni.Tracer = uniRec
-				if err := uni.Run(); err != nil {
-					t.Fatalf("run uni: %v", err)
+				defer cs.Close()
+				if cs.C != nil {
+					t.Fatal("one-node simulation built a lockstep cluster")
 				}
-
-				cs, err := core.BuildCluster(impl, spec.Build(smallArgs[spec.Name]),
-					core.Options{Nodes: 1})
-				if err != nil {
-					t.Fatalf("build cluster: %v", err)
+				ownRec, ownNIC := &trace.Recording{}, &trace.Recording{}
+				cs.Sims[0].Tracer = ownRec
+				if nic {
+					cs.Sims[0].NICTracer = ownNIC
 				}
-				clRec := &trace.Recording{}
-				cs.Tracers = []machine.Tracer{clRec}
 				if err := cs.Run(); err != nil {
-					t.Fatalf("run cluster: %v", err)
+					t.Fatalf("run: %v", err)
 				}
 
-				if got, want := cs.Instructions(), uni.M.Instructions(); got != want {
-					t.Errorf("instructions: cluster %d, uniprocessor %d", got, want)
+				// The reference: the lockstep cluster loop over one machine,
+				// wired by hand.
+				ref, err := core.Build(impl, spec.Build(smallArgs[spec.Name]), core.Options{})
+				if err != nil {
+					t.Fatalf("build reference: %v", err)
 				}
-				us, c1 := recordingSig(uniRec), recordingSig(clRec)
-				if len(us) != len(c1) {
-					t.Fatalf("reference stream length: cluster %d, uniprocessor %d", len(c1), len(us))
+				defer ref.Close()
+				refRec, refNIC := &trace.Recording{}, &trace.Recording{}
+				ref.M.SetTracer(refRec)
+				if nic {
+					ref.M.SetNICTracer(refNIC)
 				}
-				for i := range us {
-					if us[i] != c1[i] {
-						t.Fatalf("reference stream diverges at entry %d of %d: cluster %#x, uniprocessor %#x",
-							i, len(us), c1[i], us[i])
-					}
+				ref.M.SetObserver(ref.Gran)
+				cl, err := cluster.New([]*machine.Machine{ref.M}, netsim.DefaultConfig(1))
+				if err != nil {
+					t.Fatalf("cluster: %v", err)
 				}
-				if got, want := cs.Host.Result(0), uni.Host.Result(0); got != want {
-					t.Errorf("result: cluster %v, uniprocessor %v", got, want)
+				if err := cl.Run(0); err != nil {
+					t.Fatalf("run reference: %v", err)
+				}
+
+				if got, want := ref.M.Instructions(), cs.Instructions(); got != want {
+					t.Errorf("instructions: lockstep %d, own loop %d", got, want)
+				}
+				if got, want := cl.Tick(), ref.M.Instructions()+1; got != want {
+					t.Errorf("lockstep ticks %d, want instructions + 1 = %d", got, want)
+				}
+				if got, want := cs.Ticks(), cl.Tick(); got != want {
+					t.Errorf("Ticks() = %d, lockstep cluster took %d", got, want)
+				}
+				sameStream(t, "reference stream", refRec, ownRec)
+				sameStream(t, "NIC stream", refNIC, ownNIC)
+				if got, want := ref.Host.Result(0), cs.Host.Result(0); got != want {
+					t.Errorf("result: lockstep %v, own loop %v", got, want)
 				}
 			})
 		}
+	}
+}
+
+// TestMeshNodeRunsOnlyInCluster checks that one node of a mesh refuses
+// to run on its own: a routed machine parks at WAIT instead of halting,
+// so its own loop would spin to the instruction limit.
+func TestMeshNodeRunsOnlyInCluster(t *testing.T) {
+	spec, err := ByName("dtw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := core.BuildCluster(core.ImplAM, spec.Build(smallArgs["dtw"]), core.Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range cs.Sims {
+		if err := s.Run(); err == nil {
+			t.Errorf("node %d of a mesh ran on its own", s.M.Node())
+		}
+	}
+	if err := cs.Run(); err != nil {
+		t.Fatalf("mesh run after refused node runs: %v", err)
 	}
 }
 
@@ -114,31 +170,30 @@ func multinodeFingerprint(t *testing.T, spec Spec, impl core.Impl) (ticks uint64
 		t.Fatalf("build: %v", err)
 	}
 	recs := make([]*trace.Recording, nodes)
-	cs.Tracers = make([]machine.Tracer, nodes)
-	for k := range recs {
+	for k, s := range cs.Sims {
 		recs[k] = &trace.Recording{}
-		cs.Tracers[k] = recs[k]
+		s.Tracer = recs[k]
 	}
 	if err := cs.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for k, m := range cs.C.Machines {
-		instrs = append(instrs, m.Instructions())
+	for k, s := range cs.Sims {
+		instrs = append(instrs, s.M.Instructions())
 		sigs = append(sigs, recordingSig(recs[k]))
 	}
 	return cs.Ticks(), instrs, sigs
 }
 
 // TestMultinodeDeterministic asserts that a 4-node run is exactly
-// reproducible: three runs per benchmark/backend, executed inside
-// parallel subtests so the host Go scheduler varies between
-// repetitions, must yield identical ticks, per-node instruction counts
-// and per-node reference streams.
+// reproducible: three runs per benchmark under every registered
+// backend, executed inside parallel subtests so the host Go scheduler
+// varies between repetitions, must yield identical ticks, per-node
+// instruction counts and per-node reference streams.
 func TestMultinodeDeterministic(t *testing.T) {
 	for _, spec := range All() {
-		for _, impl := range multinodeImpls {
-			spec, impl := spec, impl
-			t.Run(fmt.Sprintf("%s/%s", spec.Name, impl.Short()), func(t *testing.T) {
+		for _, b := range core.Backends() {
+			spec, impl := spec, b.Impl
+			t.Run(fmt.Sprintf("%s/%s", spec.Name, impl), func(t *testing.T) {
 				t.Parallel()
 				ticks0, instrs0, sigs0 := multinodeFingerprint(t, spec, impl)
 				for rep := 1; rep < 3; rep++ {

@@ -123,11 +123,11 @@ func TestResumeDropsMismatchedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := map[int]json.RawMessage{
-		-1: json.RawMessage(`{}`),                           // out of range
-		9:  json.RawMessage(`{}`),                           // past the grid
-		0:  json.RawMessage(`{"program":"mm","arg":40}`),    // wrong workload
-		1:  json.RawMessage(`not json`),                     // unparseable
-		2:  json.RawMessage(`{"program":"ss","arg":44}`),    // wrong geometry count
+		-1: json.RawMessage(`{}`),                        // out of range
+		9:  json.RawMessage(`{}`),                        // past the grid
+		0:  json.RawMessage(`{"program":"mm","arg":40}`), // wrong workload
+		1:  json.RawMessage(`not json`),                  // unparseable
+		2:  json.RawMessage(`{"program":"ss","arg":44}`), // wrong geometry count
 	}
 	if resume := s.decodeCheckpoints(&req, units); resume != nil {
 		t.Fatalf("invalid checkpoints accepted: %v", resume)

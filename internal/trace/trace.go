@@ -52,6 +52,15 @@ func (c *Counts) TotalWrites() uint64 {
 	return t
 }
 
+// Add accumulates o into c, class by class.
+func (c *Counts) Add(o *Counts) {
+	for cls := range c.Fetches {
+		c.Fetches[cls] += o.Fetches[cls]
+		c.Reads[cls] += o.Reads[cls]
+		c.Writes[cls] += o.Writes[cls]
+	}
+}
+
 // AddTo folds the counts into an observability registry as
 // <prefix>ref.{fetch,read,write}.<class> counters, created even when
 // zero. A recording that replaces the inline collector leaves the run

@@ -6,9 +6,10 @@
 //
 // The package is a thin façade over the implementation packages:
 //
-//   - internal/core     — the TAM runtime and its two backends (the
-//     Active Messages implementation and the Message-Driven
-//     implementation), plus the program-building API
+//   - internal/core     — the TAM runtime and its backend registry (the
+//     paper's Active Messages and Message-Driven implementations plus
+//     four variants), the program-building API and the simulation
+//     type that runs any of them on one node or an N-node mesh
 //   - internal/machine  — the MDP-like execution engine
 //   - internal/cache    — the cache simulator
 //   - internal/programs — the paper's six benchmarks
@@ -33,7 +34,6 @@ import (
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
-	"jmtam/internal/machine"
 	"jmtam/internal/netsim"
 	"jmtam/internal/obs"
 	"jmtam/internal/programs"
@@ -83,14 +83,15 @@ type CacheConfig = cache.Config
 // Multi-node re-exports: set Options.Nodes to a power of two (at most
 // 64) and the six benchmarks run unmodified on an N-node mesh — frames
 // are placed across nodes by Options.Placement and remote I-structure
-// requests travel the netsim mesh as active messages. Run dispatches
-// to the cluster automatically; BuildCluster exposes the cluster
-// simulation directly for callers that need per-node access.
+// requests travel the netsim mesh as active messages. Run handles any
+// node count; BuildCluster exposes the simulation directly for callers
+// that need per-node access.
 type (
 	// Placement selects the frame/heap placement policy consulted at
 	// falloc/halloc time when Options.Nodes > 1.
 	Placement = core.Placement
-	// ClusterSim is one ready-to-run multi-node simulation.
+	// ClusterSim is one ready-to-run simulation on any node count,
+	// holding one Sim per node.
 	ClusterSim = core.ClusterSim
 	// NetConfig describes the mesh (dimensions and latency model);
 	// set Options.Net to override the near-square default.
@@ -219,8 +220,8 @@ type Result struct {
 	Program string
 	Impl    Impl
 	// Nodes is the mesh size the program ran on (1 = uniprocessor)
-	// and Ticks the cluster's elapsed lockstep time (0 on the
-	// uniprocessor path). Multi-node counts aggregate over all nodes.
+	// and Ticks the elapsed lockstep time (instructions + 1 on one
+	// node). Multi-node counts aggregate over all nodes.
 	Nodes        int
 	Ticks        uint64
 	Instructions uint64
@@ -264,44 +265,6 @@ func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms .
 			return nil, err
 		}
 	}
-	if opt.Nodes > 1 {
-		return runClusterContext(ctx, impl, p, opt, geoms...)
-	}
-	sim, err := BuildContext(ctx, impl, p, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Close()
-	rec := &trace.Recording{}
-	sim.Tracer = rec
-	if err := sim.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	r := &experiments.Run{}
-	if err := experiments.ReplayFanOutContext(ctx, r, rec, geoms, 0); err != nil {
-		return nil, err
-	}
-	return &Result{
-		Program:      p.Name,
-		Impl:         impl,
-		Nodes:        1,
-		Instructions: sim.M.Instructions(),
-		Reads:        rec.TotalReads(),
-		Writes:       rec.TotalWrites(),
-		Threads:      sim.Gran.Threads,
-		Quanta:       sim.Gran.Quanta,
-		TPQ:          sim.Gran.TPQ(),
-		IPT:          sim.Gran.IPT(),
-		IPQ:          sim.Gran.IPQ(),
-		Caches:       r.Caches,
-	}, nil
-}
-
-// runClusterContext is RunContext's multi-node path: the program runs
-// on an opt.Nodes mesh with one reference recording per node, and the
-// geometry fan-out replays every node through its own private cache
-// pair (a mesh node owns its caches), summing the misses per geometry.
-func runClusterContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms ...CacheConfig) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -309,11 +272,11 @@ func runClusterContext(ctx context.Context, impl Impl, p *Program, opt Options, 
 	if err != nil {
 		return nil, err
 	}
+	defer cs.Close()
 	recs := make([]*trace.Recording, cs.Nodes)
-	cs.Tracers = make([]machine.Tracer, cs.Nodes)
-	for k := range recs {
+	for k, s := range cs.Sims {
 		recs[k] = &trace.Recording{}
-		cs.Tracers[k] = recs[k]
+		s.Tracer = recs[k]
 	}
 	if err := cs.RunContext(ctx); err != nil {
 		return nil, err
@@ -335,6 +298,7 @@ func runClusterContext(ctx context.Context, impl Impl, p *Program, opt Options, 
 		res.Reads += rec.TotalReads()
 		res.Writes += rec.TotalWrites()
 	}
+	// Each node owns a private cache pair per geometry; misses sum.
 	r := &experiments.Run{}
 	if err := experiments.ReplayClusterFanOutContext(ctx, r, recs, geoms, 0); err != nil {
 		return nil, err
