@@ -20,11 +20,21 @@
 // dispatches to a per-associativity specialization chosen at
 // construction; AccessBatch / AccessBatchFetch amortize dispatch and
 // statistics over a whole block of packed references.
+//
+// A Bank drives many caches with one stream and strips, before any
+// cache probes them, the references that cannot change a cache (Puzak's
+// trace stripping). A reference to the block that a direct-mapped
+// filter last saw in its set is a most-recently-used hit in every LRU
+// cache of that block size with at least as many sets (Mattson et al.'s
+// set refinement), so those caches count it as a hit unprobed and every
+// statistic stays exact; see Bank.
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config describes one cache geometry.
@@ -580,38 +590,148 @@ func (c *Cache) Contains(addr uint32) bool {
 	return false
 }
 
-// Bank is a set of resident caches driven in lockstep by one reference
-// stream: each batch of packed references is streamed through every
-// member while the batch is hot in L1, so N geometries cost one pass
-// over the stream instead of N. The replay engine builds one Bank of
-// instruction caches and one of data caches per geometry group.
+// Bank drives a set of caches with one reference stream and strips the
+// references that cannot change any member (Puzak's trace stripping).
+// Members are grouped by block size, and within a group each distinct
+// set count is one stage, in ascending order: a direct-mapped filter
+// with that many sets that remembers the block each set last saw. A
+// stage drops every reference to the block its set last saw, compacting
+// the previous stage's survivors in place, then its members consume the
+// survivors and count each dropped reference as an access that hit.
+//
+// The result is exact. A member at or after the stage has at least as
+// many sets, and set counts are powers of two, so the member's set lies
+// inside the filter's: no other block of it has been referenced since,
+// and the dropped reference is a most-recently-used hit that leaves the
+// LRU order of every kernel unchanged (Mattson et al.'s set
+// refinement). A dropped write ORs its flag into the set's last
+// surviving reference, which dirties the same line earlier than the
+// write would have, while no other block of the set can evict it; when
+// that survivor was in an earlier batch and is already consumed, the
+// write survives instead.
 type Bank struct {
-	caches []*Cache
+	stages []stripStage // by block size, then set count
+	buf    []uint32     // survivors, when several block sizes share a batch
 }
 
-// NewBank builds one cache per geometry.
-func NewBank(cfgs []Config) (*Bank, error) {
-	b := &Bank{caches: make([]*Cache, len(cfgs))}
-	for i, cfg := range cfgs {
-		c, err := New(cfg)
-		if err != nil {
-			return nil, err
+// stripStage is one filter and the members with its block size and sets.
+type stripStage struct {
+	shift, mask uint32
+	last        []uint32 // block each filter set last saw
+	pos         []int    // data batches: index of each set's last survivor
+	seen        int      // survivors emitted in earlier batches
+	caches      []*Cache
+}
+
+// BankOf builds a stripping bank over existing caches, which keep their
+// own statistics; while it is in use, drive them only through the bank.
+func BankOf(caches ...*Cache) *Bank {
+	cs := slices.Clone(caches)
+	slices.SortStableFunc(cs, func(x, y *Cache) int {
+		return cmp.Or(cmp.Compare(x.blkShift, y.blkShift), cmp.Compare(x.setMask, y.setMask))
+	})
+	b := &Bank{}
+	for _, c := range cs {
+		if n := len(b.stages); n == 0 || b.stages[n-1].shift != c.blkShift || b.stages[n-1].mask != c.setMask {
+			last := make([]uint32, c.setMask+1)
+			for i := range last {
+				last[i] = invalidTag
+			}
+			b.stages = append(b.stages, stripStage{shift: c.blkShift, mask: c.setMask, last: last})
 		}
-		b.caches[i] = c
+		st := &b.stages[len(b.stages)-1]
+		st.caches = append(st.caches, c)
 	}
-	return b, nil
+	return b
 }
-
-// BankOf wraps existing caches without copying them.
-func BankOf(caches ...*Cache) *Bank { return &Bank{caches: caches} }
-
-// Caches returns the bank's members in construction order.
-func (b *Bank) Caches() []*Cache { return b.caches }
 
 // AccessBatch streams one block of packed references (write flag in bit
-// 0) through every member cache.
-func (b *Bank) AccessBatch(refs []uint32) {
-	for _, c := range b.caches {
-		c.AccessBatch(refs)
+// 0) through every member, as Cache.AccessBatch would. The bank
+// overwrites refs.
+func (b *Bank) AccessBatch(refs []uint32) { b.access(refs, false) }
+
+// AccessBatchFetch streams one block of read-only addresses through
+// every member, as Cache.AccessBatchFetch would. The bank overwrites
+// refs.
+func (b *Bank) AccessBatchFetch(refs []uint32) { b.access(refs, true) }
+
+func (b *Bank) access(refs []uint32, fetch bool) {
+	dst := refs
+	if n := len(b.stages); n > 0 && b.stages[0].shift != b.stages[n-1].shift {
+		// Each block size starts from the whole batch, so keep it intact.
+		b.buf = slices.Grow(b.buf[:0], len(refs))[:len(refs)]
+		dst = b.buf
 	}
+	live := refs
+	for i := range b.stages {
+		s := &b.stages[i]
+		if i > 0 && s.shift != b.stages[i-1].shift {
+			live = refs
+		}
+		if fetch {
+			live = s.stripFetch(live, dst)
+		} else {
+			live = s.stripData(live, dst)
+		}
+		hits := uint64(len(refs) - len(live))
+		for _, c := range s.caches {
+			if fetch {
+				c.AccessBatchFetch(live)
+			} else {
+				c.AccessBatch(live)
+			}
+			c.stats.Accesses += hits
+		}
+	}
+}
+
+// stripFetch writes to dst the references in src that miss the filter
+// and returns them; dst may be src itself.
+func (s *stripStage) stripFetch(src, dst []uint32) []uint32 {
+	last, shift, mask := s.last, s.shift, s.mask
+	n := 0
+	for _, w := range src {
+		blk := w >> shift
+		if f := blk & mask; last[f] != blk {
+			last[f] = blk
+			dst[n] = w
+			n++
+		}
+	}
+	return dst[:n]
+}
+
+// stripData is stripFetch for packed data references: a write that hits
+// the filter folds its flag into the set's last survivor in dst when
+// that survivor is from this batch, and survives otherwise. Positions
+// count survivors over the bank's life, so advancing seen past a batch
+// resets every one of them.
+func (s *stripStage) stripData(src, dst []uint32) []uint32 {
+	if s.pos == nil {
+		s.pos = make([]int, len(s.last))
+		for i := range s.pos {
+			s.pos[i] = -1
+		}
+	}
+	last, pos, shift, mask := s.last, s.pos, s.shift, s.mask
+	base, n := s.seen, 0
+	for _, w := range src {
+		blk := w >> shift
+		f := blk & mask
+		if last[f] == blk {
+			if w&RefWrite == 0 {
+				continue
+			}
+			if p := pos[f] - base; p >= 0 {
+				dst[p] |= RefWrite
+				continue
+			}
+		}
+		last[f] = blk
+		pos[f] = base + n
+		dst[n] = w
+		n++
+	}
+	s.seen = base + n
+	return dst[:n]
 }

@@ -172,3 +172,104 @@ func TestAccessBatchFetchMatchesScalar(t *testing.T) {
 		})
 	}
 }
+
+// localityStream generates packed references shaped like a replayed
+// trace: sequential runs, read/write reuse of a few hot blocks (runs of
+// one block, so batch boundaries split same-block write runs), and
+// conflicting strides that share a set in every geometry.
+func localityStream(n int) []uint32 {
+	refs := make([]uint32, 0, n)
+	state := uint32(0x6A09E667)
+	next := func(m uint32) uint32 {
+		state ^= state << 13
+		state ^= state >> 17
+		state ^= state << 5
+		return state % m
+	}
+	pc := uint32(0x1000)
+	for len(refs) < n {
+		switch next(4) {
+		case 0: // sequential run
+			for j := next(48); j > 0; j-- {
+				pc += 4
+				refs = append(refs, pc)
+			}
+		case 1: // reuse of a few hot blocks, reads and writes mixed
+			base := 0x40_0000 + next(4)*256
+			for j := next(12); j > 0; j-- {
+				refs = append(refs, base+next(16)*4|next(3)/2*RefWrite)
+			}
+		case 2: // conflicts: the same set in every geometry below 256 KB
+			refs = append(refs, 0x80_0000+next(8)<<18+next(4)*4|next(2)*RefWrite)
+		default: // scatter
+			refs = append(refs, next(1<<20)&^3|next(4)/3*RefWrite)
+		}
+	}
+	return refs[:n]
+}
+
+// TestBankMatchesScalar drives banks over two grids with locality-shaped
+// streams cut into batches of random length, and requires every member's
+// statistics to equal a twin driven by per-reference Access: the
+// Table-2 grid (one block size, 10 stages) and a mixed grid with 8-64 B
+// blocks, a one-set cache, 8- and 16-way caches and one geometry listed
+// twice (four block-size groups).
+func TestBankMatchesScalar(t *testing.T) {
+	var table2 []Config
+	for kb := 1; kb <= 128; kb *= 2 {
+		for _, a := range []int{1, 2, 4} {
+			table2 = append(table2, Config{SizeBytes: kb << 10, BlockBytes: 64, Assoc: a})
+		}
+	}
+	mixed := []Config{
+		{SizeBytes: 1024, BlockBytes: 64, Assoc: 16}, // one set
+		{SizeBytes: 4096, BlockBytes: 8, Assoc: 1},
+		{SizeBytes: 2048, BlockBytes: 16, Assoc: 8},
+		{SizeBytes: 8192, BlockBytes: 32, Assoc: 4},
+		{SizeBytes: 8192, BlockBytes: 32, Assoc: 4},
+		{SizeBytes: 16384, BlockBytes: 64, Assoc: 16},
+		{SizeBytes: 512, BlockBytes: 8, Assoc: 2},
+		{SizeBytes: 32768, BlockBytes: 16, Assoc: 1},
+	}
+	for _, g := range []struct {
+		name string
+		grid []Config
+	}{{"table2", table2}, {"mixed", mixed}} {
+		grid := g.grid
+		for _, fetch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fetch=%v", g.name, fetch), func(t *testing.T) {
+				refs := localityStream(200000)
+				if fetch {
+					for i := range refs {
+						refs[i] &^= 3
+					}
+				}
+				twins := make([]*Cache, len(grid))
+				members := make([]*Cache, len(grid))
+				for i, cfg := range grid {
+					twins[i], members[i] = MustNew(cfg), MustNew(cfg)
+					for _, w := range refs {
+						twins[i].Access(w&^3, w&RefWrite != 0)
+					}
+				}
+				bank := BankOf(members...)
+				state := uint32(12345)
+				for off := 0; off < len(refs); {
+					state = state*1664525 + 1013904223
+					end := min(off+int(state>>20)%700, len(refs))
+					if fetch {
+						bank.AccessBatchFetch(refs[off:end])
+					} else {
+						bank.AccessBatch(refs[off:end])
+					}
+					off = end
+				}
+				for i, c := range members {
+					if c.Stats() != twins[i].Stats() {
+						t.Errorf("%v: bank %+v, scalar %+v", grid[i], c.Stats(), twins[i].Stats())
+					}
+				}
+			})
+		}
+	}
+}

@@ -170,22 +170,30 @@ func TestForEachContextCancelSerial(t *testing.T) {
 	}
 }
 
+// TestForEachContextCancelParallel pins the cancellation contract under
+// any schedule: once cancel() has returned, the cancelling worker starts
+// no more tasks and every other worker starts at most one (it may have
+// checked the context just before), so at most workers-1 in all.
 func TestForEachContextCancelParallel(t *testing.T) {
+	const workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	err := ForEachContext(ctx, 4, 1000, func(i int) error {
+	var ran, late atomic.Int64
+	var cancelled atomic.Bool
+	err := ForEachContext(ctx, workers, 1000, func(i int) error {
+		if cancelled.Load() {
+			late.Add(1)
+		}
 		if ran.Add(1) == 10 {
 			cancel()
+			cancelled.Store(true)
 		}
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Each worker may finish its in-flight task; nothing close to the
-	// full range runs.
-	if got := ran.Load(); got > 20 {
-		t.Errorf("ran %d tasks after early cancellation", got)
+	if got := late.Load(); got > workers-1 {
+		t.Errorf("%d tasks started after cancel() returned, want at most %d", got, workers-1)
 	}
 }
 

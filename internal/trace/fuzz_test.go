@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 )
@@ -119,6 +120,68 @@ func FuzzReaderChunks(f *testing.F) {
 		for i := range direct {
 			if streamed[i] != direct[i] {
 				t.Fatalf("word %d: %#x vs %#x", i, streamed[i], direct[i])
+			}
+		}
+	})
+}
+
+// FuzzReplayMatchesScalar decodes the fuzz input into a reference
+// stream in a 64 KB address space, so most references hit a strip
+// filter, and requires the replay kernel's statistics to equal the
+// scalar reference's over the Table-2 grid and the kernel geometries.
+// Each 3-byte record is a kind, a run length and a word address: the
+// run touches consecutive words, so runs cross the kernel's partition
+// blocks and split same-block write runs between batches. Decoding
+// stops at 16K references, four partition blocks.
+func FuzzReplayMatchesScalar(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x02, 0x10, 0x00, 0x05, 0x10, 0x00, 0x01, 0x10, 0x40})
+	for _, seed := range []uint64{1, 2} {
+		var data []byte
+		for _, r := range randomRefs(seed, 600) {
+			data = append(data, byte(r.k)|byte(r.addr>>2)&0xfc)
+			data = binary.LittleEndian.AppendUint16(data, uint16(r.addr>>2))
+		}
+		f.Add(data)
+	}
+	// Fetches fill the first partition block up to a read; a write to
+	// the same word opens the next block, so the write's merge target is
+	// already consumed, and conflicting reads then evict the line.
+	var edge []byte
+	for left := replayBlockWords - 1; left > 0; left -= 64 {
+		edge = append(edge, byte(min(left, 64)-1)<<2, 0x00, 0x10)
+	}
+	edge = append(edge, 1, 0x00, 0x20, 2, 0x00, 0x20)
+	for k := byte(1); k <= 8; k++ {
+		edge = append(edge, 1, 0x00, 0x20+k)
+	}
+	f.Add(edge)
+	geoms := append(table2Geoms(), kernelGeoms...)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := &Recording{}
+		for ; len(data) >= 3 && rec.Len() < 1<<14; data = data[3:] {
+			word := uint32(binary.LittleEndian.Uint16(data[1:3]))
+			for j := uint32(0); j <= uint32(data[0]>>2); j++ {
+				addr := (word + j) << 2 & 0xfffc
+				switch data[0] & 3 {
+				case 0:
+					rec.Fetch(addr)
+				case 1:
+					rec.Read(addr)
+				default:
+					rec.Write(addr)
+				}
+			}
+		}
+		want := scalarReplay(t, rec, geoms)
+		pairs := newPairs(t, geoms)
+		if err := Replay(context.Background(), rec.Chunks(), pairs, nil); err != nil {
+			t.Fatal(err)
+		}
+		for g, p := range pairs {
+			if p.I.Stats() != want[g].i || p.D.Stats() != want[g].d {
+				t.Fatalf("%v: I=%+v D=%+v, want I=%+v D=%+v", geoms[g],
+					p.I.Stats(), p.D.Stats(), want[g].i, want[g].d)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 
+	"jmtam/internal/cache"
 	"jmtam/internal/mem"
 	"jmtam/internal/obs"
 )
@@ -40,7 +41,7 @@ func (r *Recording) Chunks() Source { return &cursor{chunks: r.chunks()} }
 const replayBlockWords = 1 << 12
 
 // Hooks are the replay kernel's optional observers. With both nil (or
-// a nil *Hooks) the kernel runs the batched partition path; with either
+// a nil *Hooks) the kernel runs the batched, stripped path; with either
 // set, every pair is driven reference by reference so each miss can be
 // observed. Cache statistics are identical either way.
 type Hooks struct {
@@ -71,8 +72,10 @@ type sampler struct {
 // yields statistics identical to having attached them during
 // simulation. Without hooks each block of packed words is decoded once
 // and partitioned into a fetch stream and a data stream (write flag in
-// bit 0), and every pair's caches consume the partitions with their
-// batch kernels while the block is hot in L1.
+// bit 0), which a cache.Bank of the pairs' I-caches and one of their
+// D-caches consume while the block is hot in L1; the banks strip the
+// references that are most-recently-used hits and count them unprobed.
+// With hooks every reference probes every pair, unstripped.
 //
 // The context is checked before every chunk; on cancellation Replay
 // returns ctx.Err() and the pairs' statistics are partial and must be
@@ -94,8 +97,14 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 			}}
 		}
 	}
+	var ib, db *cache.Bank
 	var fetch, data []uint32
 	if h == nil {
+		is, ds := make([]*cache.Cache, len(pairs)), make([]*cache.Cache, len(pairs))
+		for i, p := range pairs {
+			is[i], ds[i] = p.I, p.D
+		}
+		ib, db = cache.BankOf(is...), cache.BankOf(ds...)
 		fetch = make([]uint32, 0, replayBlockWords)
 		data = make([]uint32, 0, replayBlockWords)
 	}
@@ -116,7 +125,13 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 			return err
 		}
 		if h == nil {
-			fetch, data = replayChunk(c, pairs, fetch, data)
+			for off := 0; off < len(c); off += replayBlockWords {
+				fetch, data = partition(c[off:min(off+replayBlockWords, len(c))], fetch[:0], data[:0])
+				// The I-caches only ever see this read-only fetch
+				// stream, so the no-dirty-state kernels apply.
+				ib.AccessBatchFetch(fetch)
+				db.AccessBatch(data)
+			}
 			continue
 		}
 		for i, p := range pairs {
@@ -137,23 +152,6 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 		}
 	}
 	return nil
-}
-
-// replayChunk partitions one packed chunk block by block and drives
-// every pair's I and D caches while each block is hot in L1; fetch and
-// data are reusable scratch buffers, returned for reuse.
-func replayChunk(c []uint32, pairs []Pair, fetch, data []uint32) ([]uint32, []uint32) {
-	for off := 0; off < len(c); off += replayBlockWords {
-		end := min(off+replayBlockWords, len(c))
-		fetch, data = partition(c[off:end], fetch[:0], data[:0])
-		for _, p := range pairs {
-			// The I-cache only ever sees this read-only fetch
-			// stream, so the no-dirty-state kernel applies.
-			p.I.AccessBatchFetch(fetch)
-			p.D.AccessBatch(data)
-		}
-	}
-	return fetch, data
 }
 
 // partition decodes one block of packed trace words into the

@@ -111,7 +111,7 @@ func newPairs(t *testing.T, geoms []cache.Config) []Pair {
 }
 
 // TestReplayKernelEquivalence drives the replay kernel over every
-// combination of chunk source, hook set, geometry count and trace
+// combination of chunk source, hook set, geometry set and trace
 // length — lengths straddle the partition-block and chunk boundaries —
 // and requires cache statistics, miss attribution and density samples
 // identical to the scalar reference.
@@ -121,8 +121,9 @@ func TestReplayKernelEquivalence(t *testing.T) {
 	for _, n := range lengths {
 		rec := record(randomRefs(uint64(n)+11, n))
 		srcs := sources(t, rec)
-		for _, ng := range []int{1, 3, 8} {
-			geoms := kernelGeoms[:ng]
+		// The last set is the Table-2 grid: ten strip stages in one bank.
+		for _, geoms := range [][]cache.Config{kernelGeoms[:1], kernelGeoms[:3], kernelGeoms, table2Geoms()} {
+			ng := len(geoms)
 			want := scalarReplay(t, rec, geoms)
 			for _, srcName := range []string{"packed", "streamed"} {
 				for _, hook := range []string{"none", "attribution", "sampling", "both"} {
