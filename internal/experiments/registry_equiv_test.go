@@ -19,10 +19,12 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata golden files"
 
 // goldenRun pins one (implementation, workload, mesh size) simulation:
 // the SHA-256 of its recorded reference stream(s) plus the headline
-// counters. The goldens were generated before the backend registry
-// refactor, so this suite asserts the capability-driven codegen emits
-// byte-identical instruction streams and reference traces for every
-// pre-registry backend.
+// counters. The goldens of the four pre-registry backends at N=1 and
+// N=4 were generated before the backend registry refactor, so this
+// suite asserts the capability-driven codegen emits byte-identical
+// instruction streams and reference traces for them; the offload, aa
+// and N=8 entries were added later, from the same code, to pin every
+// backend on the lockstep mesh.
 type goldenRun struct {
 	Impl         string `json:"impl"`
 	Program      string `json:"program"`
@@ -55,7 +57,10 @@ func hashRecordings(recs []*trace.Recording) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// recordGolden runs one golden cell and returns its pinned form.
+// recordGolden runs one golden cell and returns its pinned form. A
+// NIC-offload backend's NIC streams hash after the compute streams,
+// each behind its own node marker; other backends record none, so
+// their digests cover the compute streams alone.
 func recordGolden(w Workload, impl core.Impl, nodes int) (goldenRun, error) {
 	g := goldenRun{
 		Impl: impl.String(), Program: w.Name, Arg: w.Arg, Nodes: nodes,
@@ -67,7 +72,7 @@ func recordGolden(w Workload, impl core.Impl, nodes int) (goldenRun, error) {
 		}
 		g.Instructions = r.Instructions
 		g.Ticks = r.Ticks
-		g.TraceSHA256 = hashRecordings(recs)
+		g.TraceSHA256 = hashRecordings(append(recs, r.nicRecs...))
 		return g, nil
 	}
 	r, rec, err := RecordOne(w, impl, core.Options{})
@@ -75,30 +80,29 @@ func recordGolden(w Workload, impl core.Impl, nodes int) (goldenRun, error) {
 		return g, err
 	}
 	g.Instructions = r.Instructions
-	g.TraceSHA256 = hashRecordings([]*trace.Recording{rec})
+	g.TraceSHA256 = hashRecordings(append([]*trace.Recording{rec}, r.nicRecs...))
 	return g, nil
 }
 
-// TestRegistryEquivalence asserts that every pre-registry backend still
+// TestRegistryEquivalence asserts that every registry backend still
 // produces byte-identical reference traces and identical instruction and
-// tick counts for the six benchmarks at N=1 and N=4. Regenerate with
+// tick counts for the six benchmarks at N=1, N=4 and N=8. Regenerate with
 // `go test ./internal/experiments -run TestRegistryEquivalence -update`
 // only when an intentional simulator-semantics change lands.
 func TestRegistryEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden matrix skipped in -short mode")
 	}
-	impls := []core.Impl{core.ImplMD, core.ImplAM, core.ImplAMEnabled, core.ImplOAM}
 	type cell struct {
 		w     Workload
 		impl  core.Impl
 		nodes int
 	}
 	var cells []cell
-	for _, impl := range impls {
+	for _, b := range core.Backends() {
 		for _, w := range QuickWorkloads() {
-			for _, n := range []int{1, 4} {
-				cells = append(cells, cell{w, impl, n})
+			for _, n := range []int{1, 4, 8} {
+				cells = append(cells, cell{w, b.Impl, n})
 			}
 		}
 	}
