@@ -105,22 +105,33 @@ func BenchmarkBlockSweep(b *testing.B) {
 }
 
 // BenchmarkSimulator measures raw simulation throughput (simulated
-// instructions per second) per benchmark and implementation, without
-// cache fan-out.
+// instructions and elapsed ticks per second) per benchmark and
+// implementation, without cache fan-out: MD and AM on one node, and MD,
+// AM, offload and aa on an 8-node mesh (sub-benchmarks <prog>/n8/<impl>,
+// so `-bench 'Simulator/.*/n8'` selects the mesh alone).
 func BenchmarkSimulator(b *testing.B) {
+	run := func(name, sub string, impl Impl, nodes int) {
+		b.Run(name+sub+impl.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var instrs, ticks uint64
+			for i := 0; i < b.N; i++ {
+				res, err := Run(impl, Benchmark(name, quickArg(name)), Options{Nodes: nodes})
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += res.Instructions
+				ticks += res.Ticks
+			}
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
+			b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "ticks/s")
+		})
+	}
 	for _, name := range BenchmarkNames() {
 		for _, impl := range []Impl{MD, AM} {
-			b.Run(name+"/"+impl.String(), func(b *testing.B) {
-				var instrs uint64
-				for i := 0; i < b.N; i++ {
-					res, err := Run(impl, Benchmark(name, quickArg(name)), Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					instrs += res.Instructions
-				}
-				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
-			})
+			run(name, "/", impl, 1)
+		}
+		for _, impl := range []Impl{MD, AM, Offload, AA} {
+			run(name, "/n8/", impl, 8)
 		}
 	}
 }

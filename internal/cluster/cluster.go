@@ -13,6 +13,14 @@
 // core.ClusterSim, with per-node runtime state in each machine's
 // private system data and the frame/heap segments shared but
 // partitioned for allocation.
+//
+// The lockstep loop steps only awake nodes. A node whose step makes no
+// progress (idle, or parked at WAIT) sleeps until a delivery reaches it,
+// the only event that can change that; awake nodes step in node order,
+// so sends, shared frame/heap accesses and ticks are exactly those of
+// stepping every node on every tick. Each run starts with every node
+// awake, so a host Inject between runs is safe, and recovers once: a
+// fault while stepping or delivering becomes an error.
 package cluster
 
 import (
@@ -45,10 +53,14 @@ type Cluster struct {
 	// interface serviced it directly, without dispatching a handler
 	// (Active Access style remote memory operations). Returning false
 	// falls through to normal queue injection. The hook may send reply
-	// messages via Net.Send at the given tick. Set before running.
+	// messages via Net.Send at the given tick, but must not keep m or
+	// m.Words after it returns (the network reuses both). Set before
+	// running.
 	Service func(tick uint64, m *netsim.Message) (bool, error)
 
-	tick uint64
+	tick   uint64
+	asleep []bool // per node: its last step made no progress
+	dst    int    // destination of the delivery in progress
 }
 
 // New wires the machines' routers to a fresh mesh. Each machine must
@@ -59,7 +71,7 @@ func New(machines []*machine.Machine, cfg netsim.Config) (*Cluster, error) {
 	if len(machines) > net.Nodes() {
 		return nil, fmt.Errorf("cluster: %d machines exceed %d-node mesh", len(machines), net.Nodes())
 	}
-	c := &Cluster{Net: net, Machines: machines}
+	c := &Cluster{Net: net, Machines: machines, asleep: make([]bool, len(machines))}
 	for i, m := range machines {
 		node := i
 		m.SetRouter(node, func(dst, pri int, ws []word.Word) error {
@@ -122,10 +134,24 @@ func (c *Cluster) Run(maxTicks uint64) error {
 
 // RunContext is Run with cooperative cancellation: the context is
 // polled every few thousand ticks, so a cancelled (or hung) cluster
-// run stops promptly with an error wrapping ctx.Err().
-func (c *Cluster) RunContext(ctx context.Context, maxTicks uint64) error {
+// run stops promptly with an error wrapping ctx.Err(). A simulation
+// fault on a node, or while delivering to one, stops the run with an
+// error wrapping machine.ErrTrap.
+func (c *Cluster) RunContext(ctx context.Context, maxTicks uint64) (err error) {
 	const pollTicks = 1 << 13
 	nextPoll := c.tick + pollTicks
+	clear(c.asleep)
+	stepping := -1 // the node being stepped, or -1 between steps
+	defer func() {
+		if r := recover(); r != nil {
+			if stepping >= 0 {
+				err = c.Machines[stepping].Fault(r)
+			} else {
+				err = fmt.Errorf("cluster: %w: %v (delivering to node %d at tick %d)",
+					machine.ErrTrap, r, c.dst, c.tick)
+			}
+		}
+	}()
 	for {
 		if c.tick >= nextPoll {
 			nextPoll = c.tick + pollTicks
@@ -134,13 +160,19 @@ func (c *Cluster) RunContext(ctx context.Context, maxTicks uint64) error {
 			}
 		}
 		progress := false
-		for _, m := range c.Machines {
-			ok, err := m.StepOne()
+		for i, m := range c.Machines {
+			if c.asleep[i] {
+				continue
+			}
+			stepping = i
+			ok, err := m.Step()
 			if err != nil {
 				return err
 			}
 			progress = progress || ok
+			c.asleep[i] = !ok
 		}
+		stepping = -1
 		c.tick++
 		before := c.Net.Delivered
 		if err := c.deliverDue(); err != nil {
@@ -148,7 +180,7 @@ func (c *Cluster) RunContext(ctx context.Context, maxTicks uint64) error {
 		}
 		// Quiescence requires that this tick neither stepped a machine
 		// nor delivered a message: a delivery can wake an idle machine,
-		// so it counts as progress even when every StepOne came up dry.
+		// so it counts as progress even when every Step came up dry.
 		if !progress && c.Net.Delivered == before {
 			if c.Net.Pending() == 0 {
 				return nil
@@ -170,12 +202,14 @@ func (c *Cluster) RunContext(ctx context.Context, maxTicks uint64) error {
 
 func (c *Cluster) deliverDue() error {
 	return c.Net.Deliver(c.tick, func(m *netsim.Message) error {
+		c.dst = m.Dst
 		if c.Service != nil {
 			done, err := c.Service(c.tick, m)
 			if done || err != nil {
 				return err
 			}
 		}
+		c.asleep[m.Dst] = false
 		return c.Machines[m.Dst].Inject(m.Pri, m.Words)
 	})
 }

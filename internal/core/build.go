@@ -203,13 +203,13 @@ func (s *Sim) RunContext(ctx context.Context) error {
 // for the next Sim. Call it only after extracting every statistic and
 // verification result; the machine must not run or be inspected through
 // Host afterwards. Close is optional (an unclosed Sim is merely garbage)
-// and safe to call once on any Sim, including one whose Run failed.
+// and safe to call once on any Sim, including one whose Run failed. On
+// a mesh it does nothing: the nodes share node 0's frame and heap
+// segments, so only ClusterSim.Close returns their memory, all at once.
 func (s *Sim) Close() {
-	if s.M == nil {
-		return
+	if s.cs.C == nil {
+		s.cs.Close()
 	}
-	s.M.Mem.Release()
-	s.M.Mem = nil
 }
 
 // tracer returns the node's reference consumer: the explicit Tracer

@@ -50,9 +50,10 @@ type ClusterSim struct {
 // materialized in every node's system data with the frame and heap bump
 // allocators partitioned across nodes, the program's Setup run through
 // the node-aware Host, and (for the AM backends) the scheduler booted
-// on every node. One node takes pooled memory and no network; a mesh
-// shares node 0's frame and heap segments and wires every machine's
-// router to the netsim mesh.
+// on every node. Every node takes pooled memory. One node has no
+// network; on a mesh every other node's memory is a view sharing node
+// 0's frame and heap segments, and every machine's router is wired to
+// the netsim mesh.
 func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -76,17 +77,14 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 	ms := make([]*machine.Machine, nodes)
 	heapBumps := make([]uint32, nodes)
 	for k := range ms {
+		// Pooled: a sweep builds one simulation per (workload, impl)
+		// cell, and zeroing fresh 24 MB segments per cell dominated
+		// the record phase. Close returns the memory.
 		var m *mem.Memory
-		switch {
-		case nodes == 1:
-			// Pooled: a sweep builds one simulation per (workload,
-			// impl) cell, and zeroing fresh 24 MB segments per cell
-			// dominated the record phase. Close returns the memory.
+		if k == 0 {
 			m = mem.GetDefault()
-		case k == 0:
-			m = mem.NewDefault()
-		default:
-			m = mem.NewShared(ms[0].Mem, mem.DefaultSysDataWords)
+		} else {
+			m = mem.GetView(ms[0].Mem)
 		}
 		ms[k] = machine.NewMachine(m, c.Code, cfg)
 
@@ -421,10 +419,15 @@ func (cs *ClusterSim) where() string {
 	return fmt.Sprintf("core: %s/%s", cs.Prog.Name, cs.Impl)
 }
 
-// Close releases every node's pooled resources (see Sim.Close).
+// Close releases every node's pooled memory, under the rules of
+// Sim.Close. Nodes release in reverse order, so every view of node 0's
+// memory folds its frame and heap watermarks into node 0's before that
+// memory goes back to the pool.
 func (cs *ClusterSim) Close() {
-	for _, s := range cs.Sims {
-		s.Close()
+	for k := len(cs.Sims) - 1; k >= 0; k-- {
+		m := cs.Sims[k].M
+		m.Mem.Release()
+		m.Mem = nil
 	}
 }
 

@@ -139,7 +139,7 @@ func TestMessageProtocolFaults(t *testing.T) {
 	}
 }
 
-func TestStepOneAndIdle(t *testing.T) {
+func TestStepAndIdle(t *testing.T) {
 	m, user := buildMachine(t, func(s *asm.Segment) {
 		s.Label("main")
 		s.MovI(0, 1)
@@ -149,8 +149,8 @@ func TestStepOneAndIdle(t *testing.T) {
 	if !m.Idle() {
 		t.Error("fresh machine not idle")
 	}
-	if ok, err := m.StepOne(); ok || err != nil {
-		t.Errorf("StepOne on idle machine: %v %v", ok, err)
+	if ok, err := m.Step(); ok || err != nil {
+		t.Errorf("Step on idle machine: %v %v", ok, err)
 	}
 	m.Inject(Low, []word.Word{word.Ptr(user.Addr("main"))})
 	if m.Idle() {
@@ -158,7 +158,7 @@ func TestStepOneAndIdle(t *testing.T) {
 	}
 	steps := 0
 	for {
-		ok, err := m.StepOne()
+		ok, err := m.Step()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -218,18 +218,12 @@ func (m *Machine) SetRouter(node int, r Router) {
 // Node returns the machine's node id (0 on a uniprocessor).
 func (m *Machine) Node() int { return m.nodeID }
 
-// StepOne executes at most one instruction, reporting whether progress
+// Step executes at most one instruction, reporting whether progress
 // was made; it does not treat an empty machine as halted, so a cluster
-// driver can keep delivering network messages to it. Simulation faults
-// surface as errors.
-func (m *Machine) StepOne() (progress bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.halted = true
-			err = fmt.Errorf("%w: %v (node %d, low ip=%#x high ip=%#x after %d instructions)",
-				ErrTrap, r, m.nodeID, m.ip[Low], m.ip[High], m.instrs)
-		}
-	}()
+// driver can keep delivering network messages to it. A simulation fault
+// panics: a driver stepping many machines recovers once around its loop
+// and converts the panic value with Fault.
+func (m *Machine) Step() (progress bool, err error) {
 	if m.halted {
 		return false, m.trapErr
 	}
@@ -247,6 +241,15 @@ func (m *Machine) StepOne() (progress bool, err error) {
 		return true, fmt.Errorf("%w: instruction limit %d exceeded", ErrTrap, m.cfg.MaxInstructions)
 	}
 	return true, m.trapErr
+}
+
+// Fault halts the machine after Step panicked with r and returns the
+// trap error, naming the node, both instruction pointers and the
+// instruction count.
+func (m *Machine) Fault(r any) error {
+	m.halted = true
+	return fmt.Errorf("%w: %v (node %d, low ip=%#x high ip=%#x after %d instructions)",
+		ErrTrap, r, m.nodeID, m.ip[Low], m.ip[High], m.instrs)
 }
 
 // Idle reports whether the machine has no runnable task and empty

@@ -6,6 +6,11 @@
 // WordBytes bytes. Code segments hold instructions (one instruction per
 // word address) and are touched only by instruction fetch; data segments
 // hold tagged words.
+//
+// Pooled memories clear only the stored prefix of each segment on
+// Release. A mesh node other than node 0 takes a GetView of node 0's
+// memory; its frame and heap stores land in that base, so releasing the
+// view folds its watermarks into the base: release views before the base.
 package mem
 
 import (
@@ -102,11 +107,12 @@ type Memory struct {
 	// dominant allocation cost of a record-once simulation.
 	used [3]uint32
 
-	// poolable marks memories born from GetDefault. Release is a no-op
-	// for every other memory: New/NewDefault callers own theirs, and a
-	// NewShared view aliases segments whose stores bypass the base's
-	// watermarks.
+	// poolable marks memories born from GetDefault or GetView. Release
+	// is a no-op for every other memory: New/NewDefault callers own
+	// theirs.
 	poolable bool
+	// base is the memory a GetView view aliases, nil otherwise.
+	base *Memory
 }
 
 // New returns an empty memory with all data segments allocated to their
@@ -167,8 +173,29 @@ func GetDefault() *Memory {
 	return defaultPool.Get().(*Memory)
 }
 
+// viewPool recycles views with their default-size system-data segments.
+var viewPool = sync.Pool{
+	New: func() any {
+		return &Memory{sysData: make([]word.Word, DefaultSysDataWords), poolable: true}
+	},
+}
+
+// GetView returns a pooled memory that aliases base's frame and heap
+// segments and owns a private, cleared default-size system-data segment:
+// a mesh node's view of node 0's memory, where frames and I-structures
+// form one global store (partitioned by the runtime's per-node bump
+// allocators) and message queues, runtime globals and the LCV stay
+// node-private. Release the view before base.
+func GetView(base *Memory) *Memory {
+	v := viewPool.Get().(*Memory)
+	v.frames, v.heap, v.base = base.frames, base.heap, base
+	return v
+}
+
 // Release clears the stored prefix of each segment and returns the
-// memory to the pool. It is a no-op unless m came from GetDefault, so
+// memory to the pool. A view clears only its system data and folds its
+// frame and heap watermarks into its base, whose own Release clears
+// them. It is a no-op unless m came from GetDefault or GetView, so
 // callers may release unconditionally. The caller must not use m
 // afterwards.
 func (m *Memory) Release() {
@@ -176,30 +203,17 @@ func (m *Memory) Release() {
 		return
 	}
 	clear(m.sysData[:m.used[0]])
+	if b := m.base; b != nil {
+		b.used[1] = max(b.used[1], m.used[1])
+		b.used[2] = max(b.used[2], m.used[2])
+		*m = Memory{sysData: m.sysData, poolable: true}
+		viewPool.Put(m)
+		return
+	}
 	clear(m.frames[:m.used[1]])
 	clear(m.heap[:m.used[2]])
 	m.used = [3]uint32{}
 	defaultPool.Put(m)
-}
-
-// NewShared returns a memory that aliases base's frame and heap segments
-// but owns a private system-data segment of sysDataWords words. A
-// multi-node cluster gives every node a NewShared view of node 0's
-// memory: frames and I-structures form one global store (partitioned
-// between nodes by the runtime's per-node bump allocators), while
-// message queues, runtime globals and the LCV stay node-private.
-func NewShared(base *Memory, sysDataWords int) *Memory {
-	if sysDataWords < 0 {
-		sysDataWords = 0
-	}
-	if uint32(sysDataWords) > SysDataWords {
-		sysDataWords = int(SysDataWords)
-	}
-	return &Memory{
-		sysData: make([]word.Word, sysDataWords),
-		frames:  base.frames,
-		heap:    base.heap,
-	}
 }
 
 func (m *Memory) locate(addr uint32) ([]word.Word, uint32, int) {

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -147,12 +149,105 @@ func TestReleaseIgnoresUnpooledMemories(t *testing.T) {
 	if got := m.Load(HeapBase).AsInt(); got != 7 {
 		t.Fatalf("Release cleared an unpooled memory: %d", got)
 	}
-	s := NewShared(m, 1024)
-	s.Store(FrameBase, word.Int(9))
-	s.Release()
+	v := GetView(m)
+	v.Store(FrameBase, word.Int(9))
+	v.Release()
+	m.Release()
 	if got := m.Load(FrameBase).AsInt(); got != 9 {
-		t.Fatalf("Release cleared a shared view's aliased segment: %d", got)
+		t.Fatalf("Release cleared a view's aliased segment: %d", got)
 	}
 	var nilMem *Memory
 	nilMem.Release() // nil receiver is a no-op too
+}
+
+// Edge addresses of the default-size segments.
+var (
+	sysEdges   = []uint32{SysDataBase, SysDataBase + 4*(DefaultSysDataWords-1)}
+	frameEdges = []uint32{FrameBase, FrameBase + 4*(DefaultFrameWords-1)}
+	heapEdges  = []uint32{HeapBase, HeapBase + 4*(DefaultHeapWords-1)}
+)
+
+// meshMemory takes a pooled base and views of it, as a mesh does, and
+// stores v at the edges of every memory's system data. The last view
+// also stores at the top frame and heap words and the first view at the
+// bottom ones, so releasing the views in reverse order checks that the
+// base keeps the highest watermark, not the last one folded.
+func meshMemory(views int, v int64) []*Memory {
+	ms := []*Memory{GetDefault()}
+	for i := 0; i < views; i++ {
+		ms = append(ms, GetView(ms[0]))
+	}
+	for _, m := range ms {
+		for _, a := range sysEdges {
+			m.Store(a, word.Int(v))
+		}
+	}
+	ms[len(ms)-1].Store(frameEdges[1], word.Int(v))
+	ms[len(ms)-1].Store(heapEdges[1], word.Int(v))
+	ms[1].Store(frameEdges[0], word.Int(v))
+	ms[1].Store(heapEdges[0], word.Int(v))
+	return ms
+}
+
+// checkZero reports every edge address m reads as non-zero.
+func checkZero(t *testing.T, what string, m *Memory) {
+	t.Helper()
+	for _, edges := range [][]uint32{sysEdges, frameEdges, heapEdges} {
+		for _, a := range edges {
+			if w := m.Load(a); w != (word.Word{}) {
+				t.Errorf("%s: addr %#x = %+v, want zero word", what, a, w)
+			}
+		}
+	}
+}
+
+// release hands views back before their base, in reverse order.
+func release(ms []*Memory) {
+	for i := len(ms) - 1; i >= 0; i-- {
+		ms[i].Release()
+	}
+}
+
+// TestPooledViewsComeBackZeroed releases a base with several views
+// after stores at every segment edge: every later base and view,
+// including a view of a different base, must read zero there.
+func TestPooledViewsComeBackZeroed(t *testing.T) {
+	ms := meshMemory(3, 42)
+	if got := ms[0].LoadInt(frameEdges[1]); got != 42 {
+		t.Fatalf("base reads %d through a view's frame store, want 42", got)
+	}
+	release(ms)
+	for i := 0; i < 4; i++ {
+		ms := []*Memory{GetDefault()}
+		ms = append(ms, GetView(ms[0]), GetView(ms[0]), GetView(ms[0]))
+		other := GetView(NewDefault())
+		for k, m := range append(ms, other) {
+			checkZero(t, fmt.Sprintf("round %d memory %d", i, k), m)
+		}
+		other.Release()
+		release(ms)
+		release(meshMemory(3, int64(i)+1))
+	}
+}
+
+// TestPooledViewsConcurrent builds and releases base-and-views sets
+// from two goroutines at once, as a sweep running two mesh cells does.
+func TestPooledViewsConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				ms := []*Memory{GetDefault()}
+				ms = append(ms, GetView(ms[0]), GetView(ms[0]))
+				for k, m := range ms {
+					checkZero(t, fmt.Sprintf("goroutine %d round %d memory %d", g, i, k), m)
+				}
+				release(ms)
+				release(meshMemory(2, int64(g+1)))
+			}
+		}()
+	}
+	wg.Wait()
 }

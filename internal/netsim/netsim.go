@@ -74,6 +74,7 @@ type Network struct {
 	cfg      Config
 	inflight msgHeap
 	seq      uint64
+	free     []*Message // delivered messages, words included, for Send to reuse
 
 	// Statistics.
 	Sent        uint64
@@ -124,9 +125,15 @@ func (n *Network) Send(src, dst, pri int, ws []word.Word, now uint64) error {
 		return fmt.Errorf("netsim: destination %d outside %dx%d mesh",
 			dst, n.cfg.Width, n.cfg.Height)
 	}
-	m := &Message{
+	var m *Message
+	if k := len(n.free); k > 0 {
+		m, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		m = new(Message)
+	}
+	*m = Message{
 		Src: src, Dst: dst, Pri: pri,
-		Words: append([]word.Word(nil), ws...),
+		Words: append(m.Words[:0], ws...),
 		due:   now + n.Latency(src, dst, len(ws)),
 		seq:   n.seq,
 	}
@@ -157,7 +164,9 @@ func (n *Network) Pending() int { return len(n.inflight) }
 
 // Deliver pops every message due at or before now, invoking f for each
 // in delivery order. If f returns an error (e.g. a full destination
-// queue), the message is dropped and the error returned.
+// queue), the message is dropped and the error returned. f may Send;
+// it must not keep m or m.Words after it returns, because the network
+// then reuses both for a later Send.
 func (n *Network) Deliver(now uint64, f func(m *Message) error) error {
 	for len(n.inflight) > 0 && n.inflight[0].due <= now {
 		m := heap.Pop(&n.inflight).(*Message)
@@ -165,6 +174,7 @@ func (n *Network) Deliver(now uint64, f func(m *Message) error) error {
 		if err := f(m); err != nil {
 			return fmt.Errorf("netsim: delivering %d->%d: %w", m.Src, m.Dst, err)
 		}
+		n.free = append(n.free, m)
 	}
 	return nil
 }

@@ -138,3 +138,54 @@ func TestNextDue(t *testing.T) {
 		t.Errorf("NextDue = %d, %v", due, ok)
 	}
 }
+
+// TestDeliverRecyclesMessages checks that a delivered message, word
+// buffer included, is reused only after Deliver's callback returns: a
+// reply sent from inside the callback must leave the message being
+// delivered intact, and a steady send/deliver cycle allocates nothing.
+func TestDeliverRecyclesMessages(t *testing.T) {
+	n := New(Config{Width: 2, Height: 1, Base: 1})
+	req := []word.Word{word.Int(1), word.Int(2), word.Int(3)}
+	var got [][]word.Word
+	now := uint64(0)
+	cycle := func() {
+		now += 100
+		err := n.Deliver(now, func(m *Message) error {
+			if m.Dst == 1 {
+				if err := n.Send(1, 0, 0, []word.Word{word.Int(9)}, now); err != nil {
+					return err
+				}
+			}
+			got = append(got, m.Words)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Send(0, 1, 0, req, now); err != nil {
+		t.Fatal(err)
+	}
+	cycle()
+	if len(got) != 1 || len(got[0]) != 3 || got[0][2] != word.Int(3) {
+		t.Fatalf("request delivered as %v, want %v", got, req)
+	}
+	cycle()
+	if len(got) != 2 || len(got[1]) != 1 || got[1][0] != word.Int(9) {
+		t.Fatalf("reply delivered as %v, want [9]", got[1:])
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		got = got[:0]
+		if err := n.Send(0, 1, 0, req, now); err != nil {
+			t.Fatal(err)
+		}
+		cycle()
+		cycle()
+	})
+	if allocs != 0 {
+		t.Errorf("send/deliver cycle allocates %.1f times, want 0", allocs)
+	}
+	if n.Pending() != 0 || n.Delivered != n.Sent {
+		t.Errorf("pending %d, delivered %d of %d sent", n.Pending(), n.Delivered, n.Sent)
+	}
+}
