@@ -169,9 +169,14 @@ func main() {
 	flag.Parse()
 
 	geom := jmtam.CacheConfig{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}
+	// MD uses the hardware queue as its task queue, and a doubly
+	// recursive fib buffers far more pending calls than the MDP's
+	// 1K-word queue holds (fib(15) peaks at 264 messages): run both
+	// backends on the largest queue the memory map reserves.
+	opt := jmtam.Options{QueueCapWords: 1 << 14}
 	fmt.Printf("fib(%d) as a custom TAM program\n\n", *n)
 	for _, impl := range []jmtam.Impl{jmtam.MD, jmtam.AM} {
-		res, err := jmtam.Run(impl, fibProgram(*n), jmtam.Options{}, geom)
+		res, err := jmtam.Run(impl, fibProgram(*n), opt, geom)
 		if err != nil {
 			log.Fatal(err)
 		}

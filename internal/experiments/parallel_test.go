@@ -10,14 +10,39 @@ import (
 	"jmtam/internal/core"
 	"jmtam/internal/obs"
 	"jmtam/internal/programs"
+	"jmtam/internal/trace"
 )
+
+// scalarStats is the reference replay: Recording.Do plus one
+// cache.Access per reference into a fresh pair of the geometry, the
+// accesses an inline per-reference fan-out would make.
+func scalarStats(t *testing.T, rec *trace.Recording, geom cache.Config) CacheStats {
+	t.Helper()
+	p, err := trace.NewPair(geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Do(func(k trace.Kind, addr uint32) {
+		if k == trace.KindFetch {
+			p.I.Access(addr, false)
+		} else {
+			p.D.Access(addr, k == trace.KindWrite)
+		}
+	})
+	return CacheStats{
+		Config:     geom,
+		IMisses:    p.I.Stats().Misses,
+		DMisses:    p.D.Stats().Misses,
+		Writebacks: p.D.Stats().Writebacks,
+	}
+}
 
 // TestReplayEquivalence asserts the engine's core invariant across the
 // fan-out's shapes: singleton geometry groups (workers >= geometries),
 // one group over all geometries, and the attributing replay all yield
-// miss and writeback counts identical to attaching that geometry's pair
-// inline during simulation (the pre-record/replay collector path), for
-// every quick workload and both implementations.
+// miss and writeback counts identical to the scalar reference replay of
+// a separately built simulation's recording, for every quick workload
+// and both implementations.
 func TestReplayEquivalence(t *testing.T) {
 	geoms := []cache.Config{
 		{SizeBytes: 1 * 1024, BlockBytes: 64, Assoc: 1},
@@ -26,7 +51,8 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 	for _, w := range QuickWorkloads() {
 		for _, impl := range []core.Impl{core.ImplMD, core.ImplAM} {
-			// Reference: the inline collector fan-out.
+			// Reference: a plain Sim with a recording attached, replayed
+			// one reference at a time.
 			spec, err := programs.ByName(w.Name)
 			if err != nil {
 				t.Fatal(err)
@@ -35,22 +61,14 @@ func TestReplayEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, g := range geoms {
-				if _, err := sim.Collector.AddPair(g); err != nil {
-					t.Fatal(err)
-				}
-			}
+			ref := &trace.Recording{}
+			sim.Tracer = ref
 			if err := sim.Run(); err != nil {
 				t.Fatal(err)
 			}
 			want := make([]CacheStats, len(geoms))
-			for g, p := range sim.Collector.Pairs {
-				want[g] = CacheStats{
-					Config:     p.I.Config(),
-					IMisses:    p.I.Stats().Misses,
-					DMisses:    p.D.Stats().Misses,
-					Writebacks: p.D.Stats().Writebacks,
-				}
+			for g, geom := range geoms {
+				want[g] = scalarStats(t, ref, geom)
 			}
 
 			// Record once; replay through both fan-out shapes.
@@ -58,9 +76,9 @@ func TestReplayEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Counts != sim.Collector.Counts {
-				t.Errorf("%s/%v: replay counts %+v != inline %+v",
-					w.Name, impl, r.Counts, sim.Collector.Counts)
+			if r.Counts != ref.Counts {
+				t.Errorf("%s/%v: replay counts %+v != reference %+v",
+					w.Name, impl, r.Counts, ref.Counts)
 			}
 			if r.Instructions != sim.M.Instructions() {
 				t.Errorf("%s/%v: instructions %d != %d", w.Name, impl, r.Instructions, sim.M.Instructions())
@@ -77,11 +95,11 @@ func TestReplayEquivalence(t *testing.T) {
 			vectorized := append([]CacheStats(nil), r.Caches...)
 			for g := range geoms {
 				if scalar[g] != want[g] {
-					t.Errorf("%s/%v geom %v: scalar replay %+v != inline %+v",
+					t.Errorf("%s/%v geom %v: scalar replay %+v != reference %+v",
 						w.Name, impl, geoms[g], scalar[g], want[g])
 				}
 				if vectorized[g] != want[g] {
-					t.Errorf("%s/%v geom %v: vectorized replay %+v != inline %+v",
+					t.Errorf("%s/%v geom %v: vectorized replay %+v != reference %+v",
 						w.Name, impl, geoms[g], vectorized[g], want[g])
 				}
 			}
@@ -95,7 +113,7 @@ func TestReplayEquivalence(t *testing.T) {
 			}
 			for g := range geoms {
 				if rObs.Caches[g] != want[g] {
-					t.Errorf("%s/%v geom %v: attributing replay %+v != inline %+v",
+					t.Errorf("%s/%v geom %v: attributing replay %+v != reference %+v",
 						w.Name, impl, geoms[g], rObs.Caches[g], want[g])
 				}
 				var attributed uint64

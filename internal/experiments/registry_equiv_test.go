@@ -6,11 +6,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"jmtam/internal/core"
+	"jmtam/internal/mem"
 	"jmtam/internal/parallel"
 	"jmtam/internal/trace"
 )
@@ -57,30 +59,49 @@ func hashRecordings(recs []*trace.Recording) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// recount classifies every reference of rec again with mem.Classify:
+// the reference for the per-class Counts the machine keeps as it
+// records.
+func recount(rec *trace.Recording) trace.Counts {
+	var c trace.Counts
+	rec.Do(func(k trace.Kind, addr uint32) {
+		switch cls := mem.Classify(addr); k {
+		case trace.KindFetch:
+			c.Fetches[cls]++
+		case trace.KindRead:
+			c.Reads[cls]++
+		default:
+			c.Writes[cls]++
+		}
+	})
+	return c
+}
+
 // recordGolden runs one golden cell and returns its pinned form. A
 // NIC-offload backend's NIC streams hash after the compute streams,
 // each behind its own node marker; other backends record none, so
-// their digests cover the compute streams alone.
+// their digests cover the compute streams alone. Every stream's Counts,
+// compute and NIC, must equal its recount.
 func recordGolden(w Workload, impl core.Impl, nodes int) (goldenRun, error) {
 	g := goldenRun{
 		Impl: impl.String(), Program: w.Name, Arg: w.Arg, Nodes: nodes,
 	}
-	if nodes > 1 {
-		r, recs, err := RecordCluster(w, impl, core.Options{Nodes: nodes})
-		if err != nil {
-			return g, err
-		}
-		g.Instructions = r.Instructions
-		g.Ticks = r.Ticks
-		g.TraceSHA256 = hashRecordings(append(recs, r.nicRecs...))
-		return g, nil
-	}
-	r, rec, err := RecordOne(w, impl, core.Options{})
+	r, recs, err := RecordCluster(w, impl, core.Options{Nodes: nodes})
 	if err != nil {
 		return g, err
 	}
 	g.Instructions = r.Instructions
-	g.TraceSHA256 = hashRecordings(append([]*trace.Recording{rec}, r.nicRecs...))
+	if nodes > 1 {
+		g.Ticks = r.Ticks
+	}
+	streams := append(recs, r.nicRecs...)
+	for k, rec := range streams {
+		if c := recount(rec); c != rec.Counts {
+			return g, fmt.Errorf("%s/%v n=%d stream %d: counts %+v, recount %+v",
+				w.Name, impl, nodes, k, rec.Counts, c)
+		}
+	}
+	g.TraceSHA256 = hashRecordings(streams)
 	return g, nil
 }
 

@@ -187,8 +187,16 @@ func TestCodeStoreAccessors(t *testing.T) {
 	if cs.SysWords() != 1 || cs.UserWords() != 2 {
 		t.Errorf("sizes = %d/%d", cs.SysWords(), cs.UserWords())
 	}
-	if cs.Fetch(mem.UserCodeBase+4).Op != isa.OpNop {
+	if in, cls := cs.Fetch(mem.UserCodeBase + 4); in == nil || in.Op != isa.OpNop || cls != mem.ClassUserCode {
 		t.Error("fetch decoded wrong instruction")
+	}
+	if in, cls := cs.Fetch(mem.SysCodeBase); in == nil || in.Op != isa.OpHalt || cls != mem.ClassSysCode {
+		t.Error("fetch decoded wrong system instruction")
+	}
+	for _, addr := range []uint32{mem.SysCodeBase + 4, mem.UserCodeBase + 8, mem.SysDataBase} {
+		if in, _ := cs.Fetch(addr); in != nil {
+			t.Errorf("fetch at %#x outside the code returned %v", addr, in.Op)
+		}
 	}
 }
 
@@ -204,8 +212,8 @@ func TestSetRegAndQueueAccessor(t *testing.T) {
 	if m.Queue(Low).CapWords() <= 0 {
 		t.Error("queue capacity not positive")
 	}
-	m.SetTracer(nil)   // restores no-op
-	m.SetObserver(nil) // restores no-op
+	m.SetTracer(nil, nil) // records nothing
+	m.SetObserver(nil)    // restores no-op
 	m.Inject(Low, []word.Word{word.Ptr(mem.UserCodeBase)})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)

@@ -7,17 +7,10 @@ import (
 	"jmtam/internal/asm"
 	"jmtam/internal/isa"
 	"jmtam/internal/mem"
+	"jmtam/internal/queue"
+	"jmtam/internal/trace"
 	"jmtam/internal/word"
 )
-
-// countTracer records reference counts.
-type countTracer struct {
-	fetches, reads, writes int
-}
-
-func (c *countTracer) Fetch(uint32) { c.fetches++ }
-func (c *countTracer) Read(uint32)  { c.reads++ }
-func (c *countTracer) Write(uint32) { c.writes++ }
 
 // buildMachine assembles user code with build and returns the machine
 // plus the user segment (system segment empty).
@@ -315,16 +308,16 @@ func TestTracerCounts(t *testing.T) {
 		s.LDAbs(1, resultAddr) // fetch + read
 		s.Suspend()            // fetch
 	})
-	tr := &countTracer{}
-	m.SetTracer(tr)
+	tr := &trace.Recording{}
+	m.SetTracer(tr, nil)
 	m.Inject(Low, []word.Word{word.Ptr(user.Addr("main"))})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Dispatch reads the header word; queue writes are untraced here
 	// because CountQueueWrites is off in this bare configuration.
-	if tr.fetches != 4 || tr.reads != 2 || tr.writes != 1 {
-		t.Errorf("counts = %+v, want fetches=4 reads=2 writes=1", *tr)
+	if tr.TotalFetches() != 4 || tr.TotalReads() != 2 || tr.TotalWrites() != 1 || tr.Len() != 7 {
+		t.Errorf("counts = %+v over %d refs, want fetches=4 reads=2 writes=1", tr.Counts, tr.Len())
 	}
 	if m.Instructions() != 4 {
 		t.Errorf("instructions = %d, want 4", m.Instructions())
@@ -341,12 +334,12 @@ func TestQueueWriteTracing(t *testing.T) {
 	user.Finish()
 	m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), user.Code()),
 		Config{CountQueueWrites: true})
-	tr := &countTracer{}
-	m.SetTracer(tr)
+	tr := &trace.Recording{}
+	m.SetTracer(tr, nil)
 	// A three-word injection buffers three words into queue memory.
 	m.Inject(Low, []word.Word{word.Ptr(user.Addr("main")), word.Int(1), word.Int(2)})
-	if tr.writes != 3 {
-		t.Errorf("queue buffering traced %d writes, want 3", tr.writes)
+	if tr.TotalWrites() != 3 || tr.Len() != 3 {
+		t.Errorf("queue buffering traced %d writes in %d refs, want 3", tr.TotalWrites(), tr.Len())
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -370,16 +363,16 @@ func TestPairedQueueWriteTracing(t *testing.T) {
 	}{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}} {
 		m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), user.Code()),
 			Config{CountQueueWrites: true, PairedQueueWrites: true})
-		tr := &countTracer{}
-		m.SetTracer(tr)
+		tr := &trace.Recording{}
+		m.SetTracer(tr, nil)
 		ws := []word.Word{word.Ptr(user.Addr("main"))}
 		for len(ws) < tc.words {
 			ws = append(ws, word.Int(int64(len(ws))))
 		}
 		m.Inject(Low, ws)
-		if tr.writes != tc.writes {
-			t.Errorf("%d-word injection traced %d queue writes, want %d",
-				tc.words, tr.writes, tc.writes)
+		if tr.TotalWrites() != uint64(tc.writes) || tr.Len() != tc.writes {
+			t.Errorf("%d-word injection traced %d queue writes in %d refs, want %d",
+				tc.words, tr.TotalWrites(), tr.Len(), tc.writes)
 		}
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -405,7 +398,7 @@ func TestQueueOverflowSurfacesAsError(t *testing.T) {
 		Config{QueueCapWords: 16, MaxInstructions: 100000})
 	// Keep interrupts disabled so the HP queue can only fill.
 	m.Boot(user.Addr("flood"))
-	if err := m.Run(); !errors.Is(err, ErrTrap) {
+	if err := m.Run(); !errors.Is(err, ErrTrap) || !errors.Is(err, queue.ErrOverflow) {
 		t.Errorf("err = %v, want queue-overflow trap", err)
 	}
 }

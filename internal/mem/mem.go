@@ -253,6 +253,20 @@ func (m *Memory) Store(addr uint32, w word.Word) {
 	}
 }
 
+// StoreWords writes ws to consecutive words starting at byte address
+// addr, with one segment lookup and one bounds check for the run.
+func (m *Memory) StoreWords(addr uint32, ws []word.Word) {
+	seg, i, s := m.locate(addr)
+	end := i + uint32(len(ws))
+	if end > uint32(len(seg)) {
+		panic(fmt.Sprintf("mem: store beyond segment at %#x", addr))
+	}
+	copy(seg[i:end], ws)
+	if end > m.used[s] {
+		m.used[s] = end
+	}
+}
+
 // LoadInt is a convenience accessor returning the integer view at addr.
 func (m *Memory) LoadInt(addr uint32) int64 { return m.Load(addr).AsInt() }
 

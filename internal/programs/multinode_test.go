@@ -104,9 +104,10 @@ func TestClusterN1MatchesUniprocessor(t *testing.T) {
 				}
 				defer ref.Close()
 				refRec, refNIC := &trace.Recording{}, &trace.Recording{}
-				ref.M.SetTracer(refRec)
 				if nic {
-					ref.M.SetNICTracer(refNIC)
+					ref.M.SetTracer(refRec, refNIC)
+				} else {
+					ref.M.SetTracer(refRec, nil)
 				}
 				ref.M.SetObserver(ref.Gran)
 				cl, err := cluster.New([]*machine.Machine{ref.M}, netsim.DefaultConfig(1))

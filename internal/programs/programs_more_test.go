@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jmtam/internal/core"
+	"jmtam/internal/trace"
 )
 
 func TestQS(t *testing.T) {
@@ -83,11 +84,12 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sim.Tracer = &trace.Recording{}
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return sim.M.Instructions(), sim.Collector.TotalReads(),
-			sim.Collector.TotalWrites(), sim.Gran.Quanta
+		return sim.M.Instructions(), sim.Tracer.TotalReads(),
+			sim.Tracer.TotalWrites(), sim.Gran.Quanta
 	}
 	i1, r1, w1, q1 := snapshot()
 	i2, r2, w2, q2 := snapshot()

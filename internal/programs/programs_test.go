@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jmtam/internal/core"
+	"jmtam/internal/trace"
 )
 
 var testImpls = []core.Impl{core.ImplAM, core.ImplMD, core.ImplAMEnabled, core.ImplOAM}
@@ -16,6 +17,7 @@ func run(t *testing.T, impl core.Impl, prog *core.Program) *core.Sim {
 	if err != nil {
 		t.Fatalf("Build(%v, %s): %v", impl, prog.Name, err)
 	}
+	sim.Tracer = &trace.Recording{}
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run(%v, %s): %v", impl, prog.Name, err)
 	}

@@ -70,9 +70,9 @@ func TestAccessRatios(t *testing.T) {
 	for _, s := range quick() {
 		md := run(t, core.ImplMD, s.Build(s.Arg))
 		am := run(t, core.ImplAM, s.Build(s.Arg))
-		sumR += float64(md.Collector.TotalReads()) / float64(am.Collector.TotalReads())
-		sumW += float64(md.Collector.TotalWrites()) / float64(am.Collector.TotalWrites())
-		sumF += float64(md.Collector.TotalFetches()) / float64(am.Collector.TotalFetches())
+		sumR += float64(md.Tracer.TotalReads()) / float64(am.Tracer.TotalReads())
+		sumW += float64(md.Tracer.TotalWrites()) / float64(am.Tracer.TotalWrites())
+		sumF += float64(md.Tracer.TotalFetches()) / float64(am.Tracer.TotalFetches())
 		n++
 	}
 	r, w, f := sumR/float64(n), sumW/float64(n), sumF/float64(n)

@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,9 +11,16 @@ import (
 	"jmtam/internal/word"
 )
 
-// store builds a Store writing into a map, for inspection.
-func mapStore(m map[uint32]word.Word) Store {
-	return func(addr uint32, w word.Word) { m[addr] = w }
+// enqueue places ws in q and buffers its words into the map m, as the
+// machine buffers them into simulated memory.
+func enqueue(q *Queue, m map[uint32]word.Word, ws []word.Word) (Msg, error) {
+	msg, err := q.Place(len(ws))
+	if err == nil {
+		for i, w := range ws {
+			m[msg.Base+uint32(i)*mem.WordBytes] = w
+		}
+	}
+	return msg, err
 }
 
 func wordsOf(vs ...int64) []word.Word {
@@ -26,7 +35,7 @@ func TestFIFOOrder(t *testing.T) {
 	m := make(map[uint32]word.Word)
 	q := New(0x1000, 64)
 	for i := int64(0); i < 5; i++ {
-		if _, err := q.Enqueue(wordsOf(i, i*10), mapStore(m)); err != nil {
+		if _, err := enqueue(q, m, wordsOf(i, i*10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,9 +60,9 @@ func TestFIFOOrder(t *testing.T) {
 func TestRingAdvances(t *testing.T) {
 	m := make(map[uint32]word.Word)
 	q := New(0x1000, 64)
-	msg1, _ := q.Enqueue(wordsOf(1), mapStore(m))
+	msg1, _ := enqueue(q, m, wordsOf(1))
 	q.Consume()
-	msg2, _ := q.Enqueue(wordsOf(2), mapStore(m))
+	msg2, _ := enqueue(q, m, wordsOf(2))
 	if msg2.Base == msg1.Base {
 		t.Error("ring did not advance across an idle period")
 	}
@@ -64,11 +73,11 @@ func TestWrapBetweenMessages(t *testing.T) {
 	q := New(0x1000, 8)
 	// Fill to near the end, consume, then enqueue something that must
 	// wrap to the base.
-	if _, err := q.Enqueue(wordsOf(1, 2, 3, 4, 5, 6), mapStore(m)); err != nil {
+	if _, err := enqueue(q, m, wordsOf(1, 2, 3, 4, 5, 6)); err != nil {
 		t.Fatal(err)
 	}
 	q.Consume()
-	msg, err := q.Enqueue(wordsOf(7, 8, 9, 10), mapStore(m))
+	msg, err := enqueue(q, m, wordsOf(7, 8, 9, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,29 +95,29 @@ func TestWrapBetweenMessages(t *testing.T) {
 func TestOverflow(t *testing.T) {
 	m := make(map[uint32]word.Word)
 	q := New(0x1000, 8)
-	if _, err := q.Enqueue(wordsOf(1, 2, 3, 4, 5), mapStore(m)); err != nil {
+	if _, err := enqueue(q, m, wordsOf(1, 2, 3, 4, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Enqueue(wordsOf(6, 7, 8, 9), mapStore(m)); err == nil {
+	if _, err := enqueue(q, m, wordsOf(6, 7, 8, 9)); err == nil {
 		t.Error("overflow not detected")
 	}
 	// Draining frees the space.
 	q.Consume()
-	if _, err := q.Enqueue(wordsOf(6, 7, 8, 9), mapStore(m)); err != nil {
+	if _, err := enqueue(q, m, wordsOf(6, 7, 8, 9)); err != nil {
 		t.Errorf("enqueue after drain failed: %v", err)
 	}
 }
 
 func TestOversizeMessage(t *testing.T) {
 	q := New(0x1000, 4)
-	if _, err := q.Enqueue(make([]word.Word, 5), mapStore(map[uint32]word.Word{})); err == nil {
+	if _, err := enqueue(q, map[uint32]word.Word{}, make([]word.Word, 5)); err == nil {
 		t.Error("oversize message accepted")
 	}
 }
 
 func TestEmptyMessageRejected(t *testing.T) {
 	q := New(0x1000, 8)
-	if _, err := q.Enqueue(nil, mapStore(map[uint32]word.Word{})); err == nil {
+	if _, err := enqueue(q, map[uint32]word.Word{}, nil); err == nil {
 		t.Error("empty message accepted")
 	}
 }
@@ -116,8 +125,8 @@ func TestEmptyMessageRejected(t *testing.T) {
 func TestHighWater(t *testing.T) {
 	m := make(map[uint32]word.Word)
 	q := New(0x1000, 64)
-	q.Enqueue(wordsOf(1, 2, 3), mapStore(m))
-	q.Enqueue(wordsOf(4, 5), mapStore(m))
+	enqueue(q, m, wordsOf(1, 2, 3))
+	enqueue(q, m, wordsOf(4, 5))
 	q.Consume()
 	q.Consume()
 	if hw := q.HighWater(); hw != 5 {
@@ -157,7 +166,7 @@ func TestRandomTrafficProperty(t *testing.T) {
 					vals[i] = next
 					next++
 				}
-				if _, err := q.Enqueue(wordsOf(vals...), mapStore(m)); err != nil {
+				if _, err := enqueue(q, m, wordsOf(vals...)); err != nil {
 					next -= int64(n) // overflow: roll back
 				}
 			} else if msg, ok := q.Front(); ok {
@@ -177,5 +186,49 @@ func TestRandomTrafficProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOverflowIsTyped requires both kinds of overflow, no room and a
+// message larger than the queue, to match ErrOverflow, and the no-room
+// text to name the high-water mark.
+func TestOverflowIsTyped(t *testing.T) {
+	q := New(0x1000, 8)
+	if _, err := q.Place(5); err != nil {
+		t.Fatal(err)
+	}
+	_, err := q.Place(4)
+	if !errors.Is(err, ErrOverflow) {
+		t.Fatalf("err = %v, want ErrOverflow", err)
+	}
+	if !strings.Contains(err.Error(), "high water 5") {
+		t.Errorf("overflow text %q does not name the high-water mark", err)
+	}
+	if _, err := q.Place(9); !errors.Is(err, ErrOverflow) {
+		t.Errorf("oversize err = %v, want ErrOverflow", err)
+	}
+}
+
+// TestSteadyTrafficAllocatesNothing keeps a queue that never empties
+// busy: once its pending ring has grown to the peak number of messages,
+// placing and consuming a message allocates nothing.
+func TestSteadyTrafficAllocatesNothing(t *testing.T) {
+	q := New(0x1000, 64)
+	for i := 0; i < 3; i++ {
+		if _, err := q.Place(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := q.Place(2); err != nil {
+			t.Fatal(err)
+		}
+		q.Consume()
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per enqueue/consume, want 0", allocs)
+	}
+	if q.Len() != 3 {
+		t.Errorf("Len = %d, want 3", q.Len())
 	}
 }

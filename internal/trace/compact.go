@@ -359,7 +359,7 @@ func Decompact(data []byte) (*Recording, error) {
 			return nil, err
 		}
 		for _, w := range c {
-			rec.pushWord(w)
+			rec.Add(w)
 		}
 	}
 	rec.Counts = rd.Counts()

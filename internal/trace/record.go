@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"sync"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
@@ -44,55 +45,86 @@ func Decode(w uint32) (Kind, uint32) {
 // hot loop while bounding slack to one chunk.
 const chunkWords = 1 << 16
 
-// Recording is a compact in-memory reference trace. It implements
-// machine.Tracer, so a simulation records its stream by running with a
-// Recording attached; Replay then streams the recording through cache
-// pairs. Recording once and replaying per geometry turns the N-geometry
-// fan-out into N independent, parallelizable passes instead of N
-// synchronous Access calls per reference inside the simulator loop.
+// chunkPool recycles chunks between recordings (see Release). A
+// recycled chunk is never cleared: a recording reads only the prefix it
+// appended itself.
+var chunkPool = sync.Pool{New: func() any { return new([chunkWords]uint32) }}
+
+// Recording is a compact in-memory reference trace and the execution
+// engine's only reference sink: a simulation records its stream by
+// running with a Recording attached, and Replay then streams the
+// recording through cache pairs. Recording once and replaying per
+// geometry turns the N-geometry fan-out into N independent,
+// parallelizable passes.
 //
 // Each reference costs four bytes ({kind:2, addr:30} packed words in
-// chunked append-only buffers); Counts are accumulated at record time
-// exactly as Collector does, so a Recording is a drop-in source for the
-// §3.1 reference-class statistics.
+// chunked append-only buffers). Counts hold the §3.1 per-class
+// reference counts and are exact at every moment: Fetch, Read and
+// Write classify and count each reference, while the machine's hot
+// path appends with Add and counts the class where it already knows
+// it.
 type Recording struct {
 	Counts
 	full [][]uint32 // completed chunks
 	tail []uint32   // active chunk, cap chunkWords
 }
 
-func (r *Recording) push(k Kind, addr uint32) {
-	r.pushWord(Encode(k, addr))
-}
-
-// pushWord appends one already-packed trace word, maintaining the
-// standard chunk layout. Counts are the caller's responsibility.
-func (r *Recording) pushWord(w uint32) {
+// Add appends one packed trace word without counting it; the caller
+// adds the reference to Counts. It is small enough to inline into the
+// interpreter loop.
+func (r *Recording) Add(w uint32) {
 	if len(r.tail) == cap(r.tail) {
-		if r.tail != nil {
-			r.full = append(r.full, r.tail)
-		}
-		r.tail = make([]uint32, 0, chunkWords)
+		r.seal()
 	}
 	r.tail = append(r.tail, w)
 }
 
-// Fetch records an instruction fetch.
+// seal retires the full active chunk and starts a pooled one. It stays
+// out of line so that Add inlines.
+//
+//go:noinline
+func (r *Recording) seal() {
+	if r.tail != nil {
+		r.full = append(r.full, r.tail)
+	}
+	r.tail = chunkPool.Get().(*[chunkWords]uint32)[:0]
+}
+
+// Release empties the stream and returns its chunks to a pool that
+// later recordings draw from; Counts are kept. Nothing may read the
+// recording's chunks (Chunks, Do, replay) afterwards. Release is
+// optional: an unreleased recording is merely garbage.
+func (r *Recording) Release() {
+	for _, c := range append(r.full, r.tail) {
+		if cap(c) == chunkWords {
+			chunkPool.Put((*[chunkWords]uint32)(c[:chunkWords]))
+		}
+	}
+	r.full, r.tail = nil, nil
+}
+
+// Fetch records an instruction fetch. A nil recording records nothing.
 func (r *Recording) Fetch(addr uint32) {
-	r.Fetches[mem.Classify(addr)]++
-	r.push(KindFetch, addr)
+	if r != nil {
+		r.Fetches[mem.Classify(addr)]++
+		r.Add(Encode(KindFetch, addr))
+	}
 }
 
-// Read records a data read.
+// Read records a data read. A nil recording records nothing.
 func (r *Recording) Read(addr uint32) {
-	r.Reads[mem.Classify(addr)]++
-	r.push(KindRead, addr)
+	if r != nil {
+		r.Reads[mem.Classify(addr)]++
+		r.Add(Encode(KindRead, addr))
+	}
 }
 
-// Write records a data write.
+// Write records a data write. A nil recording records nothing.
 func (r *Recording) Write(addr uint32) {
-	r.Writes[mem.Classify(addr)]++
-	r.push(KindWrite, addr)
+	if r != nil {
+		r.Writes[mem.Classify(addr)]++
+		r.Add(Encode(KindWrite, addr))
+	}
 }
 
 // Len returns the number of recorded references.

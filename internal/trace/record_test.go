@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"maps"
+	"sync"
 	"testing"
 
 	"jmtam/internal/cache"
@@ -30,30 +31,42 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordingCountsMatchCollector(t *testing.T) {
-	var rec Recording
-	var col Collector
-	for i := uint32(0); i < 100; i++ {
-		for _, tr := range []machineTracer{&rec, &col} {
-			tr.Fetch(mem.UserCodeBase + 4*i)
-			tr.Read(mem.HeapBase + 4*i)
-			tr.Write(mem.FrameBase + 4*i)
-			tr.Read(mem.SysDataBase + 4*(i%8))
+// recount classifies every recorded reference again, the reference for
+// a recording's Counts.
+func recount(rec *Recording) Counts {
+	var c Counts
+	rec.Do(func(k Kind, addr uint32) {
+		switch k {
+		case KindFetch:
+			c.Fetches[mem.Classify(addr)]++
+		case KindRead:
+			c.Reads[mem.Classify(addr)]++
+		default:
+			c.Writes[mem.Classify(addr)]++
 		}
-	}
-	if rec.Counts != col.Counts {
-		t.Errorf("recording counts %+v != collector counts %+v", rec.Counts, col.Counts)
-	}
-	if rec.Len() != 400 {
-		t.Errorf("Len = %d, want 400", rec.Len())
-	}
+	})
+	return c
 }
 
-// machineTracer mirrors machine.Tracer without importing the package.
-type machineTracer interface {
-	Fetch(uint32)
-	Read(uint32)
-	Write(uint32)
+func TestRecordingCountsMatchClassify(t *testing.T) {
+	var rec Recording
+	for i := uint32(0); i < 100; i++ {
+		rec.Fetch(mem.UserCodeBase + 4*i)
+		rec.Read(mem.HeapBase + 4*i)
+		rec.Write(mem.FrameBase + 4*i)
+		rec.Read(mem.SysDataBase + 4*(i%8))
+		rec.Fetch(mem.SysCodeBase + 4*i)
+	}
+	if got := recount(&rec); rec.Counts != got {
+		t.Errorf("recording counts %+v != recount %+v", rec.Counts, got)
+	}
+	if rec.Len() != 500 {
+		t.Errorf("Len = %d, want 500", rec.Len())
+	}
+	var none *Recording // a nil recording records nothing
+	none.Fetch(mem.UserCodeBase)
+	none.Read(mem.HeapBase)
+	none.Write(mem.HeapBase)
 }
 
 func TestRecordingChunkRollover(t *testing.T) {
@@ -80,55 +93,38 @@ func TestRecordingChunkRollover(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesInlineFanOut drives an identical synthetic stream
-// through an inline Collector pair and a record/replay pass, and
-// requires identical cache statistics.
+// TestReplayMatchesInlineFanOut drives a synthetic stream through the
+// replay kernel and through the inline fan-out it replaces — every
+// reference probing every pair as it happens, the scalar reference of
+// scalarReplay — and requires identical cache statistics.
 func TestReplayMatchesInlineFanOut(t *testing.T) {
 	cfgs := []cache.Config{
 		{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
 		{SizeBytes: 8192, BlockBytes: 8, Assoc: 4},
 	}
-	var col Collector
-	for _, cfg := range cfgs {
-		if _, err := col.AddPair(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var rec Recording
-	emit := func(tr machineTracer) {
-		// A stream with reuse, conflict misses and dirty evictions.
-		for i := uint32(0); i < 3000; i++ {
-			tr.Fetch(mem.UserCodeBase + 4*(i%700))
-			tr.Read(mem.HeapBase + 64*(i%50))
-			if i%3 == 0 {
-				tr.Write(mem.FrameBase + 64*(i%90))
-			}
-			if i%7 == 0 {
-				tr.Read(mem.HeapBase + 1024*i%0x10000)
-			}
+	// A stream with reuse, conflict misses and dirty evictions.
+	for i := uint32(0); i < 3000; i++ {
+		rec.Fetch(mem.UserCodeBase + 4*(i%700))
+		rec.Read(mem.HeapBase + 64*(i%50))
+		if i%3 == 0 {
+			rec.Write(mem.FrameBase + 64*(i%90))
+		}
+		if i%7 == 0 {
+			rec.Read(mem.HeapBase + 1024*i%0x10000)
 		}
 	}
-	emit(&col)
-	emit(&rec)
-	pairs := make([]Pair, len(cfgs))
-	for i, cfg := range cfgs {
-		var err error
-		if pairs[i], err = NewPair(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
+	pairs := newPairs(t, cfgs)
 	rec.ReplayAll(pairs)
+	want := scalarReplay(t, &rec, cfgs)
 	for i, cfg := range cfgs {
-		p, want := pairs[i], col.Pairs[i]
-		if p.I.Stats() != want.I.Stats() {
-			t.Errorf("%v: replayed I stats %+v != inline %+v", cfg, p.I.Stats(), want.I.Stats())
-		}
-		if p.D.Stats() != want.D.Stats() {
-			t.Errorf("%v: replayed D stats %+v != inline %+v", cfg, p.D.Stats(), want.D.Stats())
+		if p := pairs[i]; p.I.Stats() != want[i].i || p.D.Stats() != want[i].d {
+			t.Errorf("%v: replayed I/D stats %+v/%+v != inline %+v/%+v",
+				cfg, p.I.Stats(), p.D.Stats(), want[i].i, want[i].d)
 		}
 	}
-	if rec.Counts != col.Counts {
-		t.Errorf("counts diverged: %+v vs %+v", rec.Counts, col.Counts)
+	if want[0].d.Writebacks == 0 {
+		t.Error("stream produced no writebacks; test data too small")
 	}
 }
 
@@ -250,4 +246,71 @@ func TestMissDensityTrackEmitsCounters(t *testing.T) {
 			t.Errorf("label %q: counter tracks %v, want %v", label, names, want)
 		}
 	}
+}
+
+// TestReleasedChunksNeverLeak records a long stream, releases it, and
+// records a shorter one that draws the recycled chunks: the second
+// recording reads back exactly its own references and counts, never a
+// stale word of the first.
+func TestReleasedChunksNeverLeak(t *testing.T) {
+	var old Recording
+	for i := 0; i < 2*chunkWords+5; i++ {
+		old.Write(mem.HeapBase + uint32(4*i))
+	}
+	old.Release()
+	if old.Len() != 0 || old.TotalWrites() != 2*chunkWords+5 {
+		t.Errorf("after Release: Len = %d, writes = %d; want an empty stream and kept counts",
+			old.Len(), old.TotalWrites())
+	}
+	for _, n := range []int{0, 1, 7, chunkWords, chunkWords + 3} {
+		var rec Recording
+		for i := 0; i < n; i++ {
+			rec.Fetch(mem.UserCodeBase + uint32(4*(i%100)))
+		}
+		if rec.Len() != n {
+			t.Errorf("n=%d: Len = %d", n, rec.Len())
+		}
+		i := 0
+		rec.Do(func(k Kind, addr uint32) {
+			if want := mem.UserCodeBase + uint32(4*(i%100)); k != KindFetch || addr != want {
+				t.Fatalf("n=%d: ref %d = (%d, %#x), want (KindFetch, %#x)", n, i, k, addr, want)
+			}
+			i++
+		})
+		if got := recount(&rec); i != n || rec.Counts != got {
+			t.Errorf("n=%d: Do visited %d refs, counts %+v, recount %+v", n, i, rec.Counts, got)
+		}
+		rec.Release()
+	}
+}
+
+// TestReleaseConcurrent records and releases from two goroutines at
+// once, so the race detector sees the shared chunk pool.
+func TestReleaseConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				var rec Recording
+				n := chunkWords + 100*g + round
+				for i := 0; i < n; i++ {
+					rec.Read(mem.FrameBase + uint32(4*(g+2*i)))
+				}
+				i := 0
+				rec.Do(func(_ Kind, addr uint32) {
+					if addr != mem.FrameBase+uint32(4*(g+2*i)) {
+						t.Errorf("goroutine %d: ref %d = %#x", g, i, addr)
+					}
+					i++
+				})
+				if i != n {
+					t.Errorf("goroutine %d: %d refs, want %d", g, i, n)
+				}
+				rec.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }

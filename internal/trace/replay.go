@@ -67,10 +67,9 @@ type sampler struct {
 }
 
 // Replay streams src through every pair in one pass: fetches probe the
-// instruction caches, reads and writes the data caches — exactly the
-// accesses Collector issues inline, so replaying into fresh pairs
-// yields statistics identical to having attached them during
-// simulation. Without hooks each block of packed words is decoded once
+// instruction caches, reads and writes the data caches, so replaying
+// into fresh pairs yields statistics identical to probing them with
+// every reference during simulation. Without hooks each block of packed words is decoded once
 // and partitioned into a fetch stream and a data stream (write flag in
 // bit 0), which a cache.Bank of the pairs' I-caches and one of their
 // D-caches consume while the block is hot in L1; the banks strip the

@@ -1,15 +1,14 @@
 // Package trace consumes the execution engine's reference stream.
 //
-// A Collector counts fetches, reads and writes by reference class
-// (system/user x code/data, the paper's §3.1 classification) and fans
-// every reference out to any number of cache pairs, so one simulation
-// pass evaluates every cache geometry in the study simultaneously.
-//
-// A Recording instead captures the stream once — packed {kind:2,
-// addr:30} words, four bytes per reference — and replays it through
+// A Recording is the engine's one reference sink: it captures the
+// stream once — packed {kind:2, addr:30} words, four bytes per
+// reference — with exact per-class counts (system/user x code/data,
+// the paper's §3.1 classification), and Replay streams it through
 // cache pairs afterwards, turning the geometry fan-out into independent
 // passes that a worker pool can run concurrently. Replay is
-// bit-equivalent to the inline Collector fan-out.
+// bit-equivalent to probing every pair with every reference as it
+// happens. A recording that has been replayed can Release its chunks
+// to a pool, so the next simulation appends into recycled buffers.
 package trace
 
 import (
@@ -63,8 +62,8 @@ func (c *Counts) Add(o *Counts) {
 
 // AddTo folds the counts into an observability registry as
 // <prefix>ref.{fetch,read,write}.<class> counters, created even when
-// zero. A recording that replaces the inline collector leaves the run
-// finalizer nothing to fold, so its owner calls this instead.
+// zero. The run finalizer folds no reference counts, so a recording's
+// owner calls this.
 func (c *Counts) AddTo(r *obs.Registry, prefix string) {
 	for cls := mem.Class(0); cls < mem.NumClasses; cls++ {
 		name := cls.String()
@@ -100,57 +99,3 @@ func (p Pair) Misses() uint64 { return p.I.Stats().Misses + p.D.Stats().Misses }
 // Writebacks returns the data cache's writeback count (instruction caches
 // are read-only and never write back).
 func (p Pair) Writebacks() uint64 { return p.D.Stats().Writebacks }
-
-// Collector implements machine.Tracer. The zero value counts references;
-// attach cache pairs with AddPair.
-type Collector struct {
-	Counts
-	Pairs []Pair
-}
-
-// AddPair attaches a cache pair of the given geometry.
-func (c *Collector) AddPair(cfg cache.Config) (Pair, error) {
-	p, err := NewPair(cfg)
-	if err != nil {
-		return Pair{}, err
-	}
-	c.Pairs = append(c.Pairs, p)
-	return p, nil
-}
-
-// Fetch records an instruction fetch.
-func (c *Collector) Fetch(addr uint32) {
-	c.Fetches[mem.Classify(addr)]++
-	for i := range c.Pairs {
-		c.Pairs[i].I.Access(addr, false)
-	}
-}
-
-// Read records a data read.
-func (c *Collector) Read(addr uint32) {
-	c.Reads[mem.Classify(addr)]++
-	for i := range c.Pairs {
-		c.Pairs[i].D.Access(addr, false)
-	}
-}
-
-// Write records a data write.
-func (c *Collector) Write(addr uint32) {
-	c.Writes[mem.Classify(addr)]++
-	for i := range c.Pairs {
-		c.Pairs[i].D.Access(addr, true)
-	}
-}
-
-// Cycles returns total execution cycles for the pair at index i under the
-// given miss penalty: one cycle per instruction plus penalty cycles per
-// I- or D-miss. When countWritebacks is true, dirty evictions also cost a
-// memory transaction.
-func (c *Collector) Cycles(i int, missPenalty int, countWritebacks bool) uint64 {
-	p := c.Pairs[i]
-	cycles := c.TotalFetches() + uint64(missPenalty)*p.Misses()
-	if countWritebacks {
-		cycles += uint64(missPenalty) * p.Writebacks()
-	}
-	return cycles
-}

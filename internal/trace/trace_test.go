@@ -8,7 +8,7 @@ import (
 )
 
 func TestClassifiedCounting(t *testing.T) {
-	var c Collector
+	var c Recording
 	c.Fetch(mem.SysCodeBase)
 	c.Fetch(mem.UserCodeBase)
 	c.Fetch(mem.UserCodeBase + 4)
@@ -29,21 +29,19 @@ func TestClassifiedCounting(t *testing.T) {
 	}
 }
 
+// TestFanOut replays one stream through two pairs at once: both see
+// every reference.
 func TestFanOut(t *testing.T) {
-	var c Collector
-	p1, err := c.AddPair(cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.AddPair(cache.Config{SizeBytes: 8192, BlockBytes: 64, Assoc: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var c Recording
 	c.Fetch(mem.UserCodeBase)
 	c.Read(mem.HeapBase)
 	c.Write(mem.HeapBase + 4)
-	// Both pairs see every reference.
-	for i, p := range []Pair{p1, p2} {
+	pairs := newPairs(t, []cache.Config{
+		{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
+		{SizeBytes: 8192, BlockBytes: 64, Assoc: 4},
+	})
+	c.ReplayAll(pairs)
+	for i, p := range pairs {
 		if p.I.Stats().Accesses != 1 {
 			t.Errorf("pair %d: I accesses = %d", i, p.I.Stats().Accesses)
 		}
@@ -52,6 +50,7 @@ func TestFanOut(t *testing.T) {
 		}
 	}
 	// The write hit the block just read: one D miss, no writeback yet.
+	p1 := pairs[0]
 	if p1.D.Stats().Misses != 1 {
 		t.Errorf("D misses = %d, want 1", p1.D.Stats().Misses)
 	}
@@ -63,31 +62,7 @@ func TestFanOut(t *testing.T) {
 	}
 }
 
-func TestCycles(t *testing.T) {
-	var c Collector
-	if _, err := c.AddPair(cache.Config{SizeBytes: 64, BlockBytes: 64, Assoc: 1}); err != nil {
-		t.Fatal(err)
-	}
-	c.Fetch(mem.UserCodeBase) // I miss
-	c.Write(mem.HeapBase)     // D miss, dirty
-	c.Read(mem.HeapBase + 64) // D miss, evicts dirty -> writeback
-	// 3 instructions? No: fetches = 1. cycles = fetches + penalty*misses.
-	got := c.Cycles(0, 10, false)
-	want := uint64(1 + 10*3)
-	if got != want {
-		t.Errorf("cycles = %d, want %d", got, want)
-	}
-	gotWB := c.Cycles(0, 10, true)
-	if gotWB != want+10 {
-		t.Errorf("cycles with writebacks = %d, want %d", gotWB, want+10)
-	}
-}
-
-func TestAddPairRejectsBadGeometry(t *testing.T) {
-	var c Collector
-	if _, err := c.AddPair(cache.Config{SizeBytes: 100, BlockBytes: 64, Assoc: 1}); err == nil {
-		t.Error("bad geometry accepted")
-	}
+func TestNewPairRejectsBadGeometry(t *testing.T) {
 	if _, err := NewPair(cache.Config{SizeBytes: 100, BlockBytes: 64, Assoc: 1}); err == nil {
 		t.Error("NewPair accepted bad geometry")
 	}

@@ -176,8 +176,9 @@ func Float(v float64) Word { return word.Float(v) }
 func Ptr(a uint32) Word { return word.Ptr(a) }
 
 // Build compiles a program with the given backend, returning a
-// ready-to-run simulation. Attach cache geometries through
-// Sim.Collector.AddPair before calling Sim.Run.
+// ready-to-run simulation. To measure caches, attach a recording as
+// Sim.Tracer before calling Sim.Run and replay it afterwards; Run does
+// both.
 func Build(impl Impl, p *Program, opt Options) (*Sim, error) {
 	return core.Build(impl, p, opt)
 }

@@ -3,6 +3,9 @@ package jmtam
 import (
 	"strings"
 	"testing"
+
+	"jmtam/internal/experiments"
+	"jmtam/internal/trace"
 )
 
 func TestBenchmarkNames(t *testing.T) {
@@ -109,16 +112,41 @@ func TestWordHelpers(t *testing.T) {
 	}
 }
 
+// TestBuildFacade records a Build simulation and replays the recording
+// one reference at a time — the scalar reference — against Run's
+// counts and cache statistics for the same program and geometry.
 func TestBuildFacade(t *testing.T) {
+	geom := CacheConfig{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
 	sim, err := Build(MD, Benchmark("ss", 20), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Collector.AddPair(CacheConfig{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}); err != nil {
-		t.Fatal(err)
-	}
+	rec := &trace.Recording{}
+	sim.Tracer = rec
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
+	}
+	p, err := trace.NewPair(geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Do(func(k trace.Kind, addr uint32) {
+		if k == trace.KindFetch {
+			p.I.Access(addr, false)
+		} else {
+			p.D.Access(addr, k == trace.KindWrite)
+		}
+	})
+	res, err := Run(MD, Benchmark("ss", 20), Options{}, geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.CacheStats{Config: geom, IMisses: p.I.Stats().Misses,
+		DMisses: p.D.Stats().Misses, Writebacks: p.D.Stats().Writebacks}
+	if res.Instructions != sim.M.Instructions() || res.Reads != rec.TotalReads() ||
+		res.Writes != rec.TotalWrites() || res.Caches[0] != want {
+		t.Errorf("Run %+v disagrees with the scalar replay of Build's recording: instructions %d, reads %d, writes %d, caches %+v",
+			res, sim.M.Instructions(), rec.TotalReads(), rec.TotalWrites(), want)
 	}
 }
 
