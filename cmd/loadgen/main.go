@@ -44,6 +44,7 @@ import (
 
 	"jmtam/api"
 	"jmtam/internal/core"
+	"jmtam/internal/obs"
 )
 
 type tenantSpec struct {
@@ -409,17 +410,14 @@ func scrapeServer(base string) serverSummary {
 		return sv
 	}
 	defer resp.Body.Close()
-	var doc metricsDoc
-	if json.NewDecoder(resp.Body).Decode(&doc) != nil {
+	m, err := obs.ReadJSON(resp.Body)
+	if err != nil {
 		return sv
 	}
-	sv.ResultsServed = doc.Counters["results.served"]
-	sv.ResultsHits = doc.Counters["results.hits"]
-	if h, ok := doc.Histograms["job.latency.ms.run"]; ok {
-		sv.RunP50Ms, sv.RunP99Ms = h.Percentile(50), h.Percentile(99)
-	}
-	if h, ok := doc.Histograms["job.latency.ms.sweep"]; ok {
-		sv.SweepP50Ms, sv.SweepP99Ms = h.Percentile(50), h.Percentile(99)
-	}
+	sv.ResultsServed = m.Counter("results.served").Value()
+	sv.ResultsHits = m.Counter("results.hits").Value()
+	run, sweep := m.Histogram("job.latency.ms.run"), m.Histogram("job.latency.ms.sweep")
+	sv.RunP50Ms, sv.RunP99Ms = run.Percentile(50), run.Percentile(99)
+	sv.SweepP50Ms, sv.SweepP99Ms = sweep.Percentile(50), sweep.Percentile(99)
 	return sv
 }

@@ -24,51 +24,3 @@ func percentile(samples []float64, p float64) float64 {
 	}
 	return sorted[rank-1]
 }
-
-// metricsDoc mirrors the daemon's /metricz document (obs.Registry
-// WriteJSON format).
-type metricsDoc struct {
-	Counters   map[string]uint64    `json:"counters"`
-	Histograms map[string]histogram `json:"histograms"`
-}
-
-type histogram struct {
-	Count   uint64   `json:"count"`
-	Sum     uint64   `json:"sum"`
-	MinV    uint64   `json:"min"`
-	MaxV    uint64   `json:"max"`
-	Mean    float64  `json:"mean"`
-	Buckets []bucket `json:"buckets"`
-}
-
-type bucket struct {
-	Lo    uint64 `json:"lo"`
-	Hi    uint64 `json:"hi"`
-	Count uint64 `json:"count"`
-}
-
-// Percentile estimates the p-th percentile from the histogram's sparse
-// log2 buckets: the upper bound of the first bucket where the
-// cumulative count reaches ceil(p/100 * N), clamped to the recorded
-// max. An upper-bound estimate can only over-report a latency, so an
-// SLO that passes against it also holds for the true distribution.
-func (h histogram) Percentile(p float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.Count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for _, b := range h.Buckets {
-		cum += b.Count
-		if cum >= target {
-			if b.Hi > h.MaxV {
-				return h.MaxV
-			}
-			return b.Hi
-		}
-	}
-	return h.MaxV
-}

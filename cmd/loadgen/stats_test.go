@@ -1,8 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"strings"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -30,32 +31,10 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentileUpperBound(t *testing.T) {
-	// 10 observations: 4 in [1,1], 4 in [2,3], 2 in [8,15].
-	h := histogram{
-		Count: 10, MinV: 1, MaxV: 12,
-		Buckets: []bucket{
-			{Lo: 1, Hi: 1, Count: 4},
-			{Lo: 2, Hi: 3, Count: 4},
-			{Lo: 8, Hi: 15, Count: 2},
-		},
-	}
-	if got := h.Percentile(50); got != 3 {
-		t.Errorf("p50 = %d, want 3 (upper bound of the bucket reaching rank 5)", got)
-	}
-	// p99 lands in the top bucket, whose bound exceeds the recorded max:
-	// clamp to max so the estimate never invents latency beyond what was
-	// seen.
-	if got := h.Percentile(99); got != 12 {
-		t.Errorf("p99 = %d, want max 12", got)
-	}
-	if got := (histogram{}).Percentile(99); got != 0 {
-		t.Errorf("empty histogram p99 = %d, want 0", got)
-	}
-}
-
-func TestMetricsDocParsesRegistryOutput(t *testing.T) {
-	// A fragment in the exact shape obs.Registry.WriteJSON emits.
+// TestScrapeServerReadsRegistryOutput serves a /metricz document in
+// the exact shape obs.Registry.WriteJSON emits and checks the summary
+// loadgen distills from it. A histogram it lacks reads as no samples.
+func TestScrapeServerReadsRegistryOutput(t *testing.T) {
 	doc := `{
   "counters": {
     "results.hits": 3,
@@ -67,20 +46,20 @@ func TestMetricsDocParsesRegistryOutput(t *testing.T) {
   "histograms": {
     "job.latency.ms.run": {"count": 2, "sum": 30, "min": 10, "max": 20, "mean": 15.000, "buckets": [{"lo": 8, "hi": 15, "count": 1}, {"lo": 16, "hi": 31, "count": 1}]}
   }
-}`
-	var m metricsDoc
-	if err := json.NewDecoder(strings.NewReader(doc)).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Counters["results.hits"] != 3 || m.Counters["results.served"] != 2 {
-		t.Errorf("counters = %v", m.Counters)
-	}
-	h := m.Histograms["job.latency.ms.run"]
-	if h.Count != 2 || len(h.Buckets) != 2 {
-		t.Fatalf("histogram = %+v", h)
-	}
-	if got := h.Percentile(99); got != 20 {
-		t.Errorf("p99 = %d, want clamped max 20", got)
+}
+`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metricz" {
+			http.NotFound(w, r)
+			return
+		}
+		io.WriteString(w, doc)
+	}))
+	defer ts.Close()
+	// p99 is the top bucket's bound, 31, clamped to the recorded max.
+	want := serverSummary{ResultsServed: 2, ResultsHits: 3, RunP50Ms: 15, RunP99Ms: 20}
+	if got := scrapeServer(ts.URL); got != want {
+		t.Errorf("summary = %+v, want %+v", got, want)
 	}
 }
 

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -82,25 +85,156 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("registry JSON depends on insertion order:\n%s\nvs\n%s", a, b)
 	}
-	var parsed struct {
-		Counters   map[string]uint64          `json:"counters"`
-		Gauges     map[string]json.RawMessage `json:"gauges"`
-		Histograms map[string]struct {
-			Count   uint64 `json:"count"`
-			Buckets []struct {
-				Lo, Hi, Count uint64
-			} `json:"buckets"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal([]byte(a), &parsed); err != nil {
+	r, err := ReadJSON(strings.NewReader(a))
+	if err != nil {
 		t.Fatalf("registry JSON does not parse: %v\n%s", err, a)
 	}
-	if parsed.Counters["alpha"] != 1 || len(parsed.Counters) != 3 {
-		t.Fatalf("counters round-trip: %v", parsed.Counters)
+	if r.Counter("alpha").Value() != 1 || len(r.CounterNames()) != 3 {
+		t.Fatalf("counters round-trip: %v", r.CounterNames())
 	}
-	h := parsed.Histograms["h"]
-	if h.Count != 1 || len(h.Buckets) != 1 || h.Buckets[0].Lo != 8 || h.Buckets[0].Hi != 15 {
+	if h := r.Histogram("h"); h.Count() != 1 || h.Buckets[4] != 1 {
 		t.Fatalf("histogram round-trip: %+v", h)
+	}
+}
+
+// TestReadJSONRoundTrip checks that ReadJSON inverts WriteJSON: the
+// document of a read-back registry is the document read, and every
+// value survives, over registries that mix counters, gauges at
+// negative levels and histograms holding 0 and large values.
+func TestReadJSONRoundTrip(t *testing.T) {
+	empty := NewRegistry()
+	mixed := NewRegistry()
+	mixed.Counter("zero")
+	mixed.Counter("one").Add(1)
+	mixed.Counter("max").Add(math.MaxUint64)
+	for _, v := range []int64{-5, 3, -2} {
+		mixed.Gauge("depth").Set(v)
+	}
+	mixed.Gauge("floor").Set(math.MinInt64)
+	mixed.Gauge("unset")
+	for _, v := range []uint64{0, 0, 1, 7, 1 << 40, math.MaxUint64} {
+		mixed.Histogram("wide").Observe(v)
+	}
+	mixed.Histogram("none")
+	for v := uint64(0); v < 1000; v += 7 {
+		mixed.Histogram("dense").Observe(v * v)
+	}
+	for _, r := range []*Registry{empty, mixed} {
+		var doc strings.Builder
+		if err := r.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSON(strings.NewReader(doc.String()))
+		if err != nil {
+			t.Fatalf("ReadJSON: %v\n%s", err, doc.String())
+		}
+		var again strings.Builder
+		if err := back.WriteJSON(&again); err != nil {
+			t.Fatal(err)
+		}
+		if again.String() != doc.String() {
+			t.Fatalf("WriteJSON(ReadJSON(doc)) differs from doc\ngot:\n%s\nwant:\n%s", again.String(), doc.String())
+		}
+		for _, name := range r.CounterNames() {
+			if got, want := back.Counter(name).Value(), r.Counter(name).Value(); got != want {
+				t.Errorf("counter %s = %d, want %d", name, got, want)
+			}
+		}
+		for _, name := range r.GaugeNames() {
+			g, want := back.Gauge(name), r.Gauge(name)
+			if g.Value() != want.Value() || g.Min() != want.Min() || g.Max() != want.Max() {
+				t.Errorf("gauge %s = %d [%d, %d], want %d [%d, %d]", name,
+					g.Value(), g.Min(), g.Max(), want.Value(), want.Min(), want.Max())
+			}
+		}
+		for _, name := range r.HistogramNames() {
+			if got, want := *back.Histogram(name), *r.Histogram(name); got != want {
+				t.Errorf("histogram %s = %+v, want %+v", name, got, want)
+			}
+		}
+	}
+}
+
+// TestReadJSONRejectsMalformed checks that input WriteJSON could not
+// have written is an error: obsdiff reads dumps from files and URLs.
+func TestReadJSONRejectsMalformed(t *testing.T) {
+	for _, doc := range []string{
+		``,
+		`{"counters": {"a": 1}`,
+		`{"counters": {"a": 1}} {}`,
+		`[1, 2]`,
+		`{"counters": {"a": -1}}`,
+		`{"counters": {"a": 1.5}}`,
+		`{"gauges": {"g": {"value": "x", "min": 0, "max": 0}}}`,
+		`{"histograms": {"h": {"count": 1, "sum": 4, "min": 4, "max": 4, "buckets": [{"lo": 3, "hi": 5, "count": 1}]}}}`,
+		`{"histograms": {"h": {"count": 2, "sum": 2, "min": 2, "max": 2, "buckets": [{"lo": 2, "hi": 3, "count": 1}]}}}`,
+	} {
+		if _, err := ReadJSON(strings.NewReader(doc)); err == nil {
+			t.Errorf("ReadJSON(%q) accepted malformed input", doc)
+		}
+	}
+}
+
+// TestSharedConcurrent updates one Shared from several goroutines while
+// another renders it, and checks that no update is lost. Updates
+// through a nil *Shared do nothing.
+func TestSharedConcurrent(t *testing.T) {
+	s := NewShared()
+	const workers, each = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.Count("c", 1)
+				s.GaugeAdd("g", 1)
+				s.GaugeSet("last", int64(i))
+				s.Observe("h", uint64(i))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			if err := s.WriteJSON(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	s.Read(func(r *Registry) {
+		if c, g, h := r.Counter("c").Value(), r.Gauge("g").Value(), r.Histogram("h").Count(); c != workers*each || g != workers*each || h != workers*each {
+			t.Errorf("counter %d, gauge %d, histogram count %d; want %d each", c, g, h, workers*each)
+		}
+	})
+	var none *Shared
+	none.Count("c", 1)
+	none.GaugeSet("g", 1)
+	none.GaugeAdd("g", 1)
+	none.Observe("h", 1)
+}
+
+// TestHistogramPercentileUpperBound checks the log2 estimator: the
+// upper bound of the bucket where the cumulative count reaches the
+// rank, clamped to the recorded max.
+func TestHistogramPercentileUpperBound(t *testing.T) {
+	// 10 observations: 4 in [1,1], 4 in [2,3], 2 in [8,15].
+	h := Histogram{N: 10, MinV: 1, MaxV: 12}
+	h.Buckets[1], h.Buckets[2], h.Buckets[4] = 4, 4, 2
+	if got := h.Percentile(50); got != 3 {
+		t.Errorf("p50 = %d, want 3 (upper bound of the bucket reaching rank 5)", got)
+	}
+	// p99 lands in the top bucket, whose bound exceeds the recorded max:
+	// clamp to max so the estimate never invents latency beyond what was
+	// seen.
+	if got := h.Percentile(99); got != 12 {
+		t.Errorf("p99 = %d, want max 12", got)
+	}
+	if got := (&Histogram{}).Percentile(99); got != 0 {
+		t.Errorf("empty histogram p99 = %d, want 0", got)
 	}
 }
 

@@ -143,17 +143,17 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 		auth := r.Header.Get("Authorization")
 		key, ok := strings.CutPrefix(auth, "Bearer ")
 		if !ok || key == "" {
-			s.count("auth.missing", 1)
+			s.metrics.Count("auth.missing", 1)
 			writeError(w, http.StatusUnauthorized, api.CodeUnauthorized, "missing Authorization: Bearer <api-key>")
 			return
 		}
 		tenant, ok := s.cfg.Tenants.resolve(key)
 		if !ok {
-			s.count("auth.rejected", 1)
+			s.metrics.Count("auth.rejected", 1)
 			writeError(w, http.StatusUnauthorized, api.CodeUnauthorized, "unknown API key")
 			return
 		}
-		s.count("tenant."+tenant+".requests", 1)
+		s.metrics.Count("tenant."+tenant+".requests", 1)
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), tenantCtxKey{}, tenant)))
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"jmtam/internal/faultnet"
+	"jmtam/internal/obs"
 	"jmtam/internal/shard"
 )
 
@@ -48,20 +49,30 @@ func compactJSON(t *testing.T, raw []byte) string {
 	return buf.String()
 }
 
-func metricCounters(t *testing.T, base string) map[string]uint64 {
+// readMetricz reads base's /metricz document back into a registry.
+func readMetricz(t *testing.T, base string) *obs.Registry {
 	t.Helper()
 	resp, err := http.Get(base + "/metricz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	r, err := obs.ReadJSON(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return doc.Counters
+	return r
+}
+
+// metricCounters returns base's /metricz counters by name.
+func metricCounters(t *testing.T, base string) map[string]uint64 {
+	t.Helper()
+	r := readMetricz(t, base)
+	c := make(map[string]uint64)
+	for _, name := range r.CounterNames() {
+		c[name] = r.Counter(name).Value()
+	}
+	return c
 }
 
 // newWorker starts a leaf tamsimd (a plain server) and returns its base

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"jmtam/internal/obs"
 )
 
 // journalRecord is one NDJSON line of the write-ahead job journal. A
@@ -82,7 +84,7 @@ type journal struct {
 	pending  int   // unit appends since the last fsync
 	lastSnap int64 // size right after the last compaction
 	degrade  bool  // last append failed; cleared by the next success
-	count    func(name string, d uint64)
+	metrics  *obs.Shared
 }
 
 // openJournal replays an existing journal (if any) and opens it for
@@ -91,9 +93,9 @@ type journal struct {
 // not discard every intact record after it; only an unparseable *final*
 // line ends replay early, because that is the signature of a write a
 // crash cut short. maxBytes bounds the file via compaction
-// (0 = 64 MiB, negative = unbounded); countFn (may be nil) receives
-// the journal's metrics. Jobs return in first-appearance order.
-func openJournal(path string, maxBytes int64, countFn func(name string, d uint64)) (*journal, []*journalJob, int, error) {
+// (0 = 64 MiB, negative = unbounded); the journal counts into m (nil
+// = nowhere). Jobs return in first-appearance order.
+func openJournal(path string, maxBytes int64, m *obs.Shared) (*journal, []*journalJob, int, error) {
 	if maxBytes == 0 {
 		maxBytes = defaultJournalMaxBytes
 	}
@@ -112,10 +114,7 @@ func openJournal(path string, maxBytes int64, countFn func(name string, d uint64
 	if st, err := f.Stat(); err == nil {
 		size = st.Size()
 	}
-	if countFn == nil {
-		countFn = func(string, uint64) {}
-	}
-	return &journal{f: f, path: path, maxBytes: maxBytes, size: size, count: countFn}, jobs, skipped, nil
+	return &journal{f: f, path: path, maxBytes: maxBytes, size: size, metrics: m}, jobs, skipped, nil
 }
 
 // foldJournal replays raw journal bytes into per-job folded state.
@@ -218,7 +217,7 @@ func (j *journal) appendSync(rec journalRecord, syncNow bool) error {
 		if err := j.compactLocked(); err != nil {
 			// The append itself is durable; a failed compaction only
 			// means the file stays big until the next attempt.
-			j.count("journal.compact.errors", 1)
+			j.metrics.Count("journal.compact.errors", 1)
 		}
 	}
 	return nil
@@ -325,7 +324,7 @@ func (j *journal) compactLocked() error {
 	j.size = int64(buf.Len())
 	j.lastSnap = j.size
 	j.pending = 0
-	j.count("journal.compactions", 1)
+	j.metrics.Count("journal.compactions", 1)
 	return nil
 }
 

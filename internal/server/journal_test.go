@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"jmtam/internal/obs"
 )
 
 // mustAppend writes one synced record, failing the test on error.
@@ -205,9 +207,9 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 // itself as terminal jobs accumulate, instead of growing forever.
 func TestJournalBoundedUnderMaxBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.ndjson")
-	counts := make(map[string]uint64)
+	m := obs.NewShared()
 	const maxBytes = 4096
-	j, _, _, err := openJournal(path, maxBytes, func(name string, d uint64) { counts[name] += d })
+	j, _, _, err := openJournal(path, maxBytes, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +220,16 @@ func TestJournalBoundedUnderMaxBytes(t *testing.T) {
 		mustAppend(t, j, journalRecord{Op: "start", ID: id})
 		mustAppend(t, j, journalRecord{Op: "done", ID: id, Result: payload})
 	}
-	if counts["journal.compactions"] == 0 {
+	var compactions, compactErrors uint64
+	m.Read(func(r *obs.Registry) {
+		compactions = r.Counter("journal.compactions").Value()
+		compactErrors = r.Counter("journal.compact.errors").Value()
+	})
+	if compactions == 0 {
 		t.Fatal("journal never compacted under its byte bound")
 	}
-	if counts["journal.compact.errors"] != 0 {
-		t.Fatalf("journal.compact.errors = %d", counts["journal.compact.errors"])
+	if compactErrors != 0 {
+		t.Fatalf("journal.compact.errors = %d", compactErrors)
 	}
 	// 64 snap lines of ~260 bytes exceed 4096, so the file cannot shrink
 	// under maxBytes forever — but it must stay within a small factor of

@@ -68,7 +68,7 @@ func (s *Server) handleRecordingPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
-	s.count("store.push.received", 1)
+	s.metrics.Count("store.push.received", 1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -88,8 +88,8 @@ func (s *Server) storeUnit(ctx context.Context, w experiments.Workload, impl cor
 		if err != nil {
 			return nil, err
 		}
-		s.gauge("sweep.recording.bytes", int64(rec.Bytes()))
-		defer s.gauge("sweep.recording.bytes", -int64(rec.Bytes()))
+		s.metrics.GaugeAdd("sweep.recording.bytes", int64(rec.Bytes()))
+		defer s.metrics.GaugeAdd("sweep.recording.bytes", -int64(rec.Bytes()))
 		meta := tracestore.RunMeta{
 			Desc:         desc,
 			Instructions: r.Instructions,

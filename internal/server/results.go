@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"jmtam/api"
+	"jmtam/internal/obs"
 	"jmtam/internal/tracestore"
 )
 
@@ -53,7 +54,7 @@ func resultKey(kind string, wire any) (string, error) {
 // newResultFleet builds the result cache over the generic tracestore
 // tiers: ".json" blobs under <storeDir>/results, "results.*" metrics,
 // peer resolution via /v1/results/, JSON validation on peer fetches.
-func newResultFleet(cfg Config, m tracestore.Metrics) (*tracestore.Fleet, error) {
+func newResultFleet(cfg Config, m *obs.Shared) (*tracestore.Fleet, error) {
 	dir := ""
 	if cfg.StoreDir != "" {
 		dir = filepath.Join(cfg.StoreDir, "results")
@@ -106,7 +107,7 @@ func (s *Server) cachedResult(ctx context.Context, job *Job, kind string, wire a
 			// Coalesced into a concurrent identical job's execution.
 			source = "coalesced"
 		}
-		s.count("results.served", 1)
+		s.metrics.Count("results.served", 1)
 		job.emit(api.Cached(job.ID, source, key))
 	}
 	return data, nil
@@ -161,6 +162,6 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
-	s.count("results.push.received", 1)
+	s.metrics.Count("results.push.received", 1)
 	w.WriteHeader(http.StatusNoContent)
 }

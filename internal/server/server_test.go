@@ -214,7 +214,7 @@ func TestRunStreamMatchesDirect(t *testing.T) {
 // TestDetachStatusAndCache submits the same job twice detached: both
 // complete with identical results and the second hits the code cache.
 func TestDetachStatusAndCache(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2})
 	var results [2]json.RawMessage
 	for i := range results {
 		resp := postJSON(t, ts.URL+"/v1/runs?detach=1", `{"program":"ss","arg":40,"impl":"md"}`)
@@ -235,8 +235,9 @@ func TestDetachStatusAndCache(t *testing.T) {
 	if !bytes.Equal(results[0], results[1]) {
 		t.Errorf("repeat job result differs:\nfirst  %s\nsecond %s", results[0], results[1])
 	}
-	hits, misses, entries := s.cache.stats()
-	if hits != 1 || misses != 1 || entries != 1 {
+	m := readMetricz(t, ts.URL)
+	hits, misses := m.Counter("codecache.hits").Value(), m.Counter("codecache.misses").Value()
+	if entries := m.Gauge("codecache.entries").Value(); hits != 1 || misses != 1 || entries != 1 {
 		t.Errorf("code cache hits/misses/entries = %d/%d/%d, want 1/1/1", hits, misses, entries)
 	}
 }
@@ -348,40 +349,23 @@ func TestMetricz(t *testing.T) {
 	if lines[len(lines)-1].Type != "result" {
 		t.Fatalf("job did not finish: %+v", lines[len(lines)-1])
 	}
-	resp, err := http.Get(ts.URL + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Counters map[string]uint64 `json:"counters"`
-		Gauges   map[string]struct {
-			Value int64 `json:"value"`
-			Max   int64 `json:"max"`
-		} `json:"gauges"`
-		Histograms map[string]struct {
-			Count uint64 `json:"count"`
-		} `json:"histograms"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
+	m := readMetricz(t, ts.URL)
 	for name, want := range map[string]uint64{
 		"jobs.submitted": 1, "jobs.started": 1, "jobs.finished": 1,
 		"codecache.misses": 1,
 	} {
-		if doc.Counters[name] != want {
-			t.Errorf("counter %s = %d, want %d", name, doc.Counters[name], want)
+		if got := m.Counter(name).Value(); got != want {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
 	}
-	if doc.Gauges["jobs.running"].Value != 0 || doc.Gauges["jobs.running"].Max != 1 {
-		t.Errorf("jobs.running = %+v, want value 0 max 1", doc.Gauges["jobs.running"])
+	if g := m.Gauge("jobs.running"); g.Value() != 0 || g.Max() != 1 {
+		t.Errorf("jobs.running = value %d max %d, want value 0 max 1", g.Value(), g.Max())
 	}
-	if doc.Gauges["pool.slots"].Value != 1 {
-		t.Errorf("pool.slots = %d, want 1", doc.Gauges["pool.slots"].Value)
+	if v := m.Gauge("pool.slots").Value(); v != 1 {
+		t.Errorf("pool.slots = %d, want 1", v)
 	}
-	if doc.Histograms["job.latency.ms.run"].Count != 1 {
-		t.Errorf("job.latency.ms.run count = %d, want 1", doc.Histograms["job.latency.ms.run"].Count)
+	if n := m.Histogram("job.latency.ms.run").Count(); n != 1 {
+		t.Errorf("job.latency.ms.run count = %d, want 1", n)
 	}
 }
 

@@ -180,8 +180,8 @@ func (s *Server) freshUnit(ctx context.Context, w experiments.Workload, impl cor
 	if err != nil {
 		return nil, "", err
 	}
-	s.gauge("sweep.recording.bytes", int64(rec.Bytes()))
-	defer s.gauge("sweep.recording.bytes", -int64(rec.Bytes()))
+	s.metrics.GaugeAdd("sweep.recording.bytes", int64(rec.Bytes()))
+	defer s.metrics.GaugeAdd("sweep.recording.bytes", -int64(rec.Bytes()))
 	if err := experiments.ReplayFanOutContext(ctx, r, rec, geoms, par); err != nil {
 		return nil, "", err
 	}

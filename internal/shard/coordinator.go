@@ -15,15 +15,6 @@ import (
 	"jmtam/internal/rng"
 )
 
-// Metrics receives the coordinator's observability stream. Implementations
-// must be safe for concurrent use; the server adapts its mutex-guarded
-// obs.Registry, CLIs can use NewRegistryMetrics.
-type Metrics interface {
-	Count(name string, d uint64)
-	GaugeSet(name string, v int64)
-	Observe(name string, v uint64)
-}
-
 // Event is one coordinator lifecycle notification, for progress
 // streaming and tests. Events never carry result data: ordering under
 // concurrency is nondeterministic and must not affect output.
@@ -73,7 +64,7 @@ type Config struct {
 	// execution when no worker is reachable.
 	DisableLocal bool
 	// Metrics and OnEvent observe the coordinator; both may be nil.
-	Metrics Metrics
+	Metrics *obs.Shared
 	OnEvent func(Event)
 }
 
@@ -147,7 +138,7 @@ func New(cfg Config) *Coordinator {
 		"shard.shards", "shard.retries", "shard.requeues", "shard.hedges",
 		"shard.breaker.opens", "shard.local", "shard.remote",
 	} {
-		c.count(name, 0)
+		c.cfg.Metrics.Count(name, 0)
 	}
 	return c
 }
@@ -163,24 +154,6 @@ func (c *Coordinator) Workers() []string {
 
 // --- observability helpers --------------------------------------------------
 
-func (c *Coordinator) count(name string, d uint64) {
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Count(name, d)
-	}
-}
-
-func (c *Coordinator) gauge(name string, v int64) {
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.GaugeSet(name, v)
-	}
-}
-
-func (c *Coordinator) observe(name string, v uint64) {
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Observe(name, v)
-	}
-}
-
 func (c *Coordinator) event(e Event) {
 	if c.cfg.OnEvent != nil {
 		c.cfg.OnEvent(e)
@@ -189,7 +162,7 @@ func (c *Coordinator) event(e Event) {
 
 func (c *Coordinator) publishWorkerStates(now time.Time) {
 	for _, w := range c.workers {
-		c.gauge("worker.state."+strconv.Itoa(w.idx), w.breaker.state(now))
+		c.cfg.Metrics.GaugeSet("worker.state."+strconv.Itoa(w.idx), w.breaker.state(now))
 	}
 }
 
@@ -228,7 +201,7 @@ func (c *Coordinator) register(ctx context.Context) {
 			for i := 0; i < c.cfg.BreakerThreshold; i++ {
 				w.breaker.fail(now)
 			}
-			c.count("shard.breaker.opens", 1)
+			c.cfg.Metrics.Count("shard.breaker.opens", 1)
 		} else {
 			w.breaker.ok()
 		}
@@ -291,7 +264,7 @@ func (c *Coordinator) RunSubset(ctx context.Context, spec *Spec, idxs []int, onE
 			return nil, fmt.Errorf("shard: unit index %d out of range [0,%d)", i, len(units))
 		}
 	}
-	c.count("shard.shards", uint64(len(idxs)))
+	c.cfg.Metrics.Count("shard.shards", uint64(len(idxs)))
 	results := make([]UnitResult, len(units))
 	if len(idxs) == 0 {
 		return results, nil
@@ -339,9 +312,9 @@ func (c *Coordinator) runShard(ctx context.Context, spec *Spec, u Unit, idx int,
 		emit(Event{Type: "lease", Shard: idx, Worker: w.url, Attempt: attempt})
 		start := time.Now()
 		res, err := c.attemptHedged(ctx, w, spec, u, idx, attempt, emit)
-		c.observe("shard.attempt.ms", uint64(time.Since(start).Milliseconds()))
+		c.cfg.Metrics.Observe("shard.attempt.ms", uint64(time.Since(start).Milliseconds()))
 		if err == nil {
-			c.count("shard.remote", 1)
+			c.cfg.Metrics.Count("shard.remote", 1)
 			emit(Event{Type: "done", Shard: idx, Worker: w.url, Attempt: attempt})
 			return res, nil
 		}
@@ -350,10 +323,10 @@ func (c *Coordinator) runShard(ctx context.Context, spec *Spec, u Unit, idx int,
 		}
 		lastErr = err
 		if leaseExpired(err) {
-			c.count("shard.requeues", 1)
+			c.cfg.Metrics.Count("shard.requeues", 1)
 			emit(Event{Type: "requeue", Shard: idx, Worker: w.url, Attempt: attempt, Err: err.Error()})
 		} else {
-			c.count("shard.retries", 1)
+			c.cfg.Metrics.Count("shard.retries", 1)
 			emit(Event{Type: "retry", Shard: idx, Worker: w.url, Attempt: attempt, Err: err.Error()})
 		}
 		if err := sleepCtx(ctx, c.jitter(backoff)); err != nil {
@@ -370,7 +343,7 @@ func (c *Coordinator) runShard(ctx context.Context, spec *Spec, u Unit, idx int,
 		return UnitResult{}, fmt.Errorf("shard %d (%s/%s): remote attempts exhausted: %w",
 			idx, u.Workload.Program, u.Impl, lastErr)
 	}
-	c.count("shard.local", 1)
+	c.cfg.Metrics.Count("shard.local", 1)
 	emit(Event{Type: "local", Shard: idx, Err: errString(lastErr)})
 	return c.runLocal(ctx, spec, u)
 }
@@ -425,7 +398,7 @@ func (c *Coordinator) attemptHedged(ctx context.Context, primary *worker, spec *
 			}
 			hedged = true
 			if sec := c.pick(primary); sec != nil {
-				c.count("shard.hedges", 1)
+				c.cfg.Metrics.Count("shard.hedges", 1)
 				emit(Event{Type: "hedge", Shard: idx, Worker: sec.url, Attempt: attempt})
 				launch(sec)
 				inflight++
@@ -444,7 +417,7 @@ func (c *Coordinator) leasedAttempt(ctx context.Context, w *worker, spec *Spec, 
 	res, err := c.attempt(lctx, w, spec, u)
 	if err == nil {
 		w.breaker.ok()
-		c.gauge("worker.state."+strconv.Itoa(w.idx), BreakerClosed)
+		c.cfg.Metrics.GaugeSet("worker.state."+strconv.Itoa(w.idx), BreakerClosed)
 		return res, nil
 	}
 	// A hedge race loser cancelled through the parent context is not the
@@ -452,10 +425,10 @@ func (c *Coordinator) leasedAttempt(ctx context.Context, w *worker, spec *Spec, 
 	if ctx.Err() == nil || errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		now := time.Now()
 		if w.breaker.fail(now) {
-			c.count("shard.breaker.opens", 1)
+			c.cfg.Metrics.Count("shard.breaker.opens", 1)
 			emit(Event{Type: "breaker-open", Shard: -1, Worker: w.url, Err: err.Error()})
 		}
-		c.gauge("worker.state."+strconv.Itoa(w.idx), w.breaker.state(now))
+		c.cfg.Metrics.GaugeSet("worker.state."+strconv.Itoa(w.idx), w.breaker.state(now))
 	}
 	return UnitResult{}, err
 }
@@ -469,44 +442,4 @@ func (c *Coordinator) jitter(d time.Duration) time.Duration {
 	f := c.src.Float64()
 	c.mu.Unlock()
 	return d/2 + time.Duration(f*float64(d/2))
-}
-
-// RegistryMetrics adapts a mutex-guarded obs.Registry to the Metrics
-// interface, for callers (CLIs, tests) without a serving registry.
-type RegistryMetrics struct {
-	mu  sync.Mutex
-	reg *obs.Registry
-}
-
-// NewRegistryMetrics returns an adapter over a fresh registry.
-func NewRegistryMetrics() *RegistryMetrics {
-	return &RegistryMetrics{reg: obs.NewRegistry()}
-}
-
-// Count implements Metrics.
-func (m *RegistryMetrics) Count(name string, d uint64) {
-	m.mu.Lock()
-	m.reg.Counter(name).Add(d)
-	m.mu.Unlock()
-}
-
-// GaugeSet implements Metrics.
-func (m *RegistryMetrics) GaugeSet(name string, v int64) {
-	m.mu.Lock()
-	m.reg.Gauge(name).Set(v)
-	m.mu.Unlock()
-}
-
-// Observe implements Metrics.
-func (m *RegistryMetrics) Observe(name string, v uint64) {
-	m.mu.Lock()
-	m.reg.Histogram(name).Observe(v)
-	m.mu.Unlock()
-}
-
-// Snapshot runs fn with the registry under the adapter's lock.
-func (m *RegistryMetrics) Snapshot(fn func(reg *obs.Registry)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fn(m.reg)
 }

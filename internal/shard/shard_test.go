@@ -93,15 +93,15 @@ func stubWorker(t *testing.T, beforeResult func(w http.ResponseWriter, r *http.R
 	return ts
 }
 
-func counterValue(m *RegistryMetrics, name string) uint64 {
+func counterValue(m *obs.Shared, name string) uint64 {
 	var v uint64
-	m.Snapshot(func(reg *obs.Registry) { v = reg.Counter(name).Value() })
+	m.Read(func(reg *obs.Registry) { v = reg.Counter(name).Value() })
 	return v
 }
 
 // assertCounter checks the counter is at least lo and, when exact is
 // true, exactly lo.
-func assertCounter(t *testing.T, m *RegistryMetrics, name string, lo uint64, exact bool) {
+func assertCounter(t *testing.T, m *obs.Shared, name string, lo uint64, exact bool) {
 	t.Helper()
 	v := counterValue(m, name)
 	if v < lo || (exact && v != lo) {
@@ -128,7 +128,7 @@ func TestSpecUnitsOrder(t *testing.T) {
 func TestCoordinatorAllRemote(t *testing.T) {
 	w1 := stubWorker(t, nil)
 	w2 := stubWorker(t, nil)
-	m := NewRegistryMetrics()
+	m := obs.NewShared()
 	c := New(Config{Workers: []string{w1.URL, w2.URL}, Metrics: m, DisableLocal: true})
 	spec := testSpec()
 	got, err := c.Run(context.Background(), spec)
@@ -153,7 +153,7 @@ func TestCoordinatorRetriesTransientThenSucceeds(t *testing.T) {
 		return false
 	})
 	good := stubWorker(t, nil)
-	m := NewRegistryMetrics()
+	m := obs.NewShared()
 	c := New(Config{
 		Workers: []string{bad.URL, good.URL}, Metrics: m,
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
@@ -193,7 +193,7 @@ func TestCoordinatorLocalFallbackWhenAllDead(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	m := NewRegistryMetrics()
+	m := obs.NewShared()
 	var events []Event
 	var mu sync.Mutex
 	c := New(Config{
@@ -248,7 +248,7 @@ func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 		return false
 	})
 	good := stubWorker(t, nil)
-	m := NewRegistryMetrics()
+	m := obs.NewShared()
 	c := New(Config{
 		Workers: []string{hung.URL, good.URL}, Metrics: m,
 		LeaseTimeout: 80 * time.Millisecond,
@@ -272,7 +272,7 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 		return true
 	})
 	fast := stubWorker(t, nil)
-	m := NewRegistryMetrics()
+	m := obs.NewShared()
 	c := New(Config{
 		Workers: []string{slow.URL, fast.URL}, Metrics: m,
 		HedgeAfter:  20 * time.Millisecond,
@@ -311,7 +311,7 @@ func TestCoordinatorDeterministicUnderChaos(t *testing.T) {
 	}
 
 	for _, seed := range []uint64{1, 7, 42} {
-		m := NewRegistryMetrics()
+		m := obs.NewShared()
 		chaotic := New(Config{
 			Workers: []string{good.URL}, Metrics: m,
 			Transport: faultnet.NewTransport(nil, faultnet.Plan{

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"jmtam/internal/obs"
 	"jmtam/internal/trace"
 )
 
@@ -112,7 +113,7 @@ type Fleet struct {
 	store   *Store
 	peers   []string
 	client  *http.Client
-	metrics Metrics
+	metrics *obs.Shared
 	cfg     FleetConfig
 
 	mu       sync.Mutex
@@ -147,12 +148,12 @@ type FleetConfig struct {
 // NewFleet wraps store with peer fetch against the given base URLs
 // ("http://host:port", no trailing slash needed). client may be nil
 // (http.DefaultClient); m may be nil.
-func NewFleet(store *Store, peers []string, client *http.Client, m Metrics) *Fleet {
+func NewFleet(store *Store, peers []string, client *http.Client, m *obs.Shared) *Fleet {
 	return NewFleetWith(store, peers, client, m, FleetConfig{})
 }
 
 // NewFleetWith is NewFleet with explicit FleetConfig.
-func NewFleetWith(store *Store, peers []string, client *http.Client, m Metrics, cfg FleetConfig) *Fleet {
+func NewFleetWith(store *Store, peers []string, client *http.Client, m *obs.Shared, cfg FleetConfig) *Fleet {
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -190,15 +191,7 @@ func NewFleetWith(store *Store, peers []string, client *http.Client, m Metrics, 
 func (f *Fleet) Store() *Store { return f.store }
 
 func (f *Fleet) count(name string, d uint64) {
-	if f.metrics != nil {
-		f.metrics.Count(f.cfg.Prefix+name, d)
-	}
-}
-
-func (f *Fleet) observe(name string, v uint64) {
-	if f.metrics != nil {
-		f.metrics.Observe(f.cfg.Prefix+name, v)
-	}
+	f.metrics.Count(f.cfg.Prefix+name, d)
 }
 
 // GetOrRecord returns the compacted recording for key, resolving
@@ -351,7 +344,7 @@ func (f *Fleet) fetchPeer(ctx context.Context, peer, key string) ([]byte, error)
 	if err := f.cfg.Validate(data); err != nil {
 		return nil, fmt.Errorf("tracestore: peer %s sent a corrupt payload: %w", peer, err)
 	}
-	f.observe(".peer.fetch.ms", uint64(time.Since(start).Milliseconds()))
+	f.metrics.Observe(f.cfg.Prefix+".peer.fetch.ms", uint64(time.Since(start).Milliseconds()))
 	return data, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"jmtam/internal/faultnet"
+	"jmtam/internal/obs"
 )
 
 // corruptDiskBlob flips one bit in a stored blob's disk file.
@@ -26,7 +27,7 @@ func corruptDiskBlob(t *testing.T, st *Store, key string) {
 // a fresh Put of the key counts as its repair.
 func TestCorruptBlobNeverServed(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestMetrics()
+	m := obs.NewShared()
 	st, err := New(dir, -1, m) // disk only: reads must hit the corrupt file
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +42,8 @@ func TestCorruptBlobNeverServed(t *testing.T) {
 	if got, ok := st.Get(key); ok {
 		t.Fatalf("corrupt blob served: %d bytes", len(got))
 	}
-	if m.counter("store.corrupt") != 1 {
-		t.Fatalf("store.corrupt = %d, want 1", m.counter("store.corrupt"))
+	if counter(m, "store.corrupt") != 1 {
+		t.Fatalf("store.corrupt = %d, want 1", counter(m, "store.corrupt"))
 	}
 	if st.Quarantined() != 1 {
 		t.Fatalf("Quarantined() = %d, want 1", st.Quarantined())
@@ -63,8 +64,8 @@ func TestCorruptBlobNeverServed(t *testing.T) {
 	if err := st.Put(key, data); err != nil {
 		t.Fatal(err)
 	}
-	if m.counter("store.repaired") != 1 {
-		t.Fatalf("store.repaired = %d, want 1", m.counter("store.repaired"))
+	if counter(m, "store.repaired") != 1 {
+		t.Fatalf("store.repaired = %d, want 1", counter(m, "store.repaired"))
 	}
 	if st.Quarantined() != 0 {
 		t.Fatalf("Quarantined() = %d after repair, want 0", st.Quarantined())
@@ -80,7 +81,7 @@ func TestCorruptBlobNeverServed(t *testing.T) {
 // place without asking for peer repair.
 func TestScrubSelfHealsFromMemory(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestMetrics()
+	m := obs.NewShared()
 	st, err := New(dir, 0, m)
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +100,8 @@ func TestScrubSelfHealsFromMemory(t *testing.T) {
 	if len(need) != 0 {
 		t.Fatalf("needRepair = %v, want none (memory tier had the bytes)", need)
 	}
-	if m.counter("store.corrupt") != 1 || m.counter("store.repaired") != 1 {
-		t.Fatalf("corrupt=%d repaired=%d, want 1/1", m.counter("store.corrupt"), m.counter("store.repaired"))
+	if counter(m, "store.corrupt") != 1 || counter(m, "store.repaired") != 1 {
+		t.Fatalf("corrupt=%d repaired=%d, want 1/1", counter(m, "store.corrupt"), counter(m, "store.repaired"))
 	}
 	if st.Quarantined() != 0 {
 		t.Fatalf("Quarantined() = %d after self-heal", st.Quarantined())
@@ -119,7 +120,7 @@ func TestScrubSelfHealsFromMemory(t *testing.T) {
 // are untouched.
 func TestScrubReportsUnrepairable(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestMetrics()
+	m := obs.NewShared()
 	st, err := New(dir, -1, m)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +141,8 @@ func TestScrubReportsUnrepairable(t *testing.T) {
 	if len(need) != 1 || need[0] != bad {
 		t.Fatalf("needRepair = %v, want [%s]", need, bad)
 	}
-	if m.counter("store.scrub.checked") != 2 {
-		t.Fatalf("store.scrub.checked = %d, want 2", m.counter("store.scrub.checked"))
+	if counter(m, "store.scrub.checked") != 2 {
+		t.Fatalf("store.scrub.checked = %d, want 2", counter(m, "store.scrub.checked"))
 	}
 	if _, ok := st.Get(good); !ok {
 		t.Fatal("intact blob lost during scrub")
@@ -186,7 +187,7 @@ func TestLegacyBlobHealedWithSidecar(t *testing.T) {
 // backlog (and /readyz) cannot wedge on it forever.
 func TestFleetRepairFromPeer(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestMetrics()
+	m := obs.NewShared()
 	st, err := New(dir, -1, m)
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +221,11 @@ func TestFleetRepairFromPeer(t *testing.T) {
 	if fixed != 1 {
 		t.Fatalf("Repair() = %d, want 1", fixed)
 	}
-	if m.counter("store.repaired") != 1 {
-		t.Fatalf("store.repaired = %d, want 1", m.counter("store.repaired"))
+	if counter(m, "store.repaired") != 1 {
+		t.Fatalf("store.repaired = %d, want 1", counter(m, "store.repaired"))
 	}
-	if m.counter("store.repair.misses") != 1 {
-		t.Fatalf("store.repair.misses = %d, want 1", m.counter("store.repair.misses"))
+	if counter(m, "store.repair.misses") != 1 {
+		t.Fatalf("store.repair.misses = %d, want 1", counter(m, "store.repair.misses"))
 	}
 	// Both keys left quarantine: one repaired, one dismissed.
 	if st.Quarantined() != 0 {

@@ -14,44 +14,19 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"jmtam/internal/obs"
 	"jmtam/internal/trace"
 )
 
-// testMetrics is a concurrency-safe Metrics sink for assertions.
-type testMetrics struct {
-	mu       sync.Mutex
-	counters map[string]uint64
-	gauges   map[string]int64
+// counter and gauge read one metric back from m.
+func counter(m *obs.Shared, name string) (v uint64) {
+	m.Read(func(r *obs.Registry) { v = r.Counter(name).Value() })
+	return v
 }
 
-func newTestMetrics() *testMetrics {
-	return &testMetrics{counters: make(map[string]uint64), gauges: make(map[string]int64)}
-}
-
-func (m *testMetrics) Count(name string, d uint64) {
-	m.mu.Lock()
-	m.counters[name] += d
-	m.mu.Unlock()
-}
-
-func (m *testMetrics) GaugeSet(name string, v int64) {
-	m.mu.Lock()
-	m.gauges[name] = v
-	m.mu.Unlock()
-}
-
-func (m *testMetrics) Observe(string, uint64) {}
-
-func (m *testMetrics) counter(name string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name]
-}
-
-func (m *testMetrics) gauge(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gauges[name]
+func gauge(m *obs.Shared, name string) (v int64) {
+	m.Read(func(r *obs.Registry) { v = r.Gauge(name).Value() })
+	return v
 }
 
 func keyOf(s string) string {
@@ -84,7 +59,7 @@ func TestValidKey(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	m := newTestMetrics()
+	m := obs.NewShared()
 	data := blob(100)
 	// Budget fits exactly two blobs.
 	st, err := New("", int64(2*len(data)), m)
@@ -113,20 +88,20 @@ func TestStoreLRUEviction(t *testing.T) {
 	if _, ok := st.Get(k3); !ok {
 		t.Fatal("k3 missing")
 	}
-	if got := m.counter("store.evictions"); got != 1 {
+	if got := counter(m, "store.evictions"); got != 1 {
 		t.Fatalf("store.evictions = %d, want 1", got)
 	}
-	if got := m.gauge("store.mem.entries"); got != 2 {
+	if got := gauge(m, "store.mem.entries"); got != 2 {
 		t.Fatalf("store.mem.entries = %d, want 2", got)
 	}
-	if got := m.gauge("store.mem.bytes"); got != int64(2*len(data)) {
+	if got := gauge(m, "store.mem.bytes"); got != int64(2*len(data)) {
 		t.Fatalf("store.mem.bytes = %d, want %d", got, 2*len(data))
 	}
 }
 
 func TestStoreDiskTier(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestMetrics()
+	m := obs.NewShared()
 	st, err := New(dir, 0, m)
 	if err != nil {
 		t.Fatal(err)
@@ -146,15 +121,15 @@ func TestStoreDiskTier(t *testing.T) {
 	if !ok || len(got) != len(data) {
 		t.Fatalf("disk get: ok=%v len=%d want %d", ok, len(got), len(data))
 	}
-	if m.counter("store.disk.hits") != 1 {
-		t.Fatalf("store.disk.hits = %d, want 1", m.counter("store.disk.hits"))
+	if counter(m, "store.disk.hits") != 1 {
+		t.Fatalf("store.disk.hits = %d, want 1", counter(m, "store.disk.hits"))
 	}
 	// Promoted: second get is a memory hit.
 	if _, ok := st2.Get(key); !ok {
 		t.Fatal("promoted get failed")
 	}
-	if m.counter("store.mem.hits") != 1 {
-		t.Fatalf("store.mem.hits = %d, want 1", m.counter("store.mem.hits"))
+	if counter(m, "store.mem.hits") != 1 {
+		t.Fatalf("store.mem.hits = %d, want 1", counter(m, "store.mem.hits"))
 	}
 	// The atomic write left no temp files behind: just the blob and its
 	// checksum sidecar.
@@ -246,7 +221,7 @@ func TestRunMetaRoundTrip(t *testing.T) {
 }
 
 func TestFleetSingleflight(t *testing.T) {
-	m := newTestMetrics()
+	m := obs.NewShared()
 	st, err := New("", 0, m)
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +274,8 @@ func TestFleetSingleflight(t *testing.T) {
 	if err != nil || src != SourceLocal || len(got) != len(data) {
 		t.Fatalf("warm get: src=%v err=%v", src, err)
 	}
-	if m.counter("store.records") != 1 {
-		t.Fatalf("store.records = %d, want 1", m.counter("store.records"))
+	if counter(m, "store.records") != 1 {
+		t.Fatalf("store.records = %d, want 1", counter(m, "store.records"))
 	}
 }
 
@@ -309,7 +284,7 @@ func TestFleetPeerFetchAndPush(t *testing.T) {
 	key := keyOf("peered")
 
 	// The peer is a minimal recordings endpoint over its own store.
-	peerMetrics := newTestMetrics()
+	peerMetrics := obs.NewShared()
 	peerStore, err := New("", 0, peerMetrics)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +312,7 @@ func TestFleetPeerFetchAndPush(t *testing.T) {
 	defer peer.Close()
 
 	// Fleet A misses everywhere, records, and pushes to the peer.
-	mA := newTestMetrics()
+	mA := obs.NewShared()
 	stA, _ := New("", 0, mA)
 	fA := NewFleet(stA, []string{peer.URL}, peer.Client(), mA)
 	got, src, err := fA.GetOrRecord(context.Background(), key, func(ctx context.Context) ([]byte, error) {
@@ -349,12 +324,12 @@ func TestFleetPeerFetchAndPush(t *testing.T) {
 	if puts.Load() != 1 {
 		t.Fatalf("peer received %d pushes, want 1", puts.Load())
 	}
-	if mA.counter("store.pushes") != 1 || mA.counter("store.peer.misses") != 1 {
-		t.Fatalf("fleet A counters: %+v", mA.counters)
+	if counter(mA, "store.pushes") != 1 || counter(mA, "store.peer.misses") != 1 {
+		t.Fatalf("fleet A: store.pushes = %d, store.peer.misses = %d, want 1/1", counter(mA, "store.pushes"), counter(mA, "store.peer.misses"))
 	}
 
 	// Fleet B (cold local store) fetches from the peer without recording.
-	mB := newTestMetrics()
+	mB := obs.NewShared()
 	stB, _ := New("", 0, mB)
 	fB := NewFleet(stB, []string{peer.URL}, peer.Client(), mB)
 	got, src, err = fB.GetOrRecord(context.Background(), key, func(ctx context.Context) ([]byte, error) {
@@ -364,10 +339,10 @@ func TestFleetPeerFetchAndPush(t *testing.T) {
 	if err != nil || src != SourcePeer || len(got) != len(data) {
 		t.Fatalf("peer path: src=%v err=%v", src, err)
 	}
-	if mB.counter("store.peer.hits") != 1 || mB.counter("store.records") != 0 {
-		t.Fatalf("fleet B counters: %+v", mB.counters)
+	if counter(mB, "store.peer.hits") != 1 || counter(mB, "store.records") != 0 {
+		t.Fatalf("fleet B: store.peer.hits = %d, store.records = %d, want 1/0", counter(mB, "store.peer.hits"), counter(mB, "store.records"))
 	}
-	if mB.counter("store.bytes.saved") == 0 {
+	if counter(mB, "store.bytes.saved") == 0 {
 		t.Fatal("store.bytes.saved not credited on a peer hit")
 	}
 	// And it landed in B's local store.
@@ -382,7 +357,7 @@ func TestFleetRejectsCorruptPeerPayload(t *testing.T) {
 		fmt.Fprint(w, "this is not a recording")
 	}))
 	defer peer.Close()
-	m := newTestMetrics()
+	m := obs.NewShared()
 	st, _ := New("", 0, m)
 	f := NewFleet(st, []string{peer.URL}, peer.Client(), m)
 	data := blob(5)
@@ -392,7 +367,7 @@ func TestFleetRejectsCorruptPeerPayload(t *testing.T) {
 	if err != nil || src != SourceRecorded || len(got) != len(data) {
 		t.Fatalf("src=%v err=%v", src, err)
 	}
-	if m.counter("store.peer.errors") != 1 {
-		t.Fatalf("store.peer.errors = %d, want 1", m.counter("store.peer.errors"))
+	if counter(m, "store.peer.errors") != 1 {
+		t.Fatalf("store.peer.errors = %d, want 1", counter(m, "store.peer.errors"))
 	}
 }
