@@ -96,7 +96,6 @@ func main() {
 
 	sink := newSink(*eventsOut, *metricsOut, *hist)
 	opt := core.Options{Nodes: *nodes, Placement: placement, PairedQueueWrites: *pairedQW, Obs: sink}
-	ng := experiments.NICGeom(opt)
 	cs, err := core.BuildCluster(impl, spec.Build(n), opt)
 	if err != nil {
 		fail(err)
@@ -158,7 +157,7 @@ func main() {
 				}
 			}
 			for k, rec := range nicRecs {
-				if _, err := rec.MissDensityTrack(sink.Events, int32(k), ng, 1000, "nic"); err != nil {
+				if _, err := rec.MissDensityTrack(sink.Events, int32(k), experiments.NICGeom, 1000, "nic"); err != nil {
 					fail(err)
 				}
 			}
@@ -169,7 +168,7 @@ func main() {
 	// NIC geometry; the cycle lines below then take the slower engine,
 	// as the experiments package does.
 	if nicRecs != nil {
-		r.NIC = replayNIC(nicRecs, cs.HighInstructions(), ng)
+		r.NIC = replayNIC(nicRecs, cs.HighInstructions())
 	}
 	nic := r.NIC
 
@@ -197,7 +196,7 @@ func main() {
 	fmt.Printf("  instrs/thread     %12.1f\n", g.IPT())
 	fmt.Printf("  instrs/quantum    %12.1f\n", g.IPQ())
 	fmt.Printf("  trace             %12d refs (%d KB recorded)\n", refs, traceBytes/1024)
-	suffix, nicHead := "", fmt.Sprintf("nic engine (private cache %v)", ng)
+	suffix, nicHead := "", fmt.Sprintf("nic engine (private cache %v)", experiments.NICGeom)
 	if mesh {
 		fmt.Printf("  net messages      %12d delivered (%d words sent)\n",
 			cs.C.Net.Delivered, cs.C.Net.WordsSent)
@@ -209,7 +208,7 @@ func main() {
 				}
 			}
 		}
-		suffix, nicHead = " (per node)", fmt.Sprintf("nic engines (private cache %v per node)", ng)
+		suffix, nicHead = " (per node)", fmt.Sprintf("nic engines (private cache %v per node)", experiments.NICGeom)
 	}
 	printCaches(r, suffix)
 	if nic != nil {
@@ -261,14 +260,14 @@ func main() {
 // replayNIC replays the NIC engines' streams (one per node) through
 // private pairs of the NIC geometry, misses summed, as the experiments
 // package does for its runs.
-func replayNIC(recs []*trace.Recording, instrs uint64, ng cache.Config) *experiments.NICStats {
+func replayNIC(recs []*trace.Recording, instrs uint64) *experiments.NICStats {
 	r := &experiments.Run{}
-	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, []cache.Config{ng}, 1); err != nil {
+	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, []cache.Config{experiments.NICGeom}, 1); err != nil {
 		fail(err)
 	}
 	c := r.Caches[0]
 	return &experiments.NICStats{
-		Instructions: instrs, Config: ng,
+		Instructions: instrs, Config: experiments.NICGeom,
 		IMisses: c.IMisses, DMisses: c.DMisses, Writebacks: c.Writebacks,
 	}
 }

@@ -20,10 +20,6 @@ type Options struct {
 	QueueCapWords int
 	// MaxInstructions aborts runaway simulations (0 = no limit).
 	MaxInstructions uint64
-	// NoQueueWriteTrace disables charging hardware message buffering
-	// as data writes (see the paper's §1.1.2 footnote; enabled by
-	// default because buffering consumes memory bandwidth either way).
-	NoQueueWriteTrace bool
 	// NoMDOptimize disables the §2.3 static optimizations in the MD
 	// backend (keeping argument values in registers across a direct
 	// post, placing threads immediately after their posting inlet, and
@@ -52,21 +48,11 @@ type Options struct {
 	// PairedQueueWrites models the MDP's two-word-per-cycle queue
 	// write-through: arriving message words buffer in pairs, so only
 	// every other word charges a data write. Off by default (the
-	// historical one-write-per-word accounting); only meaningful when
-	// queue-write tracing is on.
+	// historical one-write-per-word accounting).
 	PairedQueueWrites bool
 	// Net overrides the mesh geometry and latency model for multi-node
 	// runs (nil = netsim.DefaultConfig for the node count).
 	Net *netsim.Config
-	// NICCacheKB, NICCacheBlockBytes and NICCacheAssoc size the NIC
-	// engine's private I/D cache pair for backends with NIC-offloaded
-	// inlets (Caps.NICInlets); zero values select 4 KB, 64-byte blocks,
-	// direct-mapped. The NIC cache is a replay-time parameter (like the
-	// compute-cache geometry grid) and does not affect simulation
-	// results; ignored for other backends.
-	NICCacheKB         int
-	NICCacheBlockBytes int
-	NICCacheAssoc      int
 }
 
 // Sim is one node of a simulation: a program compiled by one backend,

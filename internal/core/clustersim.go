@@ -67,7 +67,7 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 	frameShift, heapShift := partitionShifts(nodes)
 	cfg := machine.Config{
 		QueueCapWords:     opt.QueueCapWords,
-		CountQueueWrites:  !opt.NoQueueWriteTrace,
+		CountQueueWrites:  true,
 		PairedQueueWrites: opt.PairedQueueWrites,
 		MaxInstructions:   opt.MaxInstructions,
 	}

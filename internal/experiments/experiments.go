@@ -164,21 +164,9 @@ type NICStats struct {
 	Writebacks   uint64
 }
 
-// NICGeom resolves the NIC cache geometry from the options' knobs
-// (defaults: 4 KB, 64-byte blocks, direct-mapped).
-func NICGeom(opt core.Options) cache.Config {
-	kb, bb, as := opt.NICCacheKB, opt.NICCacheBlockBytes, opt.NICCacheAssoc
-	if kb == 0 {
-		kb = 4
-	}
-	if bb == 0 {
-		bb = 64
-	}
-	if as == 0 {
-		as = 1
-	}
-	return cache.Config{SizeBytes: kb * 1024, BlockBytes: bb, Assoc: as}
-}
+// NICGeom is the NIC engine's private cache geometry: 4 KB, 64-byte
+// blocks, direct-mapped.
+var NICGeom = cache.Config{SizeBytes: 4 * 1024, BlockBytes: 64, Assoc: 1}
 
 // CacheStats captures one geometry's outcome.
 type CacheStats struct {

@@ -72,7 +72,7 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 		r.Counts.Add(&rec.Counts)
 	}
 	if nicRecs != nil {
-		nic := &NICStats{Instructions: cs.HighInstructions(), Config: NICGeom(opt)}
+		nic := &NICStats{Instructions: cs.HighInstructions(), Config: NICGeom}
 		for _, rec := range nicRecs {
 			nic.Counts.Add(&rec.Counts)
 		}

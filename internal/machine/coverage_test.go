@@ -213,7 +213,7 @@ func TestSetRegAndQueueAccessor(t *testing.T) {
 		t.Error("queue capacity not positive")
 	}
 	m.SetTracer(nil, nil) // records nothing
-	m.SetObserver(nil)    // restores no-op
+	m.SetObserver(nil)    // a fresh Granularity
 	m.Inject(Low, []word.Word{word.Ptr(mem.UserCodeBase)})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)

@@ -57,20 +57,20 @@ func (m *Machine) step() bool {
 	if in.Mark != isa.MarkNone {
 		switch in.Mark {
 		case isa.MarkThreadStart:
-			m.observer.ThreadStart(m.regs[pri][isa.RFP].Addr(), m.instrs)
+			m.gran.ThreadStart(m.regs[pri][isa.RFP].Addr(), m.instrs)
 		case isa.MarkInletStart:
-			m.observer.InletStart(m.regs[pri][isa.RFP].Addr(), m.instrs)
+			m.gran.InletStart(m.regs[pri][isa.RFP].Addr(), m.instrs)
 			if m.probe != nil {
 				m.probe.inletEnter(pri, m.instrs)
 			}
 		case isa.MarkActivate:
-			m.observer.Activate(m.regs[pri][isa.RFP].Addr(), m.instrs)
+			m.gran.Activate(m.regs[pri][isa.RFP].Addr(), m.instrs)
 			if m.probe != nil {
 				m.probe.frameDeq()
 			}
 		default:
-			// Runtime-operation marks carry no Observer semantics; they
-			// feed the observability sink only.
+			// Runtime-operation marks carry no granularity semantics;
+			// they feed the observability sink only.
 			if m.probe != nil {
 				m.probe.mark(in.Mark)
 			}

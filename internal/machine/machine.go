@@ -9,6 +9,7 @@ import (
 	"jmtam/internal/isa"
 	"jmtam/internal/mem"
 	"jmtam/internal/queue"
+	"jmtam/internal/stats"
 	"jmtam/internal/trace"
 	"jmtam/internal/word"
 )
@@ -18,24 +19,6 @@ const (
 	Low  = 0
 	High = 1
 )
-
-// Observer receives runtime-level events driven by instruction marks and
-// dispatch, carrying the current frame pointer and the machine's dynamic
-// instruction count so granularity statistics can be derived.
-type Observer interface {
-	ThreadStart(frame uint32, instrs uint64)
-	InletStart(frame uint32, instrs uint64)
-	Activate(frame uint32, instrs uint64)
-	Dispatch(pri int, instrs uint64)
-}
-
-// nopObserver is used when no observer is attached.
-type nopObserver struct{}
-
-func (nopObserver) ThreadStart(uint32, uint64) {}
-func (nopObserver) InletStart(uint32, uint64)  {}
-func (nopObserver) Activate(uint32, uint64)    {}
-func (nopObserver) Dispatch(int, uint64)       {}
 
 // Config controls machine construction.
 type Config struct {
@@ -88,11 +71,12 @@ type Machine struct {
 	curMsg [2]queue.Msg
 	inMsg  [2]bool
 
-	// rec holds the reference sink per priority (see SetTracer); a nil
-	// entry records nothing.
-	rec      [2]*trace.Recording
-	observer Observer
-	probe    *probe
+	// rec holds the reference sink per priority (see SetTracer), a nil
+	// entry recording nothing; gran takes the thread, inlet and
+	// activation marks and the dispatches (see SetObserver).
+	rec   [2]*trace.Recording
+	gran  *stats.Granularity
+	probe *probe
 
 	cfg Config
 	// limit is MaxInstructions, or the largest count when unlimited, so
@@ -119,12 +103,12 @@ func NewMachine(m *mem.Memory, code *CodeStore, cfg Config) *Machine {
 		capw = queue.DefaultCapWords // fixed storage layout bounds capacity
 	}
 	mach := &Machine{
-		Mem:      m,
-		Code:     code,
-		observer: nopObserver{},
-		cfg:      cfg,
-		limit:    cfg.MaxInstructions,
-		intEn:    true,
+		Mem:   m,
+		Code:  code,
+		gran:  &stats.Granularity{},
+		cfg:   cfg,
+		limit: cfg.MaxInstructions,
+		intEn: true,
 	}
 	if mach.limit == 0 {
 		mach.limit = math.MaxUint64
@@ -148,13 +132,13 @@ func (m *Machine) SetTracer(rec, nic *trace.Recording) {
 	}
 }
 
-// SetObserver attaches o; nil restores the no-op observer.
-func (m *Machine) SetObserver(o Observer) {
-	if o == nil {
-		m.observer = nopObserver{}
-		return
+// SetObserver attaches the granularity statistics the run feeds; nil
+// attaches a fresh one that nothing reads.
+func (m *Machine) SetObserver(g *stats.Granularity) {
+	if g == nil {
+		g = &stats.Granularity{}
 	}
-	m.observer = o
+	m.gran = g
 }
 
 // Queue returns the message queue at the given priority.
@@ -294,7 +278,7 @@ func (m *Machine) dispatch(pri int) {
 	m.run[pri] = true
 	m.ip[pri] = handler.Addr()
 	m.regs[pri][isa.RMsg] = word.Ptr(msg.Base)
-	m.observer.Dispatch(pri, m.instrs)
+	m.gran.Dispatch(pri, m.instrs)
 	if m.probe != nil {
 		m.probe.dispatch(m.nodeID, pri, msg, handler.Addr(), m.instrs)
 	}

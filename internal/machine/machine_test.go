@@ -8,6 +8,7 @@ import (
 	"jmtam/internal/isa"
 	"jmtam/internal/mem"
 	"jmtam/internal/queue"
+	"jmtam/internal/stats"
 	"jmtam/internal/trace"
 	"jmtam/internal/word"
 )
@@ -404,12 +405,6 @@ func TestQueueOverflowSurfacesAsError(t *testing.T) {
 }
 
 func TestObserverMarks(t *testing.T) {
-	var threads, inlets, dispatches int
-	obs := observerFuncs{
-		thread:   func(uint32, uint64) { threads++ },
-		inlet:    func(uint32, uint64) { inlets++ },
-		dispatch: func(int, uint64) { dispatches++ },
-	}
 	sys := asm.NewSys()
 	sys.Halt()
 	user := asm.NewUser()
@@ -422,26 +417,17 @@ func TestObserverMarks(t *testing.T) {
 	sys.Finish()
 	user.Finish()
 	m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), user.Code()), Config{})
-	m.SetObserver(obs)
+	var g stats.Granularity
+	m.SetObserver(&g)
 	m.Inject(Low, []word.Word{word.Ptr(user.Addr("h"))})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if threads != 1 || inlets != 1 || dispatches != 1 {
-		t.Errorf("threads=%d inlets=%d dispatches=%d, want 1 each", threads, inlets, dispatches)
+	if g.Threads != 1 || g.Inlets != 1 || g.Dispatches != [2]uint64{1, 0} || g.Activations != 0 {
+		t.Errorf("threads=%d inlets=%d dispatches=%v activations=%d, want 1, 1, [1 0], 0",
+			g.Threads, g.Inlets, g.Dispatches, g.Activations)
 	}
 }
-
-type observerFuncs struct {
-	thread   func(uint32, uint64)
-	inlet    func(uint32, uint64)
-	dispatch func(int, uint64)
-}
-
-func (o observerFuncs) ThreadStart(f uint32, n uint64) { o.thread(f, n) }
-func (o observerFuncs) InletStart(f uint32, n uint64)  { o.inlet(f, n) }
-func (o observerFuncs) Activate(uint32, uint64)        {}
-func (o observerFuncs) Dispatch(p int, n uint64)       { o.dispatch(p, n) }
 
 func TestFetchOutsideCodePanicsAsTrap(t *testing.T) {
 	m, _ := buildMachine(t, func(s *asm.Segment) {

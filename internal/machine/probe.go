@@ -179,7 +179,7 @@ func (p *probe) frameDeq() {
 }
 
 // mark dispatches the runtime-operation mark kinds that carry no
-// Observer semantics.
+// granularity semantics.
 func (p *probe) mark(k isa.MarkKind) {
 	switch k {
 	case isa.MarkPost:

@@ -16,8 +16,8 @@ import (
 	"jmtam/internal/obs"
 )
 
-// Granularity implements machine.Observer, accumulating thread, inlet,
-// quantum and activation counts. The zero value is ready to use.
+// Granularity accumulates thread, inlet, quantum and activation counts
+// from a machine (machine.SetObserver). The zero value is ready to use.
 type Granularity struct {
 	Threads     uint64
 	Inlets      uint64
