@@ -7,8 +7,6 @@ import (
 	"jmtam/internal/core"
 	"jmtam/internal/isa"
 	"jmtam/internal/mem"
-	"jmtam/internal/parallel"
-	"jmtam/internal/programs"
 	"jmtam/internal/trace"
 )
 
@@ -41,17 +39,8 @@ type OAMRow struct {
 // with all user handlers at low priority. The 3*len(ws) simulations run
 // on at most parallelism workers (0 = GOMAXPROCS).
 func OAMComparison(ws []Workload, opt core.Options, parallelism int) ([]OAMRow, error) {
-	geoms := []cache.Config{{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}}
-	impls := [3]core.Impl{core.ImplMD, core.ImplOAM, core.ImplAM}
-	all := make([]*Run, 3*len(ws))
-	err := parallel.ForEach(parallelism, len(all), func(i int) error {
-		r, err := RunOne(ws[i/3], impls[i%3], geoms, opt)
-		if err != nil {
-			return err
-		}
-		all[i] = r
-		return nil
-	})
+	cells := grid(ws, []core.Impl{core.ImplMD, core.ImplOAM, core.ImplAM}, opt)
+	all, err := runCells(context.Background(), cells, []cache.Config{headline}, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -81,27 +70,14 @@ func OAMComparison(ws []Workload, opt core.Options, parallelism int) ([]OAMRow, 
 // 3*len(ws) simulations run on at most parallelism workers
 // (0 = GOMAXPROCS).
 func MDOptAblation(ws []Workload, opt core.Options, parallelism int) ([]MDOptRow, error) {
-	geoms := []cache.Config{{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}}
 	noOpt := opt
 	noOpt.NoMDOptimize = true
-	variants := [3]struct {
-		impl core.Impl
-		opt  core.Options
-	}{
-		{core.ImplAM, opt},
-		{core.ImplMD, opt},
-		{core.ImplMD, noOpt},
+	var cells []cell
+	for _, w := range ws {
+		cells = append(cells, cell{w, core.ImplAM, opt}, cell{w, core.ImplMD, opt},
+			cell{w, core.ImplMD, noOpt})
 	}
-	all := make([]*Run, 3*len(ws))
-	err := parallel.ForEach(parallelism, len(all), func(i int) error {
-		v := variants[i%3]
-		r, err := RunOne(ws[i/3], v.impl, geoms, v.opt)
-		if err != nil {
-			return err
-		}
-		all[i] = r
-		return nil
-	})
+	all, err := runCells(context.Background(), cells, []cache.Config{headline}, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -139,36 +115,23 @@ type ClassRow struct {
 // implementations of each workload, on at most parallelism workers
 // (0 = GOMAXPROCS).
 func ClassBreakdown(ws []Workload, opt core.Options, parallelism int) ([]ClassRow, error) {
-	impls := [2]core.Impl{core.ImplMD, core.ImplAM}
-	rows := make([]ClassRow, 2*len(ws))
-	err := parallel.ForEach(parallelism, len(rows), func(i int) error {
-		w, impl := ws[i/2], impls[i%2]
-		r, err := RunOne(w, impl, nil, opt)
-		if err != nil {
-			return err
-		}
-		c := r.Counts
-		row := ClassRow{
-			Program: w.Name, Impl: impl,
-			Fetches: c.TotalFetches(), Reads: c.TotalReads(), Writes: c.TotalWrites(),
-		}
-		row.SysFetchFrac = frac(c.Fetches[mem.ClassSysCode], row.Fetches)
-		row.SysReadFrac = frac(c.Reads[mem.ClassSysData], row.Reads)
-		row.SysWriteFrac = frac(c.Writes[mem.ClassSysData], row.Writes)
-		rows[i] = row
-		return nil
-	})
+	runs, err := runCells(context.Background(), grid(ws, paperImpls(), opt), nil, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
-}
-
-func frac(a, b uint64) float64 {
-	if b == 0 {
-		return 0
+	rows := make([]ClassRow, len(runs))
+	for i, r := range runs {
+		c := r.Counts
+		row := ClassRow{
+			Program: r.Workload.Name, Impl: r.Impl,
+			Fetches: c.TotalFetches(), Reads: c.TotalReads(), Writes: c.TotalWrites(),
+		}
+		row.SysFetchFrac = ratio64(c.Fetches[mem.ClassSysCode], row.Fetches)
+		row.SysReadFrac = ratio64(c.Reads[mem.ClassSysData], row.Reads)
+		row.SysWriteFrac = ratio64(c.Writes[mem.ClassSysData], row.Writes)
+		rows[i] = row
 	}
-	return float64(a) / float64(b)
+	return rows, nil
 }
 
 // MixRow reports the dynamic instruction mix of one (workload,
@@ -185,32 +148,21 @@ type MixRow struct {
 // InstructionMix computes the dynamic instruction mix for both primary
 // implementations of each workload, on at most parallelism workers
 // (0 = GOMAXPROCS). The AM implementation's larger control and memory
-// fractions are its scheduling hierarchy at work.
+// fractions are its scheduling hierarchy at work. The simulations
+// record nothing: the mix needs only opcode counts.
 func InstructionMix(ws []Workload, opt core.Options, parallelism int) ([]MixRow, error) {
-	impls := [2]core.Impl{core.ImplMD, core.ImplAM}
-	rows := make([]MixRow, 2*len(ws))
-	err := parallel.ForEach(parallelism, len(rows), func(i int) error {
-		w, impl := ws[i/2], impls[i%2]
-		spec, err := programs.ByName(w.Name)
-		if err != nil {
-			return err
+	cells := grid(ws, paperImpls(), opt)
+	rows := make([]MixRow, len(cells))
+	err := simulate(cells, parallelism, func(i int, cs *core.ClusterSim) {
+		var counts [isa.NumOps]uint64
+		for _, s := range cs.Sims {
+			for op, n := range s.M.OpCounts() {
+				counts[op] += n
+			}
 		}
-		o := opt
-		if o.MaxInstructions == 0 {
-			o.MaxInstructions = 2_000_000_000
-		}
-		sim, err := core.Build(impl, spec.Build(w.Arg), o)
-		if err != nil {
-			return err
-		}
-		defer sim.Close()
-		if err := sim.Run(); err != nil {
-			return err
-		}
-		counts := sim.M.OpCounts()
-		row := MixRow{Program: w.Name, Impl: impl, Total: sim.M.Instructions()}
+		row := MixRow{Program: cells[i].w.Name, Impl: cells[i].impl, Total: cs.Instructions()}
 		for op := isa.Op(0); op < isa.NumOps; op++ {
-			f := frac(counts[op], row.Total)
+			f := ratio64(counts[op], row.Total)
 			switch op.Class() {
 			case "mem":
 				row.Memory += f
@@ -227,7 +179,6 @@ func InstructionMix(ws []Workload, opt core.Options, parallelism int) ([]MixRow,
 			}
 		}
 		rows[i] = row
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -272,10 +223,10 @@ func VictimSweep(ws []Workload, impls []core.Impl, entries []int, opt core.Optio
 		entries = VictimEntries
 	}
 	direct := cache.Config{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 1}
-	setAssoc := cache.Config{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}
-	rows := make([]VictimRow, len(ws)*len(impls))
-	err := parallel.ForEach(parallelism, len(rows), func(i int) error {
-		w, impl := ws[i/len(impls)], impls[i%len(impls)]
+	cells := grid(ws, impls, opt)
+	rows := make([]VictimRow, len(cells))
+	err := forEachCell(context.Background(), cells, parallelism, func(i int) error {
+		w, impl := cells[i].w, cells[i].impl
 		r, rec, err := RecordOne(w, impl, opt)
 		if err != nil {
 			return err
@@ -288,7 +239,7 @@ func VictimSweep(ws []Workload, impls []core.Impl, entries []int, opt core.Optio
 			VictimHits:   make([]uint64, len(entries)),
 			Instructions: r.Instructions,
 		}
-		base, _, err := fanOut(context.Background(), packed([]*trace.Recording{rec}), 1, []cache.Config{setAssoc}, 1, false)
+		base, _, err := fanOut(context.Background(), packed([]*trace.Recording{rec}), 1, []cache.Config{headline}, 1, false)
 		if err != nil {
 			return err
 		}
@@ -333,18 +284,11 @@ func VictimSweep(ws []Workload, impls []core.Impl, entries []int, opt core.Optio
 func PenaltySweep(d *Dataset, sizeKB, assoc int, penalties []int) []Series {
 	var out []Series
 	for _, w := range d.Sweep.Workloads {
-		s := Series{Label: w.Name, SizesKB: penalties}
-		for _, p := range penalties {
-			s.Ratios = append(s.Ratios, d.Ratio(w.Name, sizeKB, assoc, p))
-		}
-		out = append(out, s)
+		out = append(out, curve(w.Name, penalties,
+			func(p int) float64 { return d.Ratio(w.Name, sizeKB, assoc, p) }))
 	}
-	mean := Series{Label: "geomean", SizesKB: penalties}
-	for _, p := range penalties {
-		mean.Ratios = append(mean.Ratios, d.GeoMeanRatio(sizeKB, assoc, p))
-	}
-	out = append(out, mean)
-	return out
+	return append(out, curve("geomean", penalties,
+		func(p int) float64 { return d.GeoMeanRatio(sizeKB, assoc, p) }))
 }
 
 // CrossoverPenalty returns the smallest penalty from the candidates at

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/netsim"
-	"jmtam/internal/parallel"
-	"jmtam/internal/programs"
 	"jmtam/internal/trace"
 )
 
@@ -24,14 +21,7 @@ func RecordCluster(w Workload, impl core.Impl, opt core.Options) (*Run, []*trace
 // RecordClusterContext is RecordCluster with cooperative cancellation
 // of the simulation step loop.
 func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
-	spec, err := programs.ByName(w.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opt.MaxInstructions == 0 {
-		opt.MaxInstructions = 2_000_000_000
-	}
-	cs, err := core.BuildCluster(impl, spec.Build(w.Arg), opt)
+	cs, err := cell{w, impl, opt}.build()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,7 +95,7 @@ func ReplayClusterFanOutContext(ctx context.Context, r *Run, recs []*trace.Recor
 // reordered into registry (canonical report) order.
 func defaultRatioImpls(impls []core.Impl) []core.Impl {
 	if len(impls) == 0 {
-		impls = []core.Impl{core.ImplMD, core.ImplAM}
+		impls = paperImpls()
 	}
 	out := append([]core.Impl(nil), impls...)
 	core.SortImpls(out)
@@ -145,74 +135,56 @@ type NodeRatioRow struct {
 // geometry and miss penalty, and total elapsed ticks. A nil impls list
 // selects {MD, AM}. The len(impls) x len(nodeCounts) x len(ws) cluster
 // simulations run on at most parallelism workers (0 = GOMAXPROCS);
-// totals accumulate in job order, so rows are identical at every
+// totals accumulate in cell order, so rows are identical at every
 // parallelism setting. Node counts must be powers of two (1 selects the
 // uniprocessor-equivalent 1-node cluster so elapsed ticks stay
 // comparable).
 func NodeRatioSweep(ws []Workload, impls []core.Impl, nodeCounts []int, geom cache.Config, penalty int, opt core.Options, parallelism int) ([]NodeRatioRow, error) {
-	if err := geom.Validate(); err != nil {
-		return nil, err
-	}
 	impls = defaultRatioImpls(impls)
-	type job struct {
-		n    int
-		impl core.Impl
-		w    Workload
-	}
-	var jobs []job
+	var cells []cell
 	for _, n := range nodeCounts {
+		o := opt
+		o.Nodes = n
 		for _, impl := range impls {
-			for _, w := range ws {
-				jobs = append(jobs, job{n, impl, w})
-			}
+			cells = append(cells, grid(ws, []core.Impl{impl}, o)...)
 		}
 	}
-	runs := make([]*Run, len(jobs))
-	par := parallel.Workers(parallelism)
-	err := parallel.ForEach(par, len(jobs), func(i int) error {
-		o := opt
-		o.Nodes = jobs[i].n
-		r, err := RunOneParContext(context.Background(), jobs[i].w, jobs[i].impl,
-			[]cache.Config{geom}, o, 1)
-		if err != nil {
-			return fmt.Errorf("%s/%s n=%d: %w", jobs[i].w.Name, jobs[i].impl, jobs[i].n, err)
-		}
-		runs[i] = r
-		return nil
-	})
+	runs, err := runCells(context.Background(), cells, []cache.Config{geom}, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
 	names := implNames(impls)
-	rowIdx := make(map[int]int, len(nodeCounts))
 	rows := make([]NodeRatioRow, len(nodeCounts))
 	for i, n := range nodeCounts {
-		rowIdx[n] = i
 		rows[i] = NodeRatioRow{
 			Nodes: n, Impls: names,
 			Cycles: make(map[string]uint64), Ticks: make(map[string]uint64),
 			RatioCycles: make(map[string]float64), RatioTicks: make(map[string]float64),
 		}
 	}
-	for i, j := range jobs {
-		row := &rows[rowIdx[j.n]]
-		name := j.impl.Name()
-		row.Cycles[name] += runs[i].Cycles(0, penalty, false)
-		row.Ticks[name] += runs[i].Ticks
+	perRow := len(impls) * len(ws)
+	for i, c := range cells {
+		row := &rows[i/perRow]
+		row.Cycles[c.impl.Name()] += runs[i].Cycles(0, penalty, false)
+		row.Ticks[c.impl.Name()] += runs[i].Ticks
 	}
 	for i := range rows {
-		row := &rows[i]
-		md, haveMD := row.Cycles[core.ImplMD.Name()]
-		if !haveMD {
-			continue
-		}
-		mdTicks := row.Ticks[core.ImplMD.Name()]
-		for _, name := range names {
-			row.RatioCycles[name] = ratio64(md, row.Cycles[name])
-			row.RatioTicks[name] = ratio64(mdTicks, row.Ticks[name])
-		}
+		mdRelative(names, rows[i].Cycles, rows[i].RatioCycles)
+		mdRelative(names, rows[i].Ticks, rows[i].RatioTicks)
 	}
 	return rows, nil
+}
+
+// mdRelative fills ratios with MD's total over each backend's, and
+// leaves them empty when MD was not swept.
+func mdRelative(names []string, totals map[string]uint64, ratios map[string]float64) {
+	md, ok := totals[core.ImplMD.Name()]
+	if !ok {
+		return
+	}
+	for _, name := range names {
+		ratios[name] = ratio64(md, totals[name])
+	}
 }
 
 // HopRatioRow compares the swept backends at one per-hop routing delay
@@ -237,35 +209,18 @@ type HopRatioRow struct {
 // PerHop varies.
 func HopLatencySweep(ws []Workload, impls []core.Impl, nodes int, perHops []uint64, opt core.Options, parallelism int) ([]HopRatioRow, error) {
 	impls = defaultRatioImpls(impls)
-	type job struct {
-		hop  int
-		impl core.Impl
-		w    Workload
-	}
-	var jobs []job
-	for h := range perHops {
-		for _, impl := range impls {
-			for _, w := range ws {
-				jobs = append(jobs, job{h, impl, w})
-			}
-		}
-	}
-	ticks := make([]uint64, len(jobs))
-	par := parallel.Workers(parallelism)
-	err := parallel.ForEach(par, len(jobs), func(i int) error {
+	var cells []cell
+	for _, perHop := range perHops {
 		o := opt
 		o.Nodes = nodes
 		cfg := netsim.DefaultConfig(nodes)
-		cfg.PerHop = perHops[jobs[i].hop]
+		cfg.PerHop = perHop
 		o.Net = &cfg
-		r, _, err := RecordClusterContext(context.Background(), jobs[i].w, jobs[i].impl, o)
-		if err != nil {
-			return fmt.Errorf("%s/%s perhop=%d: %w",
-				jobs[i].w.Name, jobs[i].impl, perHops[jobs[i].hop], err)
+		for _, impl := range impls {
+			cells = append(cells, grid(ws, []core.Impl{impl}, o)...)
 		}
-		ticks[i] = r.Ticks
-		return nil
-	})
+	}
+	runs, err := runCells(context.Background(), cells, nil, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -277,18 +232,12 @@ func HopLatencySweep(ws []Workload, impls []core.Impl, nodes int, perHops []uint
 			Ticks: make(map[string]uint64), RatioTicks: make(map[string]float64),
 		}
 	}
-	for i, j := range jobs {
-		rows[j.hop].Ticks[j.impl.Name()] += ticks[i]
+	perRow := len(impls) * len(ws)
+	for i, c := range cells {
+		rows[i/perRow].Ticks[c.impl.Name()] += runs[i].Ticks
 	}
 	for i := range rows {
-		row := &rows[i]
-		md, haveMD := row.Ticks[core.ImplMD.Name()]
-		if !haveMD {
-			continue
-		}
-		for _, name := range names {
-			row.RatioTicks[name] = ratio64(md, row.Ticks[name])
-		}
+		mdRelative(names, rows[i].Ticks, rows[i].RatioTicks)
 	}
 	return rows, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestRunClusterFillsCachesAndTicks(t *testing.T) {
 		{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4},
 		{SizeBytes: 1 * 1024, BlockBytes: 64, Assoc: 1},
 	}
-	r, err := RunOnePar(tinyWorkloads[0], core.ImplAM, geoms,
+	r, err := RunOneParContext(context.Background(), tinyWorkloads[0], core.ImplAM, geoms,
 		core.Options{Nodes: 4}, 2)
 	if err != nil {
 		t.Fatal(err)

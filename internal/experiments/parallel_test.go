@@ -253,7 +253,7 @@ func TestAssocSweepDeterminism(t *testing.T) {
 // simulation.
 func TestRunOneParBadGeometry(t *testing.T) {
 	bad := []cache.Config{{SizeBytes: 100, BlockBytes: 64, Assoc: 1}}
-	if _, err := RunOnePar(Workload{"ss", 40}, core.ImplMD, bad, core.Options{}, 2); err == nil {
+	if _, err := RunOneParContext(context.Background(), Workload{"ss", 40}, core.ImplMD, bad, core.Options{}, 2); err == nil {
 		t.Error("invalid geometry accepted")
 	}
 }
