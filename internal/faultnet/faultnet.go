@@ -1,11 +1,9 @@
 // Package faultnet is a deterministic fault-injection layer for the
 // distributed sweep topology: an http.RoundTripper wrapper that injects
 // connection drops, latency spikes, synthetic 5xx responses and
-// mid-stream disconnects on a seeded schedule, a net.Listener
-// wrapper that can crash a worker (sever every open connection and
-// refuse new ones) at a chosen moment, a seeded disk corruptor that
-// flips bits in stored blobs to drill the store's integrity scrub,
-// and a SIGKILL helper for chaos runs against real daemon processes.
+// mid-stream disconnects on a seeded schedule, and a seeded disk
+// corruptor that flips bits in stored blobs to drill the store's
+// integrity scrub.
 //
 // Fault decisions are drawn from an internal/rng xorshift source, so a
 // given seed produces the same fault sequence on every run: CI can
@@ -20,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -262,130 +259,4 @@ func CorruptFile(path string, seed uint64) (int64, error) {
 		return 0, err
 	}
 	return off, f.Sync()
-}
-
-// KillProcess delivers an uncatchable SIGKILL to pid — the real
-// "kill -9 mid-sweep" for chaos drills against daemon binaries; tests
-// that stay in-process use Listener.Crash instead.
-func KillProcess(pid int) error {
-	p, err := os.FindProcess(pid)
-	if err != nil {
-		return err
-	}
-	return p.Kill()
-}
-
-// Listener wraps a net.Listener so a test or chaos harness can crash
-// the worker behind it: Crash severs every open connection and makes
-// further accepts fail until Revive.
-type Listener struct {
-	net.Listener
-
-	mu          sync.Mutex
-	conns       map[net.Conn]struct{}
-	crashed     bool
-	accepts     uint64
-	crashAfter  uint64 // crash once accepts reaches this count (0 = never)
-	onCrash     func()
-	crashOnceOn bool
-}
-
-// Wrap returns a crashable listener over ln.
-func Wrap(ln net.Listener) *Listener {
-	return &Listener{Listener: ln, conns: make(map[net.Conn]struct{})}
-}
-
-// CrashAfter arms the listener to crash as soon as n connections have
-// been accepted (counting from the beginning). onCrash, when non-nil,
-// is invoked once at crash time.
-func (l *Listener) CrashAfter(n uint64, onCrash func()) {
-	l.mu.Lock()
-	l.crashAfter = n
-	l.onCrash = onCrash
-	l.crashOnceOn = true
-	l.mu.Unlock()
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.accepts++
-	if l.crashOnceOn && l.crashAfter > 0 && l.accepts >= l.crashAfter {
-		l.crashOnceOn = false
-		l.mu.Unlock()
-		c.Close()
-		l.Crash()
-		return nil, fmt.Errorf("%w: worker crashed", ErrInjected)
-	}
-	if l.crashed {
-		l.mu.Unlock()
-		c.Close()
-		return nil, fmt.Errorf("%w: worker crashed", ErrInjected)
-	}
-	l.conns[c] = struct{}{}
-	l.mu.Unlock()
-	return &trackedConn{Conn: c, l: l}, nil
-}
-
-// Crash severs every open connection and closes the underlying
-// listener: the worker disappears mid-flight as an abruptly killed
-// process would, and new dials are refused. A restarted worker is a
-// fresh listener.
-func (l *Listener) Crash() {
-	l.mu.Lock()
-	if l.crashed {
-		l.mu.Unlock()
-		return
-	}
-	l.crashed = true
-	conns := make([]net.Conn, 0, len(l.conns))
-	for c := range l.conns {
-		conns = append(conns, c)
-	}
-	l.conns = make(map[net.Conn]struct{})
-	onCrash := l.onCrash
-	l.mu.Unlock()
-	l.Listener.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	if onCrash != nil {
-		onCrash()
-	}
-}
-
-// Crashed reports whether the listener is currently down.
-func (l *Listener) Crashed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.crashed
-}
-
-// Accepts returns the number of connections accepted so far.
-func (l *Listener) Accepts() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.accepts
-}
-
-func (l *Listener) forget(c net.Conn) {
-	l.mu.Lock()
-	delete(l.conns, c)
-	l.mu.Unlock()
-}
-
-// trackedConn removes itself from the listener's live set on close.
-type trackedConn struct {
-	net.Conn
-	l    *Listener
-	once sync.Once
-}
-
-func (c *trackedConn) Close() error {
-	c.once.Do(func() { c.l.forget(c.Conn) })
-	return c.Conn.Close()
 }

@@ -3,7 +3,6 @@ package faultnet
 import (
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -129,81 +128,5 @@ func TestTransportSpike(t *testing.T) {
 	resp.Body.Close()
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Errorf("round trip took %v, want >= 30ms spike", d)
-	}
-}
-
-func TestListenerCrash(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fln := Wrap(ln)
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	})}
-	done := make(chan struct{})
-	go func() { srv.Serve(fln); close(done) }()
-	url := "http://" + ln.Addr().String() + "/"
-
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if fln.Accepts() == 0 {
-		t.Error("listener did not count the accept")
-	}
-
-	fln.Crash()
-	if !fln.Crashed() {
-		t.Error("Crashed() = false after Crash")
-	}
-	client := &http.Client{Timeout: time.Second, Transport: &http.Transport{}}
-	if _, err := client.Get(url); err == nil {
-		t.Error("GET succeeded against a crashed worker")
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Error("Serve did not return after Crash")
-	}
-	fln.Crash() // idempotent
-}
-
-func TestListenerCrashAfter(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fln := Wrap(ln)
-	crashed := make(chan struct{})
-	fln.CrashAfter(2, func() { close(crashed) })
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	})}
-	go srv.Serve(fln)
-	url := "http://" + ln.Addr().String() + "/"
-
-	// Fresh connection per request so each GET costs one accept.
-	get := func() error {
-		client := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
-		resp, err := client.Get(url)
-		if err != nil {
-			return err
-		}
-		io.ReadAll(resp.Body)
-		return resp.Body.Close()
-	}
-	if err := get(); err != nil {
-		t.Fatal(err)
-	}
-	if err := get(); err == nil && !fln.Crashed() {
-		t.Error("worker survived past its armed crash point")
-	}
-	select {
-	case <-crashed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("onCrash hook never fired")
 	}
 }
