@@ -67,7 +67,6 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 	frameShift, heapShift := partitionShifts(nodes)
 	cfg := machine.Config{
 		QueueCapWords:     opt.QueueCapWords,
-		CountQueueWrites:  true,
 		PairedQueueWrites: opt.PairedQueueWrites,
 		MaxInstructions:   opt.MaxInstructions,
 	}

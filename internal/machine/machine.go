@@ -25,17 +25,10 @@ type Config struct {
 	// QueueCapWords is the per-priority message queue capacity in
 	// words; zero selects queue.DefaultCapWords.
 	QueueCapWords int
-	// CountQueueWrites controls whether hardware buffering of arriving
-	// message words is charged as data writes. The MDP buffers
-	// messages into on-chip memory, consuming space and bandwidth
-	// (paper §1.1.2 footnote), so the default — set by NewMachine — is
-	// true.
-	CountQueueWrites bool
 	// PairedQueueWrites models the MDP's two-word-per-cycle queue
 	// write-through: arriving message words are buffered in pairs, so
 	// only every other word of a message charges a data write. Off by
-	// default (one write per word, the historical accounting); only
-	// meaningful when CountQueueWrites is set.
+	// default (one write per word, the historical accounting).
 	PairedQueueWrites bool
 	// MaxInstructions aborts runaway simulations; zero means no limit.
 	MaxInstructions uint64
@@ -221,10 +214,11 @@ func (m *Machine) Busy(pri int) bool { return m.run[pri] }
 // Inject buffers a message into the queue at pri, as the hardware does
 // for a local send, a network delivery or a host message that
 // bootstraps a program; a delivery wakes a machine parked at WAIT. The
-// message is placed and its words stored in one pass. When queue writes
-// are counted, the buffering records one data write per word, or one
-// per word pair under the paired model, all of one class: the queues
-// live in system data.
+// message is placed and its words stored in one pass. The MDP buffers
+// messages into on-chip memory, consuming space and bandwidth (paper
+// §1.1.2 footnote), so the buffering records one data write per word,
+// or one per word pair under the paired model, all of one class: the
+// queues live in system data.
 func (m *Machine) Inject(pri int, ws []word.Word) error {
 	q := m.queues[pri]
 	msg, err := q.Place(len(ws))
@@ -232,7 +226,7 @@ func (m *Machine) Inject(pri int, ws []word.Word) error {
 		return err
 	}
 	m.Mem.StoreWords(msg.Base, ws)
-	if rec := m.rec[pri]; rec != nil && m.cfg.CountQueueWrites {
+	if rec := m.rec[pri]; rec != nil {
 		stride := 1
 		if m.cfg.PairedQueueWrites {
 			stride = 2

@@ -315,10 +315,10 @@ func TestTracerCounts(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Dispatch reads the header word; queue writes are untraced here
-	// because CountQueueWrites is off in this bare configuration.
-	if tr.TotalFetches() != 4 || tr.TotalReads() != 2 || tr.TotalWrites() != 1 || tr.Len() != 7 {
-		t.Errorf("counts = %+v over %d refs, want fetches=4 reads=2 writes=1", tr.Counts, tr.Len())
+	// Buffering the one-word message writes the queue; dispatch reads
+	// the header word.
+	if tr.TotalFetches() != 4 || tr.TotalReads() != 2 || tr.TotalWrites() != 2 || tr.Len() != 8 {
+		t.Errorf("counts = %+v over %d refs, want fetches=4 reads=2 writes=2", tr.Counts, tr.Len())
 	}
 	if m.Instructions() != 4 {
 		t.Errorf("instructions = %d, want 4", m.Instructions())
@@ -334,7 +334,7 @@ func TestQueueWriteTracing(t *testing.T) {
 	sys.Finish()
 	user.Finish()
 	m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), user.Code()),
-		Config{CountQueueWrites: true})
+		Config{})
 	tr := &trace.Recording{}
 	m.SetTracer(tr, nil)
 	// A three-word injection buffers three words into queue memory.
@@ -363,7 +363,7 @@ func TestPairedQueueWriteTracing(t *testing.T) {
 		writes int
 	}{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}} {
 		m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), user.Code()),
-			Config{CountQueueWrites: true, PairedQueueWrites: true})
+			Config{PairedQueueWrites: true})
 		tr := &trace.Recording{}
 		m.SetTracer(tr, nil)
 		ws := []word.Word{word.Ptr(user.Addr("main"))}

@@ -140,7 +140,7 @@ func TestRandomStreamsMatchReference(t *testing.T) {
 		}
 
 		m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), u.Code()),
-			Config{CountQueueWrites: true, PairedQueueWrites: paired, MaxInstructions: 10000})
+			Config{PairedQueueWrites: paired, MaxInstructions: 10000})
 		recs := [2]*trace.Recording{{}, nil}
 		if split {
 			recs[High] = &trace.Recording{}

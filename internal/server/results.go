@@ -149,7 +149,7 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "malformed result key")
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRecordingBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordingBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge, err.Error())
 		return

@@ -18,6 +18,17 @@ import (
 	"jmtam/internal/tracestore"
 )
 
+const (
+	// maxBodyBytes bounds request bodies.
+	maxBodyBytes = 1 << 20
+	// maxRecordingBytes bounds an uploaded compacted recording; GET
+	// responses are unaffected.
+	maxRecordingBytes = 256 << 20
+	// streamWriteTimeout bounds each write on a job's NDJSON stream so
+	// a stalled subscriber cannot pin a handler goroutine forever.
+	streamWriteTimeout = 30 * time.Second
+)
+
 // Config parameterizes a Server.
 type Config struct {
 	// Workers bounds the number of concurrently executing jobs
@@ -34,8 +45,6 @@ type Config struct {
 	// applied when a request leaves max_instructions unset
 	// (0 = 2e9, the experiments package's default).
 	DefaultMaxInstructions uint64
-	// MaxBodyBytes bounds request bodies (0 = 1 MiB).
-	MaxBodyBytes int64
 	// JournalPath, when set, enables the write-ahead job journal: every
 	// accept/start/terminal transition is an fsynced NDJSON record, and
 	// sweeps checkpoint each completed unit, so a restarted daemon
@@ -56,9 +65,6 @@ type Config struct {
 	// content checksum are quarantined and repaired from peers or
 	// re-recorded. 0 disables the scrubber (reads still verify).
 	ScrubInterval time.Duration
-	// StreamWriteTimeout bounds each write on a job's NDJSON stream so a
-	// stalled subscriber cannot pin a handler goroutine forever (0 = 30s).
-	StreamWriteTimeout time.Duration
 	// ShardWorkers lists remote tamsimd base URLs ("http://host:port").
 	// When nonempty, sweep jobs are partitioned into (workload, impl)
 	// shards and farmed out through a shard.Coordinator instead of
@@ -79,9 +85,6 @@ type Config struct {
 	// on a local store miss — typically the coordinator's URL on a
 	// shard worker, so a recording made anywhere serves the fleet.
 	StorePeers []string
-	// MaxRecordingBytes bounds an uploaded compacted recording
-	// (0 = 256 MiB). GET responses are unaffected.
-	MaxRecordingBytes int64
 	// Tenants enables API-key tenancy: every request outside the
 	// exempt paths needs `Authorization: Bearer <key>`, jobs belong to
 	// the resolving tenant (scoping list/status/cancel), and
@@ -126,17 +129,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultMaxInstructions == 0 {
 		cfg.DefaultMaxInstructions = 2_000_000_000
 	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.MaxRecordingBytes == 0 {
-		cfg.MaxRecordingBytes = 256 << 20
-	}
 	if cfg.ReplayParallelism == 0 {
 		cfg.ReplayParallelism = 1
-	}
-	if cfg.StreamWriteTimeout == 0 {
-		cfg.StreamWriteTimeout = 30 * time.Second
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := obs.NewShared()
@@ -365,7 +359,7 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 // --- submission -------------------------------------------------------------
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
@@ -696,7 +690,7 @@ func (s *Server) respondToSubmit(w http.ResponseWriter, r *http.Request, job *Jo
 	// have no watcher and run to completion.
 	stop := context.AfterFunc(r.Context(), job.Cancel)
 	defer stop()
-	job.streamTo(w, s.cfg.StreamWriteTimeout)
+	job.streamTo(w, streamWriteTimeout)
 }
 
 // --- status, streaming, cancellation ---------------------------------------
@@ -733,7 +727,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("stream") == "1" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		job.streamTo(w, s.cfg.StreamWriteTimeout)
+		job.streamTo(w, streamWriteTimeout)
 		return
 	}
 	writeJSON(w, http.StatusOK, job.Status())

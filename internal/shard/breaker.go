@@ -12,13 +12,18 @@ const (
 	BreakerClosed   = 2 // worker healthy
 )
 
-// breaker is a per-worker circuit breaker: threshold consecutive
-// failures open it for cooldown, after which a single probe attempt is
-// admitted (half-open); a success closes it, another failure re-opens.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
+// breakerThreshold consecutive failures open a worker's breaker for
+// breakerCooldown.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+)
 
+// breaker is a per-worker circuit breaker: breakerThreshold consecutive
+// failures open it for breakerCooldown, after which a single probe
+// attempt is admitted (half-open); a success closes it, another failure
+// re-opens.
+type breaker struct {
 	mu        sync.Mutex
 	fails     int
 	openUntil time.Time
@@ -59,9 +64,9 @@ func (b *breaker) fail(now time.Time) (opened bool) {
 	defer b.mu.Unlock()
 	b.fails++
 	b.probing = false
-	if b.fails >= b.threshold {
+	if b.fails >= breakerThreshold {
 		opened = b.openUntil.IsZero() || !now.Before(b.openUntil)
-		b.openUntil = now.Add(b.cooldown)
+		b.openUntil = now.Add(breakerCooldown)
 	}
 	return opened
 }

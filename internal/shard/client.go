@@ -148,12 +148,15 @@ func implName(s string) string {
 	return impl.String()
 }
 
+// probeTimeout bounds a /readyz registration probe.
+const probeTimeout = 2 * time.Second
+
 // probe checks a worker's readiness, bounding the wait. It asks
 // /readyz, not /healthz: a live-but-draining worker (503) must shed
 // new shards exactly like an unreachable one — the coordinator leases
 // elsewhere and the drain completes; this is shedding, not breakage.
 func (c *Coordinator) probe(ctx context.Context, w *worker) error {
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, w.url+"/readyz", nil)
 	if err != nil {

@@ -38,8 +38,6 @@ type Config struct {
 	// delivered a terminal stream line within it loses the lease and the
 	// shard re-queues (0 = 2m).
 	LeaseTimeout time.Duration
-	// ProbeTimeout bounds a /readyz registration probe (0 = 2s).
-	ProbeTimeout time.Duration
 	// MaxAttempts bounds remote attempts per shard before falling back
 	// to local execution (0 = 4).
 	MaxAttempts int
@@ -50,10 +48,6 @@ type Config struct {
 	// worker when the primary has not finished within it (0 = no
 	// hedging).
 	HedgeAfter time.Duration
-	// BreakerThreshold consecutive failures open a worker's circuit
-	// breaker for BreakerCooldown (0 = 3 / 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Seed drives backoff jitter. Jitter affects timing only, never
 	// results.
 	Seed uint64
@@ -93,9 +87,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.LeaseTimeout == 0 {
 		cfg.LeaseTimeout = 2 * time.Minute
 	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = 4
 	}
@@ -104,12 +95,6 @@ func New(cfg Config) *Coordinator {
 	}
 	if cfg.MaxBackoff == 0 {
 		cfg.MaxBackoff = 2 * time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = time.Second
 	}
 	if cfg.LocalParallelism == 0 {
 		cfg.LocalParallelism = 1
@@ -127,10 +112,7 @@ func New(cfg Config) *Coordinator {
 		for len(u) > 0 && u[len(u)-1] == '/' {
 			u = u[:len(u)-1]
 		}
-		c.workers = append(c.workers, &worker{
-			url: u, idx: i,
-			breaker: breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
-		})
+		c.workers = append(c.workers, &worker{url: u, idx: i})
 	}
 	// Pre-register the failure-path counters so a clean run still
 	// reports them (as zero) on /metricz.
@@ -198,7 +180,7 @@ func (c *Coordinator) register(ctx context.Context) {
 		if err != nil {
 			// Quarantine immediately: the first shards should not burn
 			// attempts on a worker that failed its registration probe.
-			for i := 0; i < c.cfg.BreakerThreshold; i++ {
+			for i := 0; i < breakerThreshold; i++ {
 				w.breaker.fail(now)
 			}
 			c.cfg.Metrics.Count("shard.breaker.opens", 1)
