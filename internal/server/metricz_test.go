@@ -50,7 +50,7 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("%s: /metricz differs from the golden\ngot:\n%s\nwant:\n%s", name, got, want)
+		t.Errorf("%s differs from the golden\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
 }
 
