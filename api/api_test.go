@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -182,5 +183,29 @@ func TestJobStatusTenantOmitted(t *testing.T) {
 	json.Unmarshal(b, &m)
 	if _, ok := m["tenant"]; ok {
 		t.Fatalf("anonymous status leaked a tenant field: %s", b)
+	}
+}
+
+// TestReadStream: blank lines are skipped, every event reaches the
+// callback in order, the last one comes back, and a line that does not
+// decode is an error.
+func TestReadStream(t *testing.T) {
+	stream := "{\"type\":\"accepted\",\"id\":\"s-1\"}\n\n  \n{\"type\":\"run\",\"done\":1}\n{\"type\":\"result\",\"result\":{\"x\":1}}\n"
+	var types []string
+	last, err := ReadStream(strings.NewReader(stream), func(ev Event, line []byte) {
+		types = append(types, ev.Type)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{EventAccepted, EventRun, EventResult}; !reflect.DeepEqual(types, want) {
+		t.Fatalf("events = %v, want %v", types, want)
+	}
+	if last.Type != EventResult || string(last.Result) != `{"x":1}` {
+		t.Fatalf("last = %+v", last)
+	}
+	last, err = ReadStream(strings.NewReader("{\"type\":\"accepted\"}\n{\"type\":\"res"), nil)
+	if err == nil || last.Type != EventAccepted {
+		t.Fatalf("torn line: last = %+v, err = %v; want the accepted event and an error", last, err)
 	}
 }

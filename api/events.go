@@ -1,6 +1,12 @@
 package api
 
-import "encoding/json"
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+)
 
 // Every line a job streams (POST /v1/runs, POST /v1/sweeps, and
 // GET ...?stream=1 replays) is the JSON encoding of exactly one of the
@@ -178,4 +184,29 @@ type Event struct {
 // Terminal reports whether the event ends its job's stream.
 func (e *Event) Terminal() bool {
 	return e.Type == EventResult || e.Type == EventError || e.Type == EventCanceled
+}
+
+// ReadStream decodes a job's NDJSON event stream from r to its end,
+// calling fn (may be nil) with each event and its raw line, which is
+// valid only during the call, and returns the last event. Blank lines
+// are skipped; a line that does not decode, or one longer than 64 MiB,
+// is an error, as is a failed read.
+func ReadStream(r io.Reader, fn func(ev Event, line []byte)) (last Event, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return last, fmt.Errorf("bad stream line %.80q: %w", line, err)
+		}
+		if fn != nil {
+			fn(ev, line)
+		}
+		last = ev
+	}
+	return last, sc.Err()
 }

@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -361,26 +360,10 @@ func oneJob(base string, sp tenantSpec, kind string, arg int, st *tenantStats) {
 	}
 
 	cached := false
-	done := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev api.Event
-		if json.Unmarshal(line, &ev) != nil {
-			continue
-		}
-		if ev.Type == api.EventCached {
-			cached = true
-		}
-		if ev.Terminal() {
-			done = ev.Type == api.EventResult
-			break
-		}
-	}
+	last, err := api.ReadStream(resp.Body, func(ev api.Event, _ []byte) {
+		cached = cached || ev.Type == api.EventCached
+	})
+	done := err == nil && last.Type == api.EventResult
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)
 	record(st, func() {
 		if !done {

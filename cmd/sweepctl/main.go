@@ -23,7 +23,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -227,39 +226,25 @@ func submit(base, scale, reqFile string, impls []string, detail, detach bool, ou
 
 	// Follow the NDJSON stream: narrate progress on stderr, capture the
 	// terminal line.
-	var result json.RawMessage
-	var terminal string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var ev api.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			fatal(fmt.Errorf("bad stream line %q: %w", line, err))
-		}
+	last, err := api.ReadStream(resp.Body, func(ev api.Event, line []byte) {
 		switch ev.Type {
-		case api.EventResult:
-			terminal, result = ev.Type, ev.Result
+		case api.EventResult: // written out below
 		case api.EventError, api.EventCanceled:
-			terminal = ev.Type
 			fmt.Fprintf(os.Stderr, "sweepctl: job %s: %s\n", ev.Type, ev.Error)
 		case api.EventCached:
 			fmt.Fprintf(os.Stderr, "sweepctl: result served from %s cache (%s)\n", ev.Source, ev.Key[:12])
 		default:
 			fmt.Fprintf(os.Stderr, "%s\n", line)
 		}
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		fatal(err)
 	}
-	if terminal != api.EventResult {
+	if last.Type != api.EventResult {
 		os.Exit(1)
 	}
 	var buf bytes.Buffer
-	if err := json.Indent(&buf, result, "", "  "); err != nil {
+	if err := json.Indent(&buf, last.Result, "", "  "); err != nil {
 		fatal(err)
 	}
 	buf.WriteByte('\n')
