@@ -1,18 +1,6 @@
 package parallel
 
-import (
-	"context"
-	"errors"
-	"sync"
-)
-
-// ErrPoolClosed is returned by Acquire when the pool has been closed:
-// work submitted after shutdown fails loudly instead of queueing (or
-// silently dropping) behind a pool that will never serve it. The
-// serving daemon's clean-restart path depends on this: once the journal
-// decides to stop, every late submission must surface as an error the
-// caller can journal and re-queue after restart.
-var ErrPoolClosed = errors.New("parallel: pool closed")
+import "context"
 
 // Pool is a long-lived bounded slot pool for admission control. Unlike
 // ForEach, whose workers exist only for the duration of one fan-out, a
@@ -22,115 +10,28 @@ var ErrPoolClosed = errors.New("parallel: pool closed")
 // submissions queue.
 type Pool struct {
 	slots chan struct{}
-
-	mu      sync.Mutex
-	closed  bool
-	closeCh chan struct{} // closed by Close
-	drained chan struct{} // closed once closed && no slot held
 }
 
 // NewPool returns a pool with the given number of slots (<= 0 selects
 // GOMAXPROCS).
 func NewPool(workers int) *Pool {
-	return &Pool{
-		slots:   make(chan struct{}, Workers(workers)),
-		closeCh: make(chan struct{}),
-		drained: make(chan struct{}),
-	}
+	return &Pool{slots: make(chan struct{}, Workers(workers))}
 }
 
-// Acquire blocks until a slot is free, the context is cancelled, or the
-// pool is closed, returning ctx.Err() or ErrPoolClosed in the latter
-// cases. Each successful Acquire must be paired with exactly one
-// Release.
+// Acquire blocks until a slot is free or the context ends, returning
+// ctx.Err() in the latter case. Each successful Acquire must be paired
+// with exactly one Release.
 func (p *Pool) Acquire(ctx context.Context) error {
 	select {
-	case <-p.closeCh:
-		return ErrPoolClosed
-	default:
-	}
-	select {
 	case p.slots <- struct{}{}:
-		// Close may have raced the slot grant; a closed pool admits no
-		// new work, so hand the slot back.
-		select {
-		case <-p.closeCh:
-			p.Release()
-			return ErrPoolClosed
-		default:
-			return nil
-		}
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.closeCh:
-		return ErrPoolClosed
-	}
-}
-
-// TryAcquire takes a slot without blocking, reporting success. It
-// always fails on a closed pool.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case <-p.closeCh:
-		return false
-	default:
-	}
-	select {
-	case p.slots <- struct{}{}:
-		select {
-		case <-p.closeCh:
-			p.Release()
-			return false
-		default:
-			return true
-		}
-	default:
-		return false
-	}
-}
-
-// Release returns a slot to the pool.
-func (p *Pool) Release() {
-	p.mu.Lock()
-	<-p.slots // never blocks: the caller holds a slot
-	if p.closed && len(p.slots) == 0 {
-		select {
-		case <-p.drained:
-		default:
-			close(p.drained)
-		}
-	}
-	p.mu.Unlock()
-}
-
-// Close marks the pool closed: subsequent Acquire/TryAcquire calls fail
-// with ErrPoolClosed while already-held slots stay valid until
-// released. Close is idempotent.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.closeCh)
-		if len(p.slots) == 0 {
-			close(p.drained)
-		}
-	}
-	p.mu.Unlock()
-}
-
-// Drain closes the pool and waits until every held slot has been
-// released or the context expires, returning ctx.Err() in the latter
-// case. It bounds shutdown: callers get a guaranteed upper limit on how
-// long in-flight work may pin the process.
-func (p *Pool) Drain(ctx context.Context) error {
-	p.Close()
-	select {
-	case <-p.drained:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
+
+// Release returns a slot to the pool.
+func (p *Pool) Release() { <-p.slots }
 
 // Cap returns the pool's slot count.
 func (p *Pool) Cap() int { return cap(p.slots) }

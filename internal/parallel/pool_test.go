@@ -13,18 +13,24 @@ func TestPoolBounds(t *testing.T) {
 	if p.Cap() != 2 {
 		t.Fatalf("Cap = %d, want 2", p.Cap())
 	}
-	if !p.TryAcquire() || !p.TryAcquire() {
+	// acquire takes a slot unless the pool stays full for a moment.
+	acquire := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		return p.Acquire(ctx)
+	}
+	if acquire() != nil || acquire() != nil {
 		t.Fatal("could not fill an empty pool")
 	}
 	if p.InUse() != 2 {
 		t.Errorf("InUse = %d, want 2", p.InUse())
 	}
-	if p.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on a full pool")
+	if err := acquire(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Acquire on a full pool = %v, want deadline exceeded", err)
 	}
 	p.Release()
-	if !p.TryAcquire() {
-		t.Fatal("TryAcquire failed after Release")
+	if err := acquire(); err != nil {
+		t.Fatalf("Acquire after Release = %v", err)
 	}
 	p.Release()
 	p.Release()
@@ -68,89 +74,6 @@ func TestPoolAcquireCancelled(t *testing.T) {
 		t.Errorf("InUse = %d after failed acquire, want 1", p.InUse())
 	}
 	p.Release()
-}
-
-func TestPoolClosedAcquire(t *testing.T) {
-	p := NewPool(2)
-	if err := p.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	p.Close() // idempotent
-	if err := p.Acquire(context.Background()); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Acquire on closed pool = %v, want ErrPoolClosed", err)
-	}
-	if p.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on a closed pool")
-	}
-	if p.InUse() != 1 {
-		t.Errorf("InUse = %d after rejected acquires, want 1", p.InUse())
-	}
-	p.Release()
-}
-
-func TestPoolCloseWakesBlockedAcquire(t *testing.T) {
-	p := NewPool(1)
-	if err := p.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() { got <- p.Acquire(context.Background()) }()
-	time.Sleep(10 * time.Millisecond)
-	p.Close()
-	select {
-	case err := <-got:
-		if !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("blocked Acquire = %v, want ErrPoolClosed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Close did not wake the blocked Acquire")
-	}
-	p.Release()
-}
-
-func TestPoolDrainWaitsForRelease(t *testing.T) {
-	p := NewPool(2)
-	if err := p.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		p.Release()
-	}()
-	if err := p.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if p.InUse() != 0 {
-		t.Errorf("InUse = %d after Drain, want 0", p.InUse())
-	}
-}
-
-func TestPoolDrainBounded(t *testing.T) {
-	p := NewPool(1)
-	if err := p.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := p.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Drain with a held slot = %v, want deadline exceeded", err)
-	}
-	p.Release()
-	// A later Drain with the slot back succeeds immediately.
-	if err := p.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoolDrainIdle(t *testing.T) {
-	p := NewPool(4)
-	if err := p.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Acquire(context.Background()); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Acquire after Drain = %v, want ErrPoolClosed", err)
-	}
 }
 
 func TestForEachContextCancelSerial(t *testing.T) {
