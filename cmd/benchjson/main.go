@@ -32,6 +32,7 @@ import (
 	"strings"
 	"testing"
 
+	"jmtam/api"
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
@@ -255,7 +256,9 @@ func measureRecordingBytes(res *result, ws []experiments.Workload) {
 
 // benchDistributed times the same grid through the shard coordinator
 // against n in-process tamsimd workers on loopback HTTP, then derives
-// the ratio tables from the position-indexed unit results.
+// the ratio tables from the workers' position-indexed rows. The
+// coordinator has no Local, so a worker that dies fails the run rather
+// than timing in-process execution.
 func benchDistributed(res *result, ws []experiments.Workload, n int) {
 	sw := experiments.DefaultSweep(ws)
 	spec := &shard.Spec{
@@ -282,7 +285,7 @@ func benchDistributed(res *result, ws []experiments.Workload, n int) {
 	}
 	coord := shard.New(shard.Config{Workers: workers})
 
-	var units []shard.UnitResult
+	var units []api.SweepRunSummary
 	br := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
@@ -302,16 +305,13 @@ func benchDistributed(res *result, ws []experiments.Workload, n int) {
 			break
 		}
 	}
-	cycles := func(u shard.UnitResult, p int) uint64 {
-		c := u.Caches[g84]
-		return u.Instructions + uint64(p)*(c.IMisses+c.DMisses)
-	}
-	// Units are workload-major, impl-minor and spec.Impls is [md, am].
-	for _, p := range spec.Penalties {
+	// Units are workload-major, impl-minor and spec.Impls is [md, am];
+	// each row's cycles follow spec.Penalties.
+	for pi, p := range spec.Penalties {
 		var xs []float64
 		for wi := range spec.Workloads {
 			md, am := units[2*wi], units[2*wi+1]
-			r := float64(cycles(md, p)) / float64(cycles(am, p))
+			r := float64(md.Caches[g84].Cycles[pi].Cycles) / float64(am.Caches[g84].Cycles[pi].Cycles)
 			xs = append(xs, r)
 			if p == 24 {
 				res.PerProgram[md.Program] = r

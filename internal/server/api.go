@@ -135,22 +135,29 @@ func runResultOf(program string, arg int, impl core.Impl, instrs, reads, writes,
 		Caches:       make([]CacheResult, len(stats)),
 	}
 	for i, c := range stats {
-		cr := CacheResult{
-			CacheSpec:  specOf(c.Config),
-			IMisses:    c.IMisses,
-			DMisses:    c.DMisses,
-			Writebacks: c.Writebacks,
-			Cycles:     make([]CycleCount, len(penalties)),
-		}
-		for j, p := range penalties {
-			cr.Cycles[j] = CycleCount{
-				Penalty: p,
-				Cycles:  instrs + uint64(p)*(c.IMisses+c.DMisses),
-			}
-		}
-		res.Caches[i] = cr
+		res.Caches[i] = cacheResultOf(instrs, c, penalties)
 	}
 	return res
+}
+
+// cacheResultOf converts one geometry's statistics into its wire row,
+// with the total cycles under each penalty. Run documents and sweep
+// unit rows both go through it.
+func cacheResultOf(instrs uint64, c experiments.CacheStats, penalties []int) CacheResult {
+	cr := CacheResult{
+		CacheSpec:  specOf(c.Config),
+		IMisses:    c.IMisses,
+		DMisses:    c.DMisses,
+		Writebacks: c.Writebacks,
+		Cycles:     make([]CycleCount, len(penalties)),
+	}
+	for j, p := range penalties {
+		cr.Cycles[j] = CycleCount{
+			Penalty: p,
+			Cycles:  instrs + uint64(p)*(c.IMisses+c.DMisses),
+		}
+	}
+	return cr
 }
 
 // SweepRequest is the wire request plus the server-side resolution of

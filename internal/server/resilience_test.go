@@ -134,6 +134,50 @@ func TestResumeDropsMismatchedCheckpoints(t *testing.T) {
 	}
 }
 
+// TestResumeDropsPreUpgradeCheckpoint: checkpoints journaled before unit
+// rows carried cycle counts (the retired UnitResult form, with true
+// numbers) are dropped and their units re-run, and the resumed document
+// still matches the golden.
+func TestResumeDropsPreUpgradeCheckpoint(t *testing.T) {
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(sweepBodies[1]), &req.SweepRequest); err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, rec := range []journalRecord{
+		{Op: "accept", ID: "s-000001", Kind: "sweep", Req: raw},
+		{Op: "start", ID: "s-000001"},
+		unitRec("s-000001", 0, `{"program":"ss","arg":40,"impl":"MD","instructions":11427,"tpq":900,"ipt":12.696666666666667,"ipq":11427,"caches":[{"size_kb":1,"block_bytes":64,"assoc":1,"i_misses":4,"d_misses":313,"writebacks":170},{"size_kb":1,"block_bytes":64,"assoc":4,"i_misses":4,"d_misses":8,"writebacks":1},{"size_kb":8,"block_bytes":64,"assoc":1,"i_misses":4,"d_misses":313,"writebacks":170},{"size_kb":8,"block_bytes":64,"assoc":4,"i_misses":4,"d_misses":8,"writebacks":0}]}`),
+		unitRec("s-000001", 1, `{"program":"ss","arg":40,"impl":"AM","instructions":13269,"tpq":900,"ipt":14.743333333333334,"ipq":13269,"caches":[{"size_kb":1,"block_bytes":64,"assoc":1,"i_misses":9,"d_misses":314,"writebacks":172},{"size_kb":1,"block_bytes":64,"assoc":4,"i_misses":9,"d_misses":7,"writebacks":0},{"size_kb":8,"block_bytes":64,"assoc":1,"i_misses":9,"d_misses":314,"writebacks":172},{"size_kb":8,"block_bytes":64,"assoc":4,"i_misses":9,"d_misses":7,"writebacks":0}]}`),
+	} {
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jpath := filepath.Join(t.TempDir(), "j.ndjson")
+	if err := os.WriteFile(jpath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{JournalPath: jpath})
+	final := waitState(t, ts.URL, "s-000001", StateDone)
+	if got, want := compactJSON(t, final.Result), sweepGolden(t, 1); got != want {
+		t.Fatalf("resumed result differs from the golden\ngot  %s\nwant %s", got, want)
+	}
+	c := metricCounters(t, ts.URL)
+	if c["journal.resumed.units"] != 0 || c["store.records"] != 2 {
+		t.Fatalf("journal.resumed.units = %d, store.records = %d; want 0 and 2 (both units re-run)",
+			c["journal.resumed.units"], c["store.records"])
+	}
+}
+
 // TestWatchdogKillsHungJob: a job that never finishes is killed at
 // -job-timeout with the deadline_exceeded error code, the kill is
 // counted, and the worker slot frees for the next job.

@@ -1,17 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"path/filepath"
-	"time"
 
 	"jmtam/api"
 	"jmtam/internal/obs"
@@ -111,57 +107,4 @@ func (s *Server) cachedResult(ctx context.Context, job *Job, kind string, wire a
 		job.emit(api.Cached(job.ID, source, key))
 	}
 	return data, nil
-}
-
-// handleResultGet serves a cached result document to a peer daemon.
-// Like recordings, responses carry ETag = key and honor Range.
-func (s *Server) handleResultGet(w http.ResponseWriter, r *http.Request) {
-	if s.results == nil {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "result cache disabled")
-		return
-	}
-	key := r.PathValue("key")
-	if !tracestore.ValidKey(key) {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "malformed result key")
-		return
-	}
-	data, ok := s.results.Store().Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "no such result")
-		return
-	}
-	w.Header().Set("ETag", `"`+key+`"`)
-	w.Header().Set("Content-Type", "application/json")
-	http.ServeContent(w, r, key+".json", time.Time{}, bytes.NewReader(data))
-}
-
-// handleResultPut accepts a result document pushed by a peer. The
-// payload must be valid JSON; the key is taken on trust — it addresses
-// the normalized request, and peers within a fleet derive it
-// identically.
-func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
-	if s.results == nil {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "result cache disabled")
-		return
-	}
-	key := r.PathValue("key")
-	if !tracestore.ValidKey(key) {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "malformed result key")
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordingBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge, err.Error())
-		return
-	}
-	if !json.Valid(data) {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "not a JSON document")
-		return
-	}
-	if err := s.results.Store().Put(key, data); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	s.metrics.Count("results.push.received", 1)
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -71,15 +71,16 @@ type Config struct {
 	// running in-process.
 	ShardWorkers []string
 	// Shard tunes the coordinator. Its Workers field is taken from
-	// ShardWorkers and its Metrics is the server's /metricz registry;
-	// LocalParallelism defaults to ReplayParallelism.
+	// ShardWorkers, its Metrics is the server's /metricz registry, and
+	// its Local is the server's own unit path at ReplayParallelism, so
+	// a shard no worker takes records into this daemon's store.
 	Shard shard.Config
 	// StoreDir is the content-addressed recording store's disk tier
 	// ("" = memory only). Daemons sharing a directory share recordings.
 	StoreDir string
 	// StoreMemBytes bounds the store's in-memory tier (0 = 256 MiB).
-	// Negative disables the recording store entirely: sweeps simulate
-	// in-process and /v1/recordings returns 404.
+	// Negative means no memory tier: with no StoreDir the store keeps
+	// nothing, so every sweep unit records afresh.
 	StoreMemBytes int64
 	// StorePeers lists peer daemon base URLs to consult (and push to)
 	// on a local store miss — typically the coordinator's URL on a
@@ -108,7 +109,6 @@ type Server struct {
 	cache   *codeCache
 	journal *journal
 	coord   *shard.Coordinator
-	store   *tracestore.Store
 	fleet   *tracestore.Fleet
 	results *tracestore.Fleet
 	admit   *admission
@@ -146,15 +146,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics.Count("codecache.hits", 0)
 	s.metrics.Count("codecache.misses", 0)
-	if cfg.StoreMemBytes >= 0 {
-		st, err := tracestore.New(cfg.StoreDir, cfg.StoreMemBytes, m)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.store = st
-		s.fleet = tracestore.NewFleet(st, cfg.StorePeers, nil, m)
+	st, err := tracestore.New(cfg.StoreDir, cfg.StoreMemBytes, m)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
+	s.fleet = tracestore.NewFleet(st, cfg.StorePeers, nil, m)
 	if cfg.ResultMemBytes >= 0 {
 		if cfg.ResultMemBytes == 0 {
 			cfg.ResultMemBytes = DefaultResultMemBytes
@@ -174,9 +171,7 @@ func New(cfg Config) (*Server, error) {
 		scfg := cfg.Shard
 		scfg.Workers = cfg.ShardWorkers
 		scfg.Metrics = m
-		if scfg.LocalParallelism == 0 {
-			scfg.LocalParallelism = cfg.ReplayParallelism
-		}
+		scfg.Local = s.localUnit
 		s.coord = shard.New(scfg)
 	}
 	s.routes()
@@ -197,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.metrics.Count("watchdog.kills", 0)
-	if s.store != nil && cfg.StoreDir != "" && cfg.ScrubInterval > 0 {
+	if cfg.StoreDir != "" && cfg.ScrubInterval > 0 {
 		s.bg.Add(1)
 		go s.scrubLoop(cfg.ScrubInterval)
 	}
@@ -270,12 +265,12 @@ func (s *Server) scrubLoop(interval time.Duration) {
 
 // scrubOnce runs one scrub + repair pass (also the test seam).
 func (s *Server) scrubOnce() {
-	bad, err := s.store.Scrub()
+	bad, err := s.fleet.Store().Scrub()
 	if err != nil {
 		s.metrics.Count("store.scrub.errors", 1)
 		return
 	}
-	if len(bad) > 0 && s.fleet != nil {
+	if len(bad) > 0 {
 		s.fleet.Repair(s.baseCtx, bad)
 	}
 }
@@ -303,10 +298,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGet)
 	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/recordings/{key}", s.handleRecordingGet)
-	s.mux.HandleFunc("PUT /v1/recordings/{key}", s.handleRecordingPut)
-	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResultGet)
-	s.mux.HandleFunc("PUT /v1/results/{key}", s.handleResultPut)
+	s.mux.HandleFunc("GET /v1/recordings/{key}", s.blobGet(s.fleet, "recording", "application/octet-stream"))
+	s.mux.HandleFunc("PUT /v1/recordings/{key}", s.blobPut(s.fleet, "recording"))
+	s.mux.HandleFunc("GET /v1/results/{key}", s.blobGet(s.results, "result", "application/json"))
+	s.mux.HandleFunc("PUT /v1/results/{key}", s.blobPut(s.results, "result"))
 	s.mux.HandleFunc("GET /metricz", s.handleMetricz)
 	// /healthz is liveness — the process is up and serving. /readyz is
 	// readiness — route new work here: it answers 503 while draining,
@@ -337,10 +332,8 @@ func (s *Server) notReady() string {
 	if s.journal != nil && s.journal.degraded() {
 		return "journal: appends are failing"
 	}
-	if s.store != nil {
-		if n := s.store.Quarantined(); n > 0 {
-			return fmt.Sprintf("store: %d corrupt blob(s) quarantined awaiting repair", n)
-		}
+	if n := s.fleet.Store().Quarantined(); n > 0 {
+		return fmt.Sprintf("store: %d corrupt blob(s) quarantined awaiting repair", n)
 	}
 	return ""
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -29,19 +28,11 @@ func permanent(format string, args ...any) error {
 	return &PermanentError{Err: fmt.Errorf(format, args...)}
 }
 
-// workerSweepResult mirrors the worker's SweepResult document, detail
-// fields included. UnitResult carries more than api.SweepRunSummary
-// (position-indexed geometry stats), so the document is re-parsed here
-// rather than through api.SweepResult.
-type workerSweepResult struct {
-	Runs []UnitResult `json:"runs"`
-}
-
 // attempt leases one shard to a worker: POST the one-unit sweep, follow
-// the NDJSON stream to its terminal line, and parse the unit result.
+// the NDJSON stream to its terminal line, and parse the unit's row.
 // The context carries the lease deadline; expiry surfaces as
 // context.DeadlineExceeded, which the caller books as a re-queue.
-func (c *Coordinator) attempt(ctx context.Context, w *worker, spec *Spec, u Unit) (UnitResult, error) {
+func (c *Coordinator) attempt(ctx context.Context, w *worker, spec *Spec, u Unit) (api.SweepRunSummary, error) {
 	wreq := api.SweepRequest{
 		Workloads:  []Workload{u.Workload},
 		SizesKB:    spec.SizesKB,
@@ -53,16 +44,16 @@ func (c *Coordinator) attempt(ctx context.Context, w *worker, spec *Spec, u Unit
 	}
 	body, err := json.Marshal(wreq)
 	if err != nil {
-		return UnitResult{}, &PermanentError{Err: err}
+		return api.SweepRunSummary{}, &PermanentError{Err: err}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/sweeps", bytes.NewReader(body))
 	if err != nil {
-		return UnitResult{}, &PermanentError{Err: err}
+		return api.SweepRunSummary{}, &PermanentError{Err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return UnitResult{}, fmt.Errorf("worker %s: %w", w.url, err)
+		return api.SweepRunSummary{}, fmt.Errorf("worker %s: %w", w.url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -73,79 +64,52 @@ func (c *Coordinator) attempt(ctx context.Context, w *worker, spec *Spec, u Unit
 		// identically.
 		apiErr := api.DecodeError(resp.StatusCode, body)
 		if apiErr.Retryable {
-			return UnitResult{}, fmt.Errorf("worker %s: %w", w.url, apiErr)
+			return api.SweepRunSummary{}, fmt.Errorf("worker %s: %w", w.url, apiErr)
 		}
-		return UnitResult{}, permanent("worker %s: %s", w.url, apiErr.Error())
+		return api.SweepRunSummary{}, permanent("worker %s: %s", w.url, apiErr.Error())
 	}
 
-	var last api.Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var l api.Event
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return UnitResult{}, fmt.Errorf("worker %s: bad stream line: %w", w.url, err)
-		}
-		last = l
-	}
-	if err := sc.Err(); err != nil {
-		return UnitResult{}, fmt.Errorf("worker %s: stream: %w", w.url, err)
+	last, err := api.ReadStream(resp.Body, nil)
+	if err != nil {
+		return api.SweepRunSummary{}, fmt.Errorf("worker %s: stream: %w", w.url, err)
 	}
 	switch last.Type {
 	case api.EventResult:
-		return parseUnitResult(last.Result, spec, u, w.url)
+		return parseRow(last.Result, spec, u, w.url)
 	case api.EventError:
 		// A watchdog kill (-job-timeout on the worker) is the one stream
 		// failure worth retrying elsewhere: the job may have wedged on
 		// that daemon's state, not deterministically.
 		if strings.HasPrefix(last.Error, string(api.CodeDeadlineExceeded)) {
-			return UnitResult{}, fmt.Errorf("worker %s: job killed by watchdog: %s", w.url, last.Error)
+			return api.SweepRunSummary{}, fmt.Errorf("worker %s: job killed by watchdog: %s", w.url, last.Error)
 		}
 		// Deterministic simulation failure: every worker (and a local
 		// run) would fail the same way.
-		return UnitResult{}, permanent("worker %s: job failed: %s", w.url, last.Error)
+		return api.SweepRunSummary{}, permanent("worker %s: job failed: %s", w.url, last.Error)
 	case api.EventCanceled:
 		// The worker is shutting down; another worker can run the shard.
-		return UnitResult{}, fmt.Errorf("worker %s: job canceled mid-shard", w.url)
+		return api.SweepRunSummary{}, fmt.Errorf("worker %s: job canceled mid-shard", w.url)
 	default:
 		// Stream ended without a terminal line: the worker died or the
 		// connection was severed mid-stream.
-		return UnitResult{}, fmt.Errorf("worker %s: stream ended without a terminal event (last %q)", w.url, last.Type)
+		return api.SweepRunSummary{}, fmt.Errorf("worker %s: stream ended without a terminal event (last %q)", w.url, last.Type)
 	}
 }
 
-// parseUnitResult validates one worker sweep document against the shard
-// it was leased for.
-func parseUnitResult(raw json.RawMessage, spec *Spec, u Unit, url string) (UnitResult, error) {
-	var res workerSweepResult
+// parseRow validates one worker sweep document against the shard
+// it was leased for and returns its one row.
+func parseRow(raw json.RawMessage, spec *Spec, u Unit, url string) (api.SweepRunSummary, error) {
+	var res api.SweepResult
 	if err := json.Unmarshal(raw, &res); err != nil {
-		return UnitResult{}, fmt.Errorf("worker %s: bad result document: %w", url, err)
+		return api.SweepRunSummary{}, fmt.Errorf("worker %s: bad result document: %w", url, err)
 	}
 	if len(res.Runs) != 1 {
-		return UnitResult{}, fmt.Errorf("worker %s: %d runs in shard result, want 1", url, len(res.Runs))
+		return api.SweepRunSummary{}, fmt.Errorf("worker %s: %d runs in shard result, want 1", url, len(res.Runs))
 	}
-	r := res.Runs[0]
-	if r.Program != u.Workload.Program || r.Impl != implName(u.Impl) {
-		return UnitResult{}, fmt.Errorf("worker %s: shard result is (%s,%s), want (%s,%s)",
-			url, r.Program, r.Impl, u.Workload.Program, u.Impl)
+	if err := spec.CheckRow(u, res.Runs[0]); err != nil {
+		return api.SweepRunSummary{}, fmt.Errorf("worker %s: shard result: %w", url, err)
 	}
-	if want := len(spec.SizesKB) * len(spec.Assocs); len(r.Caches) != want {
-		return UnitResult{}, fmt.Errorf("worker %s: %d geometry rows in shard result, want %d", url, len(r.Caches), want)
-	}
-	return r, nil
-}
-
-// implName canonicalizes an implementation name the way workers echo it
-// back ("" parses as MD and is echoed as "md").
-func implName(s string) string {
-	impl, err := parseImpl(s)
-	if err != nil {
-		return s
-	}
-	return impl.String()
+	return res.Runs[0], nil
 }
 
 // probeTimeout bounds a /readyz registration probe.

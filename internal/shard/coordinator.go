@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jmtam/api"
 	"jmtam/internal/obs"
 	"jmtam/internal/parallel"
 	"jmtam/internal/rng"
@@ -29,7 +30,7 @@ type Event struct {
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Workers lists worker base URLs ("http://host:port"). Empty means
-	// every shard executes locally.
+	// every shard runs through Local.
 	Workers []string
 	// Transport performs worker round trips (nil = http.DefaultTransport).
 	// The chaos harness injects faults here.
@@ -39,7 +40,7 @@ type Config struct {
 	// shard re-queues (0 = 2m).
 	LeaseTimeout time.Duration
 	// MaxAttempts bounds remote attempts per shard before falling back
-	// to local execution (0 = 4).
+	// to Local (0 = 4).
 	MaxAttempts int
 	// BaseBackoff is the first retry delay; it doubles per attempt up to
 	// MaxBackoff, with full jitter drawn from Seed (0 = 50ms / 2s).
@@ -51,12 +52,11 @@ type Config struct {
 	// Seed drives backoff jitter. Jitter affects timing only, never
 	// results.
 	Seed uint64
-	// LocalParallelism bounds the geometry fan-out of locally executed
-	// shards (0 = 1, matching a worker's default).
-	LocalParallelism int
-	// DisableLocal makes shards fail instead of degrading to local
-	// execution when no worker is reachable.
-	DisableLocal bool
+	// Local runs a shard in-process once remote attempts are exhausted
+	// or no worker is admissible; it must return the row a worker would.
+	// Its errors are permanent unless the context has ended. Nil makes
+	// such a shard fail.
+	Local func(ctx context.Context, spec *Spec, u Unit) (api.SweepRunSummary, error)
 	// Metrics and OnEvent observe the coordinator; both may be nil.
 	Metrics *obs.Shared
 	OnEvent func(Event)
@@ -96,9 +96,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.MaxBackoff == 0 {
 		cfg.MaxBackoff = 2 * time.Second
 	}
-	if cfg.LocalParallelism == 0 {
-		cfg.LocalParallelism = 1
-	}
 	c := &Coordinator{
 		cfg: cfg,
 		client: &http.Client{
@@ -123,15 +120,6 @@ func New(cfg Config) *Coordinator {
 		c.cfg.Metrics.Count(name, 0)
 	}
 	return c
-}
-
-// Workers returns the configured worker URLs.
-func (c *Coordinator) Workers() []string {
-	urls := make([]string, len(c.workers))
-	for i, w := range c.workers {
-		urls[i] = w.url
-	}
-	return urls
 }
 
 // --- observability helpers --------------------------------------------------
@@ -201,29 +189,24 @@ func errString(err error) string {
 
 // --- run --------------------------------------------------------------------
 
-// Run distributes the spec's grid and returns one UnitResult per unit,
+// Run distributes the spec's grid and returns one row per unit,
 // position-indexed in Spec.Units order. The first permanent error (or
 // context cancellation) aborts the run.
-func (c *Coordinator) Run(ctx context.Context, spec *Spec) ([]UnitResult, error) {
-	return c.RunObserved(ctx, spec, nil)
+func (c *Coordinator) Run(ctx context.Context, spec *Spec) ([]api.SweepRunSummary, error) {
+	return c.RunSubset(ctx, spec, nil, nil, nil)
 }
 
-// RunObserved is Run with a per-run event observer in addition to the
-// configured OnEvent (either may be nil). onEvent may be called
-// concurrently; event order under concurrency is nondeterministic and
-// never affects results.
-func (c *Coordinator) RunObserved(ctx context.Context, spec *Spec, onEvent func(Event)) ([]UnitResult, error) {
-	return c.RunSubset(ctx, spec, nil, onEvent, nil)
-}
-
-// RunSubset is RunObserved restricted to the units at the given grid
-// indices (nil = every unit) — the resume path after a restart runs
-// only the positions with no journaled checkpoint. The returned slice
-// always spans the full grid (len(spec.Units())); positions outside
-// idxs are left zero for the caller to fill. onUnit (may be nil)
-// observes each completed unit with its grid index as it lands — the
-// server's checkpoint hook; it may be called concurrently.
-func (c *Coordinator) RunSubset(ctx context.Context, spec *Spec, idxs []int, onEvent func(Event), onUnit func(idx int, r UnitResult)) ([]UnitResult, error) {
+// RunSubset is Run restricted to the units at the given grid indices
+// (nil = every unit) — the resume path after a restart runs only the
+// positions with no journaled checkpoint. The returned slice always
+// spans the full grid (len(spec.Units())); positions outside idxs are
+// left zero for the caller to fill. onEvent (may be nil) observes the
+// run's events in addition to the configured OnEvent; event order
+// under concurrency is nondeterministic and never affects results.
+// onUnit (may be nil) observes each completed unit with its grid index
+// as it lands — the server's checkpoint hook. Both may be called
+// concurrently.
+func (c *Coordinator) RunSubset(ctx context.Context, spec *Spec, idxs []int, onEvent func(Event), onUnit func(idx int, r api.SweepRunSummary)) ([]api.SweepRunSummary, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -247,7 +230,7 @@ func (c *Coordinator) RunSubset(ctx context.Context, spec *Spec, idxs []int, onE
 		}
 	}
 	c.cfg.Metrics.Count("shard.shards", uint64(len(idxs)))
-	results := make([]UnitResult, len(units))
+	results := make([]api.SweepRunSummary, len(units))
 	if len(idxs) == 0 {
 		return results, nil
 	}
@@ -278,14 +261,14 @@ func (c *Coordinator) RunSubset(ctx context.Context, spec *Spec, idxs []int, onE
 }
 
 // runShard drives one shard to completion: lease → attempt (hedged) →
-// classify failure → backoff → re-lease, degrading to local execution
-// once remote attempts are exhausted or no worker is admissible.
-func (c *Coordinator) runShard(ctx context.Context, spec *Spec, u Unit, idx int, emit func(Event)) (UnitResult, error) {
+// classify failure → backoff → re-lease, degrading to Local once
+// remote attempts are exhausted or no worker is admissible.
+func (c *Coordinator) runShard(ctx context.Context, spec *Spec, u Unit, idx int, emit func(Event)) (api.SweepRunSummary, error) {
 	backoff := c.cfg.BaseBackoff
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return UnitResult{}, err
+			return api.SweepRunSummary{}, err
 		}
 		w := c.pick(nil)
 		if w == nil {
@@ -301,7 +284,7 @@ func (c *Coordinator) runShard(ctx context.Context, spec *Spec, u Unit, idx int,
 			return res, nil
 		}
 		if !transient(err) {
-			return UnitResult{}, err
+			return api.SweepRunSummary{}, err
 		}
 		lastErr = err
 		if leaseExpired(err) {
@@ -312,36 +295,43 @@ func (c *Coordinator) runShard(ctx context.Context, spec *Spec, u Unit, idx int,
 			emit(Event{Type: "retry", Shard: idx, Worker: w.url, Attempt: attempt, Err: err.Error()})
 		}
 		if err := sleepCtx(ctx, c.jitter(backoff)); err != nil {
-			return UnitResult{}, err
+			return api.SweepRunSummary{}, err
 		}
 		if backoff *= 2; backoff > c.cfg.MaxBackoff {
 			backoff = c.cfg.MaxBackoff
 		}
 	}
-	if c.cfg.DisableLocal {
+	if c.cfg.Local == nil {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no admissible worker")
 		}
-		return UnitResult{}, fmt.Errorf("shard %d (%s/%s): remote attempts exhausted: %w",
+		return api.SweepRunSummary{}, fmt.Errorf("shard %d (%s/%s): remote attempts exhausted: %w",
 			idx, u.Workload.Program, u.Impl, lastErr)
 	}
 	c.cfg.Metrics.Count("shard.local", 1)
 	emit(Event{Type: "local", Shard: idx, Err: errString(lastErr)})
-	return c.runLocal(ctx, spec, u)
+	r, err := c.cfg.Local(ctx, spec, u)
+	if err != nil {
+		if ctx.Err() != nil {
+			return api.SweepRunSummary{}, ctx.Err()
+		}
+		return api.SweepRunSummary{}, &PermanentError{Err: err}
+	}
+	return r, nil
 }
 
 // attemptHedged runs one leased attempt, optionally racing a single
 // bounded hedge on a different worker when the primary straggles past
 // HedgeAfter. The first success wins and cancels the other attempt; a
 // permanent error from either side aborts.
-func (c *Coordinator) attemptHedged(ctx context.Context, primary *worker, spec *Spec, u Unit, idx, attempt int, emit func(Event)) (UnitResult, error) {
+func (c *Coordinator) attemptHedged(ctx context.Context, primary *worker, spec *Spec, u Unit, idx, attempt int, emit func(Event)) (api.SweepRunSummary, error) {
 	if c.cfg.HedgeAfter <= 0 {
 		return c.leasedAttempt(ctx, primary, spec, u, emit)
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		res UnitResult
+		res api.SweepRunSummary
 		err error
 	}
 	ch := make(chan outcome, 2)
@@ -366,13 +356,13 @@ func (c *Coordinator) attemptHedged(ctx context.Context, primary *worker, spec *
 			}
 			var pe *PermanentError
 			if errors.As(o.err, &pe) {
-				return UnitResult{}, o.err
+				return api.SweepRunSummary{}, o.err
 			}
 			if firstErr == nil {
 				firstErr = o.err
 			}
 			if inflight == 0 {
-				return UnitResult{}, firstErr
+				return api.SweepRunSummary{}, firstErr
 			}
 		case <-timer.C:
 			if hedged {
@@ -386,14 +376,14 @@ func (c *Coordinator) attemptHedged(ctx context.Context, primary *worker, spec *
 				inflight++
 			}
 		case <-ctx.Done():
-			return UnitResult{}, ctx.Err()
+			return api.SweepRunSummary{}, ctx.Err()
 		}
 	}
 }
 
 // leasedAttempt wraps one worker attempt in its lease deadline and
 // keeps the worker's breaker and state gauge current.
-func (c *Coordinator) leasedAttempt(ctx context.Context, w *worker, spec *Spec, u Unit, emit func(Event)) (UnitResult, error) {
+func (c *Coordinator) leasedAttempt(ctx context.Context, w *worker, spec *Spec, u Unit, emit func(Event)) (api.SweepRunSummary, error) {
 	lctx, cancel := context.WithTimeout(ctx, c.cfg.LeaseTimeout)
 	defer cancel()
 	res, err := c.attempt(lctx, w, spec, u)
@@ -412,7 +402,7 @@ func (c *Coordinator) leasedAttempt(ctx context.Context, w *worker, spec *Spec, 
 		}
 		c.cfg.Metrics.GaugeSet("worker.state."+strconv.Itoa(w.idx), w.breaker.state(now))
 	}
-	return UnitResult{}, err
+	return api.SweepRunSummary{}, err
 }
 
 // jitter draws a full-jitter delay in [d/2, d] from the seeded source.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,34 +32,39 @@ func testSpec() *Spec {
 	}
 }
 
-// fakeUnit derives a deterministic result for a one-unit worker request:
-// a pure function of (program, arg, impl, geometry), so every stub
-// worker agrees and position-indexed reassembly is checkable.
-func fakeUnit(req api.SweepRequest) UnitResult {
+// fakeUnit derives a deterministic row for a one-unit worker request:
+// a pure function of (program, arg, impl, geometry, penalties), so every
+// stub worker agrees and position-indexed reassembly is checkable.
+func fakeUnit(req api.SweepRequest) api.SweepRunSummary {
 	w := req.Workloads[0]
-	impl := implName(req.Impls[0])
-	h := uint64(len(w.Program))*1_000_000 + uint64(w.Arg)*1000 + uint64(len(impl))
-	u := UnitResult{
-		Program: w.Program, Arg: w.Arg, Impl: impl,
+	impl, _ := parseImpl(req.Impls[0])
+	h := uint64(len(w.Program))*1_000_000 + uint64(w.Arg)*1000 + uint64(len(impl.String()))
+	u := api.SweepRunSummary{
+		Program: w.Program, Arg: w.Arg, Impl: impl.String(),
 		Instructions: h, TPQ: 1.5, IPT: 2.25, IPQ: 3.375,
 	}
 	for _, kb := range req.SizesKB {
 		for _, a := range req.Assocs {
-			u.Caches = append(u.Caches, GeomStats{
-				SizeKB: kb, BlockBytes: req.BlockBytes, Assoc: a,
-				IMisses: h%97 + uint64(kb), DMisses: uint64(a), Writebacks: 1,
-			})
+			c := api.CacheResult{
+				CacheSpec: api.CacheSpec{SizeKB: kb, BlockBytes: req.BlockBytes, Assoc: a},
+				IMisses:   h%97 + uint64(kb), DMisses: uint64(a), Writebacks: 1,
+			}
+			for _, p := range req.Penalties {
+				c.Cycles = append(c.Cycles, api.CycleCount{Penalty: p, Cycles: h + uint64(p)*(c.IMisses+c.DMisses)})
+			}
+			u.Caches = append(u.Caches, c)
 		}
 	}
 	return u
 }
 
-func wantUnits(spec *Spec) []UnitResult {
-	var want []UnitResult
+func wantUnits(spec *Spec) []api.SweepRunSummary {
+	var want []api.SweepRunSummary
 	for _, u := range spec.Units() {
 		want = append(want, fakeUnit(api.SweepRequest{
 			Workloads: []Workload{u.Workload}, Impls: []string{u.Impl},
 			SizesKB: spec.SizesKB, Assocs: spec.Assocs, BlockBytes: spec.BlockBytes,
+			Penalties: spec.Penalties,
 		}))
 	}
 	return want
@@ -84,7 +90,7 @@ func stubWorker(t *testing.T, beforeResult func(w http.ResponseWriter, r *http.R
 		if beforeResult != nil && !beforeResult(w, r, req) {
 			return
 		}
-		doc, _ := json.Marshal(workerSweepResult{Runs: []UnitResult{fakeUnit(req)}})
+		doc, _ := json.Marshal(api.SweepResult{Runs: []api.SweepRunSummary{fakeUnit(req)}})
 		fmt.Fprintf(w, `{"type":"accepted"}`+"\n")
 		fmt.Fprintf(w, `{"type":"result","result":%s}`+"\n", doc)
 	})
@@ -129,7 +135,7 @@ func TestCoordinatorAllRemote(t *testing.T) {
 	w1 := stubWorker(t, nil)
 	w2 := stubWorker(t, nil)
 	m := obs.NewShared()
-	c := New(Config{Workers: []string{w1.URL, w2.URL}, Metrics: m, DisableLocal: true})
+	c := New(Config{Workers: []string{w1.URL, w2.URL}, Metrics: m})
 	spec := testSpec()
 	got, err := c.Run(context.Background(), spec)
 	if err != nil {
@@ -157,7 +163,6 @@ func TestCoordinatorRetriesTransientThenSucceeds(t *testing.T) {
 	c := New(Config{
 		Workers: []string{bad.URL, good.URL}, Metrics: m,
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-		DisableLocal: true,
 	})
 	spec := testSpec()
 	got, err := c.Run(context.Background(), spec)
@@ -200,23 +205,23 @@ func TestCoordinatorLocalFallbackWhenAllDead(t *testing.T) {
 		Workers: []string{deadURL}, Metrics: m,
 		MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond,
 		OnEvent: func(e Event) { mu.Lock(); events = append(events, e); mu.Unlock() },
+		Local: func(ctx context.Context, spec *Spec, u Unit) (api.SweepRunSummary, error) {
+			return fakeUnit(api.SweepRequest{
+				Workloads: []Workload{u.Workload}, Impls: []string{u.Impl},
+				SizesKB: spec.SizesKB, Assocs: spec.Assocs, BlockBytes: spec.BlockBytes,
+				Penalties: spec.Penalties,
+			}), nil
+		},
 	})
-	spec := &Spec{
-		Workloads:  []Workload{{Program: "ss", Arg: 40}},
-		SizesKB:    []int{1},
-		Assocs:     []int{1},
-		BlockBytes: 64,
-		Penalties:  []int{12},
-		Impls:      []string{"md"},
-	}
+	spec := testSpec()
 	got, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Program != "ss" || got[0].Instructions == 0 {
-		t.Fatalf("local fallback result = %+v", got)
+	if want := wantUnits(spec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("local fallback results not position-indexed:\ngot  %+v\nwant %+v", got, want)
 	}
-	assertCounter(t, m, "shard.local", 1, true)
+	assertCounter(t, m, "shard.local", uint64(len(spec.Units())), true)
 	assertCounter(t, m, "shard.breaker.opens", 1, false)
 	mu.Lock()
 	defer mu.Unlock()
@@ -231,11 +236,45 @@ func TestCoordinatorLocalFallbackWhenAllDead(t *testing.T) {
 	}
 }
 
-func TestCoordinatorLocalMatchesRemoteExecution(t *testing.T) {
-	// DisableLocal + no workers must fail rather than silently degrade.
-	c := New(Config{DisableLocal: true})
+// TestCoordinatorNoLocalFails: with no worker and no Local, a shard
+// fails rather than silently degrading.
+func TestCoordinatorNoLocalFails(t *testing.T) {
+	c := New(Config{})
 	if _, err := c.Run(context.Background(), testSpec()); err == nil {
-		t.Fatal("DisableLocal with no workers should fail")
+		t.Fatal("a coordinator with no workers and no Local should fail")
+	}
+}
+
+// TestCoordinatorLocalErrorIsPermanent: a Local failure is the
+// simulation's own and aborts the run as a PermanentError.
+func TestCoordinatorLocalErrorIsPermanent(t *testing.T) {
+	boom := errors.New("boom")
+	c := New(Config{Local: func(context.Context, *Spec, Unit) (api.SweepRunSummary, error) {
+		return api.SweepRunSummary{}, boom
+	}})
+	_, err := c.Run(context.Background(), testSpec())
+	var pe *PermanentError
+	if !errors.As(err, &pe) || !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want a PermanentError wrapping boom", err)
+	}
+}
+
+// TestCoordinatorRejectsIncompleteRows: a worker row whose cache rows
+// lack a cycle count per penalty is not trusted.
+func TestCoordinatorRejectsIncompleteRows(t *testing.T) {
+	short := stubWorker(t, func(w http.ResponseWriter, r *http.Request, req api.SweepRequest) bool {
+		u := fakeUnit(req)
+		for i := range u.Caches {
+			u.Caches[i].Cycles = nil
+		}
+		doc, _ := json.Marshal(api.SweepResult{Runs: []api.SweepRunSummary{u}})
+		fmt.Fprintf(w, `{"type":"result","result":%s}`+"\n", doc)
+		return false
+	})
+	c := New(Config{Workers: []string{short.URL}, MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	_, err := c.Run(context.Background(), testSpec())
+	if err == nil || !strings.Contains(err.Error(), "cycle counts") {
+		t.Fatalf("err = %v, want a missing-cycles rejection", err)
 	}
 }
 
@@ -253,7 +292,7 @@ func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 		Workers: []string{hung.URL, good.URL}, Metrics: m,
 		LeaseTimeout: 80 * time.Millisecond,
 		BaseBackoff:  time.Millisecond, MaxBackoff: time.Millisecond,
-		DisableLocal: true, MaxAttempts: 6,
+		MaxAttempts: 6,
 	})
 	spec := testSpec()
 	got, err := c.Run(context.Background(), spec)
@@ -276,7 +315,7 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 	c := New(Config{
 		Workers: []string{slow.URL, fast.URL}, Metrics: m,
 		HedgeAfter:  20 * time.Millisecond,
-		BaseBackoff: time.Millisecond, DisableLocal: true,
+		BaseBackoff: time.Millisecond,
 	})
 	spec := &Spec{
 		Workloads:  []Workload{{Program: "ss", Arg: 40}},
@@ -303,7 +342,7 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 
 func TestCoordinatorDeterministicUnderChaos(t *testing.T) {
 	good := stubWorker(t, nil)
-	clean := New(Config{Workers: []string{good.URL}, DisableLocal: true})
+	clean := New(Config{Workers: []string{good.URL}})
 	spec := testSpec()
 	want, err := clean.Run(context.Background(), spec)
 	if err != nil {
@@ -318,7 +357,7 @@ func TestCoordinatorDeterministicUnderChaos(t *testing.T) {
 				Seed: seed, Drop: 0.2, Err5xx: 0.2, Disconnect: 0.2,
 			}),
 			BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-			MaxAttempts: 20, DisableLocal: true, Seed: seed,
+			MaxAttempts: 20, Seed: seed,
 		})
 		got, err := chaotic.Run(context.Background(), spec)
 		if err != nil {
@@ -336,7 +375,7 @@ func TestCoordinatorCancelPropagates(t *testing.T) {
 		<-r.Context().Done()
 		return false
 	})
-	c := New(Config{Workers: []string{hung.URL}, DisableLocal: true})
+	c := New(Config{Workers: []string{hung.URL}})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)

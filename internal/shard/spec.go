@@ -10,10 +10,13 @@
 // backoff on the next worker; an expired lease (worker died or stalled
 // mid-shard) re-queues the shard; stragglers past the hedge threshold
 // get one bounded duplicate attempt; and when no worker is reachable
-// the shard degrades gracefully to local in-process execution. Results
-// are assembled position-indexed, so the merged output is
-// byte-identical to a local experiments.Sweep execution regardless of
-// which worker ran which shard or how many retries occurred.
+// the shard degrades to the caller's Local function — in tamsimd, the
+// daemon's own unit path, which records into its recording store.
+// Every shard, remote or local, yields the worker's wire row
+// (api.SweepRunSummary), and results are assembled position-indexed,
+// so the merged output is byte-identical to an in-process sweep
+// regardless of which worker ran which shard or how many retries
+// occurred.
 package shard
 
 import (
@@ -96,29 +99,29 @@ func (s *Spec) CacheConfigs() []cache.Config {
 	return geoms
 }
 
-// GeomStats is one geometry's miss statistics within a unit result.
-type GeomStats struct {
-	SizeKB     int    `json:"size_kb"`
-	BlockBytes int    `json:"block_bytes"`
-	Assoc      int    `json:"assoc"`
-	IMisses    uint64 `json:"i_misses"`
-	DMisses    uint64 `json:"d_misses"`
-	Writebacks uint64 `json:"writebacks"`
-}
-
-// UnitResult is one completed grid cell: the simulation summary plus
-// per-geometry cache statistics, indexed as Spec.CacheConfigs. It
-// carries everything a sweep document derives — identical numbers in,
-// identical document out, whether the unit ran remotely or locally.
-type UnitResult struct {
-	Program      string      `json:"program"`
-	Arg          int         `json:"arg"`
-	Impl         string      `json:"impl"`
-	Instructions uint64      `json:"instructions"`
-	TPQ          float64     `json:"tpq"`
-	IPT          float64     `json:"ipt"`
-	IPQ          float64     `json:"ipq"`
-	Caches       []GeomStats `json:"caches"`
+// CheckRow reports why r is not a complete row for unit u of s: a row
+// names the unit it ran, carries one cache row per geometry in
+// CacheConfigs order, and each cache row one cycle count per penalty.
+// A row from a worker or a journal checkpoint is trusted only when it
+// passes.
+func (s *Spec) CheckRow(u Unit, r api.SweepRunSummary) error {
+	impl := u.Impl
+	if i, err := parseImpl(impl); err == nil {
+		impl = i.String()
+	}
+	if r.Program != u.Workload.Program || r.Arg != u.Workload.Arg || r.Impl != impl {
+		return fmt.Errorf("row is (%s %d, %s), want (%s %d, %s)",
+			r.Program, r.Arg, r.Impl, u.Workload.Program, u.Workload.Arg, impl)
+	}
+	if want := len(s.SizesKB) * len(s.Assocs); len(r.Caches) != want {
+		return fmt.Errorf("%d geometry rows, want %d", len(r.Caches), want)
+	}
+	for _, c := range r.Caches {
+		if len(c.Cycles) != len(s.Penalties) {
+			return fmt.Errorf("%d cycle counts in a geometry row, want %d", len(c.Cycles), len(s.Penalties))
+		}
+	}
+	return nil
 }
 
 // parseImpl resolves a wire implementation name against the backend

@@ -190,6 +190,13 @@ func NewFleetWith(store *Store, peers []string, client *http.Client, m *obs.Shar
 // Store returns the underlying local store.
 func (f *Fleet) Store() *Store { return f.store }
 
+// Validate runs the fleet's payload check, the one every peer fetch
+// runs before trusting the bytes.
+func (f *Fleet) Validate(data []byte) error { return f.cfg.Validate(data) }
+
+// Prefix returns the fleet's metric-name prefix ("store", "results").
+func (f *Fleet) Prefix() string { return f.cfg.Prefix }
+
 func (f *Fleet) count(name string, d uint64) {
 	f.metrics.Count(f.cfg.Prefix+name, d)
 }
