@@ -21,8 +21,9 @@
 //
 // Distributed sweeps: -shard-workers farms each sweep's (workload,
 // impl) shards out to remote tamsimd workers with leases, retries,
-// backoff, hedging and circuit breaking, degrading to local execution
-// when no worker is reachable. Start the leaves with -worker (a plain
+// backoff, hedging and circuit breaking, degrading to the daemon's own
+// sweep-unit path — recording into its store — when no worker is
+// reachable. Start the leaves with -worker (a plain
 // serving node, conventionally journal-less) and point the coordinator
 // at them:
 //
@@ -56,8 +57,9 @@
 // Recording store: every daemon keeps a content-addressed store of
 // compacted trace recordings keyed by the (program, arg, impl, nodes,
 // placement) descriptor, so repeat sweeps replay instead of
-// re-simulating. -store-mem bounds the in-memory tier (negative
-// disables the store), -store-dir adds a disk tier that survives
+// re-simulating. -store-mem bounds the in-memory tier (negative means
+// no memory tier: with no -store-dir the store keeps nothing and every
+// sweep unit records afresh), -store-dir adds a disk tier that survives
 // restarts, and -store-peers lists peer daemons to consult — and push
 // freshly recorded traces to — before simulating from scratch.
 // Recordings move over GET/PUT /v1/recordings/{key} (compacted bytes,
@@ -120,7 +122,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for running jobs on SIGTERM before forced exit")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background disk-store integrity scrub period (0 = no scrubber)")
 	storeDir := flag.String("store-dir", "", "recording store disk tier (empty = memory only)")
-	storeMem := flag.Int64("store-mem", 0, "recording store memory budget in bytes (0 = 256 MiB, negative = store disabled)")
+	storeMem := flag.Int64("store-mem", 0, "recording store memory budget in bytes (0 = 256 MiB, negative = no memory tier)")
 	storePeers := flag.String("store-peers", "", "comma-separated peer daemon base URLs to consult for recordings")
 	resultsMem := flag.Int64("results-mem", 0, "result cache memory budget in bytes (0 = 64 MiB, negative = cache disabled)")
 	apiKeys := flag.String("api-keys", "", "API-key file enabling tenancy: <key> <tenant> [max_concurrent] [jobs_per_minute] [burst] per line")
