@@ -57,8 +57,9 @@ type result struct {
 	// BackendGeomean maps every registered non-MD backend's wire name
 	// to the geometric-mean MD-relative cycle ratio (MD cycles over the
 	// backend's; >1 means the backend wins) at 8K 4-way, miss 24. The
-	// perf gate ignores it: new backends join the trail here without
-	// perturbing the gated MD/AM columns above.
+	// perf gate checks every backend present in both files exactly, so
+	// it pins each backend's replayed 8K 4-way misses; a new backend
+	// joins the trail here without failing the gate.
 	BackendGeomean map[string]float64 `json:"md_relative_geomean_8k_4way_m24,omitempty"`
 	// RecordingBytes tracks trace compaction per (workload, impl) when
 	// run with -recording-bytes; absent otherwise. The perf gate ignores
@@ -167,6 +168,11 @@ func compareBaseline(res *result, path, tolerance string) error {
 	for k, want := range base.PerProgram {
 		if got, ok := res.PerProgram[k]; ok && got != want {
 			return fmt.Errorf("per-program ratio %s drifted: %v vs baseline %v", k, got, want)
+		}
+	}
+	for k, want := range base.BackendGeomean {
+		if got, ok := res.BackendGeomean[k]; ok && got != want {
+			return fmt.Errorf("backend geomean %s drifted: %v vs baseline %v", k, got, want)
 		}
 	}
 	return nil

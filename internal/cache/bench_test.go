@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -44,32 +45,41 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatch measures the batched data-stream kernels.
-func BenchmarkAccessBatch(b *testing.B) {
-	refs := benchRefs(1 << 16)
-	for _, assoc := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("assoc=%d", assoc), func(b *testing.B) {
-			c := MustNew(Config{SizeBytes: 8192, BlockBytes: 64, Assoc: assoc})
-			b.SetBytes(int64(4 * len(refs)))
-			for i := 0; i < b.N; i++ {
-				c.AccessBatch(refs)
+// BenchmarkBank measures a bank over the paper's 24-geometry grid (ten
+// stages four deep) on the data stream and on a read-only fetch
+// stream, in the replay kernel's 4K-reference batches.
+func BenchmarkBank(b *testing.B) {
+	data := benchRefs(1 << 16)
+	fetch := slices.Clone(data)
+	for i := range fetch {
+		fetch[i] &^= 3 // fetch addresses carry no flag bits
+	}
+	for _, s := range []struct {
+		name string
+		refs []uint32
+	}{{"data", data}, {"fetch", fetch}} {
+		b.Run(s.name, func(b *testing.B) {
+			var grid []*Cache
+			for kb := 1; kb <= 128; kb *= 2 {
+				for _, a := range []int{1, 2, 4} {
+					grid = append(grid, MustNew(Config{SizeBytes: kb << 10, BlockBytes: 64, Assoc: a}))
+				}
 			}
-		})
-	}
-}
-
-// BenchmarkAccessBatchFetch measures the read-only fetch-stream kernels.
-func BenchmarkAccessBatchFetch(b *testing.B) {
-	refs := benchRefs(1 << 16)
-	for i := range refs {
-		refs[i] &^= 3 // fetch addresses carry no flag bits
-	}
-	for _, assoc := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("assoc=%d", assoc), func(b *testing.B) {
-			c := MustNew(Config{SizeBytes: 8192, BlockBytes: 64, Assoc: assoc})
-			b.SetBytes(int64(4 * len(refs)))
+			bank, err := BankOf(grid...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			access := bank.AccessBatch
+			if s.name == "fetch" {
+				access = bank.AccessBatchFetch
+			}
+			batch := make([]uint32, 1<<12)
+			b.SetBytes(int64(4 * len(s.refs)))
 			for i := 0; i < b.N; i++ {
-				c.AccessBatchFetch(refs)
+				for off := 0; off < len(s.refs); off += len(batch) {
+					copy(batch, s.refs[off:]) // the bank overwrites its batch
+					access(batch)
+				}
 			}
 		})
 	}

@@ -11,23 +11,22 @@
 // as in the paper's methodology (one cycle per instruction plus memory
 // access time, comparing absolute cycle counts rather than miss rates).
 //
-// The state layout is struct-of-arrays, sized for the replay hot loop: a
-// flat set-indexed tag array (invalid ways hold an unreachable sentinel
-// tag, so the hit probe is a bare compare), one dirty byte per way, and
-// compact LRU rank bytes (a packed recency-order byte per 4-way set,
-// promoted by table lookup; a permutation of 0..assoc-1 per set
-// otherwise) instead of 64-bit timestamps and a victim scan. Access
-// dispatches to a per-associativity specialization chosen at
-// construction; AccessBatch / AccessBatchFetch amortize dispatch and
-// statistics over a whole block of packed references.
+// The state layout is struct-of-arrays: a flat set-indexed tag array
+// (invalid ways hold an unreachable sentinel tag, so the hit probe is a
+// bare compare), one dirty byte per way, and compact LRU rank bytes (a
+// packed recency-order byte per 4-way set, promoted by table lookup; a
+// permutation of 0..assoc-1 per set otherwise) instead of 64-bit
+// timestamps and a victim scan. Access dispatches to a
+// per-associativity specialization chosen at construction.
 //
-// A Bank drives many caches with one stream and strips, before any
-// cache probes them, the references that cannot change a cache (Puzak's
-// trace stripping). A reference to the block that a direct-mapped
-// filter last saw in its set is a most-recently-used hit in every LRU
-// cache of that block size with at least as many sets (Mattson et al.'s
-// set refinement), so those caches count it as a hit unprobed and every
-// statistic stays exact; see Bank.
+// A Bank drives many fresh caches with one stream of packed references,
+// the replay engine's hot path. Caches of one block size and set count
+// share one LRU recency stack per set, as deep as the most associative
+// of them, so one probe per reference decides all of them (Mattson et
+// al.'s LRU inclusion). A reference on top of its set's stack is a hit
+// in every cache of that block size with at least as many sets, so
+// later stacks never see it (Puzak's trace stripping). Every statistic
+// stays exact; see Bank.
 package cache
 
 import (
@@ -45,8 +44,9 @@ type Config struct {
 }
 
 // Validate checks the geometry for consistency. Blocks must be at least
-// one 4-byte machine word (the access granularity), and associativity at
-// most 256 (the LRU rank bytes' range).
+// one 4-byte machine word (the access granularity), and associativity a
+// power of two (so set counts are too) of at most 256 (the LRU rank
+// bytes' range).
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.SizeBytes&(c.SizeBytes-1) != 0:
@@ -55,8 +55,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: block size %d not a positive power of two", c.BlockBytes)
 	case c.BlockBytes < 4:
 		return fmt.Errorf("cache: block size %d below the 4-byte word", c.BlockBytes)
-	case c.Assoc <= 0:
-		return fmt.Errorf("cache: associativity %d not positive", c.Assoc)
+	case c.Assoc <= 0 || c.Assoc&(c.Assoc-1) != 0:
+		return fmt.Errorf("cache: associativity %d not a positive power of two", c.Assoc)
 	case c.Assoc > 256:
 		return fmt.Errorf("cache: associativity %d above 256", c.Assoc)
 	case c.SizeBytes < c.BlockBytes*c.Assoc:
@@ -340,243 +340,6 @@ func (c *Cache) probeN(blk uint32, dirty uint8) bool {
 	return false
 }
 
-// AccessBatch streams a block of packed references through the cache.
-// Each reference is a word-aligned byte address with the write flag in
-// bit 0 (see RefWrite); outcomes accumulate into Stats exactly as the
-// equivalent sequence of Access calls would. The per-associativity inner
-// loops keep tags, state bytes and statistics in registers, so this is
-// the replay engine's hot path.
-func (c *Cache) AccessBatch(refs []uint32) {
-	switch c.assoc {
-	case 1:
-		c.batch1(refs)
-	case 2:
-		c.batch2(refs)
-	case 4:
-		c.batch4(refs)
-	default:
-		c.batchN(refs)
-	}
-}
-
-func (c *Cache) batch1(refs []uint32) {
-	tags, meta := c.tags, c.meta
-	shift, mask := c.blkShift, c.setMask
-	var miss, wb uint64
-	for _, w := range refs {
-		dirty := uint8(w&1) << 1
-		blk := (w &^ 3) >> shift
-		s := blk & mask
-		if tags[s] == blk {
-			meta[s] |= dirty
-			continue
-		}
-		miss++
-		if meta[s] != 0 {
-			wb++
-		}
-		tags[s] = blk
-		meta[s] = dirty
-	}
-	c.stats.Accesses += uint64(len(refs))
-	c.stats.Misses += miss
-	c.stats.Writebacks += wb
-}
-
-func (c *Cache) batch2(refs []uint32) {
-	tags, meta, rank := c.tags, c.meta, c.rank
-	shift, mask := c.blkShift, c.setMask
-	var miss, wb uint64
-	for _, w := range refs {
-		dirty := uint8(w&1) << 1
-		blk := (w &^ 3) >> shift
-		s := blk & mask
-		b := s << 1
-		// Probe the most recently used way first: the common case needs
-		// no rank store.
-		m := uint32(rank[s])
-		if tags[b+m] == blk {
-			meta[b+m] |= dirty
-			continue
-		}
-		lru := m ^ 1
-		if tags[b+lru] == blk {
-			meta[b+lru] |= dirty
-			rank[s] = uint8(lru)
-			continue
-		}
-		miss++
-		v := b + lru
-		if meta[v] != 0 {
-			wb++
-		}
-		tags[v] = blk
-		meta[v] = dirty
-		rank[s] = uint8(lru)
-	}
-	c.stats.Accesses += uint64(len(refs))
-	c.stats.Misses += miss
-	c.stats.Writebacks += wb
-}
-
-func (c *Cache) batch4(refs []uint32) {
-	tags, meta, rank := c.tags, c.meta, c.rank
-	shift, mask := c.blkShift, c.setMask
-	var miss, wb uint64
-	for _, w := range refs {
-		dirty := uint8(w&1) << 1
-		blk := (w &^ 3) >> shift
-		s := blk & mask
-		b := s << 2
-		tg := tags[b : b+4 : b+4]
-		ord := rank[s]
-		// Probe the most recently used way first: the common case needs
-		// no rank store (its promotion is the identity).
-		m0 := uint32(ord) & 3
-		if tg[m0] == blk {
-			meta[b+m0] |= dirty
-			continue
-		}
-		var hi uint32
-		switch blk {
-		case tg[0]:
-			hi = 0
-		case tg[1]:
-			hi = 1
-		case tg[2]:
-			hi = 2
-		case tg[3]:
-			hi = 3
-		default:
-			miss++
-			v := uint32(ord >> 6)
-			if meta[b+v] != 0 {
-				wb++
-			}
-			tg[v] = blk
-			meta[b+v] = dirty
-			rank[s] = ord<<2 | uint8(v)
-			continue
-		}
-		meta[b+hi] |= dirty
-		rank[s] = promo4[uint32(ord)<<2|hi]
-	}
-	c.stats.Accesses += uint64(len(refs))
-	c.stats.Misses += miss
-	c.stats.Writebacks += wb
-}
-
-func (c *Cache) batchN(refs []uint32) {
-	shift := c.blkShift
-	var miss uint64
-	for _, w := range refs {
-		dirty := uint8(w&1) << 1
-		blk := (w &^ 3) >> shift
-		if !c.probeN(blk, dirty) {
-			miss++
-		}
-	}
-	c.stats.Accesses += uint64(len(refs))
-	c.stats.Misses += miss
-}
-
-// AccessBatchFetch streams a block of word-aligned read addresses (no
-// flag bits) through the cache: the replay engine's instruction-fetch
-// side. It assumes the cache is never written — fetches cannot dirty a
-// line, so when every access to the cache comes through this path no
-// line is ever dirty and the kernels skip the dirty-byte bookkeeping
-// (and writeback counting, which cannot trigger) entirely. Statistics
-// match the equivalent sequence of Access(addr, false) calls.
-func (c *Cache) AccessBatchFetch(refs []uint32) {
-	switch c.assoc {
-	case 1:
-		c.batch1F(refs)
-	case 2:
-		c.batch2F(refs)
-	case 4:
-		c.batch4F(refs)
-	default:
-		c.batchN(refs)
-	}
-}
-
-func (c *Cache) batch1F(refs []uint32) {
-	tags := c.tags
-	shift, mask := c.blkShift, c.setMask
-	var miss uint64
-	for _, w := range refs {
-		blk := w >> shift
-		s := blk & mask
-		if tags[s] != blk {
-			miss++
-			tags[s] = blk
-		}
-	}
-	c.stats.Accesses += uint64(len(refs))
-	c.stats.Misses += miss
-}
-
-func (c *Cache) batch2F(refs []uint32) {
-	tags, rank := c.tags, c.rank
-	shift, mask := c.blkShift, c.setMask
-	var miss uint64
-	for _, w := range refs {
-		blk := w >> shift
-		s := blk & mask
-		b := s << 1
-		m := uint32(rank[s])
-		if tags[b+m] == blk {
-			continue
-		}
-		lru := m ^ 1
-		if tags[b+lru] == blk {
-			rank[s] = uint8(lru)
-			continue
-		}
-		miss++
-		tags[b+lru] = blk
-		rank[s] = uint8(lru)
-	}
-	c.stats.Accesses += uint64(len(refs))
-	c.stats.Misses += miss
-}
-
-func (c *Cache) batch4F(refs []uint32) {
-	tags, rank := c.tags, c.rank
-	shift, mask := c.blkShift, c.setMask
-	var miss uint64
-	for _, w := range refs {
-		blk := w >> shift
-		s := blk & mask
-		b := s << 2
-		tg := tags[b : b+4 : b+4]
-		ord := rank[s]
-		if tg[uint32(ord)&3] == blk {
-			continue
-		}
-		var hi uint32
-		switch blk {
-		case tg[0]:
-			hi = 0
-		case tg[1]:
-			hi = 1
-		case tg[2]:
-			hi = 2
-		case tg[3]:
-			hi = 3
-		default:
-			miss++
-			v := uint32(ord >> 6)
-			tg[v] = blk
-			rank[s] = ord<<2 | uint8(v)
-			continue
-		}
-		rank[s] = promo4[uint32(ord)<<2|hi]
-	}
-	c.stats.Accesses += uint64(len(refs))
-	c.stats.Misses += miss
-}
-
 // Contains reports whether addr currently resides in the cache, without
 // disturbing LRU state or statistics. Intended for tests.
 func (c *Cache) Contains(addr uint32) bool {
@@ -590,69 +353,114 @@ func (c *Cache) Contains(addr uint32) bool {
 	return false
 }
 
-// Bank drives a set of caches with one reference stream and strips the
-// references that cannot change any member (Puzak's trace stripping).
-// Members are grouped by block size, and within a group each distinct
-// set count is one stage, in ascending order: a direct-mapped filter
-// with that many sets that remembers the block each set last saw. A
-// stage drops every reference to the block its set last saw, compacting
-// the previous stage's survivors in place, then its members consume the
-// survivors and count each dropped reference as an access that hit.
+// Bank drives a set of fresh caches with one reference stream and holds
+// their contents itself: members receive statistics only. Members are
+// grouped by block size, and within a group each distinct set count is
+// one stage, in ascending order. A stage keeps one LRU recency stack
+// per set, as deep as its most associative member and at least four
+// deep. By LRU inclusion a member with a ways holds its set's top a
+// entries, so a reference found at rank r misses exactly the members
+// with a <= r, and one probe serves every member (Hill and Smith's
+// all-associativity simulation). The stage counts references by the
+// rank they were found at, and after each batch every member reads its
+// misses from those counts.
 //
-// The result is exact. A member at or after the stage has at least as
-// many sets, and set counts are powers of two, so the member's set lies
-// inside the filter's: no other block of it has been referenced since,
-// and the dropped reference is a most-recently-used hit that leaves the
-// LRU order of every kernel unchanged (Mattson et al.'s set
-// refinement). A dropped write ORs its flag into the set's last
-// surviving reference, which dirties the same line earlier than the
-// write would have, while no other block of the set can evict it; when
-// that survivor was in an earlier batch and is already consumed, the
-// write survives instead.
+// A reference on top of its set's stack is a most-recently-used hit in
+// every member at or after the stage: such a member has at least as
+// many sets, and set counts are powers of two, so its set lies inside
+// the stage's and no other block of it has been referenced since
+// (Mattson et al.'s set refinement). The stage drops it, compacting the
+// previous stage's survivors in place, so later stages never probe it
+// (Puzak's trace stripping). A dropped write ORs its flag into the
+// set's last surviving reference, which dirties the same line earlier
+// than the write would have, while no other block of the set can evict
+// it; when that survivor was in an earlier batch and is already
+// consumed, the write survives instead.
+//
+// Writebacks need no dirty bit per member. Each stack entry keeps the
+// highest rank it was found at since it was last written, or a value
+// no member reaches while it has not been written since it entered the
+// stack. A member with a ways evicts the entry at rank a-1 whenever a
+// reference misses it, and that entry is dirty in the member iff its
+// value is below a.
 type Bank struct {
-	stages []stripStage // by block size, then set count
-	buf    []uint32     // survivors, when several block sizes share a batch
+	stages []stage  // by block size, then set count
+	buf    []uint32 // survivors, when several block sizes share a batch
 }
 
-// stripStage is one filter and the members with its block size and sets.
-type stripStage struct {
+// stage is one block size and set count: a recency stack per set, the
+// rank counts of the current batch, and the members that share them.
+type stage struct {
 	shift, mask uint32
-	last        []uint32 // block each filter set last saw
-	pos         []int    // data batches: index of each set's last survivor
-	seen        int      // survivors emitted in earlier batches
+	depth       int
+	sets        []set4    // depth 4
+	tags        []uint32  // deeper: depth tags per set, most recent first
+	vals        []uint16  // deeper: each entry's value (see Bank)
+	pos         []int     // index of each set's last survivor
+	seen        int       // survivors emitted in earlier batches
+	hist        []uint64  // references by the rank they were found at; depth = absent
+	wb          [9]uint64 // writebacks by log2 of the member's ways
 	caches      []*Cache
 }
 
-// BankOf builds a stripping bank over existing caches, which keep their
-// own statistics; while it is in use, drive them only through the bank.
-func BankOf(caches ...*Cache) *Bank {
+// set4 is one set's recency stack four deep: tags most recent first,
+// and the entries' values one byte each, rank 0 in the low byte.
+type set4 struct {
+	tag  [4]uint32
+	vals uint32
+}
+
+// BankOf builds a bank over fresh caches. It returns an error for a
+// cache that has seen an access, since the bank starts empty.
+func BankOf(caches ...*Cache) (*Bank, error) {
 	cs := slices.Clone(caches)
 	slices.SortStableFunc(cs, func(x, y *Cache) int {
 		return cmp.Or(cmp.Compare(x.blkShift, y.blkShift), cmp.Compare(x.setMask, y.setMask))
 	})
 	b := &Bank{}
 	for _, c := range cs {
+		if c.stats.Accesses != 0 {
+			return nil, fmt.Errorf("cache: %v has seen %d accesses; a bank takes fresh caches", c.cfg, c.stats.Accesses)
+		}
 		if n := len(b.stages); n == 0 || b.stages[n-1].shift != c.blkShift || b.stages[n-1].mask != c.setMask {
-			last := make([]uint32, c.setMask+1)
-			for i := range last {
-				last[i] = invalidTag
-			}
-			b.stages = append(b.stages, stripStage{shift: c.blkShift, mask: c.setMask, last: last})
+			b.stages = append(b.stages, stage{shift: c.blkShift, mask: c.setMask, depth: 4})
 		}
 		st := &b.stages[len(b.stages)-1]
 		st.caches = append(st.caches, c)
+		st.depth = max(st.depth, c.assoc)
 	}
-	return b
+	for i := range b.stages {
+		s := &b.stages[i]
+		n := int(s.mask) + 1
+		s.pos = make([]int, n)
+		for j := range s.pos {
+			s.pos[j] = -1
+		}
+		s.hist = make([]uint64, s.depth+1)
+		if s.depth == 4 {
+			s.sets = make([]set4, n)
+			for j := range s.sets {
+				s.sets[j] = set4{tag: [4]uint32{invalidTag, invalidTag, invalidTag, invalidTag}, vals: ^uint32(0)}
+			}
+			continue
+		}
+		s.tags = make([]uint32, n*s.depth)
+		s.vals = make([]uint16, n*s.depth)
+		for j := range s.tags {
+			s.tags[j], s.vals[j] = invalidTag, ^uint16(0)
+		}
+	}
+	return b, nil
 }
 
 // AccessBatch streams one block of packed references (write flag in bit
-// 0) through every member, as Cache.AccessBatch would. The bank
-// overwrites refs.
+// 0, see RefWrite) through every member, as the equivalent sequence of
+// Access calls would. The bank overwrites refs.
 func (b *Bank) AccessBatch(refs []uint32) { b.access(refs, false) }
 
-// AccessBatchFetch streams one block of read-only addresses through
-// every member, as Cache.AccessBatchFetch would. The bank overwrites
-// refs.
+// AccessBatchFetch is AccessBatch for a read-only stream of word-aligned
+// addresses: the replay engine's instruction-fetch side, whose members
+// never see a write.
 func (b *Bank) AccessBatchFetch(refs []uint32) { b.access(refs, true) }
 
 func (b *Bank) access(refs []uint32, fetch bool) {
@@ -668,66 +476,165 @@ func (b *Bank) access(refs []uint32, fetch bool) {
 		if i > 0 && s.shift != b.stages[i-1].shift {
 			live = refs
 		}
-		if fetch {
-			live = s.stripFetch(live, dst)
-		} else {
-			live = s.stripData(live, dst)
+		switch {
+		case s.sets == nil:
+			live = s.probeN(live, dst)
+		case fetch:
+			live = s.probe4F(live, dst)
+		default:
+			live = s.probe4(live, dst)
 		}
-		hits := uint64(len(refs) - len(live))
 		for _, c := range s.caches {
-			if fetch {
-				c.AccessBatchFetch(live)
-			} else {
-				c.AccessBatch(live)
+			c.stats.Accesses += uint64(len(refs))
+			for _, h := range s.hist[c.assoc:] {
+				c.stats.Misses += h
 			}
-			c.stats.Accesses += hits
+			c.stats.Writebacks += s.wb[bits.TrailingZeros(uint(c.assoc))]
 		}
+		clear(s.hist)
+		s.wb = [9]uint64{}
 	}
 }
 
-// stripFetch writes to dst the references in src that miss the filter
-// and returns them; dst may be src itself.
-func (s *stripStage) stripFetch(src, dst []uint32) []uint32 {
-	last, shift, mask := s.last, s.shift, s.mask
-	n := 0
-	for _, w := range src {
-		blk := w >> shift
-		if f := blk & mask; last[f] != blk {
-			last[f] = blk
-			dst[n] = w
-			n++
-		}
-	}
-	return dst[:n]
-}
-
-// stripData is stripFetch for packed data references: a write that hits
-// the filter folds its flag into the set's last survivor in dst when
-// that survivor is from this batch, and survives otherwise. Positions
-// count survivors over the bank's life, so advancing seen past a batch
-// resets every one of them.
-func (s *stripStage) stripData(src, dst []uint32) []uint32 {
-	if s.pos == nil {
-		s.pos = make([]int, len(s.last))
-		for i := range s.pos {
-			s.pos[i] = -1
-		}
-	}
-	last, pos, shift, mask := s.last, s.pos, s.shift, s.mask
+// probe4 streams src through a stage four deep, counting ranks and
+// writebacks, and writes the survivors to dst, which may be src itself.
+// Positions count survivors over the bank's life, so advancing seen
+// past a batch resets every one of them.
+func (s *stage) probe4(src, dst []uint32) []uint32 {
+	sets, pos, shift, mask := s.sets, s.pos, s.shift, s.mask
+	var hist [5]uint64
+	var wb1, wb2, wb4 uint64
 	base, n := s.seen, 0
 	for _, w := range src {
 		blk := w >> shift
 		f := blk & mask
-		if last[f] == blk {
+		st := &sets[f]
+		if st.tag[0] == blk {
 			if w&RefWrite == 0 {
 				continue
 			}
+			st.vals &^= 0xFF
 			if p := pos[f] - base; p >= 0 {
 				dst[p] |= RefWrite
 				continue
 			}
+		} else {
+			// Found at rank r, or absent (r = 4); m covers the ranks
+			// below r, which move back one place.
+			t := &st.tag
+			r, m := uint32(4), ^uint32(0)
+			switch blk {
+			case t[1]:
+				r, m = 1, 0xFF
+			case t[2]:
+				r, m, t[2] = 2, 0xFFFF, t[1]
+			default:
+				if blk == t[3] {
+					r, m = 3, 0xFFFFFF
+				}
+				t[3], t[2] = t[2], t[1]
+			}
+			t[1], t[0] = t[0], blk
+			hist[r]++
+			// Each member of at most r ways misses and evicts its entry
+			// at rank ways-1, dirty there iff the entry's value is below
+			// ways. Bit 31 of a difference is its sign, so no branch.
+			v := st.vals
+			wb1 += uint64((v&0xFF - 1) >> 31)
+			wb2 += uint64((v>>8&0xFF - 2) & (1 - r) >> 31)
+			wb4 += uint64((v>>24 - 4) >> 31 & (r >> 2))
+			// A read keeps the highest rank since the last write; absent,
+			// any value of at least 4 is clean.
+			nv := max(v>>(8*r&31)&0xFF, r)
+			if w&RefWrite != 0 {
+				nv = 0
+			}
+			st.vals = v&^(m<<8|m) | (v&m)<<8 | nv
 		}
-		last[f] = blk
+		pos[f] = base + n
+		dst[n] = w
+		n++
+	}
+	s.seen = base + n
+	copy(s.hist, hist[:])
+	s.wb[0], s.wb[1], s.wb[2] = wb1, wb2, wb4
+	return dst[:n]
+}
+
+// probe4F is probe4 for a read-only stream: no line is dirty and no
+// write folds, so it keeps no values or positions.
+func (s *stage) probe4F(src, dst []uint32) []uint32 {
+	sets, shift, mask := s.sets, s.shift, s.mask
+	var hist [5]uint64
+	n := 0
+	for _, w := range src {
+		blk := w >> shift
+		t := &sets[blk&mask].tag
+		if t[0] == blk {
+			continue
+		}
+		r := uint32(4)
+		switch blk {
+		case t[1]:
+			r = 1
+		case t[2]:
+			r, t[2] = 2, t[1]
+		default:
+			if blk == t[3] {
+				r = 3
+			}
+			t[3], t[2] = t[2], t[1]
+		}
+		t[1], t[0] = t[0], blk
+		hist[r]++
+		dst[n] = w
+		n++
+	}
+	copy(s.hist, hist[:])
+	return dst[:n]
+}
+
+// probeN is probe4 for deeper stacks, read-only streams included: each
+// entry's value is a uint16, since a 256-deep stack finds ranks up to
+// 255 and absent is 256.
+func (s *stage) probeN(src, dst []uint32) []uint32 {
+	tags, vals, pos, hist := s.tags, s.vals, s.pos, s.hist
+	shift, mask, d := s.shift, s.mask, s.depth
+	base, n := s.seen, 0
+	for _, w := range src {
+		blk := w >> shift
+		f := int(blk & mask)
+		if b := f * d; tags[b] == blk {
+			if w&RefWrite == 0 {
+				continue
+			}
+			vals[b] = 0
+			if p := pos[f] - base; p >= 0 {
+				dst[p] |= RefWrite
+				continue
+			}
+		} else {
+			tg, vs := tags[b:b+d], vals[b:b+d]
+			r := 1
+			for r < d && tg[r] != blk {
+				r++
+			}
+			hist[r]++
+			for k, a := 0, 1; a <= r; k, a = k+1, a*2 {
+				s.wb[k] += uint64(int(vs[a-1])-a) >> 63 // dirty: below a
+			}
+			nv := uint16(r)
+			if r < d {
+				nv = max(vs[r], nv)
+			}
+			if w&RefWrite != 0 {
+				nv = 0
+			}
+			for i := min(r, d-1); i > 0; i-- {
+				tg[i], vs[i] = tg[i-1], vs[i-1]
+			}
+			tg[0], vs[0] = blk, nv
+		}
 		pos[f] = base + n
 		dst[n] = w
 		n++

@@ -22,6 +22,7 @@ func TestConfigValidate(t *testing.T) {
 		{1024, 0, 1},  // zero block
 		{1024, 48, 1}, // non-power-of-two block
 		{1024, 64, 0}, // zero assoc
+		{8192, 64, 3}, // non-power-of-two assoc
 		{64, 64, 4},   // too small for one set
 	}
 	for _, c := range bad {

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -108,44 +110,47 @@ func refStream(n int) []uint32 {
 }
 
 // TestAccessMatchesReferenceModel drives an identical stream through
-// the SoA implementation (scalar and batch) and the timestamp reference
-// model across every specialized and generic associativity, requiring
-// identical statistics.
+// the SoA implementation (scalar, and a one-member bank) and the
+// timestamp reference model across every specialized and generic
+// associativity, requiring identical statistics.
 func TestAccessMatchesReferenceModel(t *testing.T) {
 	refs := refStream(60000)
-	for _, assoc := range []int{1, 2, 3, 4, 8} {
+	for _, assoc := range []int{1, 2, 4, 8, 16} {
 		for _, size := range []int{1024, 8192} {
 			cfg := Config{SizeBytes: size, BlockBytes: 64, Assoc: assoc}
 			t.Run(fmt.Sprintf("%v", cfg), func(t *testing.T) {
 				ref := newRefCache(cfg)
 				scalar := MustNew(cfg)
-				batched := MustNew(cfg)
+				banked := MustNew(cfg)
 				for _, w := range refs {
 					ref.access(w&^3, w&RefWrite != 0)
 					scalar.Access(w&^3, w&RefWrite != 0)
 				}
-				// Batch in uneven slices to exercise chunk boundaries.
+				bank, err := BankOf(banked)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Batch in uneven slices to exercise chunk boundaries; the
+				// bank overwrites its batch, so pass a copy.
 				for off := 0; off < len(refs); {
-					end := off + 1000 + off%777
-					if end > len(refs) {
-						end = len(refs)
-					}
-					batched.AccessBatch(refs[off:end])
+					end := min(off+1000+off%777, len(refs))
+					bank.AccessBatch(slices.Clone(refs[off:end]))
 					off = end
 				}
 				if scalar.Stats() != ref.stats {
 					t.Errorf("scalar %+v != reference %+v", scalar.Stats(), ref.stats)
 				}
-				if batched.Stats() != ref.stats {
-					t.Errorf("batched %+v != reference %+v", batched.Stats(), ref.stats)
+				if banked.Stats() != ref.stats {
+					t.Errorf("banked %+v != reference %+v", banked.Stats(), ref.stats)
 				}
 			})
 		}
 	}
 }
 
-// TestAccessBatchFetchMatchesScalar checks the read-only fetch kernels
-// against scalar reads on a never-written cache.
+// TestAccessBatchFetchMatchesScalar checks the bank's read-only fetch
+// kernels, four deep and generic, against scalar reads: a one-member
+// bank per associativity, in the replay kernel's 4K batches.
 func TestAccessBatchFetchMatchesScalar(t *testing.T) {
 	refs := refStream(60000)
 	for i := range refs {
@@ -155,19 +160,19 @@ func TestAccessBatchFetchMatchesScalar(t *testing.T) {
 		cfg := Config{SizeBytes: 4096, BlockBytes: 32, Assoc: assoc}
 		t.Run(fmt.Sprintf("assoc=%d", assoc), func(t *testing.T) {
 			scalar := MustNew(cfg)
-			batched := MustNew(cfg)
+			banked := MustNew(cfg)
 			for _, w := range refs {
 				scalar.Access(w, false)
 			}
-			for off := 0; off < len(refs); off += 4096 {
-				end := off + 4096
-				if end > len(refs) {
-					end = len(refs)
-				}
-				batched.AccessBatchFetch(refs[off:end])
+			bank, err := BankOf(banked)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if scalar.Stats() != batched.Stats() {
-				t.Errorf("fetch batch %+v != scalar %+v", batched.Stats(), scalar.Stats())
+			for off := 0; off < len(refs); off += 4096 {
+				bank.AccessBatchFetch(slices.Clone(refs[off:min(off+4096, len(refs))]))
+			}
+			if scalar.Stats() != banked.Stats() {
+				t.Errorf("fetch bank %+v != scalar %+v", banked.Stats(), scalar.Stats())
 			}
 		})
 	}
@@ -208,19 +213,26 @@ func localityStream(n int) []uint32 {
 	return refs[:n]
 }
 
-// TestBankMatchesScalar drives banks over two grids with locality-shaped
-// streams cut into batches of random length, and requires every member's
-// statistics to equal a twin driven by per-reference Access: the
-// Table-2 grid (one block size, 10 stages) and a mixed grid with 8-64 B
-// blocks, a one-set cache, 8- and 16-way caches and one geometry listed
-// twice (four block-size groups).
+// TestBankMatchesScalar drives banks over three grids with
+// locality-shaped streams cut into batches of random length, and
+// requires every member's statistics to equal the reference model's:
+// the Table-2 grid (one block size, 10 stages four deep); a mixed grid
+// with 8-64 B blocks, a one-set cache, 8- and 16-way caches and one
+// geometry listed twice (four block-size groups); and one stage of 16
+// sets of 64 B holding every power-of-two associativity from 1 to 256
+// ways plus a duplicate member, so the generic kernel's counts serve
+// nine associativities at once.
 func TestBankMatchesScalar(t *testing.T) {
-	var table2 []Config
+	var table2, allWays []Config
 	for kb := 1; kb <= 128; kb *= 2 {
 		for _, a := range []int{1, 2, 4} {
 			table2 = append(table2, Config{SizeBytes: kb << 10, BlockBytes: 64, Assoc: a})
 		}
 	}
+	for a := 1; a <= 256; a *= 2 {
+		allWays = append(allWays, Config{SizeBytes: a << 10, BlockBytes: 64, Assoc: a})
+	}
+	allWays = append(allWays, Config{SizeBytes: 32 << 10, BlockBytes: 64, Assoc: 32})
 	mixed := []Config{
 		{SizeBytes: 1024, BlockBytes: 64, Assoc: 16}, // one set
 		{SizeBytes: 4096, BlockBytes: 8, Assoc: 1},
@@ -234,7 +246,7 @@ func TestBankMatchesScalar(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		grid []Config
-	}{{"table2", table2}, {"mixed", mixed}} {
+	}{{"table2", table2}, {"mixed", mixed}, {"allways", allWays}} {
 		grid := g.grid
 		for _, fetch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/fetch=%v", g.name, fetch), func(t *testing.T) {
@@ -244,15 +256,19 @@ func TestBankMatchesScalar(t *testing.T) {
 						refs[i] &^= 3
 					}
 				}
-				twins := make([]*Cache, len(grid))
+				want := make([]Stats, len(grid))
 				members := make([]*Cache, len(grid))
 				for i, cfg := range grid {
-					twins[i], members[i] = MustNew(cfg), MustNew(cfg)
+					ref := newRefCache(cfg)
 					for _, w := range refs {
-						twins[i].Access(w&^3, w&RefWrite != 0)
+						ref.access(w&^3, w&RefWrite != 0)
 					}
+					want[i], members[i] = ref.stats, MustNew(cfg)
 				}
-				bank := BankOf(members...)
+				bank, err := BankOf(members...)
+				if err != nil {
+					t.Fatal(err)
+				}
 				state := uint32(12345)
 				for off := 0; off < len(refs); {
 					state = state*1664525 + 1013904223
@@ -265,11 +281,96 @@ func TestBankMatchesScalar(t *testing.T) {
 					off = end
 				}
 				for i, c := range members {
-					if c.Stats() != twins[i].Stats() {
-						t.Errorf("%v: bank %+v, scalar %+v", grid[i], c.Stats(), twins[i].Stats())
+					if c.Stats() != want[i] {
+						t.Errorf("%v: bank %+v, reference %+v", grid[i], c.Stats(), want[i])
 					}
 				}
 			})
 		}
 	}
+}
+
+// TestBankOfRefusesUsedCache checks that a bank, which starts empty,
+// refuses a member that has seen an access, and takes it again after
+// Reset.
+func TestBankOfRefusesUsedCache(t *testing.T) {
+	fresh := MustNew(Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1})
+	used := MustNew(Config{SizeBytes: 8192, BlockBytes: 64, Assoc: 4})
+	used.Access(0, false)
+	if b, err := BankOf(fresh, used); err == nil || b != nil {
+		t.Fatalf("BankOf(fresh, used) = %v, %v; want an error", b, err)
+	}
+	used.Reset()
+	if _, err := BankOf(fresh, used); err != nil {
+		t.Fatalf("BankOf after Reset: %v", err)
+	}
+}
+
+// FuzzBankMatchesScalar decodes the fuzz input into a small grid, a
+// reference stream and its batch cuts, and requires every member of a
+// bank to match the reference model. The first byte's bit 7 makes the
+// stream a read-only fetch stream, and the rest is the grid's size,
+// less one (mod 6); each geometry is one byte: block size 8 << (bits
+// 1:0), 1 << (bits 4:2) sets and 1 << (bits 7:5 mod 6) ways, so
+// geometries repeat and stages range from direct-mapped to 32 ways.
+// Each 3-byte record is a flag byte and a word address: bit 0 makes the
+// run writes (reads in a fetch stream), bit 1 ends the batch after it,
+// and bits 7:2 extend it over that many more consecutive words.
+// Decoding stops at 8K references.
+func FuzzBankMatchesScalar(f *testing.F) {
+	f.Add([]byte{0, 0x27, 0x04, 0x00, 0x10})
+	f.Add([]byte{0x81, 0x27, 0x8b, 0xfc, 0x00, 0x10, 0x02, 0x00, 0x30, 0x00, 0x00, 0x10})
+	f.Add([]byte{5, 0x0b, 0x2b, 0x4b, 0x8b, 0xab, 0x2b, 0x7c, 0x00, 0x10, 0x03, 0x04, 0x20, 0x41, 0x00, 0x11})
+	// A read ends a batch; a write to the same word starts the next, so
+	// the write's merge target is already consumed, and conflicting
+	// reads then evict the line. Stages: 2 sets (four deep), 4 sets (16
+	// deep) and 8 sets (four deep), all of 8-byte blocks.
+	edge := []byte{3, 0x04, 0x48, 0x2c, 0x88, 0x02, 0x00, 0x20, 0x01, 0x00, 0x20}
+	for k := byte(1); k <= 20; k++ {
+		edge = append(edge, 0x00, 0x00, 0x20+k)
+	}
+	f.Add(edge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) < 2+int(data[0]&0x7f)%6 {
+			return
+		}
+		fetch, n := data[0]&0x80 != 0, 1+int(data[0]&0x7f)%6
+		members, refs := make([]*Cache, n), make([]*refCache, n)
+		for i, g := range data[1 : 1+n] {
+			block, ways := 8<<(g&3), 1<<(g>>5%6)
+			cfg := Config{SizeBytes: block << (g >> 2 & 7) * ways, BlockBytes: block, Assoc: ways}
+			members[i], refs[i] = MustNew(cfg), newRefCache(cfg)
+		}
+		bank, err := BankOf(members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		access, flags := bank.AccessBatch, uint32(RefWrite)
+		if fetch {
+			access, flags = bank.AccessBatchFetch, 0
+		}
+		var batch []uint32
+		total := 0
+		for data = data[1+n:]; len(data) >= 3 && total < 1<<13; data = data[3:] {
+			word := uint32(binary.LittleEndian.Uint16(data[1:3]))
+			for j := uint32(0); j <= uint32(data[0]>>2); j++ {
+				w := (word+j)<<2&0x3fffc | uint32(data[0])&flags
+				for _, r := range refs {
+					r.access(w&^3, w&RefWrite != 0)
+				}
+				batch = append(batch, w)
+				total++
+			}
+			if data[0]&2 != 0 {
+				access(batch)
+				batch = batch[:0]
+			}
+		}
+		access(batch)
+		for i, c := range members {
+			if c.Stats() != refs[i].stats {
+				t.Fatalf("%v: bank %+v, reference %+v", c.Config(), c.Stats(), refs[i].stats)
+			}
+		}
+	})
 }

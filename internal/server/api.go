@@ -218,5 +218,6 @@ func (r *SweepRequest) Normalize() error {
 		}
 		r.impls[i] = impl
 	}
-	return nil
+	// Every geometry of the grid, before anything records.
+	return r.Spec().Validate()
 }

@@ -323,7 +323,9 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/runs", `{"program":"ss","impl":"cray"}`, http.StatusBadRequest},
 		{"/v1/runs", `{"program":"ss","bogus":1}`, http.StatusBadRequest},
 		{"/v1/runs", `{"program":"ss","caches":[{"size_kb":3,"block_bytes":64,"assoc":4}]}`, http.StatusBadRequest},
+		{"/v1/runs", `{"program":"ss","caches":[{"size_kb":8,"block_bytes":64,"assoc":3}]}`, http.StatusBadRequest},
 		{"/v1/sweeps", `{"scale":"galactic"}`, http.StatusBadRequest},
+		{"/v1/sweeps", `{"workloads":[{"program":"ss","arg":30}],"sizes_kb":[1],"assocs":[32],"impls":["md"]}`, http.StatusBadRequest},
 	} {
 		resp := postJSON(t, ts.URL+c.path, c.body)
 		resp.Body.Close()

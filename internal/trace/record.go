@@ -163,10 +163,11 @@ func (r *Recording) Do(fn func(k Kind, addr uint32)) {
 	}
 }
 
-// ReplayAll streams the recording through any number of cache pairs in
-// one pass of the replay kernel (see Replay).
+// ReplayAll streams the recording through any number of fresh cache
+// pairs in one pass of the replay kernel (see Replay).
 func (r *Recording) ReplayAll(pairs []Pair) {
-	// A packed source never fails and Background is never cancelled.
+	// A packed source never fails, Background is never cancelled, and
+	// fresh pairs are never refused.
 	_ = Replay(context.Background(), r.Chunks(), pairs, nil)
 }
 

@@ -69,12 +69,13 @@ type sampler struct {
 // Replay streams src through every pair in one pass: fetches probe the
 // instruction caches, reads and writes the data caches, so replaying
 // into fresh pairs yields statistics identical to probing them with
-// every reference during simulation. Without hooks each block of packed words is decoded once
-// and partitioned into a fetch stream and a data stream (write flag in
-// bit 0), which a cache.Bank of the pairs' I-caches and one of their
-// D-caches consume while the block is hot in L1; the banks strip the
-// references that are most-recently-used hits and count them unprobed.
-// With hooks every reference probes every pair, unstripped.
+// every reference during simulation. It takes fresh pairs. Without
+// hooks each block of packed words is decoded once and partitioned
+// into a fetch stream and a data stream (write flag in bit 0), which a
+// cache.Bank of the pairs' I-caches and one of their D-caches consume
+// while the block is hot in L1; the banks hold the contents and the
+// pairs receive statistics only, so a pair that has seen an access is
+// an error. With hooks every reference probes every pair, unstripped.
 //
 // The context is checked before every chunk; on cancellation Replay
 // returns ctx.Err() and the pairs' statistics are partial and must be
@@ -103,7 +104,13 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 		for i, p := range pairs {
 			is[i], ds[i] = p.I, p.D
 		}
-		ib, db = cache.BankOf(is...), cache.BankOf(ds...)
+		var err error
+		if ib, err = cache.BankOf(is...); err != nil {
+			return err
+		}
+		if db, err = cache.BankOf(ds...); err != nil {
+			return err
+		}
 		fetch = make([]uint32, 0, replayBlockWords)
 		data = make([]uint32, 0, replayBlockWords)
 	}
@@ -127,7 +134,7 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 			for off := 0; off < len(c); off += replayBlockWords {
 				fetch, data = partition(c[off:min(off+replayBlockWords, len(c))], fetch[:0], data[:0])
 				// The I-caches only ever see this read-only fetch
-				// stream, so the no-dirty-state kernels apply.
+				// stream, so the read-only kernels apply.
 				ib.AccessBatchFetch(fetch)
 				db.AccessBatch(data)
 			}

@@ -12,8 +12,9 @@ import (
 	"jmtam/internal/mem"
 )
 
-// kernelGeoms spans every cache kernel specialization (1, 2, 4 and
-// N-way) across block sizes.
+// kernelGeoms spans both bank stage depths across four block sizes:
+// stacks four deep (1-, 2- and 4-way members) and deeper (8- and
+// 16-way), several stages to a block size.
 var kernelGeoms = []cache.Config{
 	{SizeBytes: 1 << 10, BlockBytes: 64, Assoc: 1},
 	{SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4},
