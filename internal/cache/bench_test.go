@@ -78,7 +78,7 @@ func BenchmarkBank(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for off := 0; off < len(s.refs); off += len(batch) {
 					copy(batch, s.refs[off:]) // the bank overwrites its batch
-					access(batch)
+					access(batch, len(batch))
 				}
 			}
 		})

@@ -25,8 +25,12 @@
 // of them, so one probe per reference decides all of them (Mattson et
 // al.'s LRU inclusion). A reference on top of its set's stack is a hit
 // in every cache of that block size with at least as many sets, so
-// later stacks never see it (Puzak's trace stripping). Every statistic
-// stays exact; see Bank.
+// later stacks never see it (Puzak's trace stripping). The caller may
+// strip the stream before the bank sees it: a reference to the block,
+// at the bank's smallest block size, of the reference before it is a
+// hit in every member, and a batch counts the references it stands for,
+// so dropped ones still count in Accesses. Every statistic stays exact;
+// see Bank.
 package cache
 
 import (
@@ -377,6 +381,15 @@ func (c *Cache) Contains(addr uint32) bool {
 // it; when that survivor was in an earlier batch and is already
 // consumed, the write survives instead.
 //
+// A caller may drop a stream's references before batching them, on
+// the same ground one set wide: a reference to the block, at
+// BlockShift, of the stream's reference just before it is a
+// most-recently-used hit in every member. A dropped write ORs its flag
+// into the last reference of the caller's current batch, which by
+// induction is the same block, or survives when that batch is empty.
+// The batch's count includes the dropped references, so each member's
+// Accesses stays exact, and misses and writebacks do not change.
+//
 // Writebacks need no dirty bit per member. Each stack entry keeps the
 // highest rank it was found at since it was last written, or a value
 // no member reaches while it has not been written since it entered the
@@ -453,17 +466,29 @@ func BankOf(caches ...*Cache) (*Bank, error) {
 	return b, nil
 }
 
+// BlockShift returns log2 of the bank's smallest member block size, the
+// granularity at which a caller may strip a stream (see Bank); 2, the
+// word, for a bank with no members.
+func (b *Bank) BlockShift() uint32 {
+	if len(b.stages) == 0 {
+		return 2
+	}
+	return b.stages[0].shift
+}
+
 // AccessBatch streams one block of packed references (write flag in bit
 // 0, see RefWrite) through every member, as the equivalent sequence of
-// Access calls would. The bank overwrites refs.
-func (b *Bank) AccessBatch(refs []uint32) { b.access(refs, false) }
+// Access calls would. The batch stands for n >= len(refs) references of
+// the stream: the n-len(refs) others were stripped by the caller (see
+// Bank) and count as accesses that hit. The bank overwrites refs.
+func (b *Bank) AccessBatch(refs []uint32, n int) { b.access(refs, n, false) }
 
 // AccessBatchFetch is AccessBatch for a read-only stream of word-aligned
 // addresses: the replay engine's instruction-fetch side, whose members
 // never see a write.
-func (b *Bank) AccessBatchFetch(refs []uint32) { b.access(refs, true) }
+func (b *Bank) AccessBatchFetch(refs []uint32, n int) { b.access(refs, n, true) }
 
-func (b *Bank) access(refs []uint32, fetch bool) {
+func (b *Bank) access(refs []uint32, n int, fetch bool) {
 	dst := refs
 	if n := len(b.stages); n > 0 && b.stages[0].shift != b.stages[n-1].shift {
 		// Each block size starts from the whole batch, so keep it intact.
@@ -485,7 +510,7 @@ func (b *Bank) access(refs []uint32, fetch bool) {
 			live = s.probe4(live, dst)
 		}
 		for _, c := range s.caches {
-			c.stats.Accesses += uint64(len(refs))
+			c.stats.Accesses += uint64(n)
 			for _, h := range s.hist[c.assoc:] {
 				c.stats.Misses += h
 			}

@@ -134,7 +134,7 @@ func TestAccessMatchesReferenceModel(t *testing.T) {
 				// bank overwrites its batch, so pass a copy.
 				for off := 0; off < len(refs); {
 					end := min(off+1000+off%777, len(refs))
-					bank.AccessBatch(slices.Clone(refs[off:end]))
+					bank.AccessBatch(slices.Clone(refs[off:end]), end-off)
 					off = end
 				}
 				if scalar.Stats() != ref.stats {
@@ -169,7 +169,8 @@ func TestAccessBatchFetchMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			for off := 0; off < len(refs); off += 4096 {
-				bank.AccessBatchFetch(slices.Clone(refs[off:min(off+4096, len(refs))]))
+				batch := slices.Clone(refs[off:min(off+4096, len(refs))])
+				bank.AccessBatchFetch(batch, len(batch))
 			}
 			if scalar.Stats() != banked.Stats() {
 				t.Errorf("fetch bank %+v != scalar %+v", banked.Stats(), scalar.Stats())
@@ -274,9 +275,9 @@ func TestBankMatchesScalar(t *testing.T) {
 					state = state*1664525 + 1013904223
 					end := min(off+int(state>>20)%700, len(refs))
 					if fetch {
-						bank.AccessBatchFetch(refs[off:end])
+						bank.AccessBatchFetch(refs[off:end], end-off)
 					} else {
-						bank.AccessBatch(refs[off:end])
+						bank.AccessBatch(refs[off:end], end-off)
 					}
 					off = end
 				}
@@ -362,11 +363,11 @@ func FuzzBankMatchesScalar(f *testing.F) {
 				total++
 			}
 			if data[0]&2 != 0 {
-				access(batch)
+				access(batch, len(batch))
 				batch = batch[:0]
 			}
 		}
-		access(batch)
+		access(batch, len(batch))
 		for i, c := range members {
 			if c.Stats() != refs[i].stats {
 				t.Fatalf("%v: bank %+v, reference %+v", c.Config(), c.Stats(), refs[i].stats)

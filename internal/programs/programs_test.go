@@ -7,7 +7,15 @@ import (
 	"jmtam/internal/trace"
 )
 
-var testImpls = []core.Impl{core.ImplAM, core.ImplMD, core.ImplAMEnabled, core.ImplOAM}
+// testImpls is every registered backend, so each program's answer is
+// checked on one node under all of them.
+var testImpls = func() []core.Impl {
+	var impls []core.Impl
+	for _, b := range core.Backends() {
+		impls = append(impls, b.Impl)
+	}
+	return impls
+}()
 
 // run builds and runs prog under impl, failing the test on any error
 // (including result verification).

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
+	"jmtam/internal/rng"
 )
 
 // benchRecording synthesizes a recording shaped like the simulator's
@@ -34,11 +36,37 @@ func table2Geoms() []cache.Config {
 	return geoms
 }
 
-// benchReplay measures one kernel pass over a 1M-reference recording
-// per iteration, through fresh pairs of the given geometries.
-func benchReplay(b *testing.B, geoms []cache.Config) {
-	rec := benchRecording(1 << 20)
-	b.SetBytes(int64(rec.Len()) * 4 * int64(len(geoms)))
+// runRecording synthesizes a recording whose fetches come in real
+// straight-line runs, which compact to run ops: blocks of 2 to 13
+// instructions at branch targets in a 16 KB code region, each followed
+// by a read of a frame slot and then a write to that slot or a heap
+// read.
+func runRecording(n int) *Recording {
+	rec := &Recording{}
+	src := rng.New(1)
+	for rec.Len() < n {
+		pc := mem.UserCodeBase + 4*uint32(src.Uint64()%4096)
+		for j := 2 + src.Uint64()%12; j > 0; j-- {
+			rec.Fetch(pc)
+			pc += 4
+		}
+		slot := mem.FrameBase + 4*uint32(src.Uint64()%1024)
+		rec.Read(slot)
+		if src.Uint64()%3 == 0 {
+			rec.Write(slot)
+		} else {
+			rec.Read(mem.HeapBase + 4*uint32(src.Uint64()%(1<<16)))
+		}
+	}
+	return rec
+}
+
+// benchReplay measures one kernel pass over a recording of refs
+// references per iteration, opened afresh by open, through fresh pairs
+// of the given geometries.
+func benchReplay(b *testing.B, refs int, open func() (Source, error), geoms []cache.Config) {
+	b.SetBytes(int64(refs) * 4 * int64(len(geoms)))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pairs := make([]Pair, len(geoms))
 		for j, g := range geoms {
@@ -48,19 +76,39 @@ func benchReplay(b *testing.B, geoms []cache.Config) {
 			}
 			pairs[j] = p
 		}
-		if err := Replay(context.Background(), rec.Chunks(), pairs, nil); err != nil {
+		src, err := open()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := Replay(context.Background(), src, pairs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// packedReplay measures the kernel over a packed 1M-reference
+// benchRecording.
+func packedReplay(b *testing.B, geoms []cache.Config) {
+	rec := benchRecording(1 << 20)
+	benchReplay(b, rec.Len(), func() (Source, error) { return rec.Chunks(), nil }, geoms)
+}
+
 // BenchmarkReplay measures the kernel on a single geometry.
 func BenchmarkReplay(b *testing.B) {
-	benchReplay(b, []cache.Config{{SizeBytes: 8192, BlockBytes: 64, Assoc: 4}})
+	packedReplay(b, []cache.Config{{SizeBytes: 8192, BlockBytes: 64, Assoc: 4}})
 }
 
 // BenchmarkReplayAll measures the kernel over the full Table-2 grid:
 // one pass over the stream drives all 24 geometries.
 func BenchmarkReplayAll(b *testing.B) {
-	benchReplay(b, table2Geoms())
+	packedReplay(b, table2Geoms())
+}
+
+// BenchmarkReplayStream measures the streamed kernel as a warm sweep
+// unit runs it: a Reader over the compacted form of a 1M-reference
+// runRecording, decoded and replayed through the Table-2 grid.
+func BenchmarkReplayStream(b *testing.B) {
+	rec := runRecording(1 << 20)
+	data := rec.Compact()
+	benchReplay(b, rec.Len(), func() (Source, error) { return NewReader(bytes.NewReader(data)) }, table2Geoms())
 }

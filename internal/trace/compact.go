@@ -139,10 +139,13 @@ func compactChunk(dst []byte, c []uint32) []byte {
 	return dst
 }
 
-// decompactChunk decodes one payload into packed words appended to out.
-// It is the exact inverse of compactChunk and rejects any payload that
-// does not decode to exactly nRefs in-range references.
-func decompactChunk(payload []byte, nRefs int, out []uint32) ([]uint32, error) {
+// decompactChunk decodes one payload, the exact inverse of
+// compactChunk, and rejects any payload that does not decode to exactly
+// nRefs in-range references. With sp nil it appends the packed words
+// to out; otherwise it builds no packed words and feeds each reference
+// straight into sp's fetch or data stream, a fetch run in one step per
+// block it touches.
+func decompactChunk(payload []byte, nRefs int, out []uint32, sp *splitter) ([]uint32, error) {
 	var last [3]uint32
 	emitted := 0
 	for emitted < nRefs {
@@ -160,19 +163,33 @@ func decompactChunk(payload []byte, nRefs int, out []uint32) ([]uint32, error) {
 			if uint64(last[KindFetch])+cnt > addrMask {
 				return nil, errors.New("trace: fetch run overflows the address space")
 			}
-			for j := uint64(0); j < cnt; j++ {
-				last[KindFetch]++
-				out = append(out, last[KindFetch])
-			}
+			w := last[KindFetch]
+			last[KindFetch] += uint32(cnt)
 			emitted += int(cnt)
+			if sp != nil {
+				sp.fetch.run(w+1, last[KindFetch])
+				continue
+			}
+			for ; cnt > 0; cnt-- {
+				w++
+				out = append(out, w)
+			}
 		default:
 			word := int64(last[tag]) + unzigzag(v>>2)
 			if word < 0 || word > addrMask {
 				return nil, fmt.Errorf("trace: delta walks word address to %d", word)
 			}
 			last[tag] = uint32(word)
-			out = append(out, uint32(tag)<<kindShift|uint32(word))
 			emitted++
+			switch {
+			case sp == nil:
+				out = append(out, uint32(tag)<<kindShift|uint32(word))
+			case tag == uint64(KindFetch):
+				sp.fetch.add(uint32(word), 0)
+			default:
+				// KindWrite is 2 and KindRead 1: tag>>1 is the write flag.
+				sp.data.add(uint32(word), uint32(tag>>1))
+			}
 		}
 	}
 	if len(payload) != 0 {
@@ -182,10 +199,11 @@ func decompactChunk(payload []byte, nRefs int, out []uint32) ([]uint32, error) {
 }
 
 // Reader streams a compacted recording: the header is parsed up front,
-// then Next decodes one chunk at a time into a reused buffer, so replay
-// holds one decoded chunk (≤ 256 KB) regardless of trace length. A
-// Reader consumes its source exactly once; open a fresh Reader per
-// replay pass.
+// then Next decodes one chunk at a time into a reused buffer, so a
+// reader holds one decoded chunk (≤ 256 KB) regardless of trace length.
+// Unhooked replay decodes each chunk straight into the kernel's streams
+// instead and holds no decoded chunk. A Reader consumes its source
+// exactly once; open a fresh Reader per replay pass.
 type Reader struct {
 	br         *bufio.Reader
 	counts     Counts
@@ -288,40 +306,60 @@ func (rd *Reader) Annotation() []byte { return rd.annotation }
 // returned slice is valid until the following Next call. At the end of
 // the stream it returns io.EOF.
 func (rd *Reader) Next() ([]uint32, error) {
+	payload, nRefs, err := rd.chunk()
+	if err != nil {
+		return nil, err
+	}
+	if rd.buf == nil {
+		rd.buf = make([]uint32, 0, chunkWords)
+	}
+	buf, err := decompactChunk(payload, nRefs, rd.buf[:0], nil)
+	if err != nil {
+		return nil, err
+	}
+	rd.buf = buf
+	return buf, nil
+}
+
+// split decodes the next chunk straight into the replay kernel's
+// streams; no decoded-chunk buffer is allocated.
+func (rd *Reader) split(sp *splitter) error {
+	payload, nRefs, err := rd.chunk()
+	if err == nil {
+		_, err = decompactChunk(payload, nRefs, nil, sp)
+	}
+	return err
+}
+
+// chunk reads the next chunk's header and payload, or returns io.EOF at
+// the end of the stream.
+func (rd *Reader) chunk() ([]byte, int, error) {
 	if rd.remaining == 0 {
-		return nil, io.EOF
+		return nil, 0, io.EOF
 	}
 	nRefs, err := binary.ReadUvarint(rd.br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: chunk header: %w", noEOF(err))
+		return nil, 0, fmt.Errorf("trace: chunk header: %w", noEOF(err))
 	}
 	if nRefs == 0 || nRefs > chunkWords || nRefs > uint64(rd.remaining) {
-		return nil, fmt.Errorf("trace: chunk of %d references (remaining %d, max %d)", nRefs, rd.remaining, chunkWords)
+		return nil, 0, fmt.Errorf("trace: chunk of %d references (remaining %d, max %d)", nRefs, rd.remaining, chunkWords)
 	}
 	nBytes, err := binary.ReadUvarint(rd.br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: chunk header: %w", noEOF(err))
+		return nil, 0, fmt.Errorf("trace: chunk header: %w", noEOF(err))
 	}
 	if nBytes > maxChunkPayload {
-		return nil, fmt.Errorf("trace: chunk payload of %d bytes exceeds the %d-byte cap", nBytes, maxChunkPayload)
+		return nil, 0, fmt.Errorf("trace: chunk payload of %d bytes exceeds the %d-byte cap", nBytes, maxChunkPayload)
 	}
 	if cap(rd.payload) < int(nBytes) {
 		rd.payload = make([]byte, nBytes)
 	}
 	rd.payload = rd.payload[:nBytes]
 	if _, err := io.ReadFull(rd.br, rd.payload); err != nil {
-		return nil, fmt.Errorf("trace: chunk payload: %w", noEOF(err))
+		return nil, 0, fmt.Errorf("trace: chunk payload: %w", noEOF(err))
 	}
-	if rd.buf == nil {
-		rd.buf = make([]uint32, 0, chunkWords)
-	}
-	buf, err := decompactChunk(rd.payload, int(nRefs), rd.buf[:0])
-	if err != nil {
-		return nil, err
-	}
-	rd.buf = buf
 	rd.remaining -= int(nRefs)
-	return buf, nil
+	return rd.payload, int(nRefs), nil
 }
 
 // Do streams every remaining reference, in order, to fn.

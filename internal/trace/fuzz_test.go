@@ -64,7 +64,10 @@ func FuzzCompactRoundTrip(f *testing.F) {
 
 // FuzzDecompact feeds arbitrary bytes to the decoder: it must never
 // panic or over-allocate, and anything it accepts must re-compact to a
-// decodable stream of the same length.
+// decodable stream of the same length. The unhooked replay of a Reader
+// over the same bytes, which decodes straight into the kernel's
+// streams, must fail exactly when Decompact does, and otherwise match
+// the replay of the decompacted recording.
 func FuzzDecompact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("JTR2\x01\x00\x00"))
@@ -76,10 +79,27 @@ func FuzzDecompact(f *testing.F) {
 		}
 	}
 	f.Add(rec.CompactAnnotated([]byte(`{"p":"x"}`)))
+	f.Add(record(randomRefs(4, 3000)).Compact())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decompact(data)
+		streamed := newPairs(t, kernelGeoms)
+		rd, rerr := NewReader(bytes.NewReader(data))
+		if rerr == nil {
+			rerr = Replay(context.Background(), rd, streamed, nil)
+		}
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("Decompact error %v, streamed replay error %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		want := newPairs(t, kernelGeoms)
+		got.ReplayAll(want)
+		for g, p := range streamed {
+			if p.I.Stats() != want[g].I.Stats() || p.D.Stats() != want[g].D.Stats() {
+				t.Fatalf("%v: streamed I=%+v D=%+v, decompacted I=%+v D=%+v", kernelGeoms[g],
+					p.I.Stats(), p.D.Stats(), want[g].I.Stats(), want[g].D.Stats())
+			}
 		}
 		again, err := Decompact(got.Compact())
 		if err != nil {
@@ -126,13 +146,14 @@ func FuzzReaderChunks(f *testing.F) {
 }
 
 // FuzzReplayMatchesScalar decodes the fuzz input into a reference
-// stream in a 64 KB address space, so most references hit a strip
-// filter, and requires the replay kernel's statistics to equal the
-// scalar reference's over the Table-2 grid and the kernel geometries.
-// Each 3-byte record is a kind, a run length and a word address: the
-// run touches consecutive words, so runs cross the kernel's partition
-// blocks and split same-block write runs between batches. Decoding
-// stops at 16K references, four partition blocks.
+// stream in a 64 KB address space, so most references repeat a block,
+// and requires the replay kernel's statistics, from the packed and the
+// streamed source alike, to equal the scalar reference's over the
+// Table-2 grid and the kernel geometries. Each 3-byte record is a kind,
+// a run length and a word address: the run touches consecutive words,
+// so fetch runs compact to run ops, and runs cross the stream buffers'
+// batches and split same-block write runs between them. Decoding stops
+// at 16K references, four buffers' worth.
 func FuzzReplayMatchesScalar(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 0x10, 0x00, 0x05, 0x10, 0x00, 0x01, 0x10, 0x40})
@@ -144,9 +165,8 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// Fetches fill the first partition block up to a read; a write to
-	// the same word opens the next block, so the write's merge target is
-	// already consumed, and conflicting reads then evict the line.
+	// Fetches fill a batch's worth of words up to a read; a write to the
+	// same word follows, and conflicting reads then evict the line.
 	var edge []byte
 	for left := replayBlockWords - 1; left > 0; left -= 64 {
 		edge = append(edge, byte(min(left, 64)-1)<<2, 0x00, 0x10)
@@ -156,6 +176,20 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 		edge = append(edge, 1, 0x00, 0x20+k)
 	}
 	f.Add(edge)
+	// Reads of 8192 consecutive words leave 4096 survivors at 8-byte
+	// blocks, which fill the data stream's buffer exactly, so it flushes
+	// on the last. A read and then a write of that block's other word
+	// follow: the write finds the buffer empty and must survive to dirty
+	// the line, which conflicting reads then evict.
+	var flushed []byte
+	for w := uint16(0x1000); w < 0x3000; w += 64 {
+		flushed = binary.LittleEndian.AppendUint16(append(flushed, 63<<2|1), w)
+	}
+	flushed = append(flushed, 1, 0xff, 0x2f, 2, 0xff, 0x2f)
+	for k := byte(1); k <= 8; k++ {
+		flushed = append(flushed, 1, 0xff, 0x2f+k)
+	}
+	f.Add(flushed)
 	geoms := append(table2Geoms(), kernelGeoms...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec := &Recording{}
@@ -174,14 +208,16 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 			}
 		}
 		want := scalarReplay(t, rec, geoms)
-		pairs := newPairs(t, geoms)
-		if err := Replay(context.Background(), rec.Chunks(), pairs, nil); err != nil {
-			t.Fatal(err)
-		}
-		for g, p := range pairs {
-			if p.I.Stats() != want[g].i || p.D.Stats() != want[g].d {
-				t.Fatalf("%v: I=%+v D=%+v, want I=%+v D=%+v", geoms[g],
-					p.I.Stats(), p.D.Stats(), want[g].i, want[g].d)
+		for name, open := range sources(t, rec) {
+			pairs := newPairs(t, geoms)
+			if err := Replay(context.Background(), open(), pairs, nil); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for g, p := range pairs {
+				if p.I.Stats() != want[g].i || p.D.Stats() != want[g].d {
+					t.Fatalf("%s %v: I=%+v D=%+v, want I=%+v D=%+v", name, geoms[g],
+						p.I.Stats(), p.D.Stats(), want[g].i, want[g].d)
+				}
 			}
 		}
 	})

@@ -9,13 +9,16 @@ import (
 	"jmtam/internal/obs"
 )
 
-// Source yields a recorded reference stream as chunks of packed trace
-// words, in order; Next returns io.EOF after the last chunk. A *Reader
-// is a Source over compacted bytes, and Recording.Chunks returns one
-// over the packed in-memory form, so the replay kernel consumes either
-// without caring which.
+// Source yields a recorded reference stream in chunks, in order. Next
+// returns the next chunk as packed trace words, and io.EOF after the
+// last; the hooked replay path reads it. split feeds the next chunk
+// straight into the unhooked kernel's fetch and data streams, and also
+// returns io.EOF after the last. A *Reader is a Source over compacted
+// bytes, and Recording.Chunks returns one over the packed in-memory
+// form, so the replay kernel consumes either without caring which.
 type Source interface {
 	Next() ([]uint32, error)
+	split(*splitter) error
 }
 
 // cursor walks a packed recording's chunk list.
@@ -30,18 +33,31 @@ func (c *cursor) Next() ([]uint32, error) {
 	return ch, nil
 }
 
+func (c *cursor) split(sp *splitter) error {
+	ch, err := c.Next()
+	for _, w := range ch {
+		if w>>kindShift == uint32(KindFetch) {
+			sp.fetch.add(w&addrMask, 0)
+		} else {
+			// KindWrite is 2 and KindRead 1, so the kind's high bit is
+			// the write flag.
+			sp.data.add(w&addrMask, w>>(kindShift+1))
+		}
+	}
+	return err
+}
+
 // Chunks returns a Source over the recording's packed chunks. The
 // recording must not grow while the Source is in use.
 func (r *Recording) Chunks() Source { return &cursor{chunks: r.chunks()} }
 
-// replayBlockWords sizes the replay kernel's partition buffers: 4K
-// references (16 KB of packed words, at most 32 KB of partitioned
-// output) stay resident in L1 while a whole geometry group consumes
-// them.
+// replayBlockWords sizes each of the unhooked kernel's two stream
+// buffers: 4K surviving references (16 KB) stay resident in L1 while a
+// whole geometry group consumes them.
 const replayBlockWords = 1 << 12
 
 // Hooks are the replay kernel's optional observers. With both nil (or
-// a nil *Hooks) the kernel runs the batched, stripped path; with either
+// a nil *Hooks) the kernel runs the split, stripped path; with either
 // set, every pair is driven reference by reference so each miss can be
 // observed. Cache statistics are identical either way.
 type Hooks struct {
@@ -70,12 +86,17 @@ type sampler struct {
 // instruction caches, reads and writes the data caches, so replaying
 // into fresh pairs yields statistics identical to probing them with
 // every reference during simulation. It takes fresh pairs. Without
-// hooks each block of packed words is decoded once and partitioned
-// into a fetch stream and a data stream (write flag in bit 0), which a
-// cache.Bank of the pairs' I-caches and one of their D-caches consume
-// while the block is hot in L1; the banks hold the contents and the
-// pairs receive statistics only, so a pair that has seen an access is
-// an error. With hooks every reference probes every pair, unstripped.
+// hooks each chunk is split, in the pass that decodes it, into a fetch
+// stream and a data stream, and each stream drops every reference to
+// the block of its own previous reference at the smallest block size
+// of the pairs: that reference is a most-recently-used hit in every
+// cache it would reach. A *Reader decodes a run of sequential fetches
+// straight to the blocks it crosses. The survivors go in batches to a
+// cache.Bank of the pairs' I-caches and one of their D-caches, which
+// also count the dropped references as accesses; the banks hold the
+// contents and the pairs receive statistics only, so a pair that has
+// seen an access is an error. With hooks every reference probes every
+// pair, unstripped.
 //
 // The context is checked before every chunk; on cancellation Replay
 // returns ctx.Err() and the pairs' statistics are partial and must be
@@ -84,8 +105,14 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 	if h != nil && h.Misses == nil && h.Sample == nil {
 		h = nil
 	}
+	var sp *splitter
 	var samplers []sampler
-	if h != nil && h.Sample != nil {
+	if h == nil {
+		var err error
+		if sp, err = newSplitter(pairs); err != nil {
+			return err
+		}
+	} else if h.Sample != nil {
 		every := uint64(1000)
 		if h.SampleEvery > 0 {
 			every = uint64(h.SampleEvery)
@@ -97,23 +124,6 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 			}}
 		}
 	}
-	var ib, db *cache.Bank
-	var fetch, data []uint32
-	if h == nil {
-		is, ds := make([]*cache.Cache, len(pairs)), make([]*cache.Cache, len(pairs))
-		for i, p := range pairs {
-			is[i], ds[i] = p.I, p.D
-		}
-		var err error
-		if ib, err = cache.BankOf(is...); err != nil {
-			return err
-		}
-		if db, err = cache.BankOf(ds...); err != nil {
-			return err
-		}
-		fetch = make([]uint32, 0, replayBlockWords)
-		data = make([]uint32, 0, replayBlockWords)
-	}
 	done := ctx.Done()
 	for {
 		if done != nil {
@@ -123,22 +133,22 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 			default:
 			}
 		}
+		if sp != nil {
+			if err := src.split(sp); err == io.EOF {
+				sp.fetch.flush()
+				sp.data.flush()
+				return nil
+			} else if err != nil {
+				return err
+			}
+			continue
+		}
 		c, err := src.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
-		}
-		if h == nil {
-			for off := 0; off < len(c); off += replayBlockWords {
-				fetch, data = partition(c[off:min(off+replayBlockWords, len(c))], fetch[:0], data[:0])
-				// The I-caches only ever see this read-only fetch
-				// stream, so the read-only kernels apply.
-				ib.AccessBatchFetch(fetch)
-				db.AccessBatch(data)
-			}
-			continue
 		}
 		for i, p := range pairs {
 			var mc *MissCounts
@@ -160,21 +170,113 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 	return nil
 }
 
-// partition decodes one block of packed trace words into the
-// instruction-fetch address stream and the data stream. Data references
-// carry the write flag in bit 0 (addresses are word-aligned, so the bit
-// is free); KindWrite is 2 and KindRead 1, so kind>>1 is that flag.
-func partition(block []uint32, fetch, data []uint32) ([]uint32, []uint32) {
-	for _, w := range block {
-		k := w >> kindShift
-		addr := w << 2 & (addrMask << 2)
-		if k == uint32(KindFetch) {
-			fetch = append(fetch, addr)
-		} else {
-			data = append(data, addr|k>>1)
-		}
+// splitter is the unhooked kernel's front end: the fetch stream bound
+// for the pairs' I-caches and the data stream bound for their D-caches.
+type splitter struct{ fetch, data stream }
+
+func newSplitter(pairs []Pair) (*splitter, error) {
+	is, ds := make([]*cache.Cache, len(pairs)), make([]*cache.Cache, len(pairs))
+	for i, p := range pairs {
+		is[i], ds[i] = p.I, p.D
 	}
-	return fetch, data
+	ib, err := cache.BankOf(is...)
+	if err != nil {
+		return nil, err
+	}
+	db, err := cache.BankOf(ds...)
+	if err != nil {
+		return nil, err
+	}
+	// The I-caches only ever see the read-only fetch stream, so the
+	// read-only kernels apply.
+	return &splitter{fetch: newStream(ib, ib.AccessBatchFetch), data: newStream(db, db.AccessBatch)}, nil
+}
+
+// stream strips one side of the split and batches its survivors for
+// one bank. Between two consecutive references of a stream no other
+// reference reaches its caches, so a reference to the block of the
+// stream's previous one, at the bank's smallest block size, is a
+// most-recently-used hit in every member: it is dropped and only
+// counted. A dropped write ORs its flag into the batch's last entry,
+// which by induction is the same block and is dirtied one reference
+// earlier; in an empty batch, just flushed, the write survives and the
+// bank handles it as a top-of-stack write (see cache.Bank).
+type stream struct {
+	access  func(refs []uint32, n int) // the bank's batch entry point
+	shift   uint32                     // word address to block at the bank's smallest block size
+	prev    uint32                     // block of the stream's previous reference
+	dropped int                        // references dropped since the last flush
+	buf     []uint32                   // survivors, byte addresses (data: write flag in bit 0)
+}
+
+func newStream(b *cache.Bank, access func([]uint32, int)) stream {
+	return stream{
+		access: access,
+		shift:  b.BlockShift() - 2,
+		prev:   ^uint32(0), // no 30-bit word address reaches it
+		buf:    make([]uint32, 0, replayBlockWords),
+	}
+}
+
+// add passes one reference at word address word through the filter;
+// write is cache.RefWrite for a data write and 0 otherwise. Only the
+// drop of a read or fetch stays in line, so add inlines into the
+// decoder.
+func (s *stream) add(word, write uint32) {
+	if word>>s.shift == s.prev && write == 0 {
+		s.dropped++
+	} else {
+		s.keep(word, write)
+	}
+}
+
+// keep takes a reference add did not drop: a write to the previous
+// block folds into the batch's last entry unless the batch is empty,
+// and any other reference survives.
+func (s *stream) keep(word, write uint32) {
+	blk := word >> s.shift
+	if n := len(s.buf); blk == s.prev && n > 0 {
+		s.buf[n-1] |= write
+		s.dropped++
+		return
+	}
+	s.prev = blk
+	// push, in line, so that a survivor costs one call.
+	s.buf = append(s.buf, word<<2|write)
+	if len(s.buf) == cap(s.buf) {
+		s.flush()
+	}
+}
+
+// run passes a straight-line run of fetches, of words first through
+// last, through the filter in one step per block the run touches: only
+// the first word of a block can survive.
+func (s *stream) run(first, last uint32) {
+	b, end := first>>s.shift, last>>s.shift
+	s.dropped += int(last-first) - int(end-b)
+	if b == s.prev {
+		s.dropped++
+	} else {
+		s.push(first << 2)
+	}
+	for b++; b <= end; b++ {
+		s.push(b << (s.shift + 2))
+	}
+	s.prev = end
+}
+
+func (s *stream) push(ref uint32) {
+	s.buf = append(s.buf, ref)
+	if len(s.buf) == cap(s.buf) {
+		s.flush()
+	}
+}
+
+// flush hands the batch, and the count of references it stands for, to
+// the bank.
+func (s *stream) flush() {
+	s.access(s.buf, len(s.buf)+s.dropped)
+	s.buf, s.dropped = s.buf[:0], 0
 }
 
 // observeChunk drives one pair through one chunk reference by

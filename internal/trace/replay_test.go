@@ -112,23 +112,40 @@ func newPairs(t *testing.T, geoms []cache.Config) []Pair {
 }
 
 // TestReplayKernelEquivalence drives the replay kernel over every
-// combination of chunk source, hook set, geometry set and trace
-// length — lengths straddle the partition-block and chunk boundaries —
-// and requires cache statistics, miss attribution and density samples
-// identical to the scalar reference.
+// combination of chunk source, hook set, geometry set and trace — the
+// random traces' lengths straddle the stream-buffer and chunk
+// boundaries — and requires cache statistics, miss attribution and
+// density samples identical to the scalar reference.
 func TestReplayKernelEquivalence(t *testing.T) {
-	lengths := []int{0, 1, replayBlockWords - 1, replayBlockWords + 1,
-		chunkWords - 1, chunkWords + 1, 2*chunkWords + 7}
-	for _, n := range lengths {
-		rec := record(randomRefs(uint64(n)+11, n))
+	type namedTrace struct {
+		name string
+		rec  *Recording
+	}
+	var traces []namedTrace
+	for _, n := range []int{0, 1, replayBlockWords - 1, replayBlockWords + 1,
+		chunkWords - 1, chunkWords + 1, 2*chunkWords + 7} {
+		traces = append(traces, namedTrace{fmt.Sprintf("n=%d", n), record(randomRefs(uint64(n)+11, n))})
+	}
+	// A trace that ends inside a straight-line fetch run whose crossings
+	// of 8-byte blocks overflow a stream buffer: the run's survivors are
+	// flushed mid-run, and the rest only at the end of the stream.
+	longRun := randomRefs(3, 1000)
+	for pc := uint32(0x10_0000); len(longRun) < 1000+3*replayBlockWords; pc += 4 {
+		longRun = append(longRun, ref{KindFetch, pc})
+	}
+	traces = append(traces, namedTrace{"longrun", record(longRun)})
+	for _, tr := range traces {
+		rec := tr.rec
 		srcs := sources(t, rec)
-		// The last set is the Table-2 grid: ten strip stages in one bank.
-		for _, geoms := range [][]cache.Config{kernelGeoms[:1], kernelGeoms[:3], kernelGeoms, table2Geoms()} {
+		// The fourth set is the Table-2 grid, ten stages in one bank; the
+		// last puts a second block size behind an 8-byte one.
+		for _, geoms := range [][]cache.Config{kernelGeoms[:1], kernelGeoms[:3], kernelGeoms, table2Geoms(),
+			{{SizeBytes: 1 << 10, BlockBytes: 8, Assoc: 1}, {SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4}}} {
 			ng := len(geoms)
 			want := scalarReplay(t, rec, geoms)
 			for _, srcName := range []string{"packed", "streamed"} {
 				for _, hook := range []string{"none", "attribution", "sampling", "both"} {
-					name := fmt.Sprintf("n=%d/geoms=%d/%s/%s", n, ng, srcName, hook)
+					name := fmt.Sprintf("%s/geoms=%d/%s/%s", tr.name, ng, srcName, hook)
 					pairs := newPairs(t, geoms)
 					h := &Hooks{SampleEvery: testSampleEvery}
 					samples := make([][]sample, ng)
