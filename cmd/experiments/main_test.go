@@ -45,6 +45,68 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestMetricsGolden pins the twelve registry dumps -metrics-dir writes
+// for the quick-scale Table 2 sweep, byte for byte, at one worker and
+// at eight. They carry the machine's hook outputs (priority switches,
+// handler and inlet latencies, queue waits, the instruction mix) and
+// the hooked replay's per-class miss attribution.
+func TestMetricsGolden(t *testing.T) {
+	goldenDir := filepath.Join("testdata", "metrics_quick")
+	for _, par := range []string{"1", "8"} {
+		dir := t.TempDir()
+		args := []string{"-run", "table2", "-scale", "quick", "-parallel", par, "-metrics-dir", dir}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		got, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *updateGolden {
+			if err := os.RemoveAll(goldenDir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(goldenDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range got {
+				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err == nil {
+					err = os.WriteFile(filepath.Join(goldenDir, e.Name()), b, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		want, err := os.ReadDir(goldenDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(want) != 12 {
+			t.Fatalf("-parallel %s wrote %d dumps, golden has %d, want 12", par, len(got), len(want))
+		}
+		for i, e := range want {
+			if got[i].Name() != e.Name() {
+				t.Fatalf("-parallel %s: dump %d is %s, golden %s", par, i, got[i].Name(), e.Name())
+			}
+			g, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g, w) {
+				t.Errorf("-parallel %s: %s differs from its golden", par, e.Name())
+			}
+		}
+	}
+}
+
 // TestBadArguments checks the exit status of unknown artifact, scale
 // and backend names.
 func TestBadArguments(t *testing.T) {

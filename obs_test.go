@@ -2,6 +2,8 @@ package jmtam
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"sort"
@@ -154,6 +156,26 @@ func TestPerfettoRoundTrip(t *testing.T) {
 					k, s.ts, s.end, stack[len(stack)-1].end)
 			}
 			stack = append(stack, s)
+		}
+	}
+}
+
+// TestTimelineGolden pins the Perfetto timeline of one quick run under
+// AM and under Offload, whose inlets run on the NIC engine, by the
+// SHA-256 of its exported bytes: every handler and inlet span, priority
+// switch and flow arrow lands at the same instruction count.
+func TestTimelineGolden(t *testing.T) {
+	for impl, want := range map[Impl]string{
+		AM:      "8ee83fa22b6d7f8c6e6bc353be0b5b55fce800efe6e42393a408c3ac242543ce",
+		Offload: "6b4679f9a1054e9d931f93e0bd366c39061d82daba9868a65685d6e26356b185",
+	} {
+		_, snk := runWithSink(t, impl, true)
+		h := sha256.New()
+		if err := snk.Events.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%v: timeline SHA-256 %s, want %s", impl, got, want)
 		}
 	}
 }
