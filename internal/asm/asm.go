@@ -117,8 +117,17 @@ func patch(i *isa.Instr, addr uint32) {
 }
 
 // Finish resolves all forward references. It must be called once after
-// assembly; it returns an error listing any unresolved labels.
+// assembly; it returns an error listing any unresolved labels. It also
+// refuses the first instruction that names a register other than r0-r7
+// and rz, or writes rz, so the machine can read rz from a register slot
+// that is never written.
 func (s *Segment) Finish() error {
+	for k, in := range s.code {
+		if bad := badRegister(in); bad != "" {
+			return fmt.Errorf("asm: segment %s: %q at %#x %s",
+				s.Name, in, s.Base+uint32(k)*mem.WordBytes, bad)
+		}
+	}
 	var missing []string
 	for _, f := range s.fixups {
 		addr, ok := s.labels[f.label]
@@ -134,6 +143,21 @@ func (s *Segment) Finish() error {
 		return fmt.Errorf("asm: segment %s: unresolved labels: %s", s.Name, strings.Join(missing, ", "))
 	}
 	return nil
+}
+
+// badRegister says what is wrong with the registers an instruction
+// names, or returns "".
+func badRegister(in isa.Instr) string {
+	for _, r := range [...]uint8{in.Rd, in.Ra, in.Rb} {
+		if r >= isa.NumRegs && r != isa.RZ {
+			return fmt.Sprintf("names r%d", r)
+		}
+	}
+	autoInc := in.Op == isa.OpLDPre || in.Op == isa.OpSTPost
+	if in.Op.WritesRd() && in.Rd == isa.RZ || autoInc && in.Ra == isa.RZ {
+		return "writes rz"
+	}
+	return ""
 }
 
 // PopLast removes the most recently emitted instruction (and any fixup

@@ -249,3 +249,39 @@ func TestEmitterCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishRefusesBadRegisters checks that Finish refuses an
+// instruction naming a register other than r0-r7 and rz, or writing rz
+// (as a destination or an auto-increment base), and accepts rz read as
+// a base or a source.
+func TestFinishRefusesBadRegisters(t *testing.T) {
+	for _, c := range []struct {
+		emit func(s *Segment)
+		want string // "" when Finish must accept
+	}{
+		{func(s *Segment) { s.MovI(9, 1) }, `"movi r9, 1" at 0x100004 names r9`},
+		{func(s *Segment) { s.Add(0, 1, 8) }, "names r8"},
+		{func(s *Segment) { s.BNZ(14, "top") }, "names r14"},
+		{func(s *Segment) { s.AddI(isa.RZ, 0, 1) }, `"addi rz, r0, 1" at 0x100004 writes rz`},
+		{func(s *Segment) { s.LD(isa.RZ, 1, 0) }, "writes rz"},
+		{func(s *Segment) { s.LDPre(0, isa.RZ) }, "writes rz"},
+		{func(s *Segment) { s.STPost(isa.RZ, 0) }, "writes rz"},
+		{func(s *Segment) { s.JAL(isa.RZ, "top") }, "writes rz"},
+		{func(s *Segment) { s.LDAbs(0, mem.SysDataBase) }, ""},
+		{func(s *Segment) { s.ST(isa.RZ, 0, isa.RZ) }, ""},
+		{func(s *Segment) { s.Add(7, isa.RZ, 7) }, ""},
+		{func(s *Segment) { s.SendW(isa.RZ) }, ""},
+	} {
+		s := NewUser()
+		s.Label("top")
+		s.Nop()
+		c.emit(s)
+		err := s.Finish()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v refused: %v", s.Code()[1], err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%v: Finish = %v, want an error naming %q", s.Code()[1], err, c.want)
+		}
+	}
+}

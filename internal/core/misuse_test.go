@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"jmtam/internal/isa"
 	"jmtam/internal/word"
 )
 
@@ -132,6 +133,32 @@ func TestUnterminatedBodyRejected(t *testing.T) {
 	if err := buildOne(minimalProgram(cb, start)); err == nil ||
 		!strings.Contains(err.Error(), "does not terminate") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestBadRegisterRejected checks that a body naming a register outside
+// r0-r7 and rz, or writing rz, fails Compile under every backend
+// instead of trapping when it runs.
+func TestBadRegisterRejected(t *testing.T) {
+	for _, c := range []struct {
+		emit func(b *Body)
+		want string
+	}{
+		{func(b *Body) { b.MovI(9, 1) }, "names r9"},
+		{func(b *Body) { b.AddI(isa.RZ, 0, 1) }, "writes rz"},
+	} {
+		for _, be := range Backends() {
+			cb := &Codeblock{Name: "cb"}
+			tt := cb.AddThread("t", -1, func(b *Body) {
+				c.emit(b)
+				b.Stop()
+			})
+			start := cb.AddInlet("start", func(b *Body) { b.PostEnd(tt) })
+			_, err := Compile(be.Impl, minimalProgram(cb, start), Options{})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: Compile err = %v, want one naming %q", be.Name, err, c.want)
+			}
+		}
 	}
 }
 

@@ -177,6 +177,17 @@ func (o Op) Class() string {
 	}
 }
 
+// WritesRd reports whether the opcode writes register Rd. LDPre and
+// STPost also write their base register Ra.
+func (o Op) WritesRd() bool {
+	switch {
+	case o >= OpMovI && o <= OpLD, o == OpLDPre, o >= OpAdd && o <= OpFToI,
+		o == OpJAL, o == OpTagSet, o == OpTagGet, o == OpNode:
+		return true
+	}
+	return false
+}
+
 // String returns the mnemonic for the opcode.
 func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {

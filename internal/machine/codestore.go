@@ -10,9 +10,19 @@
 // with the recording's inlined Add and counts its class at the
 // reference, where it is already known: the code-segment test of the
 // fetch, mem.Classify for data accesses, and one class per buffered
-// message, whose words are placed and stored in one pass. Run,
-// RunContext and Step share one interpreter body, and every fault
-// becomes a trap error with Fault's text.
+// message, whose words are placed and stored in one pass.
+//
+// The interpreter's one body, step, runs a stretch: it makes one
+// priority decision and then executes at that priority until an
+// instruction that can change the decision (SENDE, SUSPEND, EI, DI,
+// WAIT, HALT or TRAP) or a stop count. On the MDP a task runs until it
+// suspends, and a high-priority message preempts only while interrupts
+// are enabled, so nothing else can change it. RunContext runs stretches
+// up to its next cancellation poll or the instruction limit; Step runs
+// a stretch of one instruction, so a lockstep mesh still interleaves
+// nodes an instruction at a time. Data loads and stores inline
+// (mem.Memory.Load and Store), and rz reads from a register slot
+// nothing writes. Every fault becomes a trap error with Fault's text.
 package machine
 
 import (

@@ -48,10 +48,14 @@ type Machine struct {
 	Code *CodeStore
 
 	queues [2]*queue.Queue
-	regs   [2][isa.NumRegs]word.Word
-	ip     [2]uint32
-	run    [2]bool
-	intEn  bool
+	// regs holds r0-r7 and rz at index RZ. Nothing writes rz's slot or
+	// the unused ones between, since asm.Segment.Finish refuses any
+	// instruction that writes rz or names another register, so rz
+	// reads integer zero with no test.
+	regs  [2][isa.RZ + 1]word.Word
+	ip    [2]uint32
+	run   [2]bool
+	intEn bool
 
 	sendPri  [2]int
 	sendDest [2]int
@@ -163,16 +167,17 @@ func (m *Machine) SetRouter(node int, r Router) {
 // Node returns the machine's node id (0 on a uniprocessor).
 func (m *Machine) Node() int { return m.nodeID }
 
-// Step executes at most one instruction, reporting whether progress
-// was made; it does not treat an empty machine as halted, so a cluster
-// driver can keep delivering network messages to it. A simulation fault
-// panics: a driver stepping many machines recovers once around its loop
-// and converts the panic value with Fault.
+// Step executes at most one instruction, a stretch of one, reporting
+// whether progress was made; it does not treat an empty machine as
+// halted, so a cluster driver can keep delivering network messages to
+// it. A simulation fault panics: a driver stepping many machines
+// recovers once around its loop and converts the panic value with
+// Fault.
 func (m *Machine) Step() (progress bool, err error) {
 	if m.halted {
 		return false, m.trapErr
 	}
-	if !m.step() {
+	if !m.step(m.instrs + 1) {
 		return false, nil
 	}
 	if m.instrs >= m.limit {
@@ -243,16 +248,9 @@ func (m *Machine) Inject(pri int, ws []word.Word) error {
 	return nil
 }
 
-// reg reads a register, honouring the RZ pseudo-register.
-func (m *Machine) reg(pri int, r uint8) word.Word {
-	if r == isa.RZ {
-		return word.Word{}
-	}
-	return m.regs[pri][r]
-}
-
-// SetReg writes a register directly (host bootstrap only).
-func (m *Machine) SetReg(pri int, r uint8, w word.Word) { m.regs[pri][r] = w }
+// SetReg writes one of the registers r0-r7 directly (host bootstrap
+// only).
+func (m *Machine) SetReg(pri int, r uint8, w word.Word) { m.regs[pri][:isa.NumRegs][r] = w }
 
 // ErrTrap wraps simulated runtime errors.
 var ErrTrap = errors.New("machine trap")
@@ -328,7 +326,7 @@ func (m *Machine) RunContext(ctx context.Context) (err error) {
 			stop = min(stop, m.instrs+CancelCheckInterval)
 		}
 		for m.instrs < stop && !m.halted {
-			if !m.step() {
+			if !m.step(stop) {
 				m.halted = true // quiescent
 			}
 		}

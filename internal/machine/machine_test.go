@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"jmtam/internal/asm"
@@ -244,6 +246,9 @@ func TestTrapInstruction(t *testing.T) {
 	}
 }
 
+// TestInstructionLimit spins until the limit and requires exactly
+// MaxInstructions executed, under Run and under a cancellable
+// RunContext, whose stretches also stop at every cancellation poll.
 func TestInstructionLimit(t *testing.T) {
 	sys := asm.NewSys()
 	sys.Halt()
@@ -252,10 +257,80 @@ func TestInstructionLimit(t *testing.T) {
 	user.BR("spin")
 	sys.Finish()
 	user.Finish()
-	m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), user.Code()), Config{MaxInstructions: 100})
-	m.Inject(Low, []word.Word{word.Ptr(user.Addr("spin"))})
-	if err := m.Run(); !errors.Is(err, ErrTrap) {
-		t.Errorf("err = %v, want instruction-limit trap", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, limit := range []uint64{100, 3*CancelCheckInterval + 7} {
+		for name, run := range map[string]func(m *Machine) error{
+			"Run":        (*Machine).Run,
+			"RunContext": func(m *Machine) error { return m.RunContext(ctx) },
+		} {
+			m := NewMachine(mem.NewDefault(), NewCodeStore(sys.Code(), user.Code()), Config{MaxInstructions: limit})
+			m.Inject(Low, []word.Word{word.Ptr(user.Addr("spin"))})
+			want := fmt.Sprintf("machine trap: instruction limit %d exceeded", limit)
+			if err := run(m); !errors.Is(err, ErrTrap) || err.Error() != want {
+				t.Errorf("%s, limit %d: err = %v, want %q", name, limit, err, want)
+			}
+			if m.Instructions() != limit {
+				t.Errorf("%s: executed %d instructions, want exactly the limit %d", name, m.Instructions(), limit)
+			}
+		}
+	}
+}
+
+// TestTrapMidStretch faults in the middle of a stretch at each
+// priority and pins the trap text, the faulting ip and the instruction
+// count, under Run and under a Step loop.
+func TestTrapMidStretch(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(s *asm.Segment)
+		want  string
+	}{
+		{"low divide", func(s *asm.Segment) {
+			s.Label("main")
+			s.MovI(0, 1)
+			s.MovI(1, 0)
+			s.AddI(0, 0, 2)
+			s.Div(2, 0, 1)
+			s.MovI(3, 4)
+			s.Suspend()
+		}, "machine trap: divide by zero (node 0, low ip=0x10000c high ip=0x0 after 4 instructions)"},
+		{"high load", func(s *asm.Segment) {
+			s.Label("main")
+			s.MovI(0, 1)
+			s.MsgI(High)
+			s.SendWALabel("hp")
+			s.SendE() // the handler preempts here
+			s.MovI(1, 2)
+			s.Suspend()
+			s.Label("hp")
+			s.MovI(2, 3)
+			s.AddI(2, 2, 1)
+			s.LDAbs(3, mem.TopOfMemory)
+			s.Suspend()
+		}, "machine trap: mem: load beyond segment at 0x8000000 (node 0, low ip=0x100010 high ip=0x100020 after 7 instructions)"},
+	} {
+		for name, run := range map[string]func(m *Machine) error{
+			"Run": (*Machine).Run,
+			"Step": func(m *Machine) (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = m.Fault(r)
+					}
+				}()
+				for {
+					if ok, err := m.Step(); err != nil || !ok {
+						return err
+					}
+				}
+			},
+		} {
+			m, user := buildMachine(t, c.build)
+			m.Inject(Low, []word.Word{word.Ptr(user.Addr("main"))})
+			if err := run(m); err == nil || err.Error() != c.want {
+				t.Errorf("%s under %s: err = %v, want %q", c.name, name, err, c.want)
+			}
+		}
 	}
 }
 

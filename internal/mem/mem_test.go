@@ -102,6 +102,57 @@ func TestOutOfSegmentPanics(t *testing.T) {
 	m.Load(SysDataBase + 4*WordBytes)
 }
 
+// TestFaultTexts pins the panic text of every faulting access: an
+// unaligned address first, then an address in a code segment, then an
+// index past the end of its segment, including addresses past the top
+// of memory.
+func TestFaultTexts(t *testing.T) {
+	m := New(4, 4, 4)
+	for _, c := range []struct {
+		op   string
+		addr uint32
+		want string
+	}{
+		{"load", SysDataBase + 2, "mem: unaligned access at 0x1000002"},
+		{"store", HeapBase + 1, "mem: unaligned access at 0x4000001"},
+		{"words", FrameBase + 3, "mem: unaligned access at 0x2000003"},
+		{"load", TopOfMemory + 2, "mem: unaligned access at 0x8000002"},
+		{"load", SysCodeBase + 4, "mem: data access to code segment at 0x4"},
+		{"store", UserCodeBase, "mem: data access to code segment at 0x100000"},
+		{"words", SysDataBase - 4, "mem: data access to code segment at 0xfffffc"},
+		{"load", SysDataBase + 16, "mem: load beyond segment at 0x1000010"},
+		{"load", FrameBase + 16, "mem: load beyond segment at 0x2000010"},
+		{"load", HeapBase - 4, "mem: load beyond segment at 0x3fffffc"},
+		{"load", TopOfMemory, "mem: load beyond segment at 0x8000000"},
+		{"load", 0xfffffffc, "mem: load beyond segment at 0xfffffffc"},
+		{"store", HeapBase + 16, "mem: store beyond segment at 0x4000010"},
+		{"store", TopOfMemory + SysDataBase, "mem: store beyond segment at 0x9000000"},
+		{"words", SysDataBase + 8, "mem: store beyond segment at 0x1000008"},
+	} {
+		got := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			switch c.op {
+			case "load":
+				m.Load(c.addr)
+			case "store":
+				m.Store(c.addr, word.Int(1))
+			default:
+				m.StoreWords(c.addr, make([]word.Word, 3))
+			}
+			return ""
+		}()
+		if got != c.want {
+			t.Errorf("%s at %#x: panic %q, want %q", c.op, c.addr, got, c.want)
+		}
+	}
+	for _, addr := range []uint32{SysDataBase + 12, FrameBase + 12, HeapBase + 12} {
+		m.Store(addr, word.Int(7))
+		if got := m.LoadInt(addr); got != 7 {
+			t.Errorf("last word at %#x reads %d, want 7", addr, got)
+		}
+	}
+}
+
 func TestSegmentClamping(t *testing.T) {
 	m := New(-5, 1<<30, 0)
 	// Negative clamps to zero; huge clamps to segment capacity. The

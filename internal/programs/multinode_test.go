@@ -8,6 +8,7 @@ import (
 	"jmtam/internal/core"
 	"jmtam/internal/machine"
 	"jmtam/internal/netsim"
+	"jmtam/internal/stats"
 	"jmtam/internal/trace"
 )
 
@@ -69,9 +70,12 @@ func TestMultinodeSmoke(t *testing.T) {
 // the lockstep cluster loop it replaces: for every benchmark under every
 // registered backend, a one-node ClusterSim (which runs the machine's
 // own loop) and cluster.New driving the single machine of a core.Build
-// simulation must execute the byte-identical reference and NIC streams,
-// the same instruction count and result, and the lockstep run must take
-// exactly instructions + 1 ticks — the value ClusterSim.Ticks reports.
+// simulation must execute the byte-identical reference and NIC streams
+// with the same Counts, the same instruction, high-priority and opcode
+// counts, granularity statistics and result, and the lockstep run must
+// take exactly instructions + 1 ticks — the value ClusterSim.Ticks
+// reports. The one-node run goes in stretches, the lockstep one an
+// instruction at a time.
 func TestClusterN1MatchesUniprocessor(t *testing.T) {
 	for _, spec := range All() {
 		for _, b := range core.Backends() {
@@ -121,6 +125,21 @@ func TestClusterN1MatchesUniprocessor(t *testing.T) {
 				if got, want := ref.M.Instructions(), cs.Instructions(); got != want {
 					t.Errorf("instructions: lockstep %d, own loop %d", got, want)
 				}
+				if got, want := ref.M.HighInstructions(), cs.HighInstructions(); got != want {
+					t.Errorf("high-priority instructions: lockstep %d, own loop %d", got, want)
+				}
+				if got, want := ref.M.OpCounts(), cs.Sims[0].M.OpCounts(); got != want {
+					t.Errorf("opcode counts: lockstep %v, own loop %v", got, want)
+				}
+				ref.Gran.TotalInstrs = ref.M.Instructions()
+				ref.Gran.Finish()
+				if got, want := totals(ref.Gran), totals(cs.MergedGran()); got != want {
+					t.Errorf("granularity: lockstep %+v, own loop %+v", got, want)
+				}
+				if refRec.Counts != ownRec.Counts || refNIC.Counts != ownNIC.Counts {
+					t.Errorf("reference counts: lockstep %+v and NIC %+v, own loop %+v and NIC %+v",
+						refRec.Counts, refNIC.Counts, ownRec.Counts, ownNIC.Counts)
+				}
 				if got, want := cl.Tick(), ref.M.Instructions()+1; got != want {
 					t.Errorf("lockstep ticks %d, want instructions + 1 = %d", got, want)
 				}
@@ -134,6 +153,16 @@ func TestClusterN1MatchesUniprocessor(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// totals keeps the fields of a granularity record that
+// ClusterSim.MergedGran sums.
+func totals(g *stats.Granularity) stats.Granularity {
+	return stats.Granularity{
+		Threads: g.Threads, Inlets: g.Inlets, Quanta: g.Quanta, Activations: g.Activations,
+		Dispatches: g.Dispatches, TotalInstrs: g.TotalInstrs,
+		QuantumHist: g.QuantumHist, QuantumInstrs: g.QuantumInstrs,
 	}
 }
 
