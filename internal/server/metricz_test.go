@@ -75,7 +75,7 @@ func TestMetriczGolden(t *testing.T) {
 	sweepResultBytes(t, ts.URL, sweepBodies[0])
 	sweepResultBytes(t, ts.URL, `{"workloads":[{"program":"ss","arg":40}],"sizes_kb":[1,8],"assocs":[1,4],"impls":["md","am"],"penalties":[24]}`)
 	// A stream ends when its job turns terminal, a moment before the job
-	// goroutine records its terminal counters and latency.
+	// goroutine returns its pool slot, which pool.in_use samples.
 	s.wg.Wait()
 	checkGolden(t, "metricz.golden", scrapeMasked(t, ts.URL))
 }

@@ -531,17 +531,20 @@ func (s *Server) launch(job *Job, exec func(ctx context.Context, j *Job) (json.R
 	}()
 }
 
-// finishJob journals the terminal transition, emits the terminal NDJSON
-// line, moves the job to its terminal state and records latency
-// metrics. The journal write comes first: a client that observes a
-// terminal state can rely on it surviving a restart.
+// finishJob journals the terminal transition, records its counters and
+// latency, releases the tenant's admission slot, then emits the
+// terminal NDJSON line and moves the job to its terminal state, which
+// ends every stream. Everything lands before that line: a client that
+// has read it can rely on the outcome surviving a restart, read it on
+// /metricz and submit again at once.
 func (s *Server) finishJob(job *Job, result json.RawMessage, err error, start time.Time) {
 	ms := uint64(time.Since(start).Milliseconds())
+	var terminal any
+	state, msg := StateDone, ""
 	switch {
 	case err == nil:
 		s.journalAppend(journalRecord{Op: "done", ID: job.ID, Result: result})
-		job.emit(api.Result(job.ID, result))
-		job.finish(StateDone, result, "")
+		terminal = api.Result(job.ID, result)
 		s.metrics.Count("jobs.finished", 1)
 	case errors.Is(err, context.Canceled):
 		// A client cancel is a durable outcome; a daemon-shutdown cancel
@@ -550,20 +553,22 @@ func (s *Server) finishJob(job *Job, result json.RawMessage, err error, start ti
 		if s.baseCtx.Err() == nil {
 			s.journalAppend(journalRecord{Op: "cancel", ID: job.ID, Error: err.Error()})
 		}
-		job.emit(api.Failure(api.EventCanceled, job.ID, err.Error()))
-		job.finish(StateCanceled, nil, err.Error())
+		terminal = api.Failure(api.EventCanceled, job.ID, err.Error())
+		state, result, msg = StateCanceled, nil, err.Error()
 		s.metrics.Count("jobs.canceled", 1)
 	default:
 		s.journalAppend(journalRecord{Op: "fail", ID: job.ID, Error: err.Error()})
-		job.emit(api.Failure(api.EventError, job.ID, err.Error()))
-		job.finish(StateFailed, nil, err.Error())
+		terminal = api.Failure(api.EventError, job.ID, err.Error())
+		state, result, msg = StateFailed, nil, err.Error()
 		s.metrics.Count("jobs.failed", 1)
 	}
+	s.metrics.Observe("job.latency.ms."+job.Kind, ms)
 	if release := job.takeRelease(); release != nil {
 		release()
 		s.tenantGauge(job.Tenant)
 	}
-	s.metrics.Observe("job.latency.ms."+job.Kind, ms)
+	job.emit(terminal)
+	job.finish(state, result, msg)
 }
 
 // journalAppend writes one journal record, if journaling is on. Append

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"jmtam"
+	"jmtam/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -368,6 +370,43 @@ func TestMetricz(t *testing.T) {
 	}
 	if n := m.Histogram("job.latency.ms.run").Count(); n != 1 {
 		t.Errorf("job.latency.ms.run count = %d, want 1", n)
+	}
+}
+
+// TestFinishJobSettlesBeforeTerminalLine pins finishJob's order for a
+// finished, a failed and a canceled job: its counter, its latency and
+// the tenant's admission slot are all settled before the terminal line
+// reaches any stream, so a client that has read that line sees the
+// outcome on /metricz and can submit again at once.
+func TestFinishJobSettlesBeforeTerminalLine(t *testing.T) {
+	for _, c := range []struct {
+		err     error
+		counter string
+	}{
+		{nil, "jobs.finished"},
+		{fmt.Errorf("boom"), "jobs.failed"},
+		{context.Canceled, "jobs.canceled"},
+	} {
+		s, _ := newTestServer(t, Config{Workers: 1})
+		job := s.jobs.add("run", "")
+		released := false
+		job.setRelease(func() {
+			released = true
+			job.mu.Lock()
+			lines := len(job.lines)
+			job.mu.Unlock()
+			s.metrics.Read(func(r *obs.Registry) {
+				if n, lat := r.Counter(c.counter).Value(), r.Histogram("job.latency.ms.run").Count(); lines != 0 || n != 1 || lat != 1 {
+					t.Errorf("%s: at the slot release the stream has %d lines, the counter reads %d and the latency count %d; want 0, 1, 1",
+						c.counter, lines, n, lat)
+				}
+			})
+		})
+		s.finishJob(job, json.RawMessage(`{}`), c.err, time.Now())
+		if !released || len(job.lines) != 1 || !job.State().Terminal() {
+			t.Errorf("%s: released %v, %d lines, state %v; want the slot released, one terminal line and a terminal state",
+				c.counter, released, len(job.lines), job.State())
+		}
 	}
 }
 
