@@ -8,6 +8,10 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"jmtam/internal/experiments"
+	"jmtam/internal/obs"
+	"jmtam/internal/trace"
 )
 
 // traceFile mirrors the Chrome trace-event JSON shape for parsing.
@@ -176,6 +180,52 @@ func TestTimelineGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want {
 			t.Errorf("%v: timeline SHA-256 %s, want %s", impl, got, want)
+		}
+	}
+}
+
+// TestMissDensityGolden pins the miss-density counter tracks that
+// tamsim -events writes, by the SHA-256 of their exported bytes: the
+// compute stream of a quick-scale QS run under AM at 8K/4-way/64B, and
+// the NIC stream of the same run under Offload at the NIC engine's
+// geometry, labelled "nic". Every sample's instruction count and I- and
+// D-miss counts land in the digest.
+func TestMissDensityGolden(t *testing.T) {
+	for _, c := range []struct {
+		impl Impl
+		nic  bool
+		want string
+	}{
+		{AM, false, "9043b668c04320d12ebde05a69feb2e55d7d8b2848b1c0c42671559ab1e7af65"},
+		{Offload, true, "04fa296546d43ee5c58407b02d788eda66f4b7f88a8d06aeb11e81d18fa168eb"},
+	} {
+		sim, err := Build(c.impl, Benchmark("qs", 60), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &trace.Recording{}
+		geom, label := CacheConfig{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}, ""
+		if c.nic {
+			sim.Tracer, sim.NICTracer = &trace.Recording{}, rec
+			geom, label = experiments.NICGeom, "nic"
+		} else {
+			sim.Tracer = rec
+		}
+		err = sim.Run()
+		sim.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := obs.NewEventBuffer()
+		if _, err := rec.MissDensityTrack(b, 0, geom, 1000, label); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := b.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%v %v %q: miss-density SHA-256 %s, want %s", c.impl, geom, label, got, c.want)
 		}
 	}
 }
