@@ -279,17 +279,19 @@ func section(w io.Writer, title, table string) {
 
 // dumpMetrics writes one registry JSON dump per (workload,
 // implementation) run of the sweep into dir, named
-// <workload>_<impl>.json.
+// <workload>_<impl>.json, in workload order and, within a workload, in
+// the sweep's backend order.
 func dumpMetrics(out io.Writer, dir string, ds *experiments.Dataset) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, w := range ds.Sweep.Workloads {
-		for impl, r := range ds.Runs[w.Name] {
+		for _, impl := range ds.Sweep.Impls {
+			r := ds.Run(w.Name, impl)
 			if r == nil || r.Metrics == nil {
 				continue
 			}
-			path := filepath.Join(dir, fmt.Sprintf("%s_%s.json", w.Name, impl))
+			path := filepath.Join(dir, fmt.Sprintf("%s_%s.json", w.Name, impl.Name()))
 			f, err := os.Create(path)
 			if err != nil {
 				return err

@@ -5,7 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"jmtam/internal/experiments"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files")
@@ -49,15 +53,33 @@ func TestGolden(t *testing.T) {
 // for the quick-scale Table 2 sweep, byte for byte, at one worker and
 // at eight. They carry the machine's hook outputs (priority switches,
 // handler and inlet latencies, queue waits, the instruction mix) and
-// the hooked replay's per-class miss attribution.
+// the hooked replay's per-class miss attribution. The command reports
+// each dump on a "wrote" line, workload by workload and, within one,
+// in the sweep's backend order.
 func TestMetricsGolden(t *testing.T) {
 	goldenDir := filepath.Join("testdata", "metrics_quick")
+	sweep := experiments.DefaultSweep(experiments.QuickWorkloads())
+	var order []string
+	for _, w := range sweep.Workloads {
+		for _, impl := range sweep.Impls {
+			order = append(order, w.Name+"_"+impl.Name()+".json")
+		}
+	}
 	for _, par := range []string{"1", "8"} {
 		dir := t.TempDir()
 		args := []string{"-run", "table2", "-scale", "quick", "-parallel", par, "-metrics-dir", dir}
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		var wrote []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if path, ok := strings.CutPrefix(line, "wrote "); ok {
+				wrote = append(wrote, filepath.Base(path))
+			}
+		}
+		if !slices.Equal(wrote, order) {
+			t.Errorf("-parallel %s: wrote %v, want %v", par, wrote, order)
 		}
 		got, err := os.ReadDir(dir)
 		if err != nil {
