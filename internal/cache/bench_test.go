@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 )
@@ -28,21 +27,6 @@ func benchRefs(n int) []uint32 {
 		refs[i] = addr
 	}
 	return refs
-}
-
-// BenchmarkAccess measures the scalar probe per associativity.
-func BenchmarkAccess(b *testing.B) {
-	refs := benchRefs(1 << 16)
-	for _, assoc := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("assoc=%d", assoc), func(b *testing.B) {
-			c := MustNew(Config{SizeBytes: 8192, BlockBytes: 64, Assoc: assoc})
-			b.SetBytes(4)
-			for i := 0; i < b.N; i++ {
-				w := refs[i&(len(refs)-1)]
-				c.Access(w&^3, w&RefWrite != 0)
-			}
-		})
-	}
 }
 
 // BenchmarkBank measures a bank over the paper's 24-geometry grid (ten

@@ -1,88 +1,15 @@
-package cache
+package cache_test
 
 import (
 	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
+
+	"jmtam/internal/cache"
+	"jmtam/internal/cache/cachetest"
+	"jmtam/internal/mem"
 )
-
-// refCache is an obviously-correct reference model: per-way structs,
-// uint64 timestamps, first-invalid-else-LRU victim choice — the layout
-// the SoA/rank implementation replaced. Statistics must match exactly:
-// physical way choice among invalid ways is unobservable, so the two
-// victim policies are stats-equivalent.
-type refCache struct {
-	ways []struct {
-		tag   uint32
-		valid bool
-		dirty bool
-		used  uint64
-	}
-	assoc    int
-	setMask  uint32
-	blkShift uint32
-	tick     uint64
-	stats    Stats
-}
-
-func newRefCache(cfg Config) *refCache {
-	nSets := cfg.SizeBytes / (cfg.BlockBytes * cfg.Assoc)
-	bs := uint32(0)
-	for 1<<bs < cfg.BlockBytes {
-		bs++
-	}
-	r := &refCache{assoc: cfg.Assoc, setMask: uint32(nSets - 1), blkShift: bs}
-	r.ways = make([]struct {
-		tag   uint32
-		valid bool
-		dirty bool
-		used  uint64
-	}, nSets*cfg.Assoc)
-	return r
-}
-
-func (r *refCache) access(addr uint32, write bool) bool {
-	r.tick++
-	r.stats.Accesses++
-	blk := addr >> r.blkShift
-	set := int(blk&r.setMask) * r.assoc
-	for i := set; i < set+r.assoc; i++ {
-		if r.ways[i].valid && r.ways[i].tag == blk {
-			r.ways[i].used = r.tick
-			if write {
-				r.ways[i].dirty = true
-			}
-			return true
-		}
-	}
-	r.stats.Misses++
-	v := -1
-	for i := set; i < set+r.assoc; i++ {
-		if !r.ways[i].valid {
-			v = i
-			break
-		}
-	}
-	if v < 0 {
-		v = set
-		for i := set + 1; i < set+r.assoc; i++ {
-			if r.ways[i].used < r.ways[v].used {
-				v = i
-			}
-		}
-	}
-	if r.ways[v].valid && r.ways[v].dirty {
-		r.stats.Writebacks++
-	}
-	r.ways[v] = struct {
-		tag   uint32
-		valid bool
-		dirty bool
-		used  uint64
-	}{tag: blk, valid: true, dirty: write, used: r.tick}
-	return false
-}
 
 // refStream generates a deterministic mixed-locality address stream.
 func refStream(n int) []uint32 {
@@ -102,31 +29,28 @@ func refStream(n int) []uint32 {
 			addr = (state % (1 << 24)) &^ 3
 		}
 		if state&0x3 == 0 {
-			addr |= RefWrite
+			addr |= cache.RefWrite
 		}
 		refs[i] = addr
 	}
 	return refs
 }
 
-// TestAccessMatchesReferenceModel drives an identical stream through
-// the SoA implementation (scalar, and a one-member bank) and the
-// timestamp reference model across every specialized and generic
-// associativity, requiring identical statistics.
+// TestAccessMatchesReferenceModel drives an identical stream through a
+// one-member bank and the reference model across stacks four deep and
+// deeper, requiring identical statistics.
 func TestAccessMatchesReferenceModel(t *testing.T) {
 	refs := refStream(60000)
 	for _, assoc := range []int{1, 2, 4, 8, 16} {
 		for _, size := range []int{1024, 8192} {
-			cfg := Config{SizeBytes: size, BlockBytes: 64, Assoc: assoc}
+			cfg := cache.Config{SizeBytes: size, BlockBytes: 64, Assoc: assoc}
 			t.Run(fmt.Sprintf("%v", cfg), func(t *testing.T) {
-				ref := newRefCache(cfg)
-				scalar := MustNew(cfg)
-				banked := MustNew(cfg)
+				ref := cachetest.New(cfg)
 				for _, w := range refs {
-					ref.access(w&^3, w&RefWrite != 0)
-					scalar.Access(w&^3, w&RefWrite != 0)
+					ref.Access(w&^3, w&cache.RefWrite != 0)
 				}
-				bank, err := BankOf(banked)
+				banked := cache.MustNew(cfg)
+				bank, err := cache.BankOf(banked)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,11 +61,8 @@ func TestAccessMatchesReferenceModel(t *testing.T) {
 					bank.AccessBatch(slices.Clone(refs[off:end]), end-off)
 					off = end
 				}
-				if scalar.Stats() != ref.stats {
-					t.Errorf("scalar %+v != reference %+v", scalar.Stats(), ref.stats)
-				}
-				if banked.Stats() != ref.stats {
-					t.Errorf("banked %+v != reference %+v", banked.Stats(), ref.stats)
+				if banked.Stats() != ref.Stats() {
+					t.Errorf("banked %+v != reference %+v", banked.Stats(), ref.Stats())
 				}
 			})
 		}
@@ -149,22 +70,23 @@ func TestAccessMatchesReferenceModel(t *testing.T) {
 }
 
 // TestAccessBatchFetchMatchesScalar checks the bank's read-only fetch
-// kernels, four deep and generic, against scalar reads: a one-member
-// bank per associativity, in the replay kernel's 4K batches.
+// kernels, four deep and generic, against the reference model's reads:
+// a one-member bank per associativity, in the replay kernel's 4K
+// batches.
 func TestAccessBatchFetchMatchesScalar(t *testing.T) {
 	refs := refStream(60000)
 	for i := range refs {
 		refs[i] &^= 3 // fetch addresses carry no flag bits
 	}
 	for _, assoc := range []int{1, 2, 4, 8} {
-		cfg := Config{SizeBytes: 4096, BlockBytes: 32, Assoc: assoc}
+		cfg := cache.Config{SizeBytes: 4096, BlockBytes: 32, Assoc: assoc}
 		t.Run(fmt.Sprintf("assoc=%d", assoc), func(t *testing.T) {
-			scalar := MustNew(cfg)
-			banked := MustNew(cfg)
+			ref := cachetest.New(cfg)
 			for _, w := range refs {
-				scalar.Access(w, false)
+				ref.Access(w, false)
 			}
-			bank, err := BankOf(banked)
+			banked := cache.MustNew(cfg)
+			bank, err := cache.BankOf(banked)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,17 +94,19 @@ func TestAccessBatchFetchMatchesScalar(t *testing.T) {
 				batch := slices.Clone(refs[off:min(off+4096, len(refs))])
 				bank.AccessBatchFetch(batch, len(batch))
 			}
-			if scalar.Stats() != banked.Stats() {
-				t.Errorf("fetch bank %+v != scalar %+v", banked.Stats(), scalar.Stats())
+			if ref.Stats() != banked.Stats() {
+				t.Errorf("fetch bank %+v != reference %+v", banked.Stats(), ref.Stats())
 			}
 		})
 	}
 }
 
 // localityStream generates packed references shaped like a replayed
-// trace: sequential runs, read/write reuse of a few hot blocks (runs of
-// one block, so batch boundaries split same-block write runs), and
-// conflicting strides that share a set in every geometry.
+// trace, one shape to each §3.1 class segment: sequential runs in user
+// code, read/write reuse of a few hot heap blocks (runs of one block,
+// so batch boundaries split same-block write runs), conflicting strides
+// in system data that share a set in every geometry, and scatter over
+// system code.
 func localityStream(n int) []uint32 {
 	refs := make([]uint32, 0, n)
 	state := uint32(0x6A09E667)
@@ -192,7 +116,7 @@ func localityStream(n int) []uint32 {
 		state ^= state << 5
 		return state % m
 	}
-	pc := uint32(0x1000)
+	pc := mem.UserCodeBase + 0x1000
 	for len(refs) < n {
 		switch next(4) {
 		case 0: // sequential run
@@ -201,17 +125,40 @@ func localityStream(n int) []uint32 {
 				refs = append(refs, pc)
 			}
 		case 1: // reuse of a few hot blocks, reads and writes mixed
-			base := 0x40_0000 + next(4)*256
+			base := mem.HeapBase + next(4)*256
 			for j := next(12); j > 0; j-- {
-				refs = append(refs, base+next(16)*4|next(3)/2*RefWrite)
+				refs = append(refs, base+next(16)*4|next(3)/2*cache.RefWrite)
 			}
 		case 2: // conflicts: the same set in every geometry below 256 KB
-			refs = append(refs, 0x80_0000+next(8)<<18+next(4)*4|next(2)*RefWrite)
+			refs = append(refs, mem.SysDataBase+next(8)<<18+next(4)*4|next(2)*cache.RefWrite)
 		default: // scatter
-			refs = append(refs, next(1<<20)&^3|next(4)/3*RefWrite)
+			refs = append(refs, next(1<<20)&^3|next(4)/3*cache.RefWrite)
 		}
 	}
 	return refs[:n]
+}
+
+// attributed is what a reference-model replay of one geometry yields:
+// its statistics and its misses by kind (0 read, 1 write) and class.
+type attributed struct {
+	stats  cache.Stats
+	byKind [2][mem.NumClasses]uint64
+}
+
+// referenceOf replays packed references (write flag in bit 0) through
+// the reference model of each geometry, attributing each miss.
+func referenceOf(grid []cache.Config, refs []uint32) []attributed {
+	out := make([]attributed, len(grid))
+	for i, cfg := range grid {
+		ref := cachetest.New(cfg)
+		for _, w := range refs {
+			if !ref.Access(w&^3, w&cache.RefWrite != 0) {
+				out[i].byKind[w&cache.RefWrite][mem.Classify(w&^3)]++
+			}
+		}
+		out[i].stats = ref.Stats()
+	}
+	return out
 }
 
 // TestBankMatchesScalar drives banks over three grids with
@@ -222,19 +169,21 @@ func localityStream(n int) []uint32 {
 // geometry listed twice (four block-size groups); and one stage of 16
 // sets of 64 B holding every power-of-two associativity from 1 to 256
 // ways plus a duplicate member, so the generic kernel's counts serve
-// nine associativities at once.
+// nine associativities at once. An attributing bank over the same grid
+// takes the same batches, each reference's kind in bit 1, and its
+// members must also match the reference's misses by kind and class.
 func TestBankMatchesScalar(t *testing.T) {
-	var table2, allWays []Config
+	var table2, allWays []cache.Config
 	for kb := 1; kb <= 128; kb *= 2 {
 		for _, a := range []int{1, 2, 4} {
-			table2 = append(table2, Config{SizeBytes: kb << 10, BlockBytes: 64, Assoc: a})
+			table2 = append(table2, cache.Config{SizeBytes: kb << 10, BlockBytes: 64, Assoc: a})
 		}
 	}
 	for a := 1; a <= 256; a *= 2 {
-		allWays = append(allWays, Config{SizeBytes: a << 10, BlockBytes: 64, Assoc: a})
+		allWays = append(allWays, cache.Config{SizeBytes: a << 10, BlockBytes: 64, Assoc: a})
 	}
-	allWays = append(allWays, Config{SizeBytes: 32 << 10, BlockBytes: 64, Assoc: 32})
-	mixed := []Config{
+	allWays = append(allWays, cache.Config{SizeBytes: 32 << 10, BlockBytes: 64, Assoc: 32})
+	mixed := []cache.Config{
 		{SizeBytes: 1024, BlockBytes: 64, Assoc: 16}, // one set
 		{SizeBytes: 4096, BlockBytes: 8, Assoc: 1},
 		{SizeBytes: 2048, BlockBytes: 16, Assoc: 8},
@@ -246,44 +195,55 @@ func TestBankMatchesScalar(t *testing.T) {
 	}
 	for _, g := range []struct {
 		name string
-		grid []Config
+		grid []cache.Config
 	}{{"table2", table2}, {"mixed", mixed}, {"allways", allWays}} {
 		grid := g.grid
 		for _, fetch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/fetch=%v", g.name, fetch), func(t *testing.T) {
 				refs := localityStream(200000)
-				if fetch {
-					for i := range refs {
-						refs[i] &^= 3
+				for i, w := range refs {
+					if fetch {
+						refs[i] = w &^ 3
+					} else {
+						refs[i] = w | w&cache.RefWrite<<1
 					}
 				}
-				want := make([]Stats, len(grid))
-				members := make([]*Cache, len(grid))
-				for i, cfg := range grid {
-					ref := newRefCache(cfg)
-					for _, w := range refs {
-						ref.access(w&^3, w&RefWrite != 0)
+				want := referenceOf(grid, refs)
+				banks := make([]*cache.Bank, 2)
+				members := make([][]*cache.Cache, 2)
+				for k, bankOf := range []func(...*cache.Cache) (*cache.Bank, error){cache.BankOf, cache.AttributingBankOf} {
+					members[k] = make([]*cache.Cache, len(grid))
+					for i, cfg := range grid {
+						members[k][i] = cache.MustNew(cfg)
 					}
-					want[i], members[i] = ref.stats, MustNew(cfg)
-				}
-				bank, err := BankOf(members...)
-				if err != nil {
-					t.Fatal(err)
+					var err error
+					if banks[k], err = bankOf(members[k]...); err != nil {
+						t.Fatal(err)
+					}
 				}
 				state := uint32(12345)
 				for off := 0; off < len(refs); {
 					state = state*1664525 + 1013904223
 					end := min(off+int(state>>20)%700, len(refs))
-					if fetch {
-						bank.AccessBatchFetch(refs[off:end], end-off)
-					} else {
-						bank.AccessBatch(refs[off:end], end-off)
+					for _, b := range banks {
+						batch := slices.Clone(refs[off:end])
+						if fetch {
+							b.AccessBatchFetch(batch, end-off)
+						} else {
+							b.AccessBatch(batch, end-off)
+						}
 					}
 					off = end
 				}
-				for i, c := range members {
-					if c.Stats() != want[i] {
-						t.Errorf("%v: bank %+v, reference %+v", grid[i], c.Stats(), want[i])
+				for i, cfg := range grid {
+					if c := members[0][i]; c.Stats() != want[i].stats {
+						t.Errorf("%v: bank %+v, reference %+v", cfg, c.Stats(), want[i].stats)
+					}
+					c := members[1][i]
+					reads, writes := c.ClassMisses()
+					if c.Stats() != want[i].stats || reads != want[i].byKind[0] || writes != want[i].byKind[1] {
+						t.Errorf("%v: attributing bank %+v, reads %v, writes %v; reference %+v, reads %v, writes %v",
+							cfg, c.Stats(), reads, writes, want[i].stats, want[i].byKind[0], want[i].byKind[1])
 					}
 				}
 			})
@@ -292,18 +252,24 @@ func TestBankMatchesScalar(t *testing.T) {
 }
 
 // TestBankOfRefusesUsedCache checks that a bank, which starts empty,
-// refuses a member that has seen an access, and takes it again after
-// Reset.
+// refuses a member that another bank has already driven.
 func TestBankOfRefusesUsedCache(t *testing.T) {
-	fresh := MustNew(Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1})
-	used := MustNew(Config{SizeBytes: 8192, BlockBytes: 64, Assoc: 4})
-	used.Access(0, false)
-	if b, err := BankOf(fresh, used); err == nil || b != nil {
-		t.Fatalf("BankOf(fresh, used) = %v, %v; want an error", b, err)
+	fresh := cache.MustNew(cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1})
+	used := cache.MustNew(cache.Config{SizeBytes: 8192, BlockBytes: 64, Assoc: 4})
+	b, err := cache.BankOf(used)
+	if err != nil {
+		t.Fatal(err)
 	}
-	used.Reset()
-	if _, err := BankOf(fresh, used); err != nil {
-		t.Fatalf("BankOf after Reset: %v", err)
+	b.AccessBatch([]uint32{0}, 1)
+	for name, bankOf := range map[string]func(...*cache.Cache) (*cache.Bank, error){
+		"BankOf": cache.BankOf, "AttributingBankOf": cache.AttributingBankOf,
+	} {
+		if b, err := bankOf(fresh, used); err == nil || b != nil {
+			t.Errorf("%s(fresh, used) = %v, %v; want an error", name, b, err)
+		}
+	}
+	if _, err := cache.BankOf(fresh); err != nil {
+		t.Errorf("BankOf(fresh): %v", err)
 	}
 }
 
@@ -336,17 +302,17 @@ func FuzzBankMatchesScalar(f *testing.F) {
 			return
 		}
 		fetch, n := data[0]&0x80 != 0, 1+int(data[0]&0x7f)%6
-		members, refs := make([]*Cache, n), make([]*refCache, n)
+		members, refs := make([]*cache.Cache, n), make([]*cachetest.Cache, n)
 		for i, g := range data[1 : 1+n] {
 			block, ways := 8<<(g&3), 1<<(g>>5%6)
-			cfg := Config{SizeBytes: block << (g >> 2 & 7) * ways, BlockBytes: block, Assoc: ways}
-			members[i], refs[i] = MustNew(cfg), newRefCache(cfg)
+			cfg := cache.Config{SizeBytes: block << (g >> 2 & 7) * ways, BlockBytes: block, Assoc: ways}
+			members[i], refs[i] = cache.MustNew(cfg), cachetest.New(cfg)
 		}
-		bank, err := BankOf(members...)
+		bank, err := cache.BankOf(members...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		access, flags := bank.AccessBatch, uint32(RefWrite)
+		access, flags := bank.AccessBatch, cache.RefWrite
 		if fetch {
 			access, flags = bank.AccessBatchFetch, 0
 		}
@@ -357,7 +323,7 @@ func FuzzBankMatchesScalar(f *testing.F) {
 			for j := uint32(0); j <= uint32(data[0]>>2); j++ {
 				w := (word+j)<<2&0x3fffc | uint32(data[0])&flags
 				for _, r := range refs {
-					r.access(w&^3, w&RefWrite != 0)
+					r.Access(w&^3, w&cache.RefWrite != 0)
 				}
 				batch = append(batch, w)
 				total++
@@ -369,8 +335,8 @@ func FuzzBankMatchesScalar(f *testing.F) {
 		}
 		access(batch, len(batch))
 		for i, c := range members {
-			if c.Stats() != refs[i].stats {
-				t.Fatalf("%v: bank %+v, reference %+v", c.Config(), c.Stats(), refs[i].stats)
+			if c.Stats() != refs[i].Stats() {
+				t.Fatalf("%v: bank %+v, reference %+v", c.Config(), c.Stats(), refs[i].Stats())
 			}
 		}
 	})

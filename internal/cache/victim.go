@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // VictimStats accumulates access outcomes for a victim-cache hierarchy.
 // A reference that misses the main cache but hits the victim buffer
@@ -12,6 +15,9 @@ type VictimStats struct {
 	VictimHits uint64 // main-cache misses recovered by the buffer
 	Writebacks uint64 // dirty lines evicted to memory
 }
+
+// lineDirty marks a dirty line in a Victim's dirty and vDirty bytes.
+const lineDirty uint8 = 1
 
 // Victim is a direct-mapped cache backed by a small fully-associative
 // victim buffer (Jouppi's victim cache). A main-cache miss probes the
@@ -59,7 +65,7 @@ func NewVictim(cfg Config, entries int) (*Victim, error) {
 		vDirty:   make([]uint8, entries),
 		vRank:    make([]uint8, entries),
 		setMask:  uint32(nSets - 1),
-		blkShift: blkShiftOf(cfg),
+		blkShift: uint32(bits.TrailingZeros(uint(cfg.BlockBytes))),
 	}
 	for i := range v.tags {
 		v.tags[i] = invalidTag
@@ -69,14 +75,6 @@ func NewVictim(cfg Config, entries int) (*Victim, error) {
 		v.vRank[i] = uint8(i)
 	}
 	return v, nil
-}
-
-func blkShiftOf(cfg Config) uint32 {
-	var s uint32
-	for b := cfg.BlockBytes; b > 1; b >>= 1 {
-		s++
-	}
-	return s
 }
 
 // Config returns the main cache's geometry.
@@ -94,7 +92,7 @@ func (v *Victim) Access(addr uint32, write bool) {
 	v.stats.Accesses++
 	var d uint8
 	if write {
-		d = stDirty
+		d = lineDirty
 	}
 	blk := addr >> v.blkShift
 	s := blk & v.setMask

@@ -1,22 +1,23 @@
-package cache
+package cache_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"jmtam/internal/cache"
+	"jmtam/internal/cache/cachetest"
 )
 
 // A zero-entry victim hierarchy must be the plain direct-mapped cache:
-// identical misses and writebacks on an arbitrary stream.
+// misses and writebacks identical to the reference model's on an
+// arbitrary stream.
 func TestVictimZeroEntriesMatchesDirectMapped(t *testing.T) {
-	cfg := Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
-	v, err := NewVictim(cfg, 0)
+	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
+	v, err := cache.NewVictim(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cachetest.New(cfg)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		addr := uint32(rng.Intn(1<<14)) &^ 3
@@ -37,8 +38,8 @@ func TestVictimZeroEntriesMatchesDirectMapped(t *testing.T) {
 // pathological direct-mapped pattern) into swaps after the two
 // compulsory misses.
 func TestVictimRecoversConflictMisses(t *testing.T) {
-	cfg := Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
-	v, err := NewVictim(cfg, 1)
+	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
+	v, err := cache.NewVictim(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestVictimRecoversConflictMisses(t *testing.T) {
 // (stack inclusion), and a dirty line evicted out of the buffer writes
 // back exactly once.
 func TestVictimMonotoneAndWritebacks(t *testing.T) {
-	cfg := Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
+	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
 	rng := rand.New(rand.NewSource(11))
 	stream := make([]uint32, 30000)
 	for i := range stream {
@@ -69,7 +70,7 @@ func TestVictimMonotoneAndWritebacks(t *testing.T) {
 	}
 	prev := ^uint64(0)
 	for _, n := range []int{0, 1, 2, 4, 8} {
-		v, err := NewVictim(cfg, n)
+		v, err := cache.NewVictim(cfg, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestVictimMonotoneAndWritebacks(t *testing.T) {
 	// Dirty writeback through the buffer: write a, conflict it out of
 	// main into the buffer, then push enough clean lines through the
 	// set to evict it from the buffer too.
-	v, err := NewVictim(cfg, 1)
+	v, err := cache.NewVictim(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,33 +7,30 @@ import (
 	"testing"
 
 	"jmtam/internal/cache"
+	"jmtam/internal/cache/cachetest"
 	"jmtam/internal/core"
 	"jmtam/internal/obs"
 	"jmtam/internal/programs"
 	"jmtam/internal/trace"
 )
 
-// scalarStats is the reference replay: Recording.Do plus one
-// cache.Access per reference into a fresh pair of the geometry, the
+// scalarStats is the reference replay: Recording.Do plus one access
+// per reference to a fresh reference-model pair of the geometry, the
 // accesses an inline per-reference fan-out would make.
-func scalarStats(t *testing.T, rec *trace.Recording, geom cache.Config) CacheStats {
-	t.Helper()
-	p, err := trace.NewPair(geom)
-	if err != nil {
-		t.Fatal(err)
-	}
+func scalarStats(rec *trace.Recording, geom cache.Config) CacheStats {
+	ic, dc := cachetest.New(geom), cachetest.New(geom)
 	rec.Do(func(k trace.Kind, addr uint32) {
 		if k == trace.KindFetch {
-			p.I.Access(addr, false)
+			ic.Access(addr, false)
 		} else {
-			p.D.Access(addr, k == trace.KindWrite)
+			dc.Access(addr, k == trace.KindWrite)
 		}
 	})
 	return CacheStats{
 		Config:     geom,
-		IMisses:    p.I.Stats().Misses,
-		DMisses:    p.D.Stats().Misses,
-		Writebacks: p.D.Stats().Writebacks,
+		IMisses:    ic.Stats().Misses,
+		DMisses:    dc.Stats().Misses,
+		Writebacks: dc.Stats().Writebacks,
 	}
 }
 
@@ -68,7 +65,7 @@ func TestReplayEquivalence(t *testing.T) {
 			}
 			want := make([]CacheStats, len(geoms))
 			for g, geom := range geoms {
-				want[g] = scalarStats(t, ref, geom)
+				want[g] = scalarStats(ref, geom)
 			}
 
 			// Record once; replay through both fan-out shapes.

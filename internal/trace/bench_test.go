@@ -63,8 +63,8 @@ func runRecording(n int) *Recording {
 
 // benchReplay measures one kernel pass over a recording of refs
 // references per iteration, opened afresh by open, through fresh pairs
-// of the given geometries.
-func benchReplay(b *testing.B, refs int, open func() (Source, error), geoms []cache.Config) {
+// of the given geometries, attributing misses when attribute is set.
+func benchReplay(b *testing.B, refs int, open func() (Source, error), geoms []cache.Config, attribute bool) {
 	b.SetBytes(int64(refs) * 4 * int64(len(geoms)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,7 +80,11 @@ func benchReplay(b *testing.B, refs int, open func() (Source, error), geoms []ca
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := Replay(context.Background(), src, pairs, nil); err != nil {
+		var h *Hooks
+		if attribute {
+			h = &Hooks{Misses: make([]MissCounts, len(pairs))}
+		}
+		if err := Replay(context.Background(), src, pairs, h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,20 +92,27 @@ func benchReplay(b *testing.B, refs int, open func() (Source, error), geoms []ca
 
 // packedReplay measures the kernel over a packed 1M-reference
 // benchRecording.
-func packedReplay(b *testing.B, geoms []cache.Config) {
+func packedReplay(b *testing.B, geoms []cache.Config, attribute bool) {
 	rec := benchRecording(1 << 20)
-	benchReplay(b, rec.Len(), func() (Source, error) { return rec.Chunks(), nil }, geoms)
+	benchReplay(b, rec.Len(), func() (Source, error) { return rec.Chunks(), nil }, geoms, attribute)
 }
 
 // BenchmarkReplay measures the kernel on a single geometry.
 func BenchmarkReplay(b *testing.B) {
-	packedReplay(b, []cache.Config{{SizeBytes: 8192, BlockBytes: 64, Assoc: 4}})
+	packedReplay(b, []cache.Config{{SizeBytes: 8192, BlockBytes: 64, Assoc: 4}}, false)
 }
 
 // BenchmarkReplayAll measures the kernel over the full Table-2 grid:
 // one pass over the stream drives all 24 geometries.
 func BenchmarkReplayAll(b *testing.B) {
-	packedReplay(b, table2Geoms())
+	packedReplay(b, table2Geoms(), false)
+}
+
+// BenchmarkReplayAttributed measures the kernel as a metrics-collecting
+// sweep runs it: BenchmarkReplayAll with miss attribution, on banks
+// whose stages all run the generic kernel.
+func BenchmarkReplayAttributed(b *testing.B) {
+	packedReplay(b, table2Geoms(), true)
 }
 
 // BenchmarkReplayStream measures the streamed kernel as a warm sweep
@@ -110,5 +121,5 @@ func BenchmarkReplayAll(b *testing.B) {
 func BenchmarkReplayStream(b *testing.B) {
 	rec := runRecording(1 << 20)
 	data := rec.Compact()
-	benchReplay(b, rec.Len(), func() (Source, error) { return NewReader(bytes.NewReader(data)) }, table2Geoms())
+	benchReplay(b, rec.Len(), func() (Source, error) { return NewReader(bytes.NewReader(data)) }, table2Geoms(), false)
 }

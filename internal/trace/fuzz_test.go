@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"testing"
+
+	"jmtam/internal/mem"
 )
 
 // FuzzCompactRoundTrip interprets the fuzz input as a (kind, addr)
@@ -146,24 +148,27 @@ func FuzzReaderChunks(f *testing.F) {
 }
 
 // FuzzReplayMatchesScalar decodes the fuzz input into a reference
-// stream in a 64 KB address space, so most references repeat a block,
-// and requires the replay kernel's statistics, from the packed and the
-// streamed source alike, to equal the scalar reference's over the
-// Table-2 grid and the kernel geometries. Each 3-byte record is a kind,
-// a run length and a word address: the run touches consecutive words,
-// so fetch runs compact to run ops, and runs cross the stream buffers'
-// batches and split same-block write runs between them. Decoding stops
-// at 16K references, four buffers' worth.
+// stream in four 64 KB windows, one at the base of each §3.1 class
+// segment, so most references repeat a block, and requires the replay
+// kernel's results, from the packed and the streamed source alike,
+// with no hooks, attribution, sampling and both, to equal the
+// reference model's over the Table-2 grid and the kernel geometries.
+// Each 3-byte record is a kind, a run length and a word: the run
+// touches consecutive words, so fetch runs compact to run ops, and runs
+// cross the stream buffers' batches and split same-block write runs
+// between them; bits 15:14 of a word pick the segment. every is the
+// sampling period, SampleEvery (0 for the default). Decoding stops at
+// 16K references, four buffers' worth.
 func FuzzReplayMatchesScalar(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x02, 0x10, 0x00, 0x05, 0x10, 0x00, 0x01, 0x10, 0x40})
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0x02, 0x10, 0x00, 0x05, 0x10, 0x00, 0x01, 0x10, 0x40}, uint8(1))
 	for _, seed := range []uint64{1, 2} {
 		var data []byte
 		for _, r := range randomRefs(seed, 600) {
 			data = append(data, byte(r.k)|byte(r.addr>>2)&0xfc)
 			data = binary.LittleEndian.AppendUint16(data, uint16(r.addr>>2))
 		}
-		f.Add(data)
+		f.Add(data, uint8(seed*50))
 	}
 	// Fetches fill a batch's worth of words up to a read; a write to the
 	// same word follows, and conflicting reads then evict the line.
@@ -175,7 +180,7 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 	for k := byte(1); k <= 8; k++ {
 		edge = append(edge, 1, 0x00, 0x20+k)
 	}
-	f.Add(edge)
+	f.Add(edge, uint8(0))
 	// Reads of 8192 consecutive words leave 4096 survivors at 8-byte
 	// blocks, which fill the data stream's buffer exactly, so it flushes
 	// on the last. A read and then a write of that block's other word
@@ -189,14 +194,24 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 	for k := byte(1); k <= 8; k++ {
 		flushed = append(flushed, 1, 0xff, 0x2f+k)
 	}
-	f.Add(flushed)
+	f.Add(flushed, uint8(0))
+	// A fetch cuts a sample between a read and a write to its word, in
+	// sets every segment shares: the write finds both streams just
+	// flushed.
+	cut := []byte{0x01, 0x00, 0x10, 0x00, 0x00, 0x00, 0x02, 0x00, 0x10}
+	for k := byte(0); k < 4; k++ {
+		cut = append(cut, 1, 0x00, 0x10|k<<6, 0, 0x00, 0x10|k<<6)
+	}
+	f.Add(cut, uint8(1))
 	geoms := append(table2Geoms(), kernelGeoms...)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	segments := [4]uint32{mem.SysCodeBase, mem.UserCodeBase, mem.SysDataBase, mem.FrameBase}
+	f.Fuzz(func(t *testing.T, data []byte, every uint8) {
 		rec := &Recording{}
 		for ; len(data) >= 3 && rec.Len() < 1<<14; data = data[3:] {
 			word := uint32(binary.LittleEndian.Uint16(data[1:3]))
 			for j := uint32(0); j <= uint32(data[0]>>2); j++ {
-				addr := (word + j) << 2 & 0xfffc
+				w := (word + j) & 0xffff
+				addr := segments[w>>14] | w<<2&0xfffc
 				switch data[0] & 3 {
 				case 0:
 					rec.Fetch(addr)
@@ -207,17 +222,10 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 				}
 			}
 		}
-		want := scalarReplay(t, rec, geoms)
+		want := scalarReplay(rec, geoms, int(every))
 		for name, open := range sources(t, rec) {
-			pairs := newPairs(t, geoms)
-			if err := Replay(context.Background(), open(), pairs, nil); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for g, p := range pairs {
-				if p.I.Stats() != want[g].i || p.D.Stats() != want[g].d {
-					t.Fatalf("%s %v: I=%+v D=%+v, want I=%+v D=%+v", name, geoms[g],
-						p.I.Stats(), p.D.Stats(), want[g].i, want[g].d)
-				}
+			for _, hook := range hookSets {
+				checkReplay(t, name+"/"+hook, open(), geoms, hook, int(every), want)
 			}
 		}
 	})

@@ -116,7 +116,7 @@ func TestReplayMatchesInlineFanOut(t *testing.T) {
 	}
 	pairs := newPairs(t, cfgs)
 	rec.ReplayAll(pairs)
-	want := scalarReplay(t, &rec, cfgs)
+	want := scalarReplay(&rec, cfgs, testSampleEvery)
 	for i, cfg := range cfgs {
 		if p := pairs[i]; p.I.Stats() != want[i].i || p.D.Stats() != want[i].d {
 			t.Errorf("%v: replayed I/D stats %+v/%+v != inline %+v/%+v",

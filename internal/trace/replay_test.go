@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"jmtam/internal/cache"
+	"jmtam/internal/cache/cachetest"
 	"jmtam/internal/mem"
 )
 
@@ -38,38 +39,39 @@ type outcome struct {
 
 const testSampleEvery = 97
 
-// scalarReplay is the reference: Recording.Do plus one cache.Access per
-// reference, attributing and sampling misses inline.
-func scalarReplay(t *testing.T, rec *Recording, geoms []cache.Config) []outcome {
-	t.Helper()
+// scalarReplay is the reference: Recording.Do plus one access of the
+// reference model per reference, attributing misses inline and
+// sampling them as Hooks says, with SampleEvery set to every.
+func scalarReplay(rec *Recording, geoms []cache.Config, every int) []outcome {
+	period := uint64(1000)
+	if every > 0 {
+		period = uint64(every)
+	}
 	out := make([]outcome, len(geoms))
 	for g, cfg := range geoms {
-		p, err := NewPair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ic, dc := cachetest.New(cfg), cachetest.New(cfg)
 		o := &out[g]
 		var fetches, iMiss, dMiss uint64
 		rec.Do(func(k Kind, addr uint32) {
 			cls := mem.Classify(addr)
 			switch k {
 			case KindFetch:
-				if !p.I.Access(addr, false) {
+				if !ic.Access(addr, false) {
 					o.misses.Fetch[cls]++
 					iMiss++
 				}
 				fetches++
-				if fetches%testSampleEvery == 0 {
+				if fetches%period == 0 {
 					o.samples = append(o.samples, sample{fetches, iMiss, dMiss})
 					iMiss, dMiss = 0, 0
 				}
 			case KindRead:
-				if !p.D.Access(addr, false) {
+				if !dc.Access(addr, false) {
 					o.misses.Read[cls]++
 					dMiss++
 				}
 			default:
-				if !p.D.Access(addr, true) {
+				if !dc.Access(addr, true) {
 					o.misses.Write[cls]++
 					dMiss++
 				}
@@ -78,9 +80,62 @@ func scalarReplay(t *testing.T, rec *Recording, geoms []cache.Config) []outcome 
 		if iMiss != 0 || dMiss != 0 {
 			o.samples = append(o.samples, sample{fetches, iMiss, dMiss})
 		}
-		o.i, o.d = p.I.Stats(), p.D.Stats()
+		o.i, o.d = ic.Stats(), dc.Stats()
 	}
 	return out
+}
+
+// hookSets names the hook combinations checkReplay takes.
+var hookSets = []string{"none", "attribution", "sampling", "both"}
+
+// checkReplay replays src through fresh pairs of geoms with the named
+// hook set, sampling with SampleEvery set to every, and requires cache
+// statistics, miss attribution and density samples identical to want,
+// and samples that arrive cut by cut, in pair order within a cut.
+func checkReplay(t *testing.T, name string, src Source, geoms []cache.Config, hook string, every int, want []outcome) {
+	t.Helper()
+	pairs := newPairs(t, geoms)
+	h := &Hooks{SampleEvery: every}
+	samples := make([][]sample, len(geoms))
+	type call struct {
+		pair   int
+		instrs uint64
+	}
+	var calls []call
+	if hook == "attribution" || hook == "both" {
+		h.Misses = make([]MissCounts, len(geoms))
+	}
+	if hook == "sampling" || hook == "both" {
+		h.Sample = func(pair int, instrs, iMiss, dMiss uint64) {
+			samples[pair] = append(samples[pair], sample{instrs, iMiss, dMiss})
+			calls = append(calls, call{pair, instrs})
+		}
+	}
+	if err := Replay(context.Background(), src, pairs, h); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for g, p := range pairs {
+		w := want[g]
+		if p.I.Stats() != w.i || p.D.Stats() != w.d {
+			t.Errorf("%s geom %v: stats I=%+v D=%+v, want I=%+v D=%+v",
+				name, geoms[g], p.I.Stats(), p.D.Stats(), w.i, w.d)
+		}
+		if h.Misses != nil && h.Misses[g] != w.misses {
+			t.Errorf("%s geom %v: attribution %+v, want %+v", name, geoms[g], h.Misses[g], w.misses)
+		}
+		if h.Sample != nil && !slices.Equal(samples[g], w.samples) {
+			t.Errorf("%s geom %v: %d samples %v, want %d %v",
+				name, geoms[g], len(samples[g]), samples[g], len(w.samples), w.samples)
+		}
+	}
+	// A later pair continues the cut; an earlier one starts the next.
+	for k := 1; k < len(calls); k++ {
+		prev, cur := calls[k-1], calls[k]
+		if cur.pair > prev.pair && cur.instrs != prev.instrs || cur.pair <= prev.pair && cur.instrs < prev.instrs {
+			t.Errorf("%s: sample of pair %d at %d follows pair %d at %d", name, cur.pair, cur.instrs, prev.pair, prev.instrs)
+			break
+		}
+	}
 }
 
 // sources opens the recording as each kind of chunk source the kernel
@@ -115,7 +170,7 @@ func newPairs(t *testing.T, geoms []cache.Config) []Pair {
 // combination of chunk source, hook set, geometry set and trace — the
 // random traces' lengths straddle the stream-buffer and chunk
 // boundaries — and requires cache statistics, miss attribution and
-// density samples identical to the scalar reference.
+// density samples identical to the reference model's.
 func TestReplayKernelEquivalence(t *testing.T) {
 	type namedTrace struct {
 		name string
@@ -141,39 +196,11 @@ func TestReplayKernelEquivalence(t *testing.T) {
 		// last puts a second block size behind an 8-byte one.
 		for _, geoms := range [][]cache.Config{kernelGeoms[:1], kernelGeoms[:3], kernelGeoms, table2Geoms(),
 			{{SizeBytes: 1 << 10, BlockBytes: 8, Assoc: 1}, {SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4}}} {
-			ng := len(geoms)
-			want := scalarReplay(t, rec, geoms)
+			want := scalarReplay(rec, geoms, testSampleEvery)
 			for _, srcName := range []string{"packed", "streamed"} {
-				for _, hook := range []string{"none", "attribution", "sampling", "both"} {
-					name := fmt.Sprintf("%s/geoms=%d/%s/%s", tr.name, ng, srcName, hook)
-					pairs := newPairs(t, geoms)
-					h := &Hooks{SampleEvery: testSampleEvery}
-					samples := make([][]sample, ng)
-					if hook == "attribution" || hook == "both" {
-						h.Misses = make([]MissCounts, ng)
-					}
-					if hook == "sampling" || hook == "both" {
-						h.Sample = func(pair int, instrs, iMiss, dMiss uint64) {
-							samples[pair] = append(samples[pair], sample{instrs, iMiss, dMiss})
-						}
-					}
-					if err := Replay(context.Background(), srcs[srcName](), pairs, h); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					for g, p := range pairs {
-						w := want[g]
-						if p.I.Stats() != w.i || p.D.Stats() != w.d {
-							t.Errorf("%s geom %v: stats I=%+v D=%+v, want I=%+v D=%+v",
-								name, geoms[g], p.I.Stats(), p.D.Stats(), w.i, w.d)
-						}
-						if h.Misses != nil && h.Misses[g] != w.misses {
-							t.Errorf("%s geom %v: attribution %+v, want %+v", name, geoms[g], h.Misses[g], w.misses)
-						}
-						if h.Sample != nil && !slices.Equal(samples[g], w.samples) {
-							t.Errorf("%s geom %v: %d samples %v, want %d %v",
-								name, geoms[g], len(samples[g]), samples[g], len(w.samples), w.samples)
-						}
-					}
+				for _, hook := range hookSets {
+					name := fmt.Sprintf("%s/geoms=%d/%s/%s", tr.name, len(geoms), srcName, hook)
+					checkReplay(t, name, srcs[srcName](), geoms, hook, testSampleEvery, want)
 				}
 			}
 		}

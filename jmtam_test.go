@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"jmtam/internal/cache/cachetest"
 	"jmtam/internal/experiments"
 	"jmtam/internal/trace"
 )
@@ -113,7 +114,7 @@ func TestWordHelpers(t *testing.T) {
 }
 
 // TestBuildFacade records a Build simulation and replays the recording
-// one reference at a time — the scalar reference — against Run's
+// one reference at a time through the reference model against Run's
 // counts and cache statistics for the same program and geometry.
 func TestBuildFacade(t *testing.T) {
 	geom := CacheConfig{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
@@ -126,23 +127,20 @@ func TestBuildFacade(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := trace.NewPair(geom)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ic, dc := cachetest.New(geom), cachetest.New(geom)
 	rec.Do(func(k trace.Kind, addr uint32) {
 		if k == trace.KindFetch {
-			p.I.Access(addr, false)
+			ic.Access(addr, false)
 		} else {
-			p.D.Access(addr, k == trace.KindWrite)
+			dc.Access(addr, k == trace.KindWrite)
 		}
 	})
 	res, err := Run(MD, Benchmark("ss", 20), Options{}, geom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := experiments.CacheStats{Config: geom, IMisses: p.I.Stats().Misses,
-		DMisses: p.D.Stats().Misses, Writebacks: p.D.Stats().Writebacks}
+	want := experiments.CacheStats{Config: geom, IMisses: ic.Stats().Misses,
+		DMisses: dc.Stats().Misses, Writebacks: dc.Stats().Writebacks}
 	if res.Instructions != sim.M.Instructions() || res.Reads != rec.TotalReads() ||
 		res.Writes != rec.TotalWrites() || res.Caches[0] != want {
 		t.Errorf("Run %+v disagrees with the scalar replay of Build's recording: instructions %d, reads %d, writes %d, caches %+v",
