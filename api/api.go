@@ -69,6 +69,13 @@ type CycleCount struct {
 	Cycles  uint64 `json:"cycles"`
 }
 
+// Cycles returns the total cycles a geometry row reports under a miss
+// penalty: one per instruction, plus the penalty per I- or D-cache
+// miss.
+func Cycles(instrs uint64, penalty int, iMisses, dMisses uint64) uint64 {
+	return instrs + uint64(penalty)*(iMisses+dMisses)
+}
+
 // CacheResult reports one geometry's misses and derived cycle counts.
 type CacheResult struct {
 	CacheSpec

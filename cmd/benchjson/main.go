@@ -14,11 +14,13 @@
 // loopback HTTP — same numbers, plus the coordinator and serving
 // overhead in the timing.
 //
-// With -baseline, the fresh numbers are compared against a committed
-// result file: the run fails (exit 1) when ms/op exceeds the baseline
-// by more than -max-regress, or when any ratio column drifts at all —
-// ratios are deterministic, so any change is a correctness bug, not
-// noise. CI runs this as the perf gate.
+// ms/op is the median of five testing.Benchmark runs, each printed, so
+// one busy moment on the host moves one sample, not the figure. With
+// -baseline, the fresh numbers are compared against a committed result
+// file: the run fails (exit 1) when ms/op exceeds the baseline by more
+// than -max-regress, or when any ratio column drifts at all — ratios
+// are deterministic, so any change is a correctness bug, not noise. CI
+// runs this as the perf gate.
 package main
 
 import (
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -178,9 +181,24 @@ func compareBaseline(res *result, path, tolerance string) error {
 	return nil
 }
 
+// benchRuns is how many testing.Benchmark runs time the sweep.
+const benchRuns = 5
+
+// medianMsPerOp times fn with testing.Benchmark benchRuns times, prints
+// each run's ms/op, and returns their median.
+func medianMsPerOp(fn func(b *testing.B)) float64 {
+	ms := make([]float64, benchRuns)
+	for i := range ms {
+		ms[i] = float64(testing.Benchmark(fn).NsPerOp()) / 1e6
+		fmt.Printf("run %d of %d: %.1f ms/op\n", i+1, benchRuns, ms[i])
+	}
+	slices.Sort(ms)
+	return ms[benchRuns/2]
+}
+
 func benchLocal(res *result, ws []experiments.Workload) {
 	var ds *experiments.Dataset
-	br := testing.Benchmark(func(b *testing.B) {
+	res.MsPerOp = medianMsPerOp(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			ds, err = experiments.DefaultSweep(ws).Execute()
@@ -190,7 +208,6 @@ func benchLocal(res *result, ws []experiments.Workload) {
 			}
 		}
 	})
-	res.MsPerOp = float64(br.NsPerOp()) / 1e6
 	for _, p := range ds.Sweep.Penalties {
 		res.GeomeanRatio[fmt.Sprintf("miss%d", p)] = ds.GeoMeanRatio(8, 4, p)
 	}
@@ -292,7 +309,7 @@ func benchDistributed(res *result, ws []experiments.Workload, n int) {
 	coord := shard.New(shard.Config{Workers: workers})
 
 	var units []api.SweepRunSummary
-	br := testing.Benchmark(func(b *testing.B) {
+	res.MsPerOp = medianMsPerOp(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			units, err = coord.Run(context.Background(), spec)
@@ -302,7 +319,6 @@ func benchDistributed(res *result, ws []experiments.Workload, n int) {
 			}
 		}
 	})
-	res.MsPerOp = float64(br.NsPerOp()) / 1e6
 
 	g84 := -1
 	for i, g := range spec.CacheConfigs() {

@@ -75,6 +75,10 @@ type Sim struct {
 	// engine — while Tracer sees only compute-side references. The
 	// union of the two streams is exactly the single-tracer stream.
 	NICTracer *trace.Recording
+	// Switches, when non-nil with a NICTracer, logs where the node's
+	// references alternate between the two recordings, so that
+	// trace.Merge reads them back as the single-tracer stream.
+	Switches *trace.Switches
 	// Gran accumulates granularity statistics during Run.
 	Gran *stats.Granularity
 	// Obs is the observability sink from Options, or nil.
@@ -198,6 +202,7 @@ func (s *Sim) Close() {
 // machine before the run.
 func (s *Sim) attach() {
 	s.M.SetTracer(s.Tracer, s.NICTracer)
+	s.M.LogSwitches(s.Switches)
 	s.M.SetObserver(s.Gran)
 }
 

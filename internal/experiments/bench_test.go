@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"jmtam/internal/cache"
 	"jmtam/internal/core"
 )
 
@@ -29,4 +30,18 @@ func BenchmarkRecord(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+}
+
+// BenchmarkNodeRatio measures a node-ratio pass as the mesh benchmark
+// runs one, at quick scale: md, am, offload and aa on an 8-node mesh
+// through one geometry, am and offload sharing one simulation.
+func BenchmarkNodeRatio(b *testing.B) {
+	b.ReportAllocs()
+	impls := []core.Impl{core.ImplMD, core.ImplAM, core.ImplOffload, core.ImplAA}
+	geom := cache.Config{SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4}
+	for i := 0; i < b.N; i++ {
+		if _, err := NodeRatioSweep(QuickWorkloads(), impls, []int{8}, geom, 24, core.Options{}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -4,8 +4,9 @@
 // Figure 2 enabled/unenabled-AM ablation, and a block-size ablation.
 //
 // One simulation per (program, implementation) records the reference
-// stream once; the recording is then replayed through every cache
-// geometry as independent, parallelizable passes. Total cycles for each
+// stream once, and am and offload share one (see twins); the recording
+// is then replayed through every cache geometry as independent,
+// parallelizable passes. Total cycles for each
 // miss penalty are derived from the miss counts, exactly as in a
 // trace-driven simulator where penalties do not affect replacement.
 // Simulations and replays both run on a bounded worker pool; a sweep's
@@ -148,8 +149,10 @@ type Run struct {
 
 	// nicRecs holds the NIC engine's recorded reference streams (one per
 	// node) between record and replay; the replay fan-out consumes them
-	// into NIC's miss statistics.
-	nicRecs []*trace.Recording
+	// into NIC's miss statistics. switches, when the simulation serves a
+	// twin too (see twins), logs how each node's two streams interleave.
+	nicRecs  []*trace.Recording
+	switches []*trace.Switches
 }
 
 // NICStats captures the NIC engine's share of an offloaded run. The
@@ -347,13 +350,14 @@ func grid(ws []Workload, impls []core.Impl, opt core.Options) []cell {
 
 // runCells is the grid runner every experiment shares. It records each
 // cell and replays the recording through geoms; with no geometries it
-// only records. Cells run on one pool of at most parallelism workers
-// (0 = GOMAXPROCS), and each cell's replay fan-out gets the workers the
-// cells leave idle. Runs come back in cell order, so they are identical
-// at every parallelism. done, when non-nil, is called with each
-// finished cell's index, possibly concurrently. Geometry errors surface
-// before any simulation; the first cell error, which names its cell,
-// cancels the cells not yet started.
+// only records. Twin cells (see twins) share one simulation. Cells run
+// on one pool of at most parallelism workers (0 = GOMAXPROCS), and each
+// cell's replay fan-out gets the workers the cells leave idle. Runs
+// come back in cell order, so they are identical at every parallelism.
+// done, when non-nil, is called with each finished cell's index,
+// possibly concurrently. Geometry errors surface before any simulation;
+// the first cell error, which names its cell, cancels the cells not yet
+// started.
 func runCells(ctx context.Context, cells []cell, geoms []cache.Config, parallelism int, done func(i int)) ([]*Run, error) {
 	if err := validate(geoms); err != nil {
 		return nil, err
@@ -362,15 +366,29 @@ func runCells(ctx context.Context, cells []cell, geoms []cache.Config, paralleli
 	// One replay worker runs the single-pass kernel over every geometry;
 	// more split the geometries into that many groups (see fanOut).
 	replayPar := max(1, par/max(1, len(cells)))
+	twin := twins(cells)
 	runs := make([]*Run, len(cells))
 	err := forEachCell(ctx, cells, par, func(i int) error {
-		r, err := cells[i].run(ctx, geoms, replayPar)
+		var tw *cell
+		if j := twin[i]; j >= 0 {
+			if !cells[i].impl.Caps().NICInlets {
+				return nil // the twin's simulation serves this cell
+			}
+			tw = &cells[j]
+		}
+		r, t, err := cells[i].run(ctx, tw, geoms, replayPar)
 		if err != nil {
 			return err
 		}
 		runs[i] = r
+		if t != nil {
+			runs[twin[i]] = t
+		}
 		if done != nil {
 			done(i)
+			if t != nil {
+				done(twin[i])
+			}
 		}
 		return nil
 	})
@@ -378,6 +396,46 @@ func runCells(ctx context.Context, cells []cell, geoms []cache.Config, paralleli
 		return nil, err
 	}
 	return runs, nil
+}
+
+// twins pairs the cells that can share one simulation: the same
+// workload and options, no observability sink, and backends whose
+// capabilities differ only in NICInlets (am and offload). The backend
+// with NIC-offloaded inlets runs the other's exact instruction stream
+// and only records it into two streams instead of one, so its
+// simulation serves both cells, and its two streams, merged by a switch
+// log (trace.Merge), are the other's one. twin[i] is the index of the
+// cell paired with cell i, or -1.
+func twins(cells []cell) []int {
+	twin := make([]int, len(cells))
+	for i := range twin {
+		twin[i] = -1
+	}
+	for i, nic := range cells {
+		if !nic.impl.Caps().NICInlets || nic.opt.Obs != nil {
+			continue
+		}
+		for j, c := range cells {
+			if twin[j] < 0 && shares(nic, c) {
+				twin[i], twin[j] = j, i
+				break
+			}
+		}
+	}
+	return twin
+}
+
+// shares reports whether the simulation of nic, a cell with
+// NIC-offloaded inlets, serves cell c too. Active Access is left out:
+// its delivery-time service records into the compute stream from
+// outside the machine, which the switch log does not see.
+func shares(nic, c cell) bool {
+	nc, cc := nic.impl.Caps(), c.impl.Caps()
+	if cc.NICInlets || nc.DirectAccess || nic.w != c.w || nic.opt != c.opt {
+		return false
+	}
+	cc.NICInlets = true
+	return cc == nc
 }
 
 // forEachCell calls fn for every cell on at most par workers. When
@@ -402,25 +460,45 @@ func forEachCell(ctx context.Context, cells []cell, par int, fn func(i int) erro
 }
 
 // run records the cell and replays its streams through geoms on par
-// workers; with no geometries it only records. The streams then go
-// back to the chunk pool for the next simulation.
-func (c cell) run(ctx context.Context, geoms []cache.Config, par int) (*Run, error) {
-	r, recs, err := RecordClusterContext(ctx, c.w, c.impl, c.opt)
+// workers; with no geometries it only records. With a twin (see twins)
+// it also returns the twin's run: the same execution, with the
+// instruction counts, ticks and granularity of c's, the sum of c's two
+// streams' reference counts, and caches replayed from each node's two
+// streams merged back into one. The streams then go back to the chunk
+// pool for the next simulation.
+func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config, par int) (r, t *Run, err error) {
+	r, recs, err := c.record(ctx, twin != nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	nics, logs := r.nicRecs, r.switches
+	r.switches = nil
 	defer func(streams []*trace.Recording) {
 		for _, rec := range streams {
 			rec.Release()
 		}
-	}(append(recs, r.nicRecs...))
+	}(append(recs, nics...))
+	if twin != nil {
+		t = &Run{
+			Workload: r.Workload, Impl: twin.impl, Nodes: r.Nodes, Ticks: r.Ticks,
+			Instructions: r.Instructions, Counts: r.Counts,
+			TPQ: r.TPQ, IPT: r.IPT, IPQ: r.IPQ, Threads: r.Threads, Quanta: r.Quanta,
+		}
+		t.Counts.Add(&r.NIC.Counts)
+	}
 	if len(geoms) == 0 {
-		return r, nil
+		return r, t, nil
+	}
+	if t != nil {
+		merged := func(k int) (trace.Source, error) { return trace.Merge(recs[k], nics[k], logs[k]), nil }
+		if t.Caches, _, err = fanOut(ctx, merged, len(recs), geoms, par, false); err != nil {
+			return nil, nil, err
+		}
 	}
 	if err := r.replay(ctx, recs, geoms, par); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return r, nil
+	return r, t, nil
 }
 
 // simulate runs every cell without recording, on the pool forEachCell
@@ -624,7 +702,8 @@ func RunOneParContext(ctx context.Context, w Workload, impl core.Impl, geoms []c
 	if err := validate(geoms); err != nil {
 		return nil, err
 	}
-	return cell{w, impl, opt}.run(ctx, geoms, parallelism)
+	r, _, err := cell{w, impl, opt}.run(ctx, nil, geoms, parallelism)
+	return r, err
 }
 
 // ReplayStreamFanOutContext fills per-geometry cache statistics by

@@ -21,7 +21,14 @@ func RecordCluster(w Workload, impl core.Impl, opt core.Options) (*Run, []*trace
 // RecordClusterContext is RecordCluster with cooperative cancellation
 // of the simulation step loop.
 func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
-	cs, err := cell{w, impl, opt}.build()
+	return cell{w, impl, opt}.record(ctx, false)
+}
+
+// record is RecordClusterContext for the cell. With logged set, on a
+// backend with NIC-offloaded inlets, each node also logs where its
+// references alternate between its two streams (see twins).
+func (c cell) record(ctx context.Context, logged bool) (*Run, []*trace.Recording, error) {
+	cs, err := c.build()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -31,8 +38,12 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 	// inlets and system handlers record into their own stream and
 	// replay against the node's private NIC cache pair.
 	var nicRecs []*trace.Recording
-	if impl.Caps().NICInlets {
+	var logs []*trace.Switches
+	if c.impl.Caps().NICInlets {
 		nicRecs = make([]*trace.Recording, cs.Nodes)
+		if logged {
+			logs = make([]*trace.Switches, cs.Nodes)
+		}
 	}
 	for k, s := range cs.Sims {
 		recs[k] = &trace.Recording{}
@@ -41,14 +52,18 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 			nicRecs[k] = &trace.Recording{}
 			s.NICTracer = nicRecs[k]
 		}
+		if logs != nil {
+			logs[k] = &trace.Switches{}
+			s.Switches = logs[k]
+		}
 	}
 	if err := cs.RunContext(ctx); err != nil {
 		return nil, nil, err
 	}
 	g := cs.MergedGran()
 	r := &Run{
-		Workload:     w,
-		Impl:         impl,
+		Workload:     c.w,
+		Impl:         c.impl,
 		Nodes:        cs.Nodes,
 		Ticks:        cs.Ticks(),
 		Instructions: cs.Instructions(),
@@ -68,6 +83,7 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 		}
 		r.NIC = nic
 		r.nicRecs = nicRecs
+		r.switches = logs
 	}
 	if cs.Obs != nil {
 		r.Metrics = cs.Obs.Metrics

@@ -25,7 +25,9 @@ import (
 // Every reference an instruction makes appends a packed word to the
 // priority's recording, and the reference class is counted where it is
 // known: the code-segment test of the fetch decides system against
-// user code, and mem.Classify the data accesses.
+// user code, and mem.Classify the data accesses. When that recording is
+// not the one the last reference went to, the stretch notes the switch
+// before its first reference (see LogSwitches).
 func (m *Machine) step(stop uint64) bool {
 	pri := High
 	switch {
@@ -44,6 +46,9 @@ func (m *Machine) step(stop uint64) bool {
 		return false
 	}
 	code, mm, rec, r := m.Code, m.Mem, m.rec[pri], &m.regs[pri]
+	if rec != m.sink {
+		m.switchTo(rec)
+	}
 	ip := m.ip[pri]
 	for {
 		in, cls := code.Fetch(ip)

@@ -88,6 +88,11 @@ type Machine struct {
 	stalled  bool
 	hiInstrs uint64
 	trapErr  error
+
+	// sink is the recording the last reference went to, and switches,
+	// when non-nil, logs every change of it (see LogSwitches).
+	sink     *trace.Recording
+	switches *trace.Switches
 }
 
 // NewMachine builds a machine around the given memory and code store.
@@ -127,6 +132,28 @@ func (m *Machine) SetTracer(rec, nic *trace.Recording) {
 	if nic != nil {
 		m.rec[High] = nic
 	}
+	m.sink = rec
+}
+
+// LogSwitches has the machine log in s, from its next reference on,
+// every switch of its appends between the two recordings SetTracer
+// attached, so that trace.Merge can read them back as the one stream a
+// single recording would have held. The sink can change only where a
+// stretch makes its priority decision and where Inject buffers a
+// message; nil stops the log.
+func (m *Machine) LogSwitches(s *trace.Switches) { m.switches = s }
+
+// switchTo moves the sink to rec, logging the switch when a log is
+// attached. Only a machine with a NIC recording ever switches, so the
+// compare that guards each call is predictable everywhere else. It
+// stays out of line, so that the guard is all the interpreter holds.
+//
+//go:noinline
+func (m *Machine) switchTo(rec *trace.Recording) {
+	if m.switches != nil {
+		m.switches.Switch(m.sink)
+	}
+	m.sink = rec
 }
 
 // SetObserver attaches the granularity statistics the run feeds; nil
@@ -232,6 +259,9 @@ func (m *Machine) Inject(pri int, ws []word.Word) error {
 	}
 	m.Mem.StoreWords(msg.Base, ws)
 	if rec := m.rec[pri]; rec != nil {
+		if rec != m.sink {
+			m.switchTo(rec)
+		}
 		stride := 1
 		if m.cfg.PairedQueueWrites {
 			stride = 2
@@ -263,7 +293,11 @@ func (m *Machine) dispatch(pri int) {
 	if !ok {
 		panic("machine: dispatch on empty queue")
 	}
-	m.rec[pri].Read(msg.Base)
+	rec := m.rec[pri]
+	if rec != m.sink {
+		m.switchTo(rec)
+	}
+	rec.Read(msg.Base)
 	handler := m.Mem.Load(msg.Base)
 	m.curMsg[pri] = msg
 	m.inMsg[pri] = true

@@ -154,7 +154,7 @@ func cacheResultOf(instrs uint64, c experiments.CacheStats, penalties []int) Cac
 	for j, p := range penalties {
 		cr.Cycles[j] = CycleCount{
 			Penalty: p,
-			Cycles:  instrs + uint64(p)*(c.IMisses+c.DMisses),
+			Cycles:  api.Cycles(instrs, p, c.IMisses, c.DMisses),
 		}
 	}
 	return cr

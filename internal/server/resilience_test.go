@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -168,6 +169,61 @@ func TestResumeDropsPreUpgradeCheckpoint(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{JournalPath: jpath})
 	final := waitState(t, ts.URL, "s-000001", StateDone)
+	if got, want := compactJSON(t, final.Result), sweepGolden(t, 1); got != want {
+		t.Fatalf("resumed result differs from the golden\ngot  %s\nwant %s", got, want)
+	}
+	c := metricCounters(t, ts.URL)
+	if c["journal.resumed.units"] != 0 || c["store.records"] != 2 {
+		t.Fatalf("journal.resumed.units = %d, store.records = %d; want 0 and 2 (both units re-run)",
+			c["journal.resumed.units"], c["store.records"])
+	}
+}
+
+// TestResumeDropsCheckpointThatDoesNotAddUp: a journaled unit
+// checkpoint with one digit of one i_misses changed no longer adds up
+// to its cycle counts. The restarted daemon drops it and re-runs the
+// unit, and the resumed document equals the golden.
+func TestResumeDropsCheckpointThatDoesNotAddUp(t *testing.T) {
+	full := filepath.Join(t.TempDir(), "full.ndjson")
+	s1, err := New(Config{JournalPath: full, ResultMemBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	sweepResultBytes(t, ts1.URL, sweepBodies[1])
+	ts1.Close()
+	s1.Close()
+
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var jobID string
+	digit := regexp.MustCompile(`"i_misses":\d*(\d)`)
+	recs, _ := journalLines(t, full)
+	for _, rec := range recs {
+		switch {
+		case rec.Op == "accept" || rec.Op == "start":
+			jobID = rec.ID
+		case rec.Op == "unit" && rec.Unit.Idx == 1:
+			loc := digit.FindSubmatchIndex(rec.Unit.Result)
+			if loc == nil {
+				t.Fatalf("no i_misses in checkpoint %s", rec.Unit.Result)
+			}
+			res := bytes.Clone(rec.Unit.Result)
+			res[loc[2]] = '0' + (res[loc[2]]-'0'+1)%10
+			rec.Unit.Result = res
+		default:
+			continue
+		}
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jpath := filepath.Join(t.TempDir(), "j.ndjson")
+	if err := os.WriteFile(jpath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{JournalPath: jpath})
+	final := waitState(t, ts.URL, jobID, StateDone)
 	if got, want := compactJSON(t, final.Result), sweepGolden(t, 1); got != want {
 		t.Fatalf("resumed result differs from the golden\ngot  %s\nwant %s", got, want)
 	}

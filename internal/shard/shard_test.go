@@ -278,6 +278,57 @@ func TestCoordinatorRejectsIncompleteRows(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsRowsThatDoNotAddUp: a worker row whose cycle
+// counts disagree with its misses is refused.
+func TestCoordinatorRejectsRowsThatDoNotAddUp(t *testing.T) {
+	bad := stubWorker(t, func(w http.ResponseWriter, r *http.Request, req api.SweepRequest) bool {
+		u := fakeUnit(req)
+		u.Caches[1].IMisses++
+		doc, _ := json.Marshal(api.SweepResult{Runs: []api.SweepRunSummary{u}})
+		fmt.Fprintf(w, `{"type":"result","result":%s}`+"\n", doc)
+		return false
+	})
+	c := New(Config{Workers: []string{bad.URL}, MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	_, err := c.Run(context.Background(), testSpec())
+	if err == nil || !strings.Contains(err.Error(), "add up to") {
+		t.Fatalf("err = %v, want a cycles-versus-misses rejection", err)
+	}
+}
+
+// TestCheckRowArithmetic checks each rule of CheckRow on one true row
+// changed in one place: the geometry each cache row names, the penalty
+// of each cycle count, and cycles against instructions and misses. A
+// changed writeback count enters no cycle count and passes.
+func TestCheckRowArithmetic(t *testing.T) {
+	spec := testSpec()
+	spec.Penalties = []int{12, 24}
+	u := spec.Units()[0]
+	row := wantUnits(spec)[0]
+	if err := spec.CheckRow(u, row); err != nil {
+		t.Fatalf("true row refused: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		change func(r *api.SweepRunSummary)
+		want   string
+	}{
+		"geometries swapped":   {func(r *api.SweepRunSummary) { r.Caches[0], r.Caches[1] = r.Caches[1], r.Caches[0] }, "geometry row 0"},
+		"block size":           {func(r *api.SweepRunSummary) { r.Caches[2].BlockBytes = 32 }, "geometry row 2"},
+		"penalties swapped":    {func(r *api.SweepRunSummary) { c := r.Caches[3].Cycles; c[0], c[1] = c[1], c[0] }, "at penalty 24, want 12"},
+		"i_misses":             {func(r *api.SweepRunSummary) { r.Caches[1].IMisses += 10 }, "add up to"},
+		"d_misses":             {func(r *api.SweepRunSummary) { r.Caches[0].DMisses-- }, "add up to"},
+		"instructions":         {func(r *api.SweepRunSummary) { r.Instructions++ }, "add up to"},
+		"cycles":               {func(r *api.SweepRunSummary) { r.Caches[2].Cycles[1].Cycles++ }, "add up to"},
+		"writebacks unchecked": {func(r *api.SweepRunSummary) { r.Caches[0].Writebacks += 5 }, ""},
+	} {
+		r := wantUnits(spec)[0]
+		tc.change(&r)
+		err := spec.CheckRow(u, r)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
 func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 	// The hung worker parses the request then stalls until the client
 	// gives up: a worker that died mid-shard without closing the socket.

@@ -100,10 +100,12 @@ func (s *Spec) CacheConfigs() []cache.Config {
 }
 
 // CheckRow reports why r is not a complete row for unit u of s: a row
-// names the unit it ran, carries one cache row per geometry in
-// CacheConfigs order, and each cache row one cycle count per penalty.
-// A row from a worker or a journal checkpoint is trusted only when it
-// passes.
+// names the unit it ran and carries one cache row per geometry, each
+// naming its geometry in CacheConfigs order and carrying one cycle
+// count per penalty, in Penalties order, that its instructions and
+// misses add up to (api.Cycles). A row from a worker or a journal
+// checkpoint is trusted only when it passes. Writebacks enter no
+// cycle count, so a changed writeback count passes.
 func (s *Spec) CheckRow(u Unit, r api.SweepRunSummary) error {
 	impl := u.Impl
 	if i, err := parseImpl(impl); err == nil {
@@ -113,12 +115,26 @@ func (s *Spec) CheckRow(u Unit, r api.SweepRunSummary) error {
 		return fmt.Errorf("row is (%s %d, %s), want (%s %d, %s)",
 			r.Program, r.Arg, r.Impl, u.Workload.Program, u.Workload.Arg, impl)
 	}
-	if want := len(s.SizesKB) * len(s.Assocs); len(r.Caches) != want {
-		return fmt.Errorf("%d geometry rows, want %d", len(r.Caches), want)
+	geoms := s.CacheConfigs()
+	if len(r.Caches) != len(geoms) {
+		return fmt.Errorf("%d geometry rows, want %d", len(r.Caches), len(geoms))
 	}
-	for _, c := range r.Caches {
+	for i, c := range r.Caches {
+		g := geoms[i]
+		if want := (api.CacheSpec{SizeKB: g.SizeBytes / 1024, BlockBytes: g.BlockBytes, Assoc: g.Assoc}); c.CacheSpec != want {
+			return fmt.Errorf("geometry row %d is %+v, want %+v", i, c.CacheSpec, want)
+		}
 		if len(c.Cycles) != len(s.Penalties) {
 			return fmt.Errorf("%d cycle counts in a geometry row, want %d", len(c.Cycles), len(s.Penalties))
+		}
+		for j, cc := range c.Cycles {
+			if p := s.Penalties[j]; cc.Penalty != p {
+				return fmt.Errorf("geometry row %d: cycle count %d at penalty %d, want %d", i, j, cc.Penalty, p)
+			}
+			if want := api.Cycles(r.Instructions, cc.Penalty, c.IMisses, c.DMisses); cc.Cycles != want {
+				return fmt.Errorf("geometry row %d: %d cycles at penalty %d, but its instructions and misses add up to %d",
+					i, cc.Cycles, cc.Penalty, want)
+			}
 		}
 	}
 	return nil

@@ -66,6 +66,7 @@ func runRecording(n int) *Recording {
 // of the given geometries, attributing misses when attribute is set.
 func benchReplay(b *testing.B, refs int, open func() (Source, error), geoms []cache.Config, attribute bool) {
 	b.SetBytes(int64(refs) * 4 * int64(len(geoms)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pairs := make([]Pair, len(geoms))

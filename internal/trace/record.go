@@ -65,7 +65,7 @@ var chunkPool = sync.Pool{New: func() any { return new([chunkWords]uint32) }}
 // it.
 type Recording struct {
 	Counts
-	full [][]uint32 // completed chunks
+	full [][]uint32 // completed chunks, each exactly chunkWords long
 	tail []uint32   // active chunk, cap chunkWords
 }
 
@@ -128,13 +128,7 @@ func (r *Recording) Write(addr uint32) {
 }
 
 // Len returns the number of recorded references.
-func (r *Recording) Len() int {
-	n := len(r.tail)
-	for _, c := range r.full {
-		n += len(c)
-	}
-	return n
-}
+func (r *Recording) Len() int { return len(r.full)*chunkWords + len(r.tail) }
 
 // Bytes returns the recording's approximate memory footprint.
 func (r *Recording) Bytes() int {

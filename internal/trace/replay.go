@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"io"
+	"sync"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
@@ -36,15 +37,7 @@ func (c *cursor) Next() ([]uint32, error) {
 
 func (c *cursor) split(sp *splitter) error {
 	ch, err := c.Next()
-	for _, w := range ch {
-		if w>>kindShift == uint32(KindFetch) {
-			sp.fetch.add(w&addrMask, 0)
-		} else {
-			// KindWrite is 2 and KindRead 1, so the kind's high bit is
-			// the write flag.
-			sp.data.add(w&addrMask, w>>(kindShift+1))
-		}
-	}
+	sp.packed(ch)
 	return err
 }
 
@@ -56,6 +49,9 @@ func (r *Recording) Chunks() Source { return &cursor{chunks: r.chunks()} }
 // surviving references (16 KB) stay resident in L1 while a whole
 // geometry group consumes them.
 const replayBlockWords = 1 << 12
+
+// streamBufs recycles the stream buffers between replays.
+var streamBufs = sync.Pool{New: func() any { return new([replayBlockWords]uint32) }}
 
 // Hooks are the replay kernel's optional observers. Hooked or not, the
 // kernel runs the same split, stripped streams through the same banks,
@@ -111,6 +107,7 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 	if err != nil {
 		return err
 	}
+	defer sp.release()
 	done := ctx.Done()
 	for {
 		if done != nil {
@@ -197,7 +194,8 @@ func (c *cutter) cut(full bool) {
 type splitter struct{ fetch, data stream }
 
 // newSplitter builds the pairs' banks, attributing ones when attribute
-// is set.
+// is set, and takes the streams' buffers from the pool; release returns
+// them.
 func newSplitter(pairs []Pair, attribute bool) (*splitter, error) {
 	is, ds := make([]*cache.Cache, len(pairs)), make([]*cache.Cache, len(pairs))
 	for i, p := range pairs {
@@ -220,10 +218,31 @@ func newSplitter(pairs []Pair, attribute bool) (*splitter, error) {
 	return &splitter{fetch: newStream(ib, ib.AccessBatchFetch), data: newStream(db, db.AccessBatch)}, nil
 }
 
+// packed feeds packed trace words into the fetch and data streams.
+func (sp *splitter) packed(ch []uint32) {
+	for _, w := range ch {
+		if w>>kindShift == uint32(KindFetch) {
+			sp.fetch.add(w&addrMask, 0)
+		} else {
+			// KindWrite is 2 and KindRead 1, so the kind's high bit is
+			// the write flag.
+			sp.data.add(w&addrMask, w>>(kindShift+1))
+		}
+	}
+}
+
 // flush hands both streams' batches to their banks.
 func (sp *splitter) flush() {
 	sp.fetch.flush()
 	sp.data.flush()
+}
+
+// release returns both streams' buffers to the pool.
+func (sp *splitter) release() {
+	for _, s := range []*stream{&sp.fetch, &sp.data} {
+		streamBufs.Put((*[replayBlockWords]uint32)(s.buf[:replayBlockWords]))
+		s.buf = nil
+	}
 }
 
 // stream strips one side of the split and batches its survivors for
@@ -248,7 +267,7 @@ func newStream(b *cache.Bank, access func([]uint32, int)) stream {
 		access: access,
 		shift:  b.BlockShift() - 2,
 		prev:   ^uint32(0), // no 30-bit word address reaches it
-		buf:    make([]uint32, 0, replayBlockWords),
+		buf:    streamBufs.Get().(*[replayBlockWords]uint32)[:0],
 	}
 }
 

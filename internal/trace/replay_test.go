@@ -11,6 +11,7 @@ import (
 	"jmtam/internal/cache"
 	"jmtam/internal/cache/cachetest"
 	"jmtam/internal/mem"
+	"jmtam/internal/rng"
 )
 
 // kernelGeoms spans both bank stage depths across four block sizes:
@@ -139,9 +140,12 @@ func checkReplay(t *testing.T, name string, src Source, geoms []cache.Config, ho
 }
 
 // sources opens the recording as each kind of chunk source the kernel
-// accepts.
+// accepts: its packed chunks, a Reader over its compacted bytes, and
+// its references dealt into two recordings merged back by their switch
+// log.
 func sources(t *testing.T, rec *Recording) map[string]func() Source {
 	compacted := rec.Compact()
+	a, b, log := splitRecording(rec, uint64(rec.Len()))
 	return map[string]func() Source{
 		"packed": rec.Chunks,
 		"streamed": func() Source {
@@ -151,7 +155,37 @@ func sources(t *testing.T, rec *Recording) map[string]func() Source {
 			}
 			return rd
 		},
+		"merged": func() Source { return Merge(a, b, log) },
 	}
+}
+
+// splitRecording deals rec's references into two recordings, a first,
+// in runs of random length: empty, of one reference, of up to 64, and
+// of up to two chunks. It logs each switch as a machine does, so that
+// Merge(a, b, log) reads rec's stream.
+func splitRecording(rec *Recording, seed uint64) (a, b *Recording, log *Switches) {
+	a, b, log = &Recording{}, &Recording{}, &Switches{}
+	src := rng.New(seed)
+	cur, other := a, b
+	left := 0
+	rec.Do(func(k Kind, addr uint32) {
+		for left == 0 {
+			log.Switch(cur)
+			cur, other = other, cur
+			switch src.Uint64() % 4 {
+			case 0:
+			case 1:
+				left = 1
+			case 2:
+				left = 1 + int(src.Uint64()%64)
+			default:
+				left = 1 + int(src.Uint64()%(2*chunkWords))
+			}
+		}
+		cur.Add(Encode(k, addr))
+		left--
+	})
+	return a, b, log
 }
 
 func newPairs(t *testing.T, geoms []cache.Config) []Pair {
@@ -197,7 +231,7 @@ func TestReplayKernelEquivalence(t *testing.T) {
 		for _, geoms := range [][]cache.Config{kernelGeoms[:1], kernelGeoms[:3], kernelGeoms, table2Geoms(),
 			{{SizeBytes: 1 << 10, BlockBytes: 8, Assoc: 1}, {SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4}}} {
 			want := scalarReplay(rec, geoms, testSampleEvery)
-			for _, srcName := range []string{"packed", "streamed"} {
+			for _, srcName := range []string{"packed", "streamed", "merged"} {
 				for _, hook := range hookSets {
 					name := fmt.Sprintf("%s/geoms=%d/%s/%s", tr.name, len(geoms), srcName, hook)
 					checkReplay(t, name, srcs[srcName](), geoms, hook, testSampleEvery, want)
