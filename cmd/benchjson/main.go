@@ -36,7 +36,6 @@ import (
 	"testing"
 
 	"jmtam/api"
-	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
 	"jmtam/internal/server"
@@ -216,36 +215,35 @@ func benchLocal(res *result, ws []experiments.Workload) {
 	}
 }
 
-// measureBackendGeomean runs every registered backend once per
-// workload at the headline geometry and records the untimed,
-// ungated MD-relative geomean ratios (see result.BackendGeomean).
+// measureBackendGeomean runs every registered backend over the
+// workloads as one sweep at the headline geometry, so am and offload
+// share a simulation, and records the untimed, ungated MD-relative
+// geomean ratios (see result.BackendGeomean).
 func measureBackendGeomean(res *result, ws []experiments.Workload) {
-	geoms := []cache.Config{{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}}
-	ratios := map[string][]float64{}
-	for _, w := range ws {
-		md, err := experiments.RunOne(w, core.ImplMD, geoms, core.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		mdCycles := md.Cycles(0, 24, false)
-		for _, b := range core.Backends() {
-			if b.Impl == core.ImplMD {
-				continue
-			}
-			r, err := experiments.RunOne(w, b.Impl, geoms, core.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
-			}
-			if c := r.Cycles(0, 24, false); c > 0 {
-				ratios[b.Name] = append(ratios[b.Name], float64(mdCycles)/float64(c))
-			}
-		}
+	s := &experiments.Sweep{Workloads: ws, SizesKB: []int{8}, Assocs: []int{4}, BlockBytes: 64, Penalties: []int{24}}
+	for _, b := range core.Backends() {
+		s.Impls = append(s.Impls, b.Impl)
+	}
+	ds, err := s.Execute()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
 	}
 	res.BackendGeomean = map[string]float64{}
-	for name, xs := range ratios {
-		res.BackendGeomean[name] = stats.GeoMean(xs)
+	for _, b := range core.Backends() {
+		if b.Impl == core.ImplMD {
+			continue
+		}
+		var xs []float64
+		for _, w := range ws {
+			md := ds.Run(w.Name, core.ImplMD).Cycles(0, 24, false)
+			if c := ds.Run(w.Name, b.Impl).Cycles(0, 24, false); c > 0 {
+				xs = append(xs, float64(md)/float64(c))
+			}
+		}
+		if len(xs) > 0 {
+			res.BackendGeomean[b.Name] = stats.GeoMean(xs)
+		}
 	}
 }
 

@@ -73,12 +73,11 @@ type Sim struct {
 	// (Caps.NICInlets), records the high-priority share of the
 	// reference stream — inlet and system-handler execution on the NIC
 	// engine — while Tracer sees only compute-side references. The
-	// union of the two streams is exactly the single-tracer stream.
+	// union of the two streams is exactly the single-tracer stream, and
+	// a drain attached to both (trace.Recording.Drain) receives it in
+	// order, since the machine flushes the recording it leaves at every
+	// switch.
 	NICTracer *trace.Recording
-	// Switches, when non-nil with a NICTracer, logs where the node's
-	// references alternate between the two recordings, so that
-	// trace.Merge reads them back as the single-tracer stream.
-	Switches *trace.Switches
 	// Gran accumulates granularity statistics during Run.
 	Gran *stats.Granularity
 	// Obs is the observability sink from Options, or nil.
@@ -202,7 +201,6 @@ func (s *Sim) Close() {
 // machine before the run.
 func (s *Sim) attach() {
 	s.M.SetTracer(s.Tracer, s.NICTracer)
-	s.M.LogSwitches(s.Switches)
 	s.M.SetObserver(s.Gran)
 }
 

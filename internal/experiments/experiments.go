@@ -4,14 +4,15 @@
 // Figure 2 enabled/unenabled-AM ablation, and a block-size ablation.
 //
 // One simulation per (program, implementation) records the reference
-// stream once, and am and offload share one (see twins); the recording
-// is then replayed through every cache geometry as independent,
-// parallelizable passes. Total cycles for each
+// stream once, and am and offload share one (see twins); each node's
+// stream replays through every cache geometry in one pass while the
+// simulation records it, a chunk at a time, so no grid holds a whole
+// trace. Total cycles for each
 // miss penalty are derived from the miss counts, exactly as in a
 // trace-driven simulator where penalties do not affect replacement.
-// Simulations and replays both run on a bounded worker pool; a sweep's
-// Dataset keys its runs by backend name (registry order, core.Backends)
-// and is identical at every parallelism setting.
+// Simulations run on a bounded worker pool; a sweep's Dataset keys its
+// runs by backend name (registry order, core.Backends) and is
+// identical at every parallelism setting.
 package experiments
 
 import (
@@ -73,7 +74,8 @@ type Sweep struct {
 	// an Obs sink set here, so they then run one at a time.
 	Options core.Options
 	// Parallelism bounds the number of concurrently executing
-	// simulations and trace replays (0 = GOMAXPROCS). Results are
+	// simulations, each replaying its own streams (0 = GOMAXPROCS).
+	// Results are
 	// byte-identical at every setting: runs are assembled by position,
 	// never by completion order.
 	Parallelism int
@@ -148,11 +150,9 @@ type Run struct {
 	Metrics *obs.Registry
 
 	// nicRecs holds the NIC engine's recorded reference streams (one per
-	// node) between record and replay; the replay fan-out consumes them
-	// into NIC's miss statistics. switches, when the simulation serves a
-	// twin too (see twins), logs how each node's two streams interleave.
-	nicRecs  []*trace.Recording
-	switches []*trace.Switches
+	// node) between RecordCluster and its replay, which consumes them
+	// into NIC's miss statistics.
+	nicRecs []*trace.Recording
 }
 
 // NICStats captures the NIC engine's share of an offloaded run. The
@@ -273,11 +273,11 @@ func (d *Dataset) GeoMeanRatio(sizeKB, assoc, penalty int, exclude ...string) fl
 }
 
 // Execute runs every workload under every implementation. Each
-// (workload, implementation) simulation records its reference stream
-// once; the cache-geometry fan-out then replays the recording through
-// every geometry. Both levels run on a bounded worker pool (see
-// Sweep.Parallelism), and results are assembled by position so the
-// Dataset is identical at every parallelism setting. The first error
+// (workload, implementation) simulation replays its reference stream
+// through every geometry while it records it (see runCells). The
+// simulations run on a bounded worker pool (see Sweep.Parallelism),
+// and results are assembled by position so the Dataset is identical at
+// every parallelism setting. The first error
 // cancels outstanding work. Execute does not mutate the receiver, so a
 // shared *Sweep is safe to execute concurrently and repeatedly.
 func (s *Sweep) Execute() (*Dataset, error) {
@@ -285,8 +285,8 @@ func (s *Sweep) Execute() (*Dataset, error) {
 }
 
 // ExecuteContext is Execute with cooperative cancellation: simulations
-// poll the context in their step loops, replays check it between
-// trace chunks, and unclaimed jobs are abandoned once it is cancelled, so
+// poll the context in their step loops, and unclaimed jobs are
+// abandoned once it is cancelled, so
 // a cancelled sweep returns (with an error wrapping ctx.Err()) within
 // one machine.CancelCheckInterval.
 func (s *Sweep) ExecuteContext(ctx context.Context) (*Dataset, error) {
@@ -348,27 +348,22 @@ func grid(ws []Workload, impls []core.Impl, opt core.Options) []cell {
 	return cells
 }
 
-// runCells is the grid runner every experiment shares. It records each
-// cell and replays the recording through geoms; with no geometries it
-// only records. Twin cells (see twins) share one simulation. Cells run
-// on one pool of at most parallelism workers (0 = GOMAXPROCS), and each
-// cell's replay fan-out gets the workers the cells leave idle. Runs
-// come back in cell order, so they are identical at every parallelism.
-// done, when non-nil, is called with each finished cell's index,
-// possibly concurrently. Geometry errors surface before any simulation;
-// the first cell error, which names its cell, cancels the cells not yet
-// started.
+// runCells is the grid runner every experiment shares. It simulates
+// each cell and replays its streams through geoms while they record
+// (see cell.run); with no geometries it only records. Twin cells (see
+// twins) share one simulation. Cells run on one pool of at most
+// parallelism workers (0 = GOMAXPROCS). Runs come back in cell order,
+// so they are identical at every parallelism. done, when non-nil, is
+// called with each finished cell's index, possibly concurrently.
+// Geometry errors surface before any simulation; the first cell error,
+// which names its cell, cancels the cells not yet started.
 func runCells(ctx context.Context, cells []cell, geoms []cache.Config, parallelism int, done func(i int)) ([]*Run, error) {
 	if err := validate(geoms); err != nil {
 		return nil, err
 	}
-	par := parallel.Workers(parallelism)
-	// One replay worker runs the single-pass kernel over every geometry;
-	// more split the geometries into that many groups (see fanOut).
-	replayPar := max(1, par/max(1, len(cells)))
 	twin := twins(cells)
 	runs := make([]*Run, len(cells))
-	err := forEachCell(ctx, cells, par, func(i int) error {
+	err := forEachCell(ctx, cells, parallelism, func(i int) error {
 		var tw *cell
 		if j := twin[i]; j >= 0 {
 			if !cells[i].impl.Caps().NICInlets {
@@ -376,7 +371,7 @@ func runCells(ctx context.Context, cells []cell, geoms []cache.Config, paralleli
 			}
 			tw = &cells[j]
 		}
-		r, t, err := cells[i].run(ctx, tw, geoms, replayPar)
+		r, t, err := cells[i].run(ctx, tw, geoms)
 		if err != nil {
 			return err
 		}
@@ -403,9 +398,9 @@ func runCells(ctx context.Context, cells []cell, geoms []cache.Config, paralleli
 // capabilities differ only in NICInlets (am and offload). The backend
 // with NIC-offloaded inlets runs the other's exact instruction stream
 // and only records it into two streams instead of one, so its
-// simulation serves both cells, and its two streams, merged by a switch
-// log (trace.Merge), are the other's one. twin[i] is the index of the
-// cell paired with cell i, or -1.
+// simulation serves both cells, and its two streams, in the order the
+// machine appends to them, are the other's one. twin[i] is the index
+// of the cell paired with cell i, or -1.
 func twins(cells []cell) []int {
 	twin := make([]int, len(cells))
 	for i := range twin {
@@ -428,7 +423,7 @@ func twins(cells []cell) []int {
 // shares reports whether the simulation of nic, a cell with
 // NIC-offloaded inlets, serves cell c too. Active Access is left out:
 // its delivery-time service records into the compute stream from
-// outside the machine, which the switch log does not see.
+// outside the machine, past the switches that order the two streams.
 func shares(nic, c cell) bool {
 	nc, cc := nic.impl.Caps(), c.impl.Caps()
 	if cc.NICInlets || nc.DirectAccess || nic.w != c.w || nic.opt != c.opt {
@@ -459,25 +454,62 @@ func forEachCell(ctx context.Context, cells []cell, par int, fn func(i int) erro
 	})
 }
 
-// run records the cell and replays its streams through geoms on par
-// workers; with no geometries it only records. With a twin (see twins)
-// it also returns the twin's run: the same execution, with the
-// instruction counts, ticks and granularity of c's, the sum of c's two
-// streams' reference counts, and caches replayed from each node's two
-// streams merged back into one. The streams then go back to the chunk
-// pool for the next simulation.
-func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config, par int) (r, t *Run, err error) {
-	r, recs, err := c.record(ctx, twin != nil)
+// run simulates the cell and replays its streams through geoms while
+// the simulation records them, so that each recording holds one chunk
+// at a time; with no geometries the streams drain to nothing. Each
+// node replays its compute stream through a fresh pair per geometry
+// and, on a backend with NIC-offloaded inlets, its NIC stream through
+// a private NIC pair; misses, and the attribution of a cell with a
+// sink, sum over nodes. With a twin (see twins) it also returns the
+// twin's run: the same execution, with the instruction counts, ticks
+// and granularity of c's, the sum of c's two streams' reference
+// counts, and caches replayed from each node's two streams in the
+// order they were recorded, which is the twin's one stream (the
+// machine flushes the recording it leaves at every switch).
+func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config) (r, t *Run, err error) {
+	var grid, nic, both *nodeReplay
+	defer func() {
+		for _, n := range []*nodeReplay{grid, nic, both} {
+			n.close()
+		}
+	}()
+	var mcs []trace.MissCounts
+	if len(geoms) > 0 {
+		if c.opt.Obs != nil {
+			mcs = make([]trace.MissCounts, len(geoms))
+		}
+		nodes := max(1, c.opt.Nodes)
+		grid, err = newNodeReplay(nodes, geoms, mcs)
+		if err == nil && c.impl.Caps().NICInlets {
+			nic, err = newNodeReplay(nodes, []cache.Config{NICGeom}, nil)
+		}
+		if err == nil && twin != nil {
+			both, err = newNodeReplay(nodes, geoms, nil)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	r, recs, err := c.record(ctx, func(k int, rec, nicRec *trace.Recording) {
+		rec.Drain(func(refs []uint32) {
+			grid.feed(k, refs)
+			both.feed(k, refs)
+		})
+		if nicRec != nil {
+			nicRec.Drain(func(refs []uint32) {
+				nic.feed(k, refs)
+				both.feed(k, refs)
+			})
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	nics, logs := r.nicRecs, r.switches
-	r.switches = nil
-	defer func(streams []*trace.Recording) {
-		for _, rec := range streams {
-			rec.Release()
-		}
-	}(append(recs, nics...))
+	for _, rec := range append(recs, r.nicRecs...) {
+		rec.Flush()
+		rec.Release()
+	}
+	r.nicRecs = nil
 	if twin != nil {
 		t = &Run{
 			Workload: r.Workload, Impl: twin.impl, Nodes: r.Nodes, Ticks: r.Ticks,
@@ -489,16 +521,105 @@ func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config, par int
 	if len(geoms) == 0 {
 		return r, t, nil
 	}
-	if t != nil {
-		merged := func(k int) (trace.Source, error) { return trace.Merge(recs[k], nics[k], logs[k]), nil }
-		if t.Caches, _, err = fanOut(ctx, merged, len(recs), geoms, par, false); err != nil {
-			return nil, nil, err
-		}
+	r.fill(grid.stats(geoms), mcs)
+	if nic != nil {
+		r.nicMisses(nic.stats([]cache.Config{NICGeom})[0])
 	}
-	if err := r.replay(ctx, recs, geoms, par); err != nil {
-		return nil, nil, err
+	if t != nil {
+		t.Caches = both.stats(geoms)
 	}
 	return r, t, nil
+}
+
+// nodeReplay replays one stream per node through a set of geometries
+// as the stream is fed, each node into fresh pairs of its own (a mesh
+// node owns its caches).
+type nodeReplay struct {
+	pairs [][]trace.Pair // per node, per geometry
+	rps   []*trace.Replayer
+}
+
+// newNodeReplay starts the replays; with mcs non-nil, every node's
+// replay attributes its misses into mcs, one entry per geometry.
+func newNodeReplay(nodes int, geoms []cache.Config, mcs []trace.MissCounts) (*nodeReplay, error) {
+	var h *trace.Hooks
+	if mcs != nil {
+		h = &trace.Hooks{Misses: mcs}
+	}
+	n := &nodeReplay{}
+	for k := 0; k < nodes; k++ {
+		pairs, err := newPairs(geoms)
+		var rp *trace.Replayer
+		if err == nil {
+			rp, err = trace.NewReplayer(pairs, h)
+		}
+		if err != nil {
+			n.close()
+			return nil, err
+		}
+		n.pairs, n.rps = append(n.pairs, pairs), append(n.rps, rp)
+	}
+	return n, nil
+}
+
+// feed replays node k's next references; a nil nodeReplay takes none.
+func (n *nodeReplay) feed(k int, refs []uint32) {
+	if n != nil {
+		n.rps[k].Feed(refs)
+	}
+}
+
+// close ends every node's stream, once; a nil nodeReplay has none.
+func (n *nodeReplay) close() {
+	if n != nil {
+		for _, rp := range n.rps {
+			rp.Close()
+		}
+		n.rps = nil
+	}
+}
+
+// stats ends every node's stream and sums each geometry's statistics
+// over the nodes.
+func (n *nodeReplay) stats(geoms []cache.Config) []CacheStats {
+	n.close()
+	out := newStats(geoms)
+	for _, pairs := range n.pairs {
+		addStats(out, pairs)
+	}
+	return out
+}
+
+// newPairs builds one fresh pair per geometry.
+func newPairs(geoms []cache.Config) ([]trace.Pair, error) {
+	pairs := make([]trace.Pair, len(geoms))
+	for g := range geoms {
+		var err error
+		if pairs[g], err = trace.NewPair(geoms[g]); err != nil {
+			return nil, err
+		}
+	}
+	return pairs, nil
+}
+
+// newStats returns zeroed statistics for geoms.
+func newStats(geoms []cache.Config) []CacheStats {
+	out := make([]CacheStats, len(geoms))
+	for g := range geoms {
+		out[g].Config = geoms[g]
+	}
+	return out
+}
+
+// addStats adds each pair's misses and writebacks into out, position
+// by position.
+func addStats(out []CacheStats, pairs []trace.Pair) {
+	for i, p := range pairs {
+		cs := &out[i]
+		cs.IMisses += p.I.Stats().Misses
+		cs.DMisses += p.D.Stats().Misses
+		cs.Writebacks += p.D.Stats().Writebacks
+	}
 }
 
 // simulate runs every cell without recording, on the pool forEachCell
@@ -581,10 +702,7 @@ func (r *Run) replay(ctx context.Context, recs []*trace.Recording, geoms []cache
 	if err != nil {
 		return err
 	}
-	r.Caches = caches
-	for g := range mcs {
-		mcs[g].AddTo(r.Metrics, geoms[g].String())
-	}
+	r.fill(caches, mcs)
 	if r.NIC == nil || r.nicRecs == nil {
 		return nil
 	}
@@ -595,14 +713,30 @@ func (r *Run) replay(ctx context.Context, recs []*trace.Recording, geoms []cache
 		return err
 	}
 	r.nicRecs = nil
-	r.NIC.IMisses, r.NIC.DMisses, r.NIC.Writebacks = nic[0].IMisses, nic[0].DMisses, nic[0].Writebacks
+	r.nicMisses(nic[0])
+	return nil
+}
+
+// fill sets the run's per-geometry statistics and folds the
+// attribution, if any, into its registry serially, in geometry order,
+// under each geometry's label.
+func (r *Run) fill(caches []CacheStats, mcs []trace.MissCounts) {
+	r.Caches = caches
+	for g := range mcs {
+		mcs[g].AddTo(r.Metrics, caches[g].Config.String())
+	}
+}
+
+// nicMisses sets the NIC engine's miss statistics and, when the run
+// carries a metrics registry, its nic.* counters.
+func (r *Run) nicMisses(c CacheStats) {
+	r.NIC.IMisses, r.NIC.DMisses, r.NIC.Writebacks = c.IMisses, c.DMisses, c.Writebacks
 	if r.Metrics != nil {
 		r.Metrics.Counter("nic.instructions").Add(r.NIC.Instructions)
 		r.Metrics.Counter("nic.miss.fetch").Add(r.NIC.IMisses)
 		r.Metrics.Counter("nic.miss.data").Add(r.NIC.DMisses)
 		r.Metrics.Counter("nic.writebacks").Add(r.NIC.Writebacks)
 	}
-	return nil
 }
 
 // packed opens node k's packed recording as a chunk source.
@@ -622,10 +756,7 @@ func fanOut(ctx context.Context, open func(node int) (trace.Source, error), node
 	if err := validate(geoms); err != nil {
 		return nil, nil, err
 	}
-	out := make([]CacheStats, len(geoms))
-	for g := range geoms {
-		out[g].Config = geoms[g]
-	}
+	out := newStats(geoms)
 	var mcs []trace.MissCounts
 	if attribute {
 		mcs = make([]trace.MissCounts, len(geoms))
@@ -637,14 +768,10 @@ func fanOut(ctx context.Context, open func(node int) (trace.Source, error), node
 		if mcs != nil {
 			h = &trace.Hooks{Misses: mcs[lo:hi]}
 		}
-		pairs := make([]trace.Pair, hi-lo)
 		for k := 0; k < nodes; k++ {
-			for g := lo; g < hi; g++ {
-				p, err := trace.NewPair(geoms[g])
-				if err != nil {
-					return err
-				}
-				pairs[g-lo] = p
+			pairs, err := newPairs(geoms[lo:hi])
+			if err != nil {
+				return err
 			}
 			src, err := open(k)
 			if err != nil {
@@ -653,12 +780,7 @@ func fanOut(ctx context.Context, open func(node int) (trace.Source, error), node
 			if err := trace.Replay(ctx, src, pairs, h); err != nil {
 				return err
 			}
-			for i, p := range pairs {
-				cs := &out[lo+i]
-				cs.IMisses += p.I.Stats().Misses
-				cs.DMisses += p.D.Stats().Misses
-				cs.Writebacks += p.D.Stats().Writebacks
-			}
+			addStats(out[lo:hi], pairs)
 		}
 		return nil
 	})
@@ -689,23 +811,6 @@ func replayGroups(n, parallelism int) [][2]int {
 	return groups
 }
 
-// RunOneParContext simulates one workload under one implementation,
-// recording its reference stream, then replays it through the given
-// cache geometries on at most parallelism workers, with cooperative
-// cancellation of both; with no geometries it only records. The
-// workload runs on opt.Nodes nodes (one by default): each node records
-// its own reference stream and the geometry fan-out replays every node
-// through its own private cache pair, summing the misses, so a Sweep
-// gains a nodes axis simply by setting Sweep.Options.Nodes.
-func RunOneParContext(ctx context.Context, w Workload, impl core.Impl, geoms []cache.Config, opt core.Options, parallelism int) (*Run, error) {
-	// Surface geometry errors before paying for a simulation.
-	if err := validate(geoms); err != nil {
-		return nil, err
-	}
-	r, _, err := cell{w, impl, opt}.run(ctx, nil, geoms, parallelism)
-	return r, err
-}
-
 // ReplayStreamFanOutContext fills per-geometry cache statistics by
 // streaming a compacted recording (see trace.Reader) through the same
 // fan-out as ReplayFanOutContext, without ever materializing the packed
@@ -717,10 +822,18 @@ func ReplayStreamFanOutContext(ctx context.Context, open func() (*trace.Reader, 
 	return caches, err
 }
 
-// RunOne simulates one workload under one implementation with the given
-// cache geometries attached, serially (parallelism 1).
+// RunOne simulates one workload under one implementation and replays
+// its streams through the given cache geometries while it records them
+// (see runCells); with no geometries it only records. The workload
+// runs on opt.Nodes nodes (one by default), each replaying through its
+// own private cache pairs, and the misses sum.
 func RunOne(w Workload, impl core.Impl, geoms []cache.Config, opt core.Options) (*Run, error) {
-	return RunOneParContext(context.Background(), w, impl, geoms, opt, 1)
+	// Surface geometry errors before paying for a simulation.
+	if err := validate(geoms); err != nil {
+		return nil, err
+	}
+	r, _, err := cell{w, impl, opt}.run(context.Background(), nil, geoms)
+	return r, err
 }
 
 // --- Table 2 ----------------------------------------------------------------

@@ -21,13 +21,14 @@ func RecordCluster(w Workload, impl core.Impl, opt core.Options) (*Run, []*trace
 // RecordClusterContext is RecordCluster with cooperative cancellation
 // of the simulation step loop.
 func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
-	return cell{w, impl, opt}.record(ctx, false)
+	return cell{w, impl, opt}.record(ctx, nil)
 }
 
-// record is RecordClusterContext for the cell. With logged set, on a
-// backend with NIC-offloaded inlets, each node also logs where its
-// references alternate between its two streams (see twins).
-func (c cell) record(ctx context.Context, logged bool) (*Run, []*trace.Recording, error) {
+// record is RecordClusterContext for the cell. drain, when non-nil, is
+// called with each node's index and recordings before the simulation
+// runs, to attach their drains; nic is nil on a backend without
+// NIC-offloaded inlets.
+func (c cell) record(ctx context.Context, drain func(k int, rec, nic *trace.Recording)) (*Run, []*trace.Recording, error) {
 	cs, err := c.build()
 	if err != nil {
 		return nil, nil, err
@@ -38,12 +39,8 @@ func (c cell) record(ctx context.Context, logged bool) (*Run, []*trace.Recording
 	// inlets and system handlers record into their own stream and
 	// replay against the node's private NIC cache pair.
 	var nicRecs []*trace.Recording
-	var logs []*trace.Switches
 	if c.impl.Caps().NICInlets {
 		nicRecs = make([]*trace.Recording, cs.Nodes)
-		if logged {
-			logs = make([]*trace.Switches, cs.Nodes)
-		}
 	}
 	for k, s := range cs.Sims {
 		recs[k] = &trace.Recording{}
@@ -52,9 +49,8 @@ func (c cell) record(ctx context.Context, logged bool) (*Run, []*trace.Recording
 			nicRecs[k] = &trace.Recording{}
 			s.NICTracer = nicRecs[k]
 		}
-		if logs != nil {
-			logs[k] = &trace.Switches{}
-			s.Switches = logs[k]
+		if drain != nil {
+			drain(k, s.Tracer, s.NICTracer)
 		}
 	}
 	if err := cs.RunContext(ctx); err != nil {
@@ -83,7 +79,6 @@ func (c cell) record(ctx context.Context, logged bool) (*Run, []*trace.Recording
 		}
 		r.NIC = nic
 		r.nicRecs = nicRecs
-		r.switches = logs
 	}
 	if cs.Obs != nil {
 		r.Metrics = cs.Obs.Metrics

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -17,8 +16,7 @@ func TestRunClusterFillsCachesAndTicks(t *testing.T) {
 		{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4},
 		{SizeBytes: 1 * 1024, BlockBytes: 64, Assoc: 1},
 	}
-	r, err := RunOneParContext(context.Background(), tinyWorkloads[0], core.ImplAM, geoms,
-		core.Options{Nodes: 4}, 2)
+	r, err := RunOne(tinyWorkloads[0], core.ImplAM, geoms, core.Options{Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,11 +246,11 @@ func TestAssocSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunOneParBadGeometry checks geometry validation happens before
+// TestRunOneBadGeometry checks geometry validation happens before
 // simulation.
-func TestRunOneParBadGeometry(t *testing.T) {
+func TestRunOneBadGeometry(t *testing.T) {
 	bad := []cache.Config{{SizeBytes: 100, BlockBytes: 64, Assoc: 1}}
-	if _, err := RunOneParContext(context.Background(), Workload{"ss", 40}, core.ImplMD, bad, core.Options{}, 2); err == nil {
+	if _, err := RunOne(Workload{"nope", 1}, core.ImplMD, bad, core.Options{}); err == nil || !strings.Contains(err.Error(), "power of two") {
 		t.Error("invalid geometry accepted")
 	}
 }

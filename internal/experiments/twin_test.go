@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -26,22 +25,6 @@ func table2Grid() []cache.Config {
 	return geoms
 }
 
-// words reads a source to its end.
-func words(t *testing.T, src trace.Source) []uint32 {
-	t.Helper()
-	var out []uint32
-	for {
-		c, err := src.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, c...)
-	}
-}
-
 // diffRuns names the exported fields in which two runs differ.
 func diffRuns(a, b *Run) []string {
 	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
@@ -54,55 +37,86 @@ func diffRuns(a, b *Run) []string {
 	return out
 }
 
-// TestTwinRunsMatchSeparateRuns checks the shared simulation of am and
-// offload: for every quick workload at N = 1, 4 and 8, a runCells over
-// the two backends must give each the run it gets when recorded and
-// replayed on its own, every field of it, through the Table-2 grid.
-// Each node's offload streams, merged by the switch log, must also be
+// TestTwinRunsMatchSeparateRuns checks runCells, which replays each
+// stream while the simulation records it and simulates am and offload
+// once, against the two-phase path. For every quick workload under
+// every backend at N = 1, 4 and 8, with and without an observability
+// sink, each cell's run must equal, every field of it (NIC and metrics
+// included), the run RecordClusterContext and
+// ReplayClusterFanOutContext give it through the Table-2 grid. Each
+// node's two offload streams, drained into one slice, must also be
 // AM's own recording word for word.
 func TestTwinRunsMatchSeparateRuns(t *testing.T) {
 	geoms := table2Grid()
 	ctx := context.Background()
+	var impls []core.Impl
+	for _, b := range core.Backends() {
+		impls = append(impls, b.Impl)
+	}
 	for _, nodes := range []int{1, 4, 8} {
-		opt := core.Options{Nodes: nodes}
 		for _, w := range QuickWorkloads() {
-			name := fmt.Sprintf("%s N=%d", w.Name, nodes)
-			cells := grid([]Workload{w}, []core.Impl{core.ImplAM, core.ImplOffload}, opt)
-			if tw := twins(cells); !slices.Equal(tw, []int{1, 0}) {
-				t.Fatalf("%s: twins = %v, want [1 0]", name, tw)
-			}
-			shared, err := runCells(ctx, cells, geoms, 0, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
 			var amRecs []*trace.Recording
-			for i, c := range cells {
-				r, recs, err := RecordClusterContext(ctx, w, c.impl, opt)
+			for _, sink := range []bool{false, true} {
+				name := fmt.Sprintf("%s N=%d sink=%v", w.Name, nodes, sink)
+				opt := func() core.Options {
+					o := core.Options{Nodes: nodes}
+					if sink {
+						o.Obs = obs.New()
+					}
+					return o
+				}
+				var cells []cell
+				for _, impl := range impls {
+					cells = append(cells, cell{w, impl, opt()})
+				}
+				if paired := slices.ContainsFunc(twins(cells), func(j int) bool { return j >= 0 }); paired == sink {
+					t.Fatalf("%s: twins %v", name, twins(cells))
+				}
+				shared, err := runCells(ctx, cells, geoms, 0, nil)
 				if err != nil {
-					t.Fatalf("%s/%s: %v", name, c.impl, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				if err := ReplayClusterFanOutContext(ctx, r, recs, geoms, 1); err != nil {
-					t.Fatalf("%s/%s: %v", name, c.impl, err)
-				}
-				if !reflect.DeepEqual(shared[i], r) {
-					t.Errorf("%s/%s: shared run differs from its own in %v", name, c.impl, diffRuns(shared[i], r))
-				}
-				if c.impl == core.ImplAM {
-					amRecs = recs
+				for i, c := range cells {
+					r, recs, err := RecordClusterContext(ctx, w, c.impl, opt())
+					if err != nil {
+						t.Fatalf("%s/%s: %v", name, c.impl, err)
+					}
+					if err := ReplayClusterFanOutContext(ctx, r, recs, geoms, 1); err != nil {
+						t.Fatalf("%s/%s: %v", name, c.impl, err)
+					}
+					if !reflect.DeepEqual(shared[i], r) {
+						t.Errorf("%s/%s: shared run differs from its own in %v", name, c.impl, diffRuns(shared[i], r))
+					}
+					if c.impl == core.ImplAM {
+						amRecs = recs
+					}
 				}
 			}
-			off, recs, err := cells[1].record(ctx, true)
+			merged := make([][]uint32, nodes)
+			off, recs, err := cell{w, core.ImplOffload, core.Options{Nodes: nodes}}.record(ctx, func(k int, rec, nic *trace.Recording) {
+				drain := func(refs []uint32) { merged[k] = append(merged[k], refs...) }
+				rec.Drain(drain)
+				nic.Drain(drain)
+			})
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s N=%d: %v", w.Name, nodes, err)
 			}
 			for k := range recs {
-				got := words(t, trace.Merge(recs[k], off.nicRecs[k], off.switches[k]))
-				if want := words(t, amRecs[k].Chunks()); !slices.Equal(got, want) {
-					t.Errorf("%s node %d: merged stream of %d refs differs from AM's %d", name, k, len(got), len(want))
+				recs[k].Flush()
+				off.nicRecs[k].Flush()
+				if want := words(amRecs[k]); !slices.Equal(merged[k], want) {
+					t.Errorf("%s N=%d node %d: drained stream of %d refs differs from AM's %d", w.Name, nodes, k, len(merged[k]), len(want))
 				}
 			}
 		}
 	}
+}
+
+// words returns the packed words rec holds, in order.
+func words(rec *trace.Recording) []uint32 {
+	var out []uint32
+	rec.Do(func(k trace.Kind, addr uint32) { out = append(out, trace.Encode(k, addr)) })
+	return out
 }
 
 // TestTwins pins which cells share a simulation: only an offload cell

@@ -26,8 +26,8 @@ import (
 // priority's recording, and the reference class is counted where it is
 // known: the code-segment test of the fetch decides system against
 // user code, and mem.Classify the data accesses. When that recording is
-// not the one the last reference went to, the stretch notes the switch
-// before its first reference (see LogSwitches).
+// not the one the last reference went to, the stretch switches to it
+// before its first reference (see switchTo).
 func (m *Machine) step(stop uint64) bool {
 	pri := High
 	switch {

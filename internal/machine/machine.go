@@ -89,10 +89,8 @@ type Machine struct {
 	hiInstrs uint64
 	trapErr  error
 
-	// sink is the recording the last reference went to, and switches,
-	// when non-nil, logs every change of it (see LogSwitches).
-	sink     *trace.Recording
-	switches *trace.Switches
+	// sink is the recording the last reference went to (see switchTo).
+	sink *trace.Recording
 }
 
 // NewMachine builds a machine around the given memory and code store.
@@ -135,24 +133,23 @@ func (m *Machine) SetTracer(rec, nic *trace.Recording) {
 	m.sink = rec
 }
 
-// LogSwitches has the machine log in s, from its next reference on,
-// every switch of its appends between the two recordings SetTracer
-// attached, so that trace.Merge can read them back as the one stream a
-// single recording would have held. The sink can change only where a
-// stretch makes its priority decision and where Inject buffers a
-// message; nil stops the log.
-func (m *Machine) LogSwitches(s *trace.Switches) { m.switches = s }
-
-// switchTo moves the sink to rec, logging the switch when a log is
-// attached. Only a machine with a NIC recording ever switches, so the
-// compare that guards each call is predictable everywhere else. It
-// stays out of line, so that the guard is all the interpreter holds.
+// switchTo moves the sink to rec and flushes the recording it leaves
+// (trace.Recording.Flush), so that a drain attached to both of the
+// recordings SetTracer attached sees their references in execution
+// order: the one stream a single recording would have held. The sink
+// can change only where a stretch makes its priority decision, where
+// dispatch reads a message and where Inject buffers one, and every
+// append the machine makes follows one of these, so only the sink
+// being appended to can seal a chunk. The Active Access service
+// records from outside the machine, into the compute recording, but
+// that backend never has a NIC recording. Only a machine with a NIC
+// recording ever switches, so the compare that guards each call is
+// predictable everywhere else. It stays out of line, so that the guard
+// is all the interpreter holds.
 //
 //go:noinline
 func (m *Machine) switchTo(rec *trace.Recording) {
-	if m.switches != nil {
-		m.switches.Switch(m.sink)
-	}
+	m.sink.Flush()
 	m.sink = rec
 }
 

@@ -184,6 +184,51 @@ func TestResumeDropsPreUpgradeCheckpoint(t *testing.T) {
 // to its cycle counts. The restarted daemon drops it and re-runs the
 // unit, and the resumed document equals the golden.
 func TestResumeDropsCheckpointThatDoesNotAddUp(t *testing.T) {
+	digit := regexp.MustCompile(`"i_misses":\d*(\d)`)
+	resumeChangedCheckpoint(t, func(result []byte) []byte {
+		loc := digit.FindSubmatchIndex(result)
+		if loc == nil {
+			t.Fatalf("no i_misses in checkpoint %s", result)
+		}
+		res := bytes.Clone(result)
+		res[loc[2]] = '0' + (res[loc[2]]-'0'+1)%10
+		return res
+	})
+}
+
+// TestResumeDropsCheckpointAboveLRUInclusion: a journaled unit
+// checkpoint whose 8K 4-way cache misses one more than its 1K 4-way
+// one, with its cycles recomputed so that they add up, breaks LRU
+// inclusion. The restarted daemon drops it and re-runs the unit, and
+// the resumed document equals the golden.
+func TestResumeDropsCheckpointAboveLRUInclusion(t *testing.T) {
+	resumeChangedCheckpoint(t, func(result []byte) []byte {
+		var u api.SweepRunSummary
+		if err := json.Unmarshal(result, &u); err != nil {
+			t.Fatal(err)
+		}
+		small, big := &u.Caches[1], &u.Caches[3] // 1K and 8K, 4-way
+		if small.Assoc != 4 || big.Assoc != 4 || small.SizeKB != 1 || big.SizeKB != 8 {
+			t.Fatalf("checkpoint geometries %+v and %+v, want 1K and 8K 4-way", small.CacheSpec, big.CacheSpec)
+		}
+		big.IMisses = small.IMisses + 1
+		for i := range big.Cycles {
+			big.Cycles[i].Cycles = api.Cycles(u.Instructions, big.Cycles[i].Penalty, big.IMisses, big.DMisses)
+		}
+		res, err := json.Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	})
+}
+
+// resumeChangedCheckpoint runs sweepBodies[1] with a journal, rewrites
+// the journal with the checkpoint of unit 1 changed by change, and
+// restarts a daemon on it: the daemon must drop the checkpoint and
+// re-run both units, and the resumed document must equal the golden.
+func resumeChangedCheckpoint(t *testing.T, change func(result []byte) []byte) {
+	t.Helper()
 	full := filepath.Join(t.TempDir(), "full.ndjson")
 	s1, err := New(Config{JournalPath: full, ResultMemBytes: -1})
 	if err != nil {
@@ -197,20 +242,13 @@ func TestResumeDropsCheckpointThatDoesNotAddUp(t *testing.T) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	var jobID string
-	digit := regexp.MustCompile(`"i_misses":\d*(\d)`)
 	recs, _ := journalLines(t, full)
 	for _, rec := range recs {
 		switch {
 		case rec.Op == "accept" || rec.Op == "start":
 			jobID = rec.ID
 		case rec.Op == "unit" && rec.Unit.Idx == 1:
-			loc := digit.FindSubmatchIndex(rec.Unit.Result)
-			if loc == nil {
-				t.Fatalf("no i_misses in checkpoint %s", rec.Unit.Result)
-			}
-			res := bytes.Clone(rec.Unit.Result)
-			res[loc[2]] = '0' + (res[loc[2]]-'0'+1)%10
-			rec.Unit.Result = res
+			rec.Unit.Result = change(rec.Unit.Result)
 		default:
 			continue
 		}

@@ -47,7 +47,7 @@ func fakeUnit(req api.SweepRequest) api.SweepRunSummary {
 		for _, a := range req.Assocs {
 			c := api.CacheResult{
 				CacheSpec: api.CacheSpec{SizeKB: kb, BlockBytes: req.BlockBytes, Assoc: a},
-				IMisses:   h%97 + uint64(kb), DMisses: uint64(a), Writebacks: 1,
+				IMisses:   h%97 + uint64(1024/kb), DMisses: uint64(a), Writebacks: 1,
 			}
 			for _, p := range req.Penalties {
 				c.Cycles = append(c.Cycles, api.CycleCount{Penalty: p, Cycles: h + uint64(p)*(c.IMisses+c.DMisses)})
@@ -319,6 +319,8 @@ func TestCheckRowArithmetic(t *testing.T) {
 		"instructions":         {func(r *api.SweepRunSummary) { r.Instructions++ }, "add up to"},
 		"cycles":               {func(r *api.SweepRunSummary) { r.Caches[2].Cycles[1].Cycles++ }, "add up to"},
 		"writebacks unchecked": {func(r *api.SweepRunSummary) { r.Caches[0].Writebacks += 5 }, ""},
+		"8K i_misses above 1K": {func(r *api.SweepRunSummary) { missMore(r, 3, 1, true) }, "LRU inclusion"},
+		"8K d_misses above 1K": {func(r *api.SweepRunSummary) { missMore(r, 2, 0, false) }, "LRU inclusion"},
 	} {
 		r := wantUnits(spec)[0]
 		tc.change(&r)
@@ -326,6 +328,39 @@ func TestCheckRowArithmetic(t *testing.T) {
 		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
 			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
 		}
+	}
+}
+
+// missMore raises geometry row big's I- or D-misses to one above those
+// of row small and recomputes its cycles, so that only the LRU
+// inclusion bound refuses the row.
+func missMore(r *api.SweepRunSummary, big, small int, fetch bool) {
+	c := &r.Caches[big]
+	if fetch {
+		c.IMisses = r.Caches[small].IMisses + 1
+	} else {
+		c.DMisses = r.Caches[small].DMisses + 1
+	}
+	for i := range c.Cycles {
+		c.Cycles[i].Cycles = api.Cycles(r.Instructions, c.Cycles[i].Penalty, c.IMisses, c.DMisses)
+	}
+}
+
+// TestCoordinatorRejectsRowsAboveLRUInclusion: a worker row whose 8K
+// misses exceed its 1K ones at one associativity is refused, though its
+// cycles add up.
+func TestCoordinatorRejectsRowsAboveLRUInclusion(t *testing.T) {
+	bad := stubWorker(t, func(w http.ResponseWriter, r *http.Request, req api.SweepRequest) bool {
+		u := fakeUnit(req)
+		missMore(&u, 3, 1, true)
+		doc, _ := json.Marshal(api.SweepResult{Runs: []api.SweepRunSummary{u}})
+		fmt.Fprintf(w, `{"type":"result","result":%s}`+"\n", doc)
+		return false
+	})
+	c := New(Config{Workers: []string{bad.URL}, MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	_, err := c.Run(context.Background(), testSpec())
+	if err == nil || !strings.Contains(err.Error(), "LRU inclusion") {
+		t.Fatalf("err = %v, want an LRU inclusion rejection", err)
 	}
 }
 

@@ -103,9 +103,12 @@ func (s *Spec) CacheConfigs() []cache.Config {
 // names the unit it ran and carries one cache row per geometry, each
 // naming its geometry in CacheConfigs order and carrying one cycle
 // count per penalty, in Penalties order, that its instructions and
-// misses add up to (api.Cycles). A row from a worker or a journal
-// checkpoint is trusted only when it passes. Writebacks enter no
-// cycle count, so a changed writeback count passes.
+// misses add up to (api.Cycles). Its misses also obey LRU inclusion
+// (Mattson et al., 1970), which cache.Bank relies on: at one block size
+// and associativity, neither I- nor D-misses rise from a smaller cache
+// to a larger one. A row from a worker or a journal checkpoint is
+// trusted only when it passes. Writebacks obey no such bound and enter
+// no cycle count, so a changed writeback count passes.
 func (s *Spec) CheckRow(u Unit, r api.SweepRunSummary) error {
 	impl := u.Impl
 	if i, err := parseImpl(impl); err == nil {
@@ -134,6 +137,14 @@ func (s *Spec) CheckRow(u Unit, r api.SweepRunSummary) error {
 			if want := api.Cycles(r.Instructions, cc.Penalty, c.IMisses, c.DMisses); cc.Cycles != want {
 				return fmt.Errorf("geometry row %d: %d cycles at penalty %d, but its instructions and misses add up to %d",
 					i, cc.Cycles, cc.Penalty, want)
+			}
+		}
+	}
+	for i, small := range r.Caches {
+		for j, large := range r.Caches {
+			if small.Assoc == large.Assoc && small.SizeKB < large.SizeKB &&
+				(large.IMisses > small.IMisses || large.DMisses > small.DMisses) {
+				return fmt.Errorf("geometry row %d misses more than the smaller row %d of its associativity (LRU inclusion)", j, i)
 			}
 		}
 	}

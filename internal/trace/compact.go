@@ -76,7 +76,7 @@ func (r *Recording) CompactAnnotated(annotation []byte) []byte {
 	if len(annotation) > maxAnnotation {
 		annotation = annotation[:maxAnnotation]
 	}
-	total := r.Len()
+	total := r.held()
 	// Typical traces land well under two bytes per reference.
 	out := make([]byte, 0, 64+len(annotation)+total/2)
 	out = append(out, compactMagic[:]...)

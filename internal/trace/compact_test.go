@@ -19,14 +19,7 @@ type ref struct {
 func record(refs []ref) *Recording {
 	r := &Recording{}
 	for _, x := range refs {
-		switch x.k {
-		case KindFetch:
-			r.Fetch(x.addr)
-		case KindRead:
-			r.Read(x.addr)
-		default:
-			r.Write(x.addr)
-		}
+		record1(r, x)
 	}
 	return r
 }

@@ -150,8 +150,9 @@ func FuzzReaderChunks(f *testing.F) {
 // FuzzReplayMatchesScalar decodes the fuzz input into a reference
 // stream in four 64 KB windows, one at the base of each §3.1 class
 // segment, so most references repeat a block, and requires the replay
-// kernel's results, from the packed and the streamed source alike,
-// with no hooks, attribution, sampling and both, to equal the
+// kernel's results, pulled from the packed and the streamed source and
+// pushed in random slices alike, with no hooks, attribution, sampling
+// and both, to equal the
 // reference model's over the Table-2 grid and the kernel geometries.
 // Each 3-byte record is a kind, a run length and a word: the run
 // touches consecutive words, so fetch runs compact to run ops, and runs
@@ -223,9 +224,9 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 			}
 		}
 		want := scalarReplay(rec, geoms, int(every))
-		for name, open := range sources(t, rec) {
+		for name, replay := range replays(t, rec) {
 			for _, hook := range hookSets {
-				checkReplay(t, name+"/"+hook, open(), geoms, hook, int(every), want)
+				checkReplay(t, name+"/"+hook, replay, geoms, hook, int(every), want)
 			}
 		}
 	})

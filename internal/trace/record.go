@@ -62,11 +62,14 @@ var chunkPool = sync.Pool{New: func() any { return new([chunkWords]uint32) }}
 // reference counts and are exact at every moment: Fetch, Read and
 // Write classify and count each reference, while the machine's hot
 // path appends with Add and counts the class where it already knows
-// it.
+// it. A recording with a drain (see Drain) holds one chunk however
+// long the stream grows.
 type Recording struct {
 	Counts
-	full [][]uint32 // completed chunks, each exactly chunkWords long
-	tail []uint32   // active chunk, cap chunkWords
+	full    [][]uint32     // completed chunks, each exactly chunkWords long
+	tail    []uint32       // active chunk, cap chunkWords
+	drain   func([]uint32) // see Drain
+	drained int            // references handed to the drain
 }
 
 // Add appends one packed trace word without counting it; the caller
@@ -79,15 +82,41 @@ func (r *Recording) Add(w uint32) {
 	r.tail = append(r.tail, w)
 }
 
-// seal retires the full active chunk and starts a pooled one. It stays
-// out of line so that Add inlines.
+// seal retires the full active chunk and starts a pooled one, or, with
+// a drain attached, hands the chunk to the drain and reuses it in
+// place. It stays out of line so that Add inlines.
 //
 //go:noinline
 func (r *Recording) seal() {
-	if r.tail != nil {
+	switch {
+	case r.tail == nil:
+		r.tail = chunkPool.Get().(*[chunkWords]uint32)[:0]
+	case r.drain != nil:
+		r.Flush()
+	default:
 		r.full = append(r.full, r.tail)
+		r.tail = chunkPool.Get().(*[chunkWords]uint32)[:0]
 	}
-	r.tail = chunkPool.Get().(*[chunkWords]uint32)[:0]
+}
+
+// Drain attaches fn, before the first reference, as the recording's
+// drain: every reference then reaches fn exactly once, in append order,
+// a chunk at a time as the active chunk fills and the rest at each
+// Flush, and the chunk is reused in place, so the recording holds one
+// chunk however long the stream grows. fn must be done with the slice
+// when it returns. Len and Counts still count every reference; Chunks,
+// Do and Compact see only the references not yet drained.
+func (r *Recording) Drain(fn func(refs []uint32)) { r.drain = fn }
+
+// Flush hands the drain the references it has not yet seen. Without a
+// drain, or on a nil recording, it does nothing.
+func (r *Recording) Flush() {
+	if r == nil || r.drain == nil || len(r.tail) == 0 {
+		return
+	}
+	r.drain(r.tail)
+	r.drained += len(r.tail)
+	r.tail = r.tail[:0]
 }
 
 // Release empties the stream and returns its chunks to a pool that
@@ -100,7 +129,7 @@ func (r *Recording) Release() {
 			chunkPool.Put((*[chunkWords]uint32)(c[:chunkWords]))
 		}
 	}
-	r.full, r.tail = nil, nil
+	r.full, r.tail, r.drained = nil, nil, 0
 }
 
 // Fetch records an instruction fetch. A nil recording records nothing.
@@ -127,8 +156,12 @@ func (r *Recording) Write(addr uint32) {
 	}
 }
 
-// Len returns the number of recorded references.
-func (r *Recording) Len() int { return len(r.full)*chunkWords + len(r.tail) }
+// Len returns the number of recorded references, drained ones
+// included.
+func (r *Recording) Len() int { return r.drained + r.held() }
+
+// held returns the number of references the recording holds.
+func (r *Recording) held() int { return len(r.full)*chunkWords + len(r.tail) }
 
 // Bytes returns the recording's approximate memory footprint.
 func (r *Recording) Bytes() int {

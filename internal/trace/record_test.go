@@ -3,12 +3,14 @@ package trace
 import (
 	"context"
 	"maps"
+	"slices"
 	"sync"
 	"testing"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
 	"jmtam/internal/obs"
+	"jmtam/internal/rng"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -313,4 +315,63 @@ func TestReleaseConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDrainSeesEveryReferenceOnce records a stream of three chunks and
+// more into a drained recording, flushing at random points as well as
+// when chunks fill: the drain must receive every reference exactly
+// once and in order, Len and Counts must count them all, and the
+// recording must hold one chunk throughout and none of the stream.
+func TestDrainSeesEveryReferenceOnce(t *testing.T) {
+	refs := randomRefs(9, 3*chunkWords+5)
+	want := record(refs)
+	var got []uint32
+	rec := &Recording{}
+	rec.Drain(func(ws []uint32) { got = append(got, ws...) })
+	src := rng.New(9)
+	flushes := 0
+	for i, r := range refs {
+		record1(rec, r)
+		if src.Uint64()%4096 == 0 {
+			rec.Flush()
+			flushes++
+		}
+		if rec.Len() != i+1 || rec.Bytes() != 4*chunkWords {
+			t.Fatalf("after ref %d: Len = %d, Bytes = %d; want %d and one chunk", i, rec.Len(), rec.Bytes(), i+1)
+		}
+	}
+	rec.Flush()
+	rec.Flush() // a second flush hands over nothing
+	if flushes == 0 {
+		t.Fatal("no flush between seals")
+	}
+	if w := words(want); !slices.Equal(got, w) {
+		t.Errorf("drain received %d refs, want the %d recorded in order", len(got), len(w))
+	}
+	if rec.Len() != len(refs) || rec.Counts != want.Counts {
+		t.Errorf("Len = %d, Counts = %+v; want %d and %+v", rec.Len(), rec.Counts, len(refs), want.Counts)
+	}
+	if n := len(words(rec)); n != 0 {
+		t.Errorf("recording still holds %d drained refs", n)
+	}
+	rec.Release()
+}
+
+// record1 records one reference into rec.
+func record1(rec *Recording, r ref) {
+	switch r.k {
+	case KindFetch:
+		rec.Fetch(r.addr)
+	case KindRead:
+		rec.Read(r.addr)
+	default:
+		rec.Write(r.addr)
+	}
+}
+
+// words returns the packed words rec holds, in order.
+func words(rec *Recording) []uint32 {
+	var out []uint32
+	rec.Do(func(k Kind, addr uint32) { out = append(out, Encode(k, addr)) })
+	return out
 }

@@ -10,14 +10,14 @@ import (
 	"jmtam/internal/obs"
 )
 
-// Source yields a recorded reference stream in chunks, in order. Next
-// returns the next chunk as packed trace words, and io.EOF after the
-// last; a sampled replay reads it, to cut the stream at sample
-// boundaries. split feeds the next chunk straight into the kernel's
-// fetch and data streams, and also returns io.EOF after the last. A
-// *Reader is a Source over compacted bytes, and Recording.Chunks
-// returns one over the packed in-memory form, so the replay kernel
-// consumes either without caring which.
+// Source yields a recorded reference stream in chunks, in order, for
+// Replay's pull loop. Next returns the next chunk as packed trace
+// words, and io.EOF after the last; a sampled replay reads it, to cut
+// the stream at sample boundaries. split feeds the next chunk straight
+// into the kernel's fetch and data streams, and also returns io.EOF
+// after the last. A *Reader is a Source over compacted bytes, and
+// Recording.Chunks returns one over the packed in-memory form, so the
+// replay kernel consumes either without caring which.
 type Source interface {
 	Next() ([]uint32, error)
 	split(*splitter) error
@@ -41,7 +41,8 @@ func (c *cursor) split(sp *splitter) error {
 	return err
 }
 
-// Chunks returns a Source over the recording's packed chunks. The
+// Chunks returns a Source over the recording's packed chunks: the
+// references it holds, so none that a drain took (see Drain). The
 // recording must not grow while the Source is in use.
 func (r *Recording) Chunks() Source { return &cursor{chunks: r.chunks()} }
 
@@ -75,69 +76,109 @@ type Hooks struct {
 	SampleEvery int
 }
 
-// Replay streams src through every pair in one pass: fetches probe the
-// instruction caches, reads and writes the data caches, so replaying
-// into fresh pairs yields statistics identical to probing them with
-// every reference during simulation. It takes fresh pairs. Each chunk
-// is split, in the pass that decodes it, into a fetch stream and a data
-// stream, and each stream drops every reference to the block of its own
-// previous reference at the smallest block size of the pairs: that
-// reference is a most-recently-used hit in every cache it would reach.
-// A *Reader decodes a run of sequential fetches straight to the blocks
-// it crosses. The survivors go in batches to a cache.Bank of the pairs'
-// I-caches and one of their D-caches, which also count the dropped
-// references as accesses; the banks hold the contents and the pairs
-// receive statistics only, so a pair that has seen an access is an
-// error. Hooks attribute misses in the banks and cut the batches at
+// Replayer is the replay kernel, fed by pushes: Feed hands it the next
+// references of one stream, in order and in slices of any length, and
+// Close ends the stream. Fetches probe the instruction caches, reads
+// and writes the data caches, so replaying into fresh pairs yields
+// statistics identical to probing them with every reference during
+// simulation; a recording's drain can therefore feed a Replayer while
+// the simulation records, and nothing need hold the whole stream.
+//
+// Each slice is split, in the pass that reads it, into a fetch stream
+// and a data stream, and each stream drops every reference to the block
+// of its own previous reference at the smallest block size of the
+// pairs: that reference is a most-recently-used hit in every cache it
+// would reach. The survivors go in batches to a cache.Bank of the
+// pairs' I-caches and one of their D-caches, which also count the
+// dropped references as accesses; the banks hold the contents and the
+// pairs receive statistics only, so a pair that has seen an access is
+// an error. Hooks attribute misses in the banks and cut the batches at
 // sample boundaries (see Hooks).
+type Replayer struct {
+	pairs []Pair
+	h     *Hooks
+	sp    *splitter
+	cuts  *cutter // nil unless sampling
+}
+
+// NewReplayer starts a replay of one stream through fresh pairs, with
+// optional hooks. It takes two stream buffers from a pool, which Close
+// returns.
+func NewReplayer(pairs []Pair, h *Hooks) (*Replayer, error) {
+	sp, err := newSplitter(pairs, h != nil && h.Misses != nil)
+	if err != nil {
+		return nil, err
+	}
+	rp := &Replayer{pairs: pairs, h: h, sp: sp}
+	if h != nil && h.Sample != nil {
+		rp.cuts = newCutter(h, pairs)
+	}
+	return rp, nil
+}
+
+// Feed replays the stream's next references, packed trace words.
+func (rp *Replayer) Feed(refs []uint32) {
+	if rp.cuts == nil {
+		rp.sp.packed(refs)
+	} else {
+		rp.cuts.feed(refs, rp.sp)
+	}
+}
+
+// Close ends the stream: both streams flush into the banks, a sampled
+// replay reports its final partial sample, and the attribution adds
+// into Hooks.Misses. The pairs' statistics are then complete, and the
+// stream buffers go back to the pool. Feed must not be called after.
+func (rp *Replayer) Close() {
+	rp.sp.flush()
+	if rp.cuts != nil {
+		rp.cuts.cut(false)
+	}
+	if rp.h != nil && rp.h.Misses != nil {
+		for i, p := range rp.pairs {
+			rp.h.Misses[i].add(p)
+		}
+	}
+	rp.sp.release()
+}
+
+// Replay streams src through every pair in one pass of a Replayer,
+// pulling one chunk at a time; a *Reader decodes a run of sequential
+// fetches straight to the blocks it crosses unless the replay samples.
+// It takes fresh pairs.
 //
 // The context is checked before every chunk; on cancellation Replay
 // returns ctx.Err() and the pairs' statistics are partial and must be
-// discarded, as they must on a source error.
+// discarded, as they must on a source error. Either way no final
+// sample is reported.
 func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
-	var attribute bool
-	var cuts *cutter
-	if h != nil {
-		attribute = h.Misses != nil
-		if h.Sample != nil {
-			cuts = newCutter(h, pairs)
-		}
-	}
-	sp, err := newSplitter(pairs, attribute)
+	rp, err := NewReplayer(pairs, h)
 	if err != nil {
 		return err
 	}
-	defer sp.release()
 	done := ctx.Done()
-	for {
+	for err == nil {
 		if done != nil {
 			select {
 			case <-done:
-				return ctx.Err()
+				err = ctx.Err()
+				continue
 			default:
 			}
 		}
-		if cuts == nil {
-			err = src.split(sp)
+		if rp.cuts == nil {
+			err = src.split(rp.sp)
 		} else {
-			err = cuts.split(src, sp)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
+			var ch []uint32
+			ch, err = src.Next()
+			rp.Feed(ch)
 		}
 	}
-	sp.flush()
-	if cuts != nil {
-		cuts.cut(false)
+	if err != io.EOF {
+		rp.sp.release()
+		return err
 	}
-	if attribute {
-		for i, p := range pairs {
-			h.Misses[i].add(p)
-		}
-	}
+	rp.Close()
 	return nil
 }
 
@@ -159,11 +200,10 @@ func newCutter(h *Hooks, pairs []Pair) *cutter {
 	return &cutter{sample: h.Sample, pairs: pairs, every: every, last: make([][2]uint64, len(pairs))}
 }
 
-// split feeds the source's next chunk into sp's streams, cutting after
-// every every-th fetch.
-func (c *cutter) split(src Source, sp *splitter) error {
-	ch, err := src.Next()
-	for _, w := range ch {
+// feed passes refs into sp's streams, cutting after every every-th
+// fetch.
+func (c *cutter) feed(refs []uint32, sp *splitter) {
+	for _, w := range refs {
 		if w>>kindShift != uint32(KindFetch) {
 			sp.data.add(w&addrMask, w>>(kindShift+1))
 			continue
@@ -174,7 +214,6 @@ func (c *cutter) split(src Source, sp *splitter) error {
 			c.cut(true)
 		}
 	}
-	return err
 }
 
 // cut reports each pair's misses since the previous cut: every pair's

@@ -89,11 +89,11 @@ func scalarReplay(rec *Recording, geoms []cache.Config, every int) []outcome {
 // hookSets names the hook combinations checkReplay takes.
 var hookSets = []string{"none", "attribution", "sampling", "both"}
 
-// checkReplay replays src through fresh pairs of geoms with the named
-// hook set, sampling with SampleEvery set to every, and requires cache
+// checkReplay replays through fresh pairs of geoms with the named hook
+// set, sampling with SampleEvery set to every, and requires cache
 // statistics, miss attribution and density samples identical to want,
 // and samples that arrive cut by cut, in pair order within a cut.
-func checkReplay(t *testing.T, name string, src Source, geoms []cache.Config, hook string, every int, want []outcome) {
+func checkReplay(t *testing.T, name string, replay replayFunc, geoms []cache.Config, hook string, every int, want []outcome) {
 	t.Helper()
 	pairs := newPairs(t, geoms)
 	h := &Hooks{SampleEvery: every}
@@ -112,7 +112,7 @@ func checkReplay(t *testing.T, name string, src Source, geoms []cache.Config, ho
 			calls = append(calls, call{pair, instrs})
 		}
 	}
-	if err := Replay(context.Background(), src, pairs, h); err != nil {
+	if err := replay(pairs, h); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	for g, p := range pairs {
@@ -139,13 +139,10 @@ func checkReplay(t *testing.T, name string, src Source, geoms []cache.Config, ho
 	}
 }
 
-// sources opens the recording as each kind of chunk source the kernel
-// accepts: its packed chunks, a Reader over its compacted bytes, and
-// its references dealt into two recordings merged back by their switch
-// log.
+// sources opens the recording as each kind of chunk source Replay
+// pulls: its packed chunks and a Reader over its compacted bytes.
 func sources(t *testing.T, rec *Recording) map[string]func() Source {
 	compacted := rec.Compact()
-	a, b, log := splitRecording(rec, uint64(rec.Len()))
 	return map[string]func() Source{
 		"packed": rec.Chunks,
 		"streamed": func() Source {
@@ -155,37 +152,52 @@ func sources(t *testing.T, rec *Recording) map[string]func() Source {
 			}
 			return rd
 		},
-		"merged": func() Source { return Merge(a, b, log) },
 	}
 }
 
-// splitRecording deals rec's references into two recordings, a first,
-// in runs of random length: empty, of one reference, of up to 64, and
-// of up to two chunks. It logs each switch as a machine does, so that
-// Merge(a, b, log) reads rec's stream.
-func splitRecording(rec *Recording, seed uint64) (a, b *Recording, log *Switches) {
-	a, b, log = &Recording{}, &Recording{}, &Switches{}
-	src := rng.New(seed)
-	cur, other := a, b
-	left := 0
-	rec.Do(func(k Kind, addr uint32) {
-		for left == 0 {
-			log.Switch(cur)
-			cur, other = other, cur
+// replayFunc replays one stream through fresh pairs with hooks.
+type replayFunc func(pairs []Pair, h *Hooks) error
+
+// replays returns every way the kernel takes the recording: Replay
+// pulling each of its sources, and a Replayer it is pushed to (see
+// pushed).
+func replays(t *testing.T, rec *Recording) map[string]replayFunc {
+	out := map[string]replayFunc{"pushed": pushed(rec, uint64(rec.Len()))}
+	for name, open := range sources(t, rec) {
+		out[name] = func(pairs []Pair, h *Hooks) error { return Replay(context.Background(), open(), pairs, h) }
+	}
+	return out
+}
+
+// pushed feeds rec's references to a Replayer in slices of random
+// length: empty, of one reference, of up to 64, and of up to two
+// chunks, which cross the recording's chunk boundaries.
+func pushed(rec *Recording, seed uint64) replayFunc {
+	refs := words(rec)
+	return func(pairs []Pair, h *Hooks) error {
+		rp, err := NewReplayer(pairs, h)
+		if err != nil {
+			return err
+		}
+		src := rng.New(seed)
+		for rest := refs; len(rest) > 0; {
+			var n int
 			switch src.Uint64() % 4 {
 			case 0:
 			case 1:
-				left = 1
+				n = 1
 			case 2:
-				left = 1 + int(src.Uint64()%64)
+				n = 1 + int(src.Uint64()%64)
 			default:
-				left = 1 + int(src.Uint64()%(2*chunkWords))
+				n = 1 + int(src.Uint64()%(2*chunkWords))
 			}
+			n = min(n, len(rest))
+			rp.Feed(rest[:n])
+			rest = rest[n:]
 		}
-		cur.Add(Encode(k, addr))
-		left--
-	})
-	return a, b, log
+		rp.Close()
+		return nil
+	}
 }
 
 func newPairs(t *testing.T, geoms []cache.Config) []Pair {
@@ -201,10 +213,11 @@ func newPairs(t *testing.T, geoms []cache.Config) []Pair {
 }
 
 // TestReplayKernelEquivalence drives the replay kernel over every
-// combination of chunk source, hook set, geometry set and trace — the
-// random traces' lengths straddle the stream-buffer and chunk
-// boundaries — and requires cache statistics, miss attribution and
-// density samples identical to the reference model's.
+// combination of input (pulled from either chunk source, or pushed in
+// random slices), hook set, geometry set and trace — the random
+// traces' lengths straddle the stream-buffer and chunk boundaries — and
+// requires cache statistics, miss attribution and density samples
+// identical to the reference model's.
 func TestReplayKernelEquivalence(t *testing.T) {
 	type namedTrace struct {
 		name string
@@ -225,16 +238,16 @@ func TestReplayKernelEquivalence(t *testing.T) {
 	traces = append(traces, namedTrace{"longrun", record(longRun)})
 	for _, tr := range traces {
 		rec := tr.rec
-		srcs := sources(t, rec)
+		runs := replays(t, rec)
 		// The fourth set is the Table-2 grid, ten stages in one bank; the
 		// last puts a second block size behind an 8-byte one.
 		for _, geoms := range [][]cache.Config{kernelGeoms[:1], kernelGeoms[:3], kernelGeoms, table2Geoms(),
 			{{SizeBytes: 1 << 10, BlockBytes: 8, Assoc: 1}, {SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4}}} {
 			want := scalarReplay(rec, geoms, testSampleEvery)
-			for _, srcName := range []string{"packed", "streamed", "merged"} {
+			for _, how := range []string{"packed", "streamed", "pushed"} {
 				for _, hook := range hookSets {
-					name := fmt.Sprintf("%s/geoms=%d/%s/%s", tr.name, len(geoms), srcName, hook)
-					checkReplay(t, name, srcs[srcName](), geoms, hook, testSampleEvery, want)
+					name := fmt.Sprintf("%s/geoms=%d/%s/%s", tr.name, len(geoms), how, hook)
+					checkReplay(t, name, runs[how], geoms, hook, testSampleEvery, want)
 				}
 			}
 		}

@@ -3,12 +3,14 @@
 // A Recording is the engine's one reference sink: it captures the
 // stream once — packed {kind:2, addr:30} words, four bytes per
 // reference — with exact per-class counts (system/user x code/data,
-// the paper's §3.1 classification), and Replay streams it through
-// cache pairs afterwards, turning the geometry fan-out into independent
-// passes that a worker pool can run concurrently. Replay is
-// bit-equivalent to probing every pair with every reference as it
-// happens. A recording that has been replayed can Release its chunks
-// to a pool, so the next simulation appends into recycled buffers.
+// the paper's §3.1 classification). A Replayer runs the stream through
+// cache pairs, bit-equivalent to probing every pair with every
+// reference as it happens: fed by the recording's drain while the
+// simulation records, so that only one chunk is ever held, or
+// afterwards by Replay, which pulls the chunks of a kept recording or
+// of its compacted bytes. A recording that has been replayed can
+// Release its chunks to a pool, so the next simulation appends into
+// recycled buffers.
 package trace
 
 import (
