@@ -41,35 +41,52 @@ import (
 )
 
 func main() {
-	prog := flag.String("prog", "ss", "benchmark: mmt|qs|dtw|paraffins|wavefront|ss")
-	arg := flag.Int("arg", 0, "problem size (0 = paper argument)")
-	implName := flag.String("impl", "md", "backend: "+strings.Join(core.BackendNames(), "|"))
-	sizesKB := flag.String("cache", "8", "cache size(s) in Kbytes (I and D), comma-separated")
-	assocs := flag.String("assoc", "4", "set associativity list, comma-separated")
-	blocks := flag.String("block", "64", "block size(s) in bytes, comma-separated")
-	par := flag.Int("parallel", 0, "concurrent trace replays (0 = GOMAXPROCS)")
-	dump := flag.Bool("dump", false, "print disassembly instead of running")
-	hist := flag.Bool("hist", false, "also print the quantum-size histogram and instruction mix")
-	eventsOut := flag.String("events", "", "write a Perfetto/Chrome trace-event timeline (JSON) to this file")
-	metricsOut := flag.String("metrics", "", "write the observability metrics registry (JSON) to this file")
-	nodes := flag.Int("nodes", 1, "mesh node count (power of two, at most 64); >1 runs the multi-node TAM runtime")
-	placementName := flag.String("placement", "round-robin", "frame placement policy for -nodes > 1: round-robin|local")
-	pairedQW := flag.Bool("paired-queue-writes", false, "model the MDP's two-word-per-cycle queue write-through (halves charged queue-buffer writes)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is tamsim on the given arguments and output streams; it returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tamsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	prog := fs.String("prog", "ss", "benchmark: mmt|qs|dtw|paraffins|wavefront|ss")
+	arg := fs.Int("arg", 0, "problem size (0 = paper argument)")
+	implName := fs.String("impl", "md", "backend: "+strings.Join(core.BackendNames(), "|"))
+	sizesKB := fs.String("cache", "8", "cache size(s) in Kbytes (I and D), comma-separated")
+	assocs := fs.String("assoc", "4", "set associativity list, comma-separated")
+	blocks := fs.String("block", "64", "block size(s) in bytes, comma-separated")
+	par := fs.Int("parallel", 0, "concurrent trace replays (0 = GOMAXPROCS)")
+	dump := fs.Bool("dump", false, "print disassembly instead of running")
+	hist := fs.Bool("hist", false, "also print the quantum-size histogram and instruction mix")
+	eventsOut := fs.String("events", "", "write a Perfetto/Chrome trace-event timeline (JSON) to this file")
+	metricsOut := fs.String("metrics", "", "write the observability metrics registry (JSON) to this file")
+	nodes := fs.Int("nodes", 1, "mesh node count (power of two, at most 64); >1 runs the multi-node TAM runtime")
+	placementName := fs.String("placement", "round-robin", "frame placement policy for -nodes > 1: round-robin|local")
+	pairedQW := fs.Bool("paired-queue-writes", false, "model the MDP's two-word-per-cycle queue write-through (halves charged queue-buffer writes)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tamsim:", err)
+		return 1
+	}
 
 	impl, err := core.ParseImpl(*implName)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	placement, err := core.ParsePlacement(*placementName)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	spec, err := programs.ByName(*prog)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	n := *arg
 	if n == 0 {
@@ -80,25 +97,25 @@ func main() {
 		c, err := core.Compile(impl, spec.Build(n),
 			core.Options{Nodes: *nodes, Placement: placement})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println("; --- system code ---")
-		fmt.Print(c.RT.Sys.Dump())
-		fmt.Println("; --- user code ---")
-		fmt.Print(c.RT.User.Dump())
-		return
+		fmt.Fprintln(stdout, "; --- system code ---")
+		fmt.Fprint(stdout, c.RT.Sys.Dump())
+		fmt.Fprintln(stdout, "; --- user code ---")
+		fmt.Fprint(stdout, c.RT.User.Dump())
+		return 0
 	}
 
 	geoms, err := geometries(*sizesKB, *assocs, *blocks)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	sink := newSink(*eventsOut, *metricsOut, *hist)
 	opt := core.Options{Nodes: *nodes, Placement: placement, PairedQueueWrites: *pairedQW, Obs: sink}
 	cs, err := core.BuildCluster(impl, spec.Build(n), opt)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	// Each node records its own reference stream. NIC-offload backends
 	// split it by execution locus: inlets and system handlers record
@@ -118,7 +135,7 @@ func main() {
 		}
 	}
 	if err := cs.Run(); err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	// Replay the recorded streams through every geometry on the
@@ -131,7 +148,7 @@ func main() {
 		r.Metrics = sink.Metrics
 	}
 	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, geoms, *par); err != nil {
-		fail(err)
+		return fail(err)
 	}
 	var counts trace.Counts
 	var refs, traceBytes, nicRefs uint64
@@ -153,12 +170,12 @@ func main() {
 			// get their own labeled tracks at the NIC geometry.
 			for k, rec := range recs {
 				if _, err := rec.MissDensityTrack(sink.Events, int32(k), geoms[0], 1000, ""); err != nil {
-					fail(err)
+					return fail(err)
 				}
 			}
 			for k, rec := range nicRecs {
 				if _, err := rec.MissDensityTrack(sink.Events, int32(k), experiments.NICGeom, 1000, "nic"); err != nil {
-					fail(err)
+					return fail(err)
 				}
 			}
 		}
@@ -168,7 +185,9 @@ func main() {
 	// NIC geometry; the cycle lines below then take the slower engine,
 	// as the experiments package does.
 	if nicRecs != nil {
-		r.NIC = replayNIC(nicRecs, cs.HighInstructions())
+		if r.NIC, err = replayNIC(nicRecs, cs.HighInstructions()); err != nil {
+			return fail(err)
+		}
 	}
 	nic := r.NIC
 
@@ -176,58 +195,58 @@ func main() {
 	mesh := cs.C != nil
 	g := cs.MergedGran()
 	if mesh {
-		fmt.Printf("%s %d under %v on %d nodes (%v placement)\n", spec.Name, n, impl, cs.Nodes, placement)
+		fmt.Fprintf(stdout, "%s %d under %v on %d nodes (%v placement)\n", spec.Name, n, impl, cs.Nodes, placement)
 	} else {
-		fmt.Printf("%s %d under %v\n", spec.Name, n, impl)
+		fmt.Fprintf(stdout, "%s %d under %v\n", spec.Name, n, impl)
 	}
-	fmt.Printf("  %s\n\n", spec.Doc)
-	fmt.Printf("  instructions      %12d\n", r.Instructions)
+	fmt.Fprintf(stdout, "  %s\n\n", spec.Doc)
+	fmt.Fprintf(stdout, "  instructions      %12d\n", r.Instructions)
 	if mesh {
 		for k, s := range cs.Sims {
-			fmt.Printf("    node %-2d         %12d\n", k, s.M.Instructions())
+			fmt.Fprintf(stdout, "    node %-2d         %12d\n", k, s.M.Instructions())
 		}
-		fmt.Printf("  elapsed ticks     %12d\n", cs.Ticks())
+		fmt.Fprintf(stdout, "  elapsed ticks     %12d\n", cs.Ticks())
 	}
-	fmt.Printf("  data reads        %12d\n", counts.TotalReads())
-	fmt.Printf("  data writes       %12d\n", counts.TotalWrites())
-	fmt.Printf("  threads           %12d\n", g.Threads)
-	fmt.Printf("  quanta            %12d\n", g.Quanta)
-	fmt.Printf("  threads/quantum   %12.1f\n", g.TPQ())
-	fmt.Printf("  instrs/thread     %12.1f\n", g.IPT())
-	fmt.Printf("  instrs/quantum    %12.1f\n", g.IPQ())
-	fmt.Printf("  trace             %12d refs (%d KB recorded)\n", refs, traceBytes/1024)
+	fmt.Fprintf(stdout, "  data reads        %12d\n", counts.TotalReads())
+	fmt.Fprintf(stdout, "  data writes       %12d\n", counts.TotalWrites())
+	fmt.Fprintf(stdout, "  threads           %12d\n", g.Threads)
+	fmt.Fprintf(stdout, "  quanta            %12d\n", g.Quanta)
+	fmt.Fprintf(stdout, "  threads/quantum   %12.1f\n", g.TPQ())
+	fmt.Fprintf(stdout, "  instrs/thread     %12.1f\n", g.IPT())
+	fmt.Fprintf(stdout, "  instrs/quantum    %12.1f\n", g.IPQ())
+	fmt.Fprintf(stdout, "  trace             %12d refs (%d KB recorded)\n", refs, traceBytes/1024)
 	suffix, nicHead := "", fmt.Sprintf("nic engine (private cache %v)", experiments.NICGeom)
 	if mesh {
-		fmt.Printf("  net messages      %12d delivered (%d words sent)\n",
+		fmt.Fprintf(stdout, "  net messages      %12d delivered (%d words sent)\n",
 			cs.C.Net.Delivered, cs.C.Net.WordsSent)
 		if sink != nil {
 			for _, name := range sink.Metrics.CounterNames() {
 				if strings.HasPrefix(name, "net.class.") || strings.HasPrefix(name, "net.latency.") {
-					fmt.Printf("    %-16s%12d\n", strings.TrimPrefix(name, "net."),
+					fmt.Fprintf(stdout, "    %-16s%12d\n", strings.TrimPrefix(name, "net."),
 						sink.Metrics.Counter(name).Value())
 				}
 			}
 		}
 		suffix, nicHead = " (per node)", fmt.Sprintf("nic engines (private cache %v per node)", experiments.NICGeom)
 	}
-	printCaches(r, suffix)
+	printCaches(stdout, r, suffix)
 	if nic != nil {
-		fmt.Printf("\n  %s\n", nicHead)
-		fmt.Printf("  instructions      %12d\n", nic.Instructions)
-		fmt.Printf("  trace             %12d refs\n", nicRefs)
-		fmt.Printf("  I-misses          %12d\n", nic.IMisses)
-		fmt.Printf("  D-misses          %12d\n", nic.DMisses)
-		fmt.Printf("  writebacks        %12d\n", nic.Writebacks)
+		fmt.Fprintf(stdout, "\n  %s\n", nicHead)
+		fmt.Fprintf(stdout, "  instructions      %12d\n", nic.Instructions)
+		fmt.Fprintf(stdout, "  trace             %12d refs\n", nicRefs)
+		fmt.Fprintf(stdout, "  I-misses          %12d\n", nic.IMisses)
+		fmt.Fprintf(stdout, "  D-misses          %12d\n", nic.DMisses)
+		fmt.Fprintf(stdout, "  writebacks        %12d\n", nic.Writebacks)
 	}
 
 	if *hist {
-		fmt.Println()
-		fmt.Print(indent(report.Histogram(
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, indent(report.Histogram(
 			"quantum-size histogram (threads per quantum)", &g.QuantumHist), "  "))
-		fmt.Print(indent(report.Histogram(
+		fmt.Fprint(stdout, indent(report.Histogram(
 			"quantum-length histogram (instructions per quantum)", &g.QuantumInstrs), "  "))
-		fmt.Printf("    largest quantum: %d threads\n", g.MaxQuantum())
-		fmt.Println("\n  dynamic opcode counts (top 12)")
+		fmt.Fprintf(stdout, "    largest quantum: %d threads\n", g.MaxQuantum())
+		fmt.Fprintln(stdout, "\n  dynamic opcode counts (top 12)")
 		type oc struct {
 			op    isa.Op
 			count uint64
@@ -249,27 +268,30 @@ func main() {
 			all = all[:12]
 		}
 		for _, e := range all {
-			fmt.Printf("    %-8v %10d (%4.1f%%)\n", e.op, e.count,
+			fmt.Fprintf(stdout, "    %-8v %10d (%4.1f%%)\n", e.op, e.count,
 				100*float64(e.count)/float64(r.Instructions))
 		}
 	}
 
-	writeObs(sink, *metricsOut, *eventsOut)
+	if err := writeObs(stdout, sink, *metricsOut, *eventsOut); err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
 // replayNIC replays the NIC engines' streams (one per node) through
 // private pairs of the NIC geometry, misses summed, as the experiments
 // package does for its runs.
-func replayNIC(recs []*trace.Recording, instrs uint64) *experiments.NICStats {
+func replayNIC(recs []*trace.Recording, instrs uint64) (*experiments.NICStats, error) {
 	r := &experiments.Run{}
 	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, []cache.Config{experiments.NICGeom}, 1); err != nil {
-		fail(err)
+		return nil, err
 	}
 	c := r.Caches[0]
 	return &experiments.NICStats{
 		Instructions: instrs, Config: experiments.NICGeom,
 		IMisses: c.IMisses, DMisses: c.DMisses, Writebacks: c.Writebacks,
-	}
+	}, nil
 }
 
 // newSink returns the observability sink the output flags need (with a
@@ -286,34 +308,36 @@ func newSink(eventsOut, metricsOut string, hist bool) *obs.Sink {
 
 // printCaches prints one block per geometry: misses, writebacks and
 // the cycle counts at the paper's three miss penalties.
-func printCaches(r *experiments.Run, suffix string) {
+func printCaches(w io.Writer, r *experiments.Run, suffix string) {
 	for i, c := range r.Caches {
-		fmt.Printf("\n  cache %v%s\n", c.Config, suffix)
-		fmt.Printf("  I-misses          %12d\n", c.IMisses)
-		fmt.Printf("  D-misses          %12d\n", c.DMisses)
-		fmt.Printf("  writebacks        %12d\n", c.Writebacks)
+		fmt.Fprintf(w, "\n  cache %v%s\n", c.Config, suffix)
+		fmt.Fprintf(w, "  I-misses          %12d\n", c.IMisses)
+		fmt.Fprintf(w, "  D-misses          %12d\n", c.DMisses)
+		fmt.Fprintf(w, "  writebacks        %12d\n", c.Writebacks)
 		for _, p := range []int{12, 24, 48} {
-			fmt.Printf("  cycles (miss=%2d)  %12d\n", p, r.Cycles(i, p, false))
+			fmt.Fprintf(w, "  cycles (miss=%2d)  %12d\n", p, r.Cycles(i, p, false))
 		}
 	}
 }
 
 // writeObs writes the sink's metrics registry and timeline to the
-// files the -metrics and -events flags name (empty = skip).
-func writeObs(sink *obs.Sink, metricsOut, eventsOut string) {
+// files the -metrics and -events flags name (empty = skip), and says so
+// on w.
+func writeObs(w io.Writer, sink *obs.Sink, metricsOut, eventsOut string) error {
 	if metricsOut != "" {
 		if err := writeFile(metricsOut, sink.Metrics.WriteJSON); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("\nmetrics written to %s\n", metricsOut)
+		fmt.Fprintf(w, "\nmetrics written to %s\n", metricsOut)
 	}
 	if eventsOut != "" {
 		if err := writeFile(eventsOut, sink.Events.WriteJSON); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("events written to %s (%d records; load in https://ui.perfetto.dev)\n",
+		fmt.Fprintf(w, "events written to %s (%d records; load in https://ui.perfetto.dev)\n",
 			eventsOut, sink.Events.Len())
 	}
+	return nil
 }
 
 // writeFile creates path and streams fn's output into it.
@@ -379,9 +403,4 @@ func geometries(sizesKB, assocs, blocks string) ([]cache.Config, error) {
 		}
 	}
 	return geoms, nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tamsim:", err)
-	os.Exit(1)
 }
