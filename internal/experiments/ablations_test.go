@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
+	"jmtam/internal/cache"
 	"jmtam/internal/core"
+	"jmtam/internal/trace"
 )
 
 var ablationWorkloads = []Workload{{"qs", 40}, {"ss", 40}}
@@ -145,5 +148,70 @@ func TestPenaltySweepAndCrossover(t *testing.T) {
 	// penalty when it does; SS's ratio asymptote stays below 1.
 	if p := CrossoverPenalty(ds, "ss", 8, 4, pens); p != -1 {
 		t.Errorf("SS crossover at %d; MD should win at any penalty", p)
+	}
+}
+
+// TestVictimSweepMatchesTwoPhase checks every backend's victim-cache
+// rows at quick scale against a two-phase reference written here:
+// record the whole stream, replay it through the 8K/4-way pair, then
+// pass it once per buffer size through an 8K direct-mapped I/D pair of
+// victim caches.
+func TestVictimSweepMatchesTwoPhase(t *testing.T) {
+	var impls []core.Impl
+	for _, b := range core.Backends() {
+		impls = append(impls, b.Impl)
+	}
+	ws := QuickWorkloads()
+	rows, err := VictimSweep(ws, impls, nil, core.Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := cache.Config{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 1}
+	var want []VictimRow
+	for _, w := range ws {
+		for _, impl := range impls {
+			r, rec, err := RecordOne(w, impl, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := trace.NewPair(headline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.ReplayAll([]trace.Pair{p})
+			row := VictimRow{Program: w.Name, Impl: impl.Name(), Entries: VictimEntries,
+				SetAssocMisses: p.Misses(), Instructions: r.Instructions}
+			for _, n := range VictimEntries {
+				vi, err := cache.NewVictim(direct, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vd, err := cache.NewVictim(direct, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec.Do(func(k trace.Kind, addr uint32) {
+					if k == trace.KindFetch {
+						vi.Access(addr, false)
+					} else {
+						vd.Access(addr, k == trace.KindWrite)
+					}
+				})
+				row.Misses = append(row.Misses, vi.Stats().Misses+vd.Stats().Misses)
+				row.VictimHits = append(row.VictimHits, vi.Stats().VictimHits+vd.Stats().VictimHits)
+			}
+			want = append(want, row)
+		}
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("VictimSweep rows differ from the two-phase reference:\ngot  %+v\nwant %+v", rows, want)
+	}
+}
+
+// TestVictimSweepRefusesMesh checks that the victim-cache ablation,
+// which models one node's caches, refuses a mesh.
+func TestVictimSweepRefusesMesh(t *testing.T) {
+	if _, err := VictimSweep(ablationWorkloads, nil, nil, core.Options{Nodes: 4}, 2); err == nil {
+		t.Error("VictimSweep ran on four nodes")
 	}
 }

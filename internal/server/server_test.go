@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"jmtam"
+	"jmtam/internal/core"
 	"jmtam/internal/obs"
 )
 
@@ -126,28 +127,31 @@ func directResult(t *testing.T, prog string, arg int, impl jmtam.Impl, penalties
 	return b
 }
 
-// TestRunStreamMatchesDirect is the tentpole guarantee: two jobs
-// running concurrently on the server each stream a final result
-// byte-identical to converting a direct jmtam.Run of the same request.
+// TestRunStreamMatchesDirect is the tentpole guarantee: jobs running
+// concurrently on the server, two per registry backend, each stream a
+// final result byte-identical to converting a direct jmtam.Run of the
+// same request.
 func TestRunStreamMatchesDirect(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	cases := []struct {
-		prog string
-		arg  int
-		impl jmtam.Impl
-		body string
-	}{
-		{"ss", 60, jmtam.MD, `{"program":"ss","arg":60,"impl":"md","caches":[{"size_kb":8,"block_bytes":64,"assoc":4},{"size_kb":1,"block_bytes":64,"assoc":1}]}`},
-		{"qs", 30, jmtam.AM, `{"program":"qs","arg":30,"impl":"am"}`},
+	type runCase struct {
+		prog  string
+		arg   int
+		impl  jmtam.Impl
+		body  string
+		geoms []jmtam.CacheConfig
 	}
-	geomsFor := func(i int) []jmtam.CacheConfig {
-		if i == 0 {
-			return []jmtam.CacheConfig{
-				{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4},
-				{SizeBytes: 1 * 1024, BlockBytes: 64, Assoc: 1},
-			}
-		}
-		return []jmtam.CacheConfig{{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}}
+	var cases []runCase
+	for _, b := range core.Backends() {
+		cases = append(cases,
+			runCase{"ss", 60, b.Impl,
+				fmt.Sprintf(`{"program":"ss","arg":60,"impl":%q,"caches":[{"size_kb":8,"block_bytes":64,"assoc":4},{"size_kb":1,"block_bytes":64,"assoc":1}]}`, b.Name),
+				[]jmtam.CacheConfig{
+					{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4},
+					{SizeBytes: 1 * 1024, BlockBytes: 64, Assoc: 1},
+				}},
+			runCase{"qs", 30, b.Impl,
+				fmt.Sprintf(`{"program":"qs","arg":30,"impl":%q}`, b.Name),
+				[]jmtam.CacheConfig{{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4}}})
 	}
 
 	got := make([][]streamLine, len(cases))
@@ -191,7 +195,7 @@ func TestRunStreamMatchesDirect(t *testing.T) {
 				t.Errorf("case %d: line %d type = %q, want %q", i, want, lines[want].Type, l)
 			}
 		}
-		geoms := geomsFor(i)
+		geoms := c.geoms
 		final := lines[len(lines)-1]
 		if final.Type != "result" {
 			t.Fatalf("case %d: final line type = %q (error %q)", i, final.Type, final.Error)

@@ -1,6 +1,7 @@
 package jmtam
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,6 +30,48 @@ func TestRunVerifies(t *testing.T) {
 	}
 	if res.Instructions == 0 || res.Threads == 0 {
 		t.Errorf("empty result: %+v", res)
+	}
+}
+
+// TestRunWithoutCaches checks that a run given no geometry reports an
+// empty, non-nil Caches.
+func TestRunWithoutCaches(t *testing.T) {
+	res, err := Run(MD, Benchmark("ss", 30), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Caches == nil || len(res.Caches) != 0 {
+		t.Errorf("Caches = %#v, want an empty non-nil slice", res.Caches)
+	}
+}
+
+// TestRunOffloadMatchesAM checks that Run under Offload equals Run under
+// AM in every Result field but Impl, for every quick workload on one
+// node and on four. Offload runs AM's exact instruction stream, and a
+// Result counts and replays the compute and NIC shares as one stream.
+func TestRunOffloadMatchesAM(t *testing.T) {
+	geoms := []CacheConfig{
+		{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4},
+		{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
+	}
+	for _, w := range experiments.QuickWorkloads() {
+		for _, nodes := range []int{1, 4} {
+			am, err := Run(AM, Benchmark(w.Name, w.Arg), Options{Nodes: nodes}, geoms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, err := Run(Offload, Benchmark(w.Name, w.Arg), Options{Nodes: nodes}, geoms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if off.Impl != Offload {
+				t.Errorf("%s N=%d: Impl = %v, want %v", w.Name, nodes, off.Impl, Offload)
+			}
+			off.Impl = AM
+			if !reflect.DeepEqual(am, off) {
+				t.Errorf("%s N=%d: offload result differs from AM's:\nam      %+v\noffload %+v", w.Name, nodes, am, off)
+			}
+		}
 	}
 }
 

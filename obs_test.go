@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"jmtam/internal/core"
 )
 
 // traceFile mirrors the Chrome trace-event JSON shape for parsing.
@@ -43,12 +45,13 @@ func runWithSink(t *testing.T, impl Impl, withEvents bool) (*Result, *Sink) {
 	return res, snk
 }
 
-// TestSinkInvariance checks the tentpole guarantee: attaching a sink
-// (with or without the event buffer) leaves every simulation result —
-// instruction counts, granularity, references, cache misses — identical
-// to the uninstrumented run.
+// TestSinkInvariance checks the tentpole guarantee: under every
+// registry backend, attaching a sink (with or without the event buffer)
+// leaves every simulation result — instruction counts, granularity,
+// references, cache misses — identical to the uninstrumented run.
 func TestSinkInvariance(t *testing.T) {
-	for _, impl := range []Impl{AM, MD} {
+	for _, b := range core.Backends() {
+		impl := b.Impl
 		base, err := Run(impl, Benchmark("qs", 16), Options{},
 			CacheConfig{SizeBytes: 8 * 1024, BlockBytes: 64, Assoc: 4})
 		if err != nil {
