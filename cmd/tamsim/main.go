@@ -3,14 +3,14 @@
 //
 //	tamsim -prog ss -arg 100 -impl md
 //	tamsim -prog mmt -arg 20 -impl am -cache 8 -assoc 4 -block 64
-//	tamsim -prog qs -impl md -cache 1,8,64 -assoc 1,4 -parallel 4
+//	tamsim -prog qs -impl md -cache 1,8,64 -assoc 1,4
 //	tamsim -prog qs -impl am -dump
 //	tamsim -prog wavefront -impl am -nodes 4 -placement round-robin
 //
 // -cache, -assoc and -block accept comma-separated lists; every
-// combination is evaluated. The simulation runs once, recording its
-// reference stream, and the recording is replayed through each geometry
-// on a worker pool bounded by -parallel (0 = GOMAXPROCS).
+// combination is evaluated. The simulation runs once, and its reference
+// stream replays through every geometry while it records, a chunk at a
+// time, so no whole trace is held.
 //
 // With -nodes N (a power of two, at most 64) the benchmark runs
 // unmodified on an N-node mesh: the runtime compiles mesh-aware code,
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sizesKB := fs.String("cache", "8", "cache size(s) in Kbytes (I and D), comma-separated")
 	assocs := fs.String("assoc", "4", "set associativity list, comma-separated")
 	blocks := fs.String("block", "64", "block size(s) in bytes, comma-separated")
-	par := fs.Int("parallel", 0, "concurrent trace replays (0 = GOMAXPROCS)")
 	dump := fs.Bool("dump", false, "print disassembly instead of running")
 	hist := fs.Bool("hist", false, "also print the quantum-size histogram and instruction mix")
 	eventsOut := fs.String("events", "", "write a Perfetto/Chrome trace-event timeline (JSON) to this file")
@@ -117,79 +116,56 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	// Each node records its own reference stream. NIC-offload backends
-	// split it by execution locus: inlets and system handlers record
-	// into a second stream that replays against the node's private NIC
-	// cache pair.
-	recs := make([]*trace.Recording, cs.Nodes)
-	var nicRecs []*trace.Recording
-	if impl.Caps().NICInlets {
-		nicRecs = make([]*trace.Recording, cs.Nodes)
-	}
-	for k, s := range cs.Sims {
-		recs[k] = &trace.Recording{}
-		s.Tracer = recs[k]
-		if nicRecs != nil {
-			nicRecs[k] = &trace.Recording{}
-			s.NICTracer = nicRecs[k]
+	// Per-node miss-density counter tracks for the timeline: I/D miss
+	// samples every 1000 fetches of each node's compute stream at the
+	// first geometry, on the same instruction clock as the scheduler
+	// spans, so conflict-miss bursts line up with the quanta they occur
+	// in; a NIC stream gets its own labelled tracks at the NIC geometry.
+	var tracks [2][]*density // compute, NIC; one per node
+	var extra func(k int, nic bool, refs []uint32)
+	if sink != nil && sink.Events != nil {
+		streams := []cache.Config{geoms[0]}
+		if impl.Caps().NICInlets {
+			streams = append(streams, experiments.NICGeom)
 		}
-	}
-	if err := cs.Run(); err != nil {
-		return fail(err)
-	}
-
-	// Replay the recorded streams through every geometry on the
-	// experiments fan-out; each node owns a private cache pair per
-	// geometry and misses sum. With a sink attached the replay also
-	// attributes misses by cause and class into its registry, under each
-	// geometry's label.
-	r := &experiments.Run{Instructions: cs.Instructions()}
-	if sink != nil {
-		r.Metrics = sink.Metrics
-	}
-	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, geoms, *par); err != nil {
-		return fail(err)
-	}
-	var counts trace.Counts
-	var refs, traceBytes, nicRefs uint64
-	for _, rec := range recs {
-		counts.Add(&rec.Counts)
-		refs += uint64(rec.Len())
-		traceBytes += uint64(rec.Bytes())
-	}
-	for _, rec := range nicRecs {
-		nicRefs += uint64(rec.Len())
-	}
-	if sink != nil {
-		counts.AddTo(sink.Metrics, "")
-		if sink.Events != nil && len(geoms) > 0 {
-			// Per-node miss-density counter tracks: per-1K-instruction
-			// I/D cache miss samples at the first geometry, on the same
-			// instruction clock as the scheduler spans, so conflict-miss
-			// bursts line up with the quanta they occur in. NIC streams
-			// get their own labeled tracks at the NIC geometry.
-			for k, rec := range recs {
-				if _, err := rec.MissDensityTrack(sink.Events, int32(k), geoms[0], 1000, ""); err != nil {
+		for k := 0; k < cs.Nodes; k++ {
+			for i, g := range streams {
+				d, err := newDensity(g)
+				if err != nil {
 					return fail(err)
 				}
-			}
-			for k, rec := range nicRecs {
-				if _, err := rec.MissDensityTrack(sink.Events, int32(k), experiments.NICGeom, 1000, "nic"); err != nil {
-					return fail(err)
-				}
+				tracks[i] = append(tracks[i], d)
 			}
 		}
-	}
-
-	// Sum the per-node NIC streams (if any) through private pairs of the
-	// NIC geometry; the cycle lines below then take the slower engine,
-	// as the experiments package does.
-	if nicRecs != nil {
-		if r.NIC, err = replayNIC(nicRecs, cs.HighInstructions()); err != nil {
-			return fail(err)
+		extra = func(k int, nic bool, refs []uint32) {
+			i := 0
+			if nic {
+				i = 1
+			}
+			tracks[i][k].rp.Feed(refs)
 		}
 	}
-	nic := r.NIC
+	// Each node replays its stream through a private pair per geometry
+	// as it records. NIC-offload backends split it by execution locus:
+	// inlets and system handlers replay against the node's NIC pair,
+	// and the cycle lines take the slower engine. A sink also gets the
+	// misses attributed by cause and class, under each geometry's label.
+	r, err := experiments.Simulate(context.Background(), cs, geoms, true, extra)
+	if err != nil {
+		return fail(err)
+	}
+	for i, label := range []string{"", "nic."} {
+		for k, d := range tracks[i] {
+			d.emit(sink.Events, int32(k), label)
+		}
+	}
+	counts, nic := r.Counts, r.NIC
+	// A recording that kept its stream would take one 256 KB chunk per
+	// 64K references begun, on every node.
+	var traceBytes uint64
+	for _, s := range cs.Sims {
+		traceBytes += (refCount(&s.Tracer.Counts) + 1<<16 - 1) >> 16 << 18
+	}
 
 	// A mesh adds its placement, per-node, tick and network lines.
 	mesh := cs.C != nil
@@ -214,7 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  threads/quantum   %12.1f\n", g.TPQ())
 	fmt.Fprintf(stdout, "  instrs/thread     %12.1f\n", g.IPT())
 	fmt.Fprintf(stdout, "  instrs/quantum    %12.1f\n", g.IPQ())
-	fmt.Fprintf(stdout, "  trace             %12d refs (%d KB recorded)\n", refs, traceBytes/1024)
+	fmt.Fprintf(stdout, "  trace             %12d refs (%d KB recorded)\n", refCount(&counts), traceBytes/1024)
 	suffix, nicHead := "", fmt.Sprintf("nic engine (private cache %v)", experiments.NICGeom)
 	if mesh {
 		fmt.Fprintf(stdout, "  net messages      %12d delivered (%d words sent)\n",
@@ -233,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if nic != nil {
 		fmt.Fprintf(stdout, "\n  %s\n", nicHead)
 		fmt.Fprintf(stdout, "  instructions      %12d\n", nic.Instructions)
-		fmt.Fprintf(stdout, "  trace             %12d refs\n", nicRefs)
+		fmt.Fprintf(stdout, "  trace             %12d refs\n", refCount(&nic.Counts))
 		fmt.Fprintf(stdout, "  I-misses          %12d\n", nic.IMisses)
 		fmt.Fprintf(stdout, "  D-misses          %12d\n", nic.DMisses)
 		fmt.Fprintf(stdout, "  writebacks        %12d\n", nic.Writebacks)
@@ -279,19 +255,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// replayNIC replays the NIC engines' streams (one per node) through
-// private pairs of the NIC geometry, misses summed, as the experiments
-// package does for its runs.
-func replayNIC(recs []*trace.Recording, instrs uint64) (*experiments.NICStats, error) {
-	r := &experiments.Run{}
-	if err := experiments.ReplayClusterFanOutContext(context.Background(), r, recs, []cache.Config{experiments.NICGeom}, 1); err != nil {
+// refCount returns the number of references counted in c.
+func refCount(c *trace.Counts) uint64 { return c.TotalFetches() + c.TotalReads() + c.TotalWrites() }
+
+// density replays one stream through a pair of one geometry as it is
+// fed, sampling its misses every 1000 fetches (trace.Hooks.Sample), and
+// keeps the samples for a miss-density track.
+type density struct {
+	rp      *trace.Replayer
+	samples [][3]uint64 // fetches so far, I-misses and D-misses since the last sample
+}
+
+func newDensity(g cache.Config) (*density, error) {
+	p, err := trace.NewPair(g)
+	if err != nil {
 		return nil, err
 	}
-	c := r.Caches[0]
-	return &experiments.NICStats{
-		Instructions: instrs, Config: experiments.NICGeom,
-		IMisses: c.IMisses, DMisses: c.DMisses, Writebacks: c.Writebacks,
-	}, nil
+	d := &density{}
+	d.rp, err = trace.NewReplayer([]trace.Pair{p}, &trace.Hooks{SampleEvery: 1000,
+		Sample: func(_ int, fetches, iMisses, dMisses uint64) {
+			d.samples = append(d.samples, [3]uint64{fetches, iMisses, dMisses})
+		}})
+	return d, err
+}
+
+// emit ends the stream and writes its samples onto b's pid timeline as
+// the I- and D-miss density counter tracks, their names prefixed by
+// label.
+func (d *density) emit(b *obs.EventBuffer, pid int32, label string) {
+	d.rp.Close()
+	for _, s := range d.samples {
+		b.Counter(label+"I-miss density", "miss-density", pid, s[0], "misses", s[1])
+		b.Counter(label+"D-miss density", "miss-density", pid, s[0], "misses", s[2])
+	}
 }
 
 // newSink returns the observability sink the output flags need (with a

@@ -6,12 +6,16 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"jmtam/internal/cache"
+	"jmtam/internal/mem"
 	"jmtam/internal/obs"
+	"jmtam/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files")
@@ -125,6 +129,48 @@ func TestMissDensityGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 			t.Errorf("%s %q: miss-density SHA-256 %s, want %s", c.impl, c.prefix, got, c.want)
+		}
+	}
+}
+
+// TestMissDensityTrackEmitsCounters feeds a synthetic stream to a
+// density track and checks what it writes: one I- and one D-miss
+// counter per 1000 fetches, on the given pid, named with the label.
+func TestMissDensityTrackEmitsCounters(t *testing.T) {
+	var rec trace.Recording
+	for i := uint32(0); i < 3000; i++ {
+		rec.Fetch(mem.UserCodeBase + 4*(i%700))
+		rec.Read(mem.HeapBase + 4*(i%900))
+	}
+	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
+	for _, label := range []string{"", "nic."} {
+		d, err := newDensity(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var misses uint64
+		rec.Do(func(k trace.Kind, addr uint32) { d.rp.Feed([]uint32{trace.Encode(k, addr)}) })
+		b := obs.NewEventBuffer()
+		d.emit(b, 3, label)
+		names := map[string]int{}
+		for _, e := range b.Events() {
+			if e.Ph != obs.PhCounter {
+				t.Errorf("unexpected phase %c", e.Ph)
+				continue
+			}
+			if e.Pid != 3 {
+				t.Errorf("pid = %d, want 3", e.Pid)
+			}
+			names[e.Name]++
+			misses += e.ArgV
+		}
+		if misses == 0 {
+			t.Fatal("no misses; test data too small")
+		}
+		// Two series (I and D), 3 full samples each for 3000 fetches.
+		want := map[string]int{label + "I-miss density": 3, label + "D-miss density": 3}
+		if !maps.Equal(names, want) {
+			t.Errorf("label %q: counter tracks %v, want %v", label, names, want)
 		}
 	}
 }

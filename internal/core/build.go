@@ -66,8 +66,10 @@ type Sim struct {
 	M    *machine.Machine
 
 	// Tracer, when non-nil, records the node's reference stream and
-	// its per-class counts during Run; replay it through cache pairs
-	// afterwards. A nil Tracer records nothing.
+	// its per-class counts during Run. A drain on it
+	// (trace.Recording.Drain) can feed cache pairs while the run
+	// records, as experiments.Simulate does; without one, replay the
+	// recording afterwards. A nil Tracer records nothing.
 	Tracer *trace.Recording
 	// NICTracer, when non-nil on a backend with NIC-offloaded inlets
 	// (Caps.NICInlets), records the high-priority share of the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
@@ -208,16 +209,19 @@ type VictimRow struct {
 var VictimEntries = []int{0, 1, 2, 4, 8}
 
 // VictimSweep runs the victim-cache ablation: every workload under
-// every requested backend (nil = the registry's MD and AM) records one
-// reference stream, which then replays through an 8K direct-mapped
-// cache pair backed by victim buffers of each size in entries (nil =
-// VictimEntries), and through the 8K 4-way baseline. A direct-mapped
-// cache whose conflict misses a few victim entries recover explains a
+// every requested backend (nil = the registry's MD and AM) replays its
+// compute stream, while it records, through the 8K 4-way baseline and
+// through an 8K direct-mapped cache pair backed by victim buffers of
+// each size in entries (nil = VictimEntries). A direct-mapped cache
+// whose conflict misses a few victim entries recover explains a
 // set-associativity gap as mapping conflicts; a residual gap is working
 // set. Rows come back workload-major in registry order. The len(ws) *
 // len(impls) simulations run on at most parallelism workers
-// (0 = GOMAXPROCS).
+// (0 = GOMAXPROCS), each on one node.
 func VictimSweep(ws []Workload, impls []core.Impl, entries []int, opt core.Options, parallelism int) ([]VictimRow, error) {
+	if opt.Nodes > 1 {
+		return nil, fmt.Errorf("experiments: VictimSweep runs one node, not %d", opt.Nodes)
+	}
 	impls = defaultRatioImpls(impls)
 	if entries == nil {
 		entries = VictimEntries
@@ -226,45 +230,47 @@ func VictimSweep(ws []Workload, impls []core.Impl, entries []int, opt core.Optio
 	cells := grid(ws, impls, opt)
 	rows := make([]VictimRow, len(cells))
 	err := forEachCell(context.Background(), cells, parallelism, func(i int) error {
-		w, impl := cells[i].w, cells[i].impl
-		r, rec, err := RecordOne(w, impl, opt)
+		vs := make([][2]*cache.Victim, len(entries)) // I and D per size
+		for ei, n := range entries {
+			for j := range vs[ei] {
+				var err error
+				if vs[ei][j], err = cache.NewVictim(direct, n); err != nil {
+					return err
+				}
+			}
+		}
+		// The compute stream passes each chunk through one size's pair
+		// at a time, so that pair stays in cache while it takes the
+		// chunk; a NIC stream reaches no victim pair.
+		r, _, err := cells[i].run(context.Background(), nil, []cache.Config{headline}, func(_ int, nic bool, refs []uint32) {
+			if nic {
+				return
+			}
+			for _, v := range vs {
+				for _, w := range refs {
+					if k, addr := trace.Decode(w); k == trace.KindFetch {
+						v[0].Access(addr, false)
+					} else {
+						v[1].Access(addr, k == trace.KindWrite)
+					}
+				}
+			}
+		})
 		if err != nil {
 			return err
 		}
 		row := VictimRow{
-			Program:      w.Name,
-			Impl:         impl.Name(),
-			Entries:      entries,
-			Misses:       make([]uint64, len(entries)),
-			VictimHits:   make([]uint64, len(entries)),
-			Instructions: r.Instructions,
+			Program:        cells[i].w.Name,
+			Impl:           cells[i].impl.Name(),
+			Entries:        entries,
+			Misses:         make([]uint64, len(entries)),
+			VictimHits:     make([]uint64, len(entries)),
+			SetAssocMisses: r.Caches[0].IMisses + r.Caches[0].DMisses,
+			Instructions:   r.Instructions,
 		}
-		base, _, err := fanOut(context.Background(), packed([]*trace.Recording{rec}), 1, []cache.Config{headline}, 1, false)
-		if err != nil {
-			return err
-		}
-		row.SetAssocMisses = base[0].IMisses + base[0].DMisses
-		for ei, n := range entries {
-			vi, err := cache.NewVictim(direct, n)
-			if err != nil {
-				return err
-			}
-			vd, err := cache.NewVictim(direct, n)
-			if err != nil {
-				return err
-			}
-			rec.Do(func(k trace.Kind, addr uint32) {
-				switch k {
-				case trace.KindFetch:
-					vi.Access(addr, false)
-				case trace.KindRead:
-					vd.Access(addr, false)
-				default:
-					vd.Access(addr, true)
-				}
-			})
-			row.Misses[ei] = vi.Stats().Misses + vd.Stats().Misses
-			row.VictimHits[ei] = vi.Stats().VictimHits + vd.Stats().VictimHits
+		for ei, v := range vs {
+			row.Misses[ei] = v[0].Stats().Misses + v[1].Stats().Misses
+			row.VictimHits[ei] = v[0].Stats().VictimHits + v[1].Stats().VictimHits
 		}
 		rows[i] = row
 		return nil

@@ -350,7 +350,7 @@ func grid(ws []Workload, impls []core.Impl, opt core.Options) []cell {
 
 // runCells is the grid runner every experiment shares. It simulates
 // each cell and replays its streams through geoms while they record
-// (see cell.run); with no geometries it only records. Twin cells (see
+// (see Simulate); with no geometries it only records. Twin cells (see
 // twins) share one simulation. Cells run on one pool of at most
 // parallelism workers (0 = GOMAXPROCS). Runs come back in cell order,
 // so they are identical at every parallelism. done, when non-nil, is
@@ -371,7 +371,7 @@ func runCells(ctx context.Context, cells []cell, geoms []cache.Config, paralleli
 			}
 			tw = &cells[j]
 		}
-		r, t, err := cells[i].run(ctx, tw, geoms)
+		r, t, err := cells[i].run(ctx, tw, geoms, nil)
 		if err != nil {
 			return err
 		}
@@ -454,81 +454,106 @@ func forEachCell(ctx context.Context, cells []cell, par int, fn func(i int) erro
 	})
 }
 
-// run simulates the cell and replays its streams through geoms while
-// the simulation records them, so that each recording holds one chunk
-// at a time; with no geometries the streams drain to nothing. Each
-// node replays its compute stream through a fresh pair per geometry
-// and, on a backend with NIC-offloaded inlets, its NIC stream through
-// a private NIC pair; misses, and the attribution of a cell with a
-// sink, sum over nodes. With a twin (see twins) it also returns the
-// twin's run: the same execution, with the instruction counts, ticks
-// and granularity of c's, the sum of c's two streams' reference
-// counts, and caches replayed from each node's two streams in the
-// order they were recorded, which is the twin's one stream (the
-// machine flushes the recording it leaves at every switch).
-func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config) (r, t *Run, err error) {
-	var grid, nic, both *nodeReplay
-	defer func() {
-		for _, n := range []*nodeReplay{grid, nic, both} {
-			n.close()
-		}
-	}()
-	var mcs []trace.MissCounts
-	if len(geoms) > 0 {
-		if c.opt.Obs != nil {
-			mcs = make([]trace.MissCounts, len(geoms))
-		}
-		nodes := max(1, c.opt.Nodes)
-		grid, err = newNodeReplay(nodes, geoms, mcs)
-		if err == nil && c.impl.Caps().NICInlets {
-			nic, err = newNodeReplay(nodes, []cache.Config{NICGeom}, nil)
-		}
-		if err == nil && twin != nil {
-			both, err = newNodeReplay(nodes, geoms, nil)
-		}
-		if err != nil {
+// run builds the cell's simulation and runs it through Simulate with
+// extra, splitting a NIC backend's streams. With a twin (see twins) it
+// also returns the twin's run, and the twin's replay takes extra's
+// place: the same execution, with the instruction counts, ticks and
+// granularity of c's, the sum of c's two streams' reference counts, and
+// caches replayed from each node's two streams in the order they were
+// recorded, which is the twin's one stream (the machine flushes the
+// recording it leaves at every switch).
+func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config, extra func(k int, nic bool, refs []uint32)) (r, t *Run, err error) {
+	cs, err := c.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer cs.Close()
+	var both *nodeReplay
+	if twin != nil && len(geoms) > 0 {
+		if both, err = newNodeReplay(cs.Nodes, geoms, nil); err != nil {
 			return nil, nil, err
 		}
+		defer both.close()
+		extra = func(k int, _ bool, refs []uint32) { both.feed(k, refs) }
 	}
-	r, recs, err := c.record(ctx, func(k int, rec, nicRec *trace.Recording) {
+	if r, err = Simulate(ctx, cs, geoms, true, extra); err != nil {
+		return nil, nil, err
+	}
+	r.Workload = c.w
+	if twin != nil {
+		t = &Run{
+			Workload: r.Workload, Impl: twin.impl, Nodes: r.Nodes, Ticks: r.Ticks,
+			Instructions: r.Instructions, Counts: r.Counts,
+			TPQ: r.TPQ, IPT: r.IPT, IPQ: r.IPQ, Threads: r.Threads, Quanta: r.Quanta,
+			Caches: both.stats(geoms),
+		}
+		t.Counts.Add(&r.NIC.Counts)
+	}
+	return r, t, nil
+}
+
+// Simulate runs cs, a built simulation that has not run, and replays
+// each node's streams through geoms while the simulation records them,
+// so that each recording holds one chunk at a time (see
+// trace.Recording.Drain); with no geometries the streams drain to
+// nothing. Each node replays its compute stream through a fresh pair
+// per geometry. With split set on a backend with NIC-offloaded inlets,
+// each node records its NIC stream apart and replays it through a
+// private NIC pair, and the run carries NIC; unsplit, the one stream
+// holds both shares. Misses sum over nodes, and with an observability
+// sink (cs.Obs) the replay attributes them into its registry. extra,
+// when non-nil, also receives each node's references as they are
+// recorded, nic telling the NIC stream's from the compute stream's.
+// Geometry errors surface before the run. The run's Workload is the
+// caller's to set, and so is closing cs.
+func Simulate(ctx context.Context, cs *core.ClusterSim, geoms []cache.Config, split bool, extra func(k int, nic bool, refs []uint32)) (r *Run, err error) {
+	if err := validate(geoms); err != nil {
+		return nil, err
+	}
+	if extra == nil {
+		extra = func(int, bool, []uint32) {}
+	}
+	var grid, nic *nodeReplay
+	var mcs []trace.MissCounts
+	if len(geoms) > 0 {
+		if cs.Obs != nil {
+			mcs = make([]trace.MissCounts, len(geoms))
+		}
+		grid, err = newNodeReplay(cs.Nodes, geoms, mcs)
+		if err == nil && split && cs.Impl.Caps().NICInlets {
+			nic, err = newNodeReplay(cs.Nodes, []cache.Config{NICGeom}, nil)
+		}
+		defer grid.close()
+		defer nic.close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	r, recs, err := record(ctx, cs, split, func(k int, rec, nicRec *trace.Recording) {
 		rec.Drain(func(refs []uint32) {
 			grid.feed(k, refs)
-			both.feed(k, refs)
+			extra(k, false, refs)
 		})
 		if nicRec != nil {
 			nicRec.Drain(func(refs []uint32) {
 				nic.feed(k, refs)
-				both.feed(k, refs)
+				extra(k, true, refs)
 			})
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, rec := range append(recs, r.nicRecs...) {
 		rec.Flush()
 		rec.Release()
 	}
 	r.nicRecs = nil
-	if twin != nil {
-		t = &Run{
-			Workload: r.Workload, Impl: twin.impl, Nodes: r.Nodes, Ticks: r.Ticks,
-			Instructions: r.Instructions, Counts: r.Counts,
-			TPQ: r.TPQ, IPT: r.IPT, IPQ: r.IPQ, Threads: r.Threads, Quanta: r.Quanta,
-		}
-		t.Counts.Add(&r.NIC.Counts)
-	}
-	if len(geoms) == 0 {
-		return r, t, nil
-	}
 	r.fill(grid.stats(geoms), mcs)
 	if nic != nil {
 		r.nicMisses(nic.stats([]cache.Config{NICGeom})[0])
 	}
-	if t != nil {
-		t.Caches = both.stats(geoms)
-	}
-	return r, t, nil
+	return r, nil
 }
 
 // nodeReplay replays one stream per node through a set of geometries
@@ -580,12 +605,15 @@ func (n *nodeReplay) close() {
 }
 
 // stats ends every node's stream and sums each geometry's statistics
-// over the nodes.
+// over the nodes; a nil nodeReplay, which replays no geometry, has
+// none.
 func (n *nodeReplay) stats(geoms []cache.Config) []CacheStats {
-	n.close()
 	out := newStats(geoms)
-	for _, pairs := range n.pairs {
-		addStats(out, pairs)
+	if n != nil {
+		n.close()
+		for _, pairs := range n.pairs {
+			addStats(out, pairs)
+		}
 	}
 	return out
 }
@@ -824,15 +852,15 @@ func ReplayStreamFanOutContext(ctx context.Context, open func() (*trace.Reader, 
 
 // RunOne simulates one workload under one implementation and replays
 // its streams through the given cache geometries while it records them
-// (see runCells); with no geometries it only records. The workload
+// (see Simulate); with no geometries it only records. The workload
 // runs on opt.Nodes nodes (one by default), each replaying through its
 // own private cache pairs, and the misses sum.
 func RunOne(w Workload, impl core.Impl, geoms []cache.Config, opt core.Options) (*Run, error) {
-	// Surface geometry errors before paying for a simulation.
+	// Surface geometry errors before paying for a build.
 	if err := validate(geoms); err != nil {
 		return nil, err
 	}
-	r, _, err := cell{w, impl, opt}.run(context.Background(), nil, geoms)
+	r, _, err := cell{w, impl, opt}.run(context.Background(), nil, geoms, nil)
 	return r, err
 }
 

@@ -21,25 +21,31 @@ func RecordCluster(w Workload, impl core.Impl, opt core.Options) (*Run, []*trace
 // RecordClusterContext is RecordCluster with cooperative cancellation
 // of the simulation step loop.
 func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
-	return cell{w, impl, opt}.record(ctx, nil)
-}
-
-// record is RecordClusterContext for the cell. drain, when non-nil, is
-// called with each node's index and recordings before the simulation
-// runs, to attach their drains; nic is nil on a backend without
-// NIC-offloaded inlets.
-func (c cell) record(ctx context.Context, drain func(k int, rec, nic *trace.Recording)) (*Run, []*trace.Recording, error) {
-	cs, err := c.build()
+	cs, err := cell{w, impl, opt}.build()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer cs.Close()
+	r, recs, err := record(ctx, cs, true, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.Workload = w
+	return r, recs, nil
+}
+
+// record runs cs, a built simulation that has not run, with a recording
+// attached to every node, and returns the run (Workload and cache
+// statistics unfilled) and each node's recording. With split set on a
+// backend with NIC-offloaded inlets, each node's inlets and system
+// handlers record into a NIC stream of their own, kept in Run.nicRecs
+// for the NIC pair. attach, when non-nil, is called with each node's
+// index and recordings before the simulation runs, to attach their
+// drains; nic is nil when the stream is not split.
+func record(ctx context.Context, cs *core.ClusterSim, split bool, attach func(k int, rec, nic *trace.Recording)) (*Run, []*trace.Recording, error) {
 	recs := make([]*trace.Recording, cs.Nodes)
-	// NIC-offload backends split each node's trace by execution locus:
-	// inlets and system handlers record into their own stream and
-	// replay against the node's private NIC cache pair.
 	var nicRecs []*trace.Recording
-	if c.impl.Caps().NICInlets {
+	if split && cs.Impl.Caps().NICInlets {
 		nicRecs = make([]*trace.Recording, cs.Nodes)
 	}
 	for k, s := range cs.Sims {
@@ -49,8 +55,8 @@ func (c cell) record(ctx context.Context, drain func(k int, rec, nic *trace.Reco
 			nicRecs[k] = &trace.Recording{}
 			s.NICTracer = nicRecs[k]
 		}
-		if drain != nil {
-			drain(k, s.Tracer, s.NICTracer)
+		if attach != nil {
+			attach(k, s.Tracer, s.NICTracer)
 		}
 	}
 	if err := cs.RunContext(ctx); err != nil {
@@ -58,8 +64,7 @@ func (c cell) record(ctx context.Context, drain func(k int, rec, nic *trace.Reco
 	}
 	g := cs.MergedGran()
 	r := &Run{
-		Workload:     c.w,
-		Impl:         c.impl,
+		Impl:         cs.Impl,
 		Nodes:        cs.Nodes,
 		Ticks:        cs.Ticks(),
 		Instructions: cs.Instructions(),

@@ -44,8 +44,8 @@ func diffRuns(a, b *Run) []string {
 // sink, each cell's run must equal, every field of it (NIC and metrics
 // included), the run RecordClusterContext and
 // ReplayClusterFanOutContext give it through the Table-2 grid. Each
-// node's two offload streams, drained into one slice, must also be
-// AM's own recording word for word.
+// node's two offload streams, as Simulate hands them to its extra
+// callback, must also make AM's own recording word for word.
 func TestTwinRunsMatchSeparateRuns(t *testing.T) {
 	geoms := table2Grid()
 	ctx := context.Background()
@@ -93,17 +93,18 @@ func TestTwinRunsMatchSeparateRuns(t *testing.T) {
 				}
 			}
 			merged := make([][]uint32, nodes)
-			off, recs, err := cell{w, core.ImplOffload, core.Options{Nodes: nodes}}.record(ctx, func(k int, rec, nic *trace.Recording) {
-				drain := func(refs []uint32) { merged[k] = append(merged[k], refs...) }
-				rec.Drain(drain)
-				nic.Drain(drain)
+			cs, err := cell{w, core.ImplOffload, core.Options{Nodes: nodes}}.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Simulate(ctx, cs, nil, true, func(k int, _ bool, refs []uint32) {
+				merged[k] = append(merged[k], refs...)
 			})
+			cs.Close()
 			if err != nil {
 				t.Fatalf("%s N=%d: %v", w.Name, nodes, err)
 			}
-			for k := range recs {
-				recs[k].Flush()
-				off.nicRecs[k].Flush()
+			for k := range merged {
 				if want := words(amRecs[k]); !slices.Equal(merged[k], want) {
 					t.Errorf("%s N=%d node %d: drained stream of %d refs differs from AM's %d", w.Name, nodes, k, len(merged[k]), len(want))
 				}

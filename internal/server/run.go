@@ -8,16 +8,14 @@ import (
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
 	"jmtam/internal/programs"
-	"jmtam/internal/trace"
 )
 
 // executeRun runs one simulation job: bind a fresh Program onto the
-// cached (or freshly compiled) artifact, simulate once with a trace
-// recording attached, then fan the recording out across the requested
-// cache geometries and emit one NDJSON progress event per geometry, in
-// index order. The arithmetic is jmtam.Run's — one combined recording
-// through the experiments fan-out, position-indexed assembly — so the
-// result document matches a direct façade call exactly.
+// cached (or freshly compiled) artifact and simulate it once, replaying
+// its reference stream through the requested cache geometries while it
+// records (experiments.Simulate), then emit one NDJSON progress event
+// per geometry, in index order. This is jmtam.Run's path, so the result
+// document matches a direct façade call exactly.
 func (s *Server) executeRun(ctx context.Context, job *Job, req *RunRequest) (json.RawMessage, error) {
 	return s.cachedResult(ctx, job, "run", &req.RunRequest, func(ctx context.Context) (json.RawMessage, error) {
 		return s.freshRun(ctx, job, req)
@@ -43,24 +41,17 @@ func (s *Server) freshRun(ctx context.Context, job *Job, req *RunRequest) (json.
 	if err != nil {
 		return nil, err
 	}
-	sim, err := comp.NewSim(prog, opt)
+	cs, err := comp.NewCluster(prog, opt)
 	if err != nil {
 		return nil, err
 	}
-	rec := &trace.Recording{}
-	sim.Tracer = rec
-	defer sim.Close()
-	if err := sim.RunContext(ctx); err != nil {
+	defer cs.Close()
+	r, err := experiments.Simulate(ctx, cs, req.geoms, false, nil)
+	if err != nil {
 		return nil, err
 	}
-	job.emit(api.Simulated(job.ID, sim.M.Instructions(), hit))
-
-	r := &experiments.Run{}
-	if err := experiments.ReplayFanOutContext(ctx, r, rec, req.geoms, s.cfg.ReplayParallelism); err != nil {
-		return nil, err
-	}
-	stats := r.Caches
-	for i, st := range stats {
+	job.emit(api.Simulated(job.ID, r.Instructions, hit))
+	for i, st := range r.Caches {
 		job.emit(api.GeometryEvent{
 			Type: api.EventGeometry, ID: job.ID, Index: i,
 			Cache:      specOf(st.Config),
@@ -70,9 +61,8 @@ func (s *Server) freshRun(ctx context.Context, job *Job, req *RunRequest) (json.
 		})
 	}
 	res := runResultOf(req.Program, req.Arg, req.impl,
-		sim.M.Instructions(), rec.TotalReads(), rec.TotalWrites(),
-		sim.Gran.Threads, sim.Gran.Quanta,
-		sim.Gran.TPQ(), sim.Gran.IPT(), sim.Gran.IPQ(),
-		stats, req.Penalties)
+		r.Instructions, r.Counts.TotalReads(), r.Counts.TotalWrites(),
+		r.Threads, r.Quanta, r.TPQ, r.IPT, r.IPQ,
+		r.Caches, req.Penalties)
 	return json.Marshal(res)
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"sync"
 
-	"jmtam/internal/cache"
 	"jmtam/internal/mem"
-	"jmtam/internal/obs"
 )
 
 // Reference kinds in a recorded trace.
@@ -196,33 +194,4 @@ func (r *Recording) ReplayAll(pairs []Pair) {
 	// A packed source never fails, Background is never cancelled, and
 	// fresh pairs are never refused.
 	_ = Replay(context.Background(), r.Chunks(), pairs, nil)
-}
-
-// MissDensityTrack replays the recording through a fresh cache pair of
-// the given geometry and exports I- and D-cache miss counter tracks
-// onto b's pid timeline, one sample per `every` instructions (1000 when
-// every <= 0). Timestamps are cumulative instruction counts — the same
-// clock as the machine's scheduler spans — so conflict-miss bursts line
-// up with the quantum and inlet spans they occur inside. A non-empty
-// label prefixes the track names ("nic.I-miss density"), so a second
-// reference stream on the same pid (e.g. a NIC engine's share under an
-// offload backend) gets its own pair of tracks instead of colliding
-// with the compute-side ones. Returns the replayed pair for its
-// aggregate statistics.
-func (r *Recording) MissDensityTrack(b *obs.EventBuffer, pid int32, cfg cache.Config, every int, label string) (Pair, error) {
-	p, err := NewPair(cfg)
-	if err != nil {
-		return Pair{}, err
-	}
-	if label != "" {
-		label += "."
-	}
-	err = Replay(context.Background(), r.Chunks(), []Pair{p}, &Hooks{
-		SampleEvery: every,
-		Sample: func(_ int, instrs, iMiss, dMiss uint64) {
-			b.Counter(label+"I-miss density", "miss-density", pid, instrs, "misses", iMiss)
-			b.Counter(label+"D-miss density", "miss-density", pid, instrs, "misses", dMiss)
-		},
-	})
-	return p, err
 }

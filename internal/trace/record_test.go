@@ -2,14 +2,12 @@ package trace
 
 import (
 	"context"
-	"maps"
 	"slices"
 	"sync"
 	"testing"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
-	"jmtam/internal/obs"
 	"jmtam/internal/rng"
 )
 
@@ -208,45 +206,6 @@ func TestReplaySampledMatchesReplay(t *testing.T) {
 	}
 	if samples < 5 {
 		t.Errorf("only %d samples for 5000 fetches at every=1000", samples)
-	}
-}
-
-func TestMissDensityTrackEmitsCounters(t *testing.T) {
-	var rec Recording
-	for i := uint32(0); i < 3000; i++ {
-		rec.Fetch(mem.UserCodeBase + 4*(i%700))
-		rec.Read(mem.HeapBase + 4*(i%900))
-	}
-	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
-	for _, label := range []string{"", "nic"} {
-		b := obs.NewEventBuffer()
-		p, err := rec.MissDensityTrack(b, 3, cfg, 1000, label)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Misses() == 0 {
-			t.Fatal("no misses; test data too small")
-		}
-		pre := ""
-		if label != "" {
-			pre = label + "."
-		}
-		names := map[string]int{}
-		for _, e := range b.Events() {
-			if e.Ph != obs.PhCounter {
-				t.Errorf("unexpected phase %c", e.Ph)
-				continue
-			}
-			if e.Pid != 3 {
-				t.Errorf("pid = %d, want 3", e.Pid)
-			}
-			names[e.Name]++
-		}
-		// Two series (I and D), 3 full samples each for 3000 fetches.
-		want := map[string]int{pre + "I-miss density": 3, pre + "D-miss density": 3}
-		if !maps.Equal(names, want) {
-			t.Errorf("label %q: counter tracks %v, want %v", label, names, want)
-		}
 	}
 }
 

@@ -13,7 +13,9 @@
 //   - internal/machine  — the MDP-like execution engine
 //   - internal/cache    — the cache simulator
 //   - internal/programs — the paper's six benchmarks
-//   - internal/experiments — Table 2, Figures 3-6 and the ablations
+//   - internal/experiments — Table 2, Figures 3-6, the ablations, and
+//     Simulate, which replays a simulation's reference stream through
+//     every cache geometry while it records; Run goes through it too
 //
 // # Quick start
 //
@@ -38,7 +40,6 @@ import (
 	"jmtam/internal/obs"
 	"jmtam/internal/programs"
 	"jmtam/internal/report"
-	"jmtam/internal/trace"
 	"jmtam/internal/word"
 )
 
@@ -177,8 +178,8 @@ func Ptr(a uint32) Word { return word.Ptr(a) }
 
 // Build compiles a program with the given backend, returning a
 // ready-to-run simulation. To measure caches, attach a recording as
-// Sim.Tracer before calling Sim.Run and replay it afterwards; Run does
-// both.
+// Sim.Tracer before calling Sim.Run, and replay it afterwards or feed
+// its drain to a trace.Replayer while it records; Run does the latter.
 func Build(impl Impl, p *Program, opt Options) (*Sim, error) {
 	return core.Build(impl, p, opt)
 }
@@ -246,26 +247,23 @@ func (r *Result) Cycles(i, penalty int) uint64 {
 }
 
 // Run builds and executes prog under impl with the given cache
-// geometries attached, verifying the program's result. The simulation
-// records its reference stream once; the experiments geometry fan-out
-// replays the recording through every cache pair (on up to GOMAXPROCS
-// workers), yielding statistics identical to inline evaluation.
+// geometries attached, verifying the program's result. Each node's
+// reference stream replays through every geometry while the simulation
+// records it, a chunk at a time (experiments.Simulate), yielding
+// statistics identical to probing the caches with every reference. A
+// backend with NIC-offloaded inlets is measured as one stream: its
+// result counts and replays the NIC engine's references with the
+// compute pipeline's.
 func Run(impl Impl, p *Program, opt Options, geoms ...CacheConfig) (*Result, error) {
 	return RunContext(context.Background(), impl, p, opt, geoms...)
 }
 
 // RunContext is Run with cooperative cancellation: the simulation polls
-// the context every machine.CancelCheckInterval instructions and the
-// geometry fan-out checks it between trace chunks, so a cancelled run — even
-// one hung mid-benchmark — returns an error wrapping ctx.Err() within
-// one check interval.
+// the context every machine.CancelCheckInterval instructions, so a
+// cancelled run — even one hung mid-benchmark — returns an error
+// wrapping ctx.Err() within one check interval. An already-cancelled
+// context returns before compiling.
 func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms ...CacheConfig) (*Result, error) {
-	// Surface geometry errors before paying for a simulation.
-	for _, g := range geoms {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -274,38 +272,16 @@ func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms .
 		return nil, err
 	}
 	defer cs.Close()
-	recs := make([]*trace.Recording, cs.Nodes)
-	for k, s := range cs.Sims {
-		recs[k] = &trace.Recording{}
-		s.Tracer = recs[k]
-	}
-	if err := cs.RunContext(ctx); err != nil {
+	r, err := experiments.Simulate(ctx, cs, geoms, false, nil)
+	if err != nil {
 		return nil, err
 	}
-	g := cs.MergedGran()
-	res := &Result{
-		Program:      p.Name,
-		Impl:         impl,
-		Nodes:        cs.Nodes,
-		Ticks:        cs.Ticks(),
-		Instructions: cs.Instructions(),
-		Threads:      g.Threads,
-		Quanta:       g.Quanta,
-		TPQ:          g.TPQ(),
-		IPT:          g.IPT(),
-		IPQ:          g.IPQ(),
-	}
-	for _, rec := range recs {
-		res.Reads += rec.TotalReads()
-		res.Writes += rec.TotalWrites()
-	}
-	// Each node owns a private cache pair per geometry; misses sum.
-	r := &experiments.Run{}
-	if err := experiments.ReplayClusterFanOutContext(ctx, r, recs, geoms, 0); err != nil {
-		return nil, err
-	}
-	res.Caches = r.Caches
-	return res, nil
+	return &Result{
+		Program: p.Name, Impl: impl, Nodes: r.Nodes, Ticks: r.Ticks, Instructions: r.Instructions,
+		Reads: r.Counts.TotalReads(), Writes: r.Counts.TotalWrites(),
+		Threads: r.Threads, Quanta: r.Quanta, TPQ: r.TPQ, IPT: r.IPT, IPQ: r.IPQ,
+		Caches: r.Caches,
+	}, nil
 }
 
 // CompareAt runs prog under both implementations with a single cache
