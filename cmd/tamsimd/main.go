@@ -113,7 +113,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8347", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", 0, "max concurrently executing jobs (0 = GOMAXPROCS)")
-	replayPar := flag.Int("replay-parallel", 1, "cache-replay workers within one job")
+	replayPar := flag.Int("replay-parallel", 1, "cache-replay workers within one sweep unit")
 	cacheEntries := flag.Int("cache-entries", 32, "compiled-program cache capacity")
 	maxInstrs := flag.Uint64("max-instructions", 0, "default per-job instruction budget (0 = 2e9)")
 	journalPath := flag.String("journal", "", "write-ahead job journal path (empty = no journal)")

@@ -492,20 +492,17 @@ func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config, extra f
 	return r, t, nil
 }
 
-// Simulate runs cs, a built simulation that has not run, and replays
-// each node's streams through geoms while the simulation records them,
-// so that each recording holds one chunk at a time (see
-// trace.Recording.Drain); with no geometries the streams drain to
-// nothing. Each node replays its compute stream through a fresh pair
-// per geometry. With split set on a backend with NIC-offloaded inlets,
-// each node records its NIC stream apart and replays it through a
-// private NIC pair, and the run carries NIC; unsplit, the one stream
-// holds both shares. Misses sum over nodes, and with an observability
-// sink (cs.Obs) the replay attributes them into its registry. extra,
-// when non-nil, also receives each node's references as they are
-// recorded, nic telling the NIC stream's from the compute stream's.
-// Geometry errors surface before the run. The run's Workload is the
-// caller's to set, and so is closing cs.
+// Simulate runs cs, a built simulation that has not run, replaying
+// each node's streams through geoms while it records them, a chunk at a
+// time (trace.Recording.Drain), so no stream is held whole. Each node
+// owns a fresh pair per geometry, and misses sum. With split set, a
+// backend with NIC-offloaded inlets records each node's NIC stream
+// apart and replays it through a NIC pair; unsplit, one stream holds
+// both shares. With a sink (cs.Obs) the misses are attributed into its
+// registry. extra, when non-nil, also gets every node's references as
+// they are recorded, nic marking the NIC stream's. Geometry errors
+// surface before the run. The caller sets the run's Workload and
+// closes cs.
 func Simulate(ctx context.Context, cs *core.ClusterSim, geoms []cache.Config, split bool, extra func(k int, nic bool, refs []uint32)) (r *Run, err error) {
 	if err := validate(geoms); err != nil {
 		return nil, err
@@ -856,7 +853,7 @@ func ReplayStreamFanOutContext(ctx context.Context, open func() (*trace.Reader, 
 // runs on opt.Nodes nodes (one by default), each replaying through its
 // own private cache pairs, and the misses sum.
 func RunOne(w Workload, impl core.Impl, geoms []cache.Config, opt core.Options) (*Run, error) {
-	// Surface geometry errors before paying for a build.
+	// Surface geometry errors before paying for a simulation.
 	if err := validate(geoms); err != nil {
 		return nil, err
 	}

@@ -35,13 +35,11 @@ func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt c
 }
 
 // record runs cs, a built simulation that has not run, with a recording
-// attached to every node, and returns the run (Workload and cache
-// statistics unfilled) and each node's recording. With split set on a
-// backend with NIC-offloaded inlets, each node's inlets and system
-// handlers record into a NIC stream of their own, kept in Run.nicRecs
-// for the NIC pair. attach, when non-nil, is called with each node's
-// index and recordings before the simulation runs, to attach their
-// drains; nic is nil when the stream is not split.
+// on every node, and returns the run, without Workload or caches, and
+// each node's recording. With split set, a backend with NIC-offloaded
+// inlets records each node's NIC stream into Run.nicRecs. attach, when
+// non-nil, gets each node's index and recordings before the run, to
+// attach their drains; nic is nil unsplit.
 func record(ctx context.Context, cs *core.ClusterSim, split bool, attach func(k int, rec, nic *trace.Recording)) (*Run, []*trace.Recording, error) {
 	recs := make([]*trace.Recording, cs.Nodes)
 	var nicRecs []*trace.Recording

@@ -35,9 +35,9 @@ type Config struct {
 	// (0 = GOMAXPROCS). Jobs past the bound queue until a slot frees.
 	Workers int
 	// ReplayParallelism bounds the geometry-replay fan-out within one
-	// job (0 = 1): the job pool is the unit of concurrency, so per-job
-	// fan-out defaults to serial, which also makes a job's geometry
-	// progress events arrive in index order.
+	// sweep unit (0 = 1): the job pool is the unit of concurrency, so
+	// per-unit fan-out defaults to serial. A run job replays while it
+	// records, on its own goroutine.
 	ReplayParallelism int
 	// CacheEntries bounds the compiled-code cache (0 = 32 artifacts).
 	CacheEntries int

@@ -277,10 +277,19 @@ func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms .
 		return nil, err
 	}
 	return &Result{
-		Program: p.Name, Impl: impl, Nodes: r.Nodes, Ticks: r.Ticks, Instructions: r.Instructions,
-		Reads: r.Counts.TotalReads(), Writes: r.Counts.TotalWrites(),
-		Threads: r.Threads, Quanta: r.Quanta, TPQ: r.TPQ, IPT: r.IPT, IPQ: r.IPQ,
-		Caches: r.Caches,
+		Program:      p.Name,
+		Impl:         impl,
+		Nodes:        r.Nodes,
+		Ticks:        r.Ticks,
+		Instructions: r.Instructions,
+		Reads:        r.Counts.TotalReads(),
+		Writes:       r.Counts.TotalWrites(),
+		Threads:      r.Threads,
+		Quanta:       r.Quanta,
+		TPQ:          r.TPQ,
+		IPT:          r.IPT,
+		IPQ:          r.IPQ,
+		Caches:       r.Caches,
 	}, nil
 }
 
