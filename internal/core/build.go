@@ -186,7 +186,7 @@ func (s *Sim) RunContext(ctx context.Context) error {
 }
 
 // Close releases the simulation's pooled resources — currently the
-// machine's data memory, whose stored prefix is cleared and recycled
+// machine's data memory, whose stored pages are cleared and recycled
 // for the next Sim. Call it only after extracting every statistic and
 // verification result; the machine must not run or be inspected through
 // Host afterwards. Close is optional (an unclosed Sim is merely garbage)

@@ -76,8 +76,8 @@ func (c *Compiled) NewCluster(prog *Program, opt Options) (cs *ClusterSim, err e
 	heapBumps := make([]uint32, nodes)
 	for k := range ms {
 		// Pooled: a sweep builds one simulation per (workload, impl)
-		// cell, and zeroing fresh 24 MB segments per cell dominated
-		// the record phase. Close returns the memory.
+		// cell, and each takes the pages it stores from the page
+		// pool. Close returns them.
 		var m *mem.Memory
 		if k == 0 {
 			m = mem.GetDefault()
@@ -418,9 +418,8 @@ func (cs *ClusterSim) where() string {
 }
 
 // Close releases every node's pooled memory, under the rules of
-// Sim.Close. Nodes release in reverse order, so every view of node 0's
-// memory folds its frame and heap watermarks into node 0's before that
-// memory goes back to the pool.
+// Sim.Close: each node returns its system-data pages, and node 0 the
+// frame and heap pages every view of its memory shares.
 func (cs *ClusterSim) Close() {
 	for k := len(cs.Sims) - 1; k >= 0; k-- {
 		m := cs.Sims[k].M

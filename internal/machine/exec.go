@@ -121,7 +121,9 @@ func (m *Machine) step(stop uint64) bool {
 				rec.Writes[mem.Classify(addr)]++
 				rec.Add(trace.Encode(trace.KindWrite, addr))
 			}
-			mm.Store(addr, r[in.Rb])
+			if !mm.TryStore(addr, r[in.Rb]) {
+				mm.Store(addr, r[in.Rb])
+			}
 		case isa.OpLDPre:
 			base := r[in.Ra]
 			addr := uint32(base.AsInt() - mem.WordBytes)
@@ -137,7 +139,9 @@ func (m *Machine) step(stop uint64) bool {
 				rec.Writes[mem.Classify(addr)]++
 				rec.Add(trace.Encode(trace.KindWrite, addr))
 			}
-			mm.Store(addr, r[in.Rb])
+			if !mm.TryStore(addr, r[in.Rb]) {
+				mm.Store(addr, r[in.Rb])
+			}
 			r[in.Ra] = word.Ptr(addr + mem.WordBytes)
 
 		case isa.OpAdd:

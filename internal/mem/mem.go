@@ -7,10 +7,12 @@
 // word address) and are touched only by instruction fetch; data segments
 // hold tagged words.
 //
-// Pooled memories clear only the stored prefix of each segment on
-// Release. A mesh node other than node 0 takes a GetView of node 0's
-// memory; its frame and heap stores land in that base, so releasing the
-// view folds its watermarks into the base: release views before the base.
+// Each data segment is a table of fixed-size pages. A page is allocated
+// on its first store, and a page never stored reads as zero words, so a
+// memory holds only the pages its simulation touched. A mesh node other
+// than node 0 takes a GetView of node 0's memory, which shares node 0's
+// frame and heap page tables. Release clears the pages a pooled memory
+// stored and returns them to a page pool.
 package mem
 
 import (
@@ -93,13 +95,9 @@ func Classify(addr uint32) Class {
 func IsCode(addr uint32) bool { return addr < SysDataBase }
 
 // Memory is the simulated data memory. Code is stored separately (see
-// package asm); Memory covers only the three data segments, each
-// allocated whole when the memory is made.
+// package asm); Memory covers only the three data segments, each a
+// table of pages that are allocated on their first store.
 type Memory struct {
-	sysData []word.Word
-	frames  []word.Word
-	heap    []word.Word
-
 	// segs maps the top bits of a byte address, addr>>24 & 7, to the
 	// data segment that holds it: system data, frames twice and the heap
 	// four times. The code segments map to an empty segment, and so
@@ -109,66 +107,73 @@ type Memory struct {
 	// entry and one compare.
 	segs [8]segment
 
-	// used holds one high-water mark per segment (sysData, frames,
-	// heap): one past the highest word index ever stored. Release
-	// clears only these prefixes, so a pooled memory is reusable
-	// without re-zeroing the full 24-byte-per-word segments — the
-	// dominant allocation cost of a record-once simulation. The fourth
-	// mark is the empty segment's, which no store reaches.
-	used [4]uint32
-
 	// poolable marks memories born from GetDefault or GetView. Release
 	// is a no-op for every other memory: New/NewDefault callers own
 	// theirs.
 	poolable bool
-	// base is the memory a GetView view aliases, nil otherwise.
-	base *Memory
+	// view marks a GetView memory, whose frame and heap pages belong to
+	// the memory it aliases.
+	view bool
 }
 
-// segment is one entry of Memory.segs: the words of a data segment,
-// the byte address of its first word and the index of its high-water
-// mark in Memory.used.
+// Page geometry: a data segment is a table of pages of pageWords words
+// (96 KiB of tagged words).
+const (
+	pageShift = 12
+	pageWords = 1 << pageShift
+)
+
+// page is one page of a data segment.
+type page [pageWords]word.Word
+
+// segment is one entry of Memory.segs: the page table of a data
+// segment, the byte address of its first word and its length in words.
+// A nil entry is a page never stored, whose words read as zero. Copies
+// of a segment share its table, so a page allocated through one copy is
+// seen through every other.
 type segment struct {
-	words []word.Word
+	pages []*page
 	base  uint32
-	mark  uint32
+	limit uint32
 }
+
+// newSegment returns an empty segment of n words at byte address base,
+// with n clamped to [0, capWords].
+func newSegment(base uint32, n int, capWords uint32) segment {
+	n = min(max(n, 0), int(capWords))
+	return segment{make([]*page, (n+pageWords-1)/pageWords), base, uint32(n)}
+}
+
+// Indices of each data segment's first entry in Memory.segs.
+const (
+	sysSeg   = SysDataBase >> 24
+	frameSeg = FrameBase >> 24
+	heapSeg  = HeapBase >> 24
+)
 
 // mapSegments fills the segment table from the three segments.
-func (m *Memory) mapSegments() {
-	sys := segment{m.sysData, SysDataBase, 0}
-	fr := segment{m.frames, FrameBase, 1}
-	hp := segment{m.heap, HeapBase, 2}
-	m.segs = [8]segment{{mark: 3}, sys, fr, fr, hp, hp, hp, hp}
+func (m *Memory) mapSegments(sys, fr, hp segment) {
+	m.segs = [8]segment{{}, sys, fr, fr, hp, hp, hp, hp}
 }
 
-// New returns an empty memory with all data segments allocated to their
-// configured capacities. Sizes are given in words and are clamped to the
-// segment capacities.
+// New returns an empty memory whose data segments hold the given
+// numbers of words, clamped to the segment capacities. It allocates
+// only page tables: each page is allocated on its first store.
 func New(sysDataWords, frameWords, heapWords int) *Memory {
-	clamp := func(n int, max uint32) int {
-		if n < 0 {
-			n = 0
-		}
-		if uint32(n) > max {
-			n = int(max)
-		}
-		return n
-	}
-	m := &Memory{
-		sysData: make([]word.Word, clamp(sysDataWords, SysDataWords)),
-		frames:  make([]word.Word, clamp(frameWords, FrameWords)),
-		heap:    make([]word.Word, clamp(heapWords, HeapWords)),
-	}
-	m.mapSegments()
+	m := &Memory{}
+	m.mapSegments(
+		newSegment(SysDataBase, sysDataWords, SysDataWords),
+		newSegment(FrameBase, frameWords, FrameWords),
+		newSegment(HeapBase, heapWords, HeapWords))
 	return m
 }
 
 // Default segment sizes (words): 1 MB of system data (the runtime
 // globals, both hardware queues and the deferred-node pool fit in the
 // first 300 Kbytes), 1 MB of frame memory and 2 MB of heap — ample for
-// every benchmark at the paper's arguments while keeping per-simulation
-// allocation modest. New with larger sizes lifts the limits.
+// every benchmark at the paper's arguments. Since pages are allocated
+// on their first store, the sizes bound addresses, not allocation. New
+// with larger sizes lifts the limits.
 const (
 	DefaultSysDataWords = 1 << 18
 	DefaultFrameWords   = 1 << 18
@@ -180,109 +185,129 @@ func NewDefault() *Memory {
 	return New(DefaultSysDataWords, DefaultFrameWords, DefaultHeapWords)
 }
 
-// defaultPool recycles default-size memories between simulations.
-// Zeroing the three data segments (24 MB of tagged words) dominated
-// the record phase of a sweep; a recycled memory instead clears only
-// the prefix of each segment the previous simulation actually stored
-// (tracked by the used watermarks), which for the paper's benchmarks
-// is a small fraction of capacity.
-var defaultPool = sync.Pool{
-	New: func() any {
-		m := NewDefault()
-		m.poolable = true
-		return m
-	},
-}
+// pagePool recycles cleared pages between memories: Release clears each
+// page a simulation stored and puts it back, so a first store takes a
+// zeroed page without the allocator zeroing one.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
 
-// GetDefault returns a cleared default-size memory, recycled from the
-// pool when one is available. Pass it to Release when the simulation
-// is done; a GetDefault memory behaves exactly like NewDefault's
-// (zeroed words read as integer 0).
+// GetDefault returns an empty default-size memory whose pages come from
+// the page pool. Pass it to Release when the simulation is done, which
+// returns its pages; until then it behaves exactly like NewDefault's
+// (words never stored read as integer 0).
 func GetDefault() *Memory {
-	return defaultPool.Get().(*Memory)
+	m := NewDefault()
+	m.poolable = true
+	return m
 }
 
-// viewPool recycles views with their default-size system-data segments.
-var viewPool = sync.Pool{
-	New: func() any {
-		return &Memory{sysData: make([]word.Word, DefaultSysDataWords), poolable: true}
-	},
-}
-
-// GetView returns a pooled memory that aliases base's frame and heap
-// segments and owns a private, cleared default-size system-data segment:
-// a mesh node's view of node 0's memory, where frames and I-structures
-// form one global store (partitioned by the runtime's per-node bump
+// GetView returns a memory that shares base's frame and heap page
+// tables and owns an empty default-size system-data segment: a mesh
+// node's view of node 0's memory, where frames and I-structures form
+// one global store (partitioned by the runtime's per-node bump
 // allocators) and message queues, runtime globals and the LCV stay
-// node-private. Release the view before base.
+// node-private. A frame or heap page that any node allocates belongs to
+// every node. Its pages come from the page pool. The view must not be
+// used once base is released.
 func GetView(base *Memory) *Memory {
-	v := viewPool.Get().(*Memory)
-	v.frames, v.heap, v.base = base.frames, base.heap, base
-	v.mapSegments()
+	v := &Memory{poolable: true, view: true}
+	v.mapSegments(newSegment(SysDataBase, DefaultSysDataWords, SysDataWords),
+		base.segs[frameSeg], base.segs[heapSeg])
 	return v
 }
 
-// Release clears the stored prefix of each segment and returns the
-// memory to the pool. A view clears only its system data and folds its
-// frame and heap watermarks into its base, whose own Release clears
-// them. It is a no-op unless m came from GetDefault or GetView, so
-// callers may release unconditionally. The caller must not use m
-// afterwards.
+// Release clears every page the memory stored and returns the pages to
+// the page pool. A view releases only its system data: its frame and
+// heap pages are its base's, whose own Release clears them. It is a no-op
+// unless m came from GetDefault or GetView, so callers may release
+// unconditionally. The caller must not use m afterwards.
 func (m *Memory) Release() {
 	if m == nil || !m.poolable {
 		return
 	}
-	clear(m.sysData[:m.used[0]])
-	if b := m.base; b != nil {
-		b.used[1] = max(b.used[1], m.used[1])
-		b.used[2] = max(b.used[2], m.used[2])
-		*m = Memory{sysData: m.sysData, poolable: true}
-		viewPool.Put(m)
-		return
+	m.segs[sysSeg].release()
+	if !m.view {
+		m.segs[frameSeg].release()
+		m.segs[heapSeg].release()
 	}
-	clear(m.frames[:m.used[1]])
-	clear(m.heap[:m.used[2]])
-	m.used = [4]uint32{}
-	defaultPool.Put(m)
+	m.segs = [8]segment{}
+}
+
+// release clears each allocated page of s and returns it to the pool.
+func (s *segment) release() {
+	for j, p := range s.pages {
+		if p != nil {
+			clear(p[:])
+			pagePool.Put(p)
+			s.pages[j] = nil
+		}
+	}
+}
+
+// page returns the page that holds word i of s, allocating it on the
+// first store.
+func (s *segment) page(i uint32) *page {
+	p := &s.pages[i>>pageShift]
+	if *p == nil {
+		*p = pagePool.Get().(*page)
+	}
+	return *p
 }
 
 // Load reads the word at byte address addr. It inlines: the word index
 // is the offset into the address's segment rotated right by two bits,
-// so an unaligned address has a high bit set and fails the one bounds
-// compare, like an address outside the segment.
+// so an unaligned address has a high bit set and fails the one limit
+// compare, like an address outside the segment. A word on a page never
+// stored reads as zero.
 func (m *Memory) Load(addr uint32) word.Word {
 	s := &m.segs[addr>>24&7]
-	if i := bits.RotateLeft32(addr-s.base, -2); i < uint32(len(s.words)) {
-		return s.words[i]
+	if i := bits.RotateLeft32(addr-s.base, -2); i < s.limit {
+		if p := s.pages[i>>pageShift]; p != nil {
+			return p[i&(pageWords-1)]
+		}
+		return word.Word{}
 	}
 	panic(accessFault{addr, false})
 }
 
-// Store writes the word at byte address addr, checked as Load checks.
+// TryStore writes the word at byte address addr if the page that holds
+// it is allocated, and reports whether it did. It inlines, so the
+// interpreter stores into an existing page in line; where it reports
+// false, Store allocates the page or faults.
+func (m *Memory) TryStore(addr uint32, w word.Word) bool {
+	s := &m.segs[addr>>24&7]
+	if i := bits.RotateLeft32(addr-s.base, -2); i < s.limit {
+		if p := s.pages[i>>pageShift]; p != nil {
+			p[i&(pageWords-1)] = w
+			return true
+		}
+	}
+	return false
+}
+
+// Store writes the word at byte address addr, checked as Load checks,
+// allocating its page on the first store.
 func (m *Memory) Store(addr uint32, w word.Word) {
 	s := &m.segs[addr>>24&7]
 	i := bits.RotateLeft32(addr-s.base, -2)
-	if i >= uint32(len(s.words)) {
+	if i >= s.limit {
 		panic(accessFault{addr, true})
 	}
-	s.words[i] = w
-	if u := &m.used[s.mark&3]; i >= *u {
-		*u = i + 1
-	}
+	s.page(i)[i&(pageWords-1)] = w
 }
 
 // StoreWords writes ws to consecutive words starting at byte address
-// addr, with one segment lookup and one bounds check for the run.
+// addr, with one segment lookup and one limit check for the run, which
+// may cross pages.
 func (m *Memory) StoreWords(addr uint32, ws []word.Word) {
 	s := &m.segs[addr>>24&7]
 	i := bits.RotateLeft32(addr-s.base, -2)
-	end := uint64(i) + uint64(len(ws))
-	if end > uint64(len(s.words)) {
+	if uint64(i)+uint64(len(ws)) > uint64(s.limit) {
 		panic(accessFault{addr, true})
 	}
-	copy(s.words[i:end], ws)
-	if u := &m.used[s.mark&3]; uint32(end) > *u {
-		*u = uint32(end)
+	for len(ws) > 0 {
+		n := copy(s.page(i)[i&(pageWords-1):], ws)
+		ws = ws[n:]
+		i += uint32(n)
 	}
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -221,8 +222,7 @@ var (
 // meshMemory takes a pooled base and views of it, as a mesh does, and
 // stores v at the edges of every memory's system data. The last view
 // also stores at the top frame and heap words and the first view at the
-// bottom ones, so releasing the views in reverse order checks that the
-// base keeps the highest watermark, not the last one folded.
+// bottom ones, so the base must clear pages that only its views stored.
 func meshMemory(views int, v int64) []*Memory {
 	ms := []*Memory{GetDefault()}
 	for i := 0; i < views; i++ {
@@ -301,4 +301,123 @@ func TestPooledViewsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// held lists the pages m's segment table holds, by the byte address of
+// each page's first word. A view lists its base's frame and heap pages.
+func held(m *Memory) []uint32 {
+	var addrs []uint32
+	for _, k := range []uint32{sysSeg, frameSeg, heapSeg} {
+		s := m.segs[k]
+		for j, p := range s.pages {
+			if p != nil {
+				addrs = append(addrs, s.base+uint32(j)*pageWords*WordBytes)
+			}
+		}
+	}
+	return addrs
+}
+
+// pageBytes is the span of one page in the address map.
+const pageBytes = pageWords * WordBytes
+
+// TestFootprint pins what allocates a page: a store allocates exactly
+// the page that holds it, a StoreWords run every page it crosses, and
+// loads, faults and a TryStore to an absent page allocate nothing. A
+// view allocates system-data pages of its own and frame and heap pages
+// in its base's tables.
+func TestFootprint(t *testing.T) {
+	m := GetDefault()
+	defer m.Release()
+	expect := func(what string, m *Memory, want ...uint32) {
+		t.Helper()
+		if got := held(m); !slices.Equal(got, want) {
+			t.Errorf("%s: pages held %#x, want %#x", what, got, want)
+		}
+	}
+	edges := slices.Concat(sysEdges, frameEdges, heapEdges)
+	for _, a := range edges {
+		if w := m.Load(a); w != (word.Word{}) {
+			t.Errorf("fresh memory reads %+v at %#x, want zero word", w, a)
+		}
+	}
+	func() {
+		defer func() { recover() }()
+		m.Store(HeapBase+4*DefaultHeapWords, word.Int(1))
+	}()
+	if m.TryStore(FrameBase, word.Int(1)) {
+		t.Error("TryStore stored to an absent page")
+	}
+	expect("after loads, a fault and a TryStore", m)
+
+	m.Store(FrameBase+3*pageBytes+8, word.Int(1))
+	expect("one store", m, FrameBase+3*pageBytes)
+	if !m.TryStore(FrameBase+4*pageBytes-4, word.Int(2)) {
+		t.Error("TryStore refused an allocated page")
+	}
+	m.StoreWords(HeapBase+2*pageBytes-8, []word.Word{word.Int(3), word.Int(4), word.Int(5)})
+	expect("a StoreWords across a page edge", m,
+		FrameBase+3*pageBytes, HeapBase+pageBytes, HeapBase+2*pageBytes)
+	m.StoreWords(SysDataBase+pageBytes, make([]word.Word, pageWords+1))
+	expect("a StoreWords of a page and a word", m, SysDataBase+pageBytes, SysDataBase+2*pageBytes,
+		FrameBase+3*pageBytes, HeapBase+pageBytes, HeapBase+2*pageBytes)
+	for a, want := range map[uint32]int64{
+		FrameBase + 3*pageBytes + 8: 1, FrameBase + 4*pageBytes - 4: 2,
+		HeapBase + 2*pageBytes - 8: 3, HeapBase + 2*pageBytes - 4: 4, HeapBase + 2*pageBytes: 5,
+	} {
+		if got := m.LoadInt(a); got != want {
+			t.Errorf("addr %#x reads %d, want %d", a, got, want)
+		}
+	}
+
+	v := GetView(m)
+	defer v.Release()
+	for _, a := range edges {
+		v.Load(a)
+	}
+	expect("a view before its stores", v, FrameBase+3*pageBytes, HeapBase+pageBytes, HeapBase+2*pageBytes)
+	v.Store(sysEdges[1], word.Int(6))
+	v.Store(FrameBase, word.Int(7))
+	expect("a view after its stores", v, sysEdges[1]&^(pageBytes-1),
+		FrameBase, FrameBase+3*pageBytes, HeapBase+pageBytes, HeapBase+2*pageBytes)
+	expect("the view's base", m, SysDataBase+pageBytes, SysDataBase+2*pageBytes,
+		FrameBase, FrameBase+3*pageBytes, HeapBase+pageBytes, HeapBase+2*pageBytes)
+	if got := m.LoadInt(FrameBase); got != 7 {
+		t.Errorf("base reads %d through the view's frame store, want 7", got)
+	}
+}
+
+// TestPagesComeBackZeroed fills every page at every segment edge of a
+// pooled base and three views, releases them, and then takes new ones
+// that store one word at each edge: every page they allocate, drawn
+// from the pool, must hold that word and nothing else.
+func TestPagesComeBackZeroed(t *testing.T) {
+	full := make([]word.Word, pageWords)
+	for i := range full {
+		full[i] = word.Int(int64(i) + 1)
+	}
+	ms := meshMemory(3, 42)
+	for _, m := range ms {
+		for _, a := range slices.Concat(sysEdges, frameEdges, heapEdges) {
+			m.StoreWords(a&^(pageBytes-1), full)
+		}
+	}
+	release(ms)
+	for i := 0; i < 4; i++ {
+		ms := meshMemory(3, int64(i)+1)
+		for k, m := range ms {
+			for _, a := range held(m) {
+				nonzero := 0
+				for w := a; w < a+pageBytes; w += WordBytes {
+					if m.Load(w) != (word.Word{}) {
+						nonzero++
+					}
+				}
+				if nonzero != 1 {
+					t.Errorf("round %d memory %d: page %#x holds %d non-zero words, want 1", i, k, a, nonzero)
+				}
+			}
+		}
+		release(ms)
+	}
 }

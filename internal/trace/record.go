@@ -118,9 +118,11 @@ func (r *Recording) Flush() {
 }
 
 // Release empties the stream and returns its chunks to a pool that
-// later recordings draw from; Counts are kept. Nothing may read the
-// recording's chunks (Chunks, Do, replay) afterwards. Release is
-// optional: an unreleased recording is merely garbage.
+// later recordings draw from. Len reads 0 afterwards, drained references
+// included; Counts are kept, so totals after Release come from Counts.
+// Nothing may read the recording's chunks (Chunks, Do, replay)
+// afterwards. Release is optional: an unreleased recording is merely
+// garbage.
 func (r *Recording) Release() {
 	for _, c := range append(r.full, r.tail) {
 		if cap(c) == chunkWords {
@@ -155,7 +157,8 @@ func (r *Recording) Write(addr uint32) {
 }
 
 // Len returns the number of recorded references, drained ones
-// included.
+// included, until Release empties the stream and Len reads 0; Counts
+// keep the totals.
 func (r *Recording) Len() int { return r.drained + r.held() }
 
 // held returns the number of references the recording holds.
