@@ -421,10 +421,9 @@ func (cs *ClusterSim) where() string {
 // Sim.Close: each node returns its system-data pages, and node 0 the
 // frame and heap pages every view of its memory shares.
 func (cs *ClusterSim) Close() {
-	for k := len(cs.Sims) - 1; k >= 0; k-- {
-		m := cs.Sims[k].M
-		m.Mem.Release()
-		m.Mem = nil
+	for _, s := range cs.Sims {
+		s.M.Mem.Release()
+		s.M.Mem = nil
 	}
 }
 

@@ -204,7 +204,10 @@ func FuzzMemoryMatchesFlat(f *testing.F) {
 					ref.sys = slices.Delete(ref.sys, k, k+1)
 				}
 			default:
-				release(ms)
+				// The base first, as ClusterSim.Close releases a mesh.
+				for _, m := range ms {
+					m.Release()
+				}
 				ms = []*Memory{GetDefault()}
 				ref = &flat{sys: []map[uint32]word.Word{{}}, user: map[uint32]word.Word{}}
 			}

@@ -229,7 +229,6 @@ func (m *Memory) Release() {
 		m.segs[frameSeg].release()
 		m.segs[heapSeg].release()
 	}
-	m.segs = [8]segment{}
 }
 
 // release clears each allocated page of s and returns it to the pool.
