@@ -31,7 +31,12 @@ func benchRefs(n int) []uint32 {
 
 // BenchmarkBank measures a bank over the paper's 24-geometry grid (ten
 // stages four deep) on the data stream and on a read-only fetch
-// stream, in the replay kernel's 4K-reference batches.
+// stream, in the replay kernel's 4K-reference batches. Its synthetic
+// stream cycles through a few blocks at fixed strides, so the bank's
+// branches predict well here as they do not on a real stream; a
+// change that takes branches out of the probe can read slower here
+// and still be faster on the paper's streams (BenchmarkReplayPaper in
+// internal/experiments).
 func BenchmarkBank(b *testing.B) {
 	data := benchRefs(1 << 16)
 	fetch := slices.Clone(data)

@@ -31,6 +31,7 @@ package cache
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -187,6 +188,15 @@ func (c *Cache) ClassMisses() (reads, writes [mem.NumClasses]uint64) {
 // reference misses it, and that entry is dirty in the member iff its
 // value is below a.
 //
+// A stage four deep, the paper grid's every stage, keeps each set in
+// one 24-byte set4: the four tags, their values and the set's last
+// survivor, so a probe reads one place. Below the top, a real stream's
+// ranks do not repeat, so a switch on them mispredicts. The tags of a
+// stack are distinct, so at most one of the three below the top
+// matches: three equality bits give the rank, and masks move the
+// entries above it back one place, with no branch. Only the test for
+// the top stays a branch (see probe4).
+//
 // An attributing bank (AttributingBankOf) also splits each member's
 // misses by category: the kind of the missing reference, read or
 // write, which it reads from bit 1 (see RefWrite), and the §3.1 class
@@ -205,11 +215,11 @@ type Bank struct {
 type stage struct {
 	shift, mask uint32
 	depth       int
-	sets        []set4    // depth 4
+	sets        []set4    // depth 4, positions included
 	tags        []uint32  // deeper: depth tags per set, most recent first
 	vals        []uint16  // deeper: each entry's value (see Bank)
-	pos         []int     // index of each set's last survivor
-	seen        int       // survivors emitted in earlier batches
+	pos         []int     // deeper: index of each set's last survivor
+	seen        int       // survivors emitted in earlier batches (since the last reset, four deep)
 	hist        []uint64  // references by category, then by the rank they were found at; depth = absent
 	attr        bool      // one category per kind and class; otherwise one in all
 	wb          [9]uint64 // writebacks by log2 of the member's ways
@@ -217,10 +227,14 @@ type stage struct {
 }
 
 // set4 is one set's recency stack four deep: tags most recent first,
-// and the entries' values one byte each, rank 0 in the low byte.
+// the entries' values one byte each, rank 0 in the low byte, and the
+// index of the set's last survivor, counted like seen (see probe4).
+// Padding it to 32 bytes, so that no set straddles a cache line, read
+// no faster.
 type set4 struct {
 	tag  [4]uint32
 	vals uint32
+	pos  int32
 }
 
 // BankOf builds a bank over fresh caches. It returns an error for a
@@ -251,10 +265,6 @@ func bankOf(caches []*Cache, attr bool) (*Bank, error) {
 	for i := range b.stages {
 		s := &b.stages[i]
 		n := int(s.mask) + 1
-		s.pos = make([]int, n)
-		for j := range s.pos {
-			s.pos[j] = -1
-		}
 		rows := 1
 		if attr {
 			rows = 2 * int(mem.NumClasses)
@@ -263,7 +273,7 @@ func bankOf(caches []*Cache, attr bool) (*Bank, error) {
 		if s.depth == 4 && !attr {
 			s.sets = make([]set4, n)
 			for j := range s.sets {
-				s.sets[j] = set4{tag: [4]uint32{invalidTag, invalidTag, invalidTag, invalidTag}, vals: ^uint32(0)}
+				s.sets[j] = set4{tag: [4]uint32{invalidTag, invalidTag, invalidTag, invalidTag}, vals: ^uint32(0), pos: -1}
 			}
 			continue
 		}
@@ -271,6 +281,10 @@ func bankOf(caches []*Cache, attr bool) (*Bank, error) {
 		s.vals = make([]uint16, n*s.depth)
 		for j := range s.tags {
 			s.tags[j], s.vals[j] = invalidTag, ^uint16(0)
+		}
+		s.pos = make([]int, n)
+		for j := range s.pos {
+			s.pos[j] = -1
 		}
 	}
 	return b, nil
@@ -343,66 +357,73 @@ func (b *Bank) access(refs []uint32, n int, fetch bool) {
 
 // probe4 streams src through a stage four deep, counting ranks and
 // writebacks, and writes the survivors to dst, which may be src itself.
-// Positions count survivors over the bank's life, so advancing seen
-// past a batch resets every one of them.
+// A set's position, counted from the stage's last reset, is stale when
+// it lies below seen: that survivor went out in an earlier batch. Every
+// position resets before seen could leave the int32 range, so they stay
+// exact over a stream of any length, in batches of fewer than 2^31.
 func (s *stage) probe4(src, dst []uint32) []uint32 {
-	sets, pos, shift, mask := s.sets, s.pos, s.shift, s.mask
-	var hist [5]uint64
-	var wb1, wb2, wb4 uint64
-	base, n := s.seen, 0
+	if s.seen > math.MaxInt32-len(src) {
+		for i := range s.sets {
+			s.sets[i].pos = -1
+		}
+		s.seen = 0
+	}
+	sets, shift, mask := s.sets, s.shift, s.mask
+	// Ranks 0-4 in an array of eight, so r&7 needs no bounds check, and
+	// the 1-, 2- and 4-way members' writebacks in memory: the loop has
+	// no registers to spare for them.
+	var hist [8]uint64
+	var wb [3]uint64
+	base, n := int32(s.seen), int32(0)
 	for _, w := range src {
-		blk := w >> shift
-		f := blk & mask
-		st := &sets[f]
+		blk := w >> (shift & 31) // shift < 32; the mask spares the check
+		st := &sets[blk&mask]
+		// The top-of-stack test stays a branch. Without it every
+		// reference would write its set, and the next reference to the
+		// same set would wait on that store.
 		if st.tag[0] == blk {
 			if w&RefWrite == 0 {
 				continue
 			}
 			st.vals &^= 0xFF
-			if p := pos[f] - base; p >= 0 {
+			if p := st.pos - base; p >= 0 {
 				dst[p] |= RefWrite
 				continue
 			}
 		} else {
-			// Found at rank r, or absent (r = 4); m covers the ranks
-			// below r, which move back one place.
-			t := &st.tag
-			r, m := uint32(4), ^uint32(0)
-			switch blk {
-			case t[1]:
-				r, m = 1, 0xFF
-			case t[2]:
-				r, m, t[2] = 2, 0xFFFF, t[1]
-			default:
-				if blk == t[3] {
-					r, m = 3, 0xFFFFFF
-				}
-				t[3], t[2] = t[2], t[1]
-			}
-			t[1], t[0] = t[0], blk
-			hist[r]++
+			// At most one of t1..t3 is blk, so their equality bits (e is
+			// 1 iff the tag is blk) give the rank r it was found at, 4 if
+			// absent. The entries above it move back one place: t0
+			// always, t1 unless r is 1 and t2 unless r is 1 or 2, which
+			// e1-1 and (e1|e2)-1 mask. m covers the values of ranks
+			// below r.
+			t1, t2, t3 := st.tag[1], st.tag[2], st.tag[3]
+			e1 := uint32((uint64(t1^blk) - 1) >> 63)
+			e2 := uint32((uint64(t2^blk) - 1) >> 63)
+			e3 := uint32((uint64(t3^blk) - 1) >> 63)
+			r := 4 - 3*e1 - 2*e2 - e3
+			st.tag = [4]uint32{blk, st.tag[0], t2 ^ (t2^t1)&(e1-1), t3 ^ (t3^t2)&((e1|e2)-1)}
+			m := uint32(uint64(1)<<(8*r&63) - 1)
+			hist[r&7]++
 			// Each member of at most r ways misses and evicts its entry
 			// at rank ways-1, dirty there iff the entry's value is below
 			// ways. Bit 31 of a difference is its sign, so no branch.
 			v := st.vals
-			wb1 += uint64((v&0xFF - 1) >> 31)
-			wb2 += uint64((v>>8&0xFF - 2) & (1 - r) >> 31)
-			wb4 += uint64((v>>24 - 4) >> 31 & (r >> 2))
-			// A read keeps the highest rank since the last write; absent,
-			// any value of at least 4 is clean.
-			nv := max(v>>(8*r&31)&0xFF, r)
-			if w&RefWrite != 0 {
-				nv = 0
-			}
+			wb[0] += uint64((v&0xFF - 1) >> 31)
+			wb[1] += uint64((v>>8&0xFF - 2) & (1 - r) >> 31)
+			wb[2] += uint64((v>>24 - 4) >> 31 & (r >> 2))
+			// A read keeps the highest rank since the last write, and a
+			// write clears it; absent, any value of at least 4 is clean.
+			nv := max(v>>(8*r&31)&0xFF, r) & (w&RefWrite - 1)
 			st.vals = v&^(m<<8|m) | (v&m)<<8 | nv
 		}
-		pos[f] = base + n
+		st.pos = base + n
 		dst[n] = w
 		n++
 	}
-	s.seen = base + n
-	copy(s.hist, hist[:])
-	s.wb[0], s.wb[1], s.wb[2] = wb1, wb2, wb4
+	s.seen += int(n)
+	copy(s.hist, hist[:5])
+	s.wb[0], s.wb[1], s.wb[2] = wb[0], wb[1], wb[2]
 	return dst[:n]
 }
 

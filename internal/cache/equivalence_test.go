@@ -3,6 +3,7 @@ package cache_test
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -251,6 +252,50 @@ func TestBankMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestPositionsAcrossReset starts every stage of a Table-2 bank 10,000
+// survivors below the point where probe4 resets its int32 positions,
+// and feeds localityStream in batches of random length, so top-of-stack
+// writes fold into survivors of their batch on both sides of the reset.
+// Every stage must have reset, and every member must match the
+// reference model.
+func TestPositionsAcrossReset(t *testing.T) {
+	var grid []cache.Config
+	for kb := 1; kb <= 128; kb *= 2 {
+		for _, a := range []int{1, 2, 4} {
+			grid = append(grid, cache.Config{SizeBytes: kb << 10, BlockBytes: 64, Assoc: a})
+		}
+	}
+	refs := localityStream(200000)
+	want := referenceOf(grid, refs)
+	members := make([]*cache.Cache, len(grid))
+	for i, cfg := range grid {
+		members[i] = cache.MustNew(cfg)
+	}
+	bank, err := cache.BankOf(members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := math.MaxInt32 - 10000
+	bank.SetSeen(start)
+	state := uint32(2718)
+	for off := 0; off < len(refs); {
+		state = state*1664525 + 1013904223
+		end := min(off+int(state>>20)%700, len(refs))
+		bank.AccessBatch(slices.Clone(refs[off:end]), end-off)
+		off = end
+	}
+	for i, seen := range bank.Seen() {
+		if seen >= start {
+			t.Errorf("stage %d: seen %d, so its positions never reset", i, seen)
+		}
+	}
+	for i, c := range members {
+		if c.Stats() != want[i].stats {
+			t.Errorf("%v: bank %+v, reference %+v", grid[i], c.Stats(), want[i].stats)
+		}
+	}
+}
+
 // TestBankOfRefusesUsedCache checks that a bank, which starts empty,
 // refuses a member that another bank has already driven.
 func TestBankOfRefusesUsedCache(t *testing.T) {
@@ -297,6 +342,15 @@ func FuzzBankMatchesScalar(f *testing.F) {
 		edge = append(edge, 0x00, 0x00, 0x20+k)
 	}
 	f.Add(edge)
+	// A batch ends; in the next, reads of two blocks that share a set of
+	// the first stage (2 sets) but not of the second (4 sets) survive,
+	// and a write to the later one folds into it, at a position counted
+	// from the first batch's survivors. Four more blocks of that set
+	// then evict the dirty line from both stages. Both stages are four
+	// deep, of 8-byte blocks.
+	f.Add([]byte{1, 0x44, 0x48,
+		0x02, 0x02, 0x10, 0x00, 0x04, 0x20, 0x00, 0x00, 0x20, 0x01, 0x00, 0x20,
+		0x00, 0x10, 0x20, 0x00, 0x20, 0x20, 0x00, 0x30, 0x20, 0x00, 0x40, 0x20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) < 2+int(data[0]&0x7f)%6 {
 			return

@@ -104,7 +104,11 @@ func BenchmarkReplay(b *testing.B) {
 }
 
 // BenchmarkReplayAll measures the kernel over the full Table-2 grid:
-// one pass over the stream drives all 24 geometries.
+// one pass over the stream drives all 24 geometries. Like
+// BenchmarkBank's, its synthetic stream cycles through a few blocks at
+// fixed strides, so the banks' branches predict well here as they do
+// not on a real stream; BenchmarkReplayPaper (internal/experiments)
+// replays the paper's own streams.
 func BenchmarkReplayAll(b *testing.B) {
 	packedReplay(b, table2Geoms(), false)
 }
