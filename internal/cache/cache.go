@@ -306,7 +306,8 @@ func (b *Bank) BlockShift() uint32 {
 // exactly as an LRU cache of its geometry, probed with the references
 // one by one, would. The batch stands for n >= len(refs) references of
 // the stream: the n-len(refs) others were stripped by the caller (see
-// Bank) and count as accesses that hit. The bank overwrites refs.
+// Bank) and count as accesses that hit. The bank overwrites refs, which
+// must hold fewer than 2^31 references.
 func (b *Bank) AccessBatch(refs []uint32, n int) { b.access(refs, n, false) }
 
 // AccessBatchFetch is AccessBatch for a read-only stream of word-aligned
