@@ -31,7 +31,6 @@ package cache
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -189,7 +188,7 @@ func (c *Cache) ClassMisses() (reads, writes [mem.NumClasses]uint64) {
 // value is below a.
 //
 // A stage four deep, the paper grid's every stage, keeps each set in
-// one 24-byte set4: the four tags, their values and the set's last
+// one 32-byte set4: the four tags, their values and the set's last
 // survivor, so a probe reads one place. Below the top, a real stream's
 // ranks do not repeat, so a switch on them mispredicts. The tags of a
 // stack are distinct, so at most one of the three below the top
@@ -219,7 +218,7 @@ type stage struct {
 	tags        []uint32  // deeper: depth tags per set, most recent first
 	vals        []uint16  // deeper: each entry's value (see Bank)
 	pos         []int     // deeper: index of each set's last survivor
-	seen        int       // survivors emitted in earlier batches (since the last reset, four deep)
+	seen        int       // survivors emitted in earlier batches
 	hist        []uint64  // references by category, then by the rank they were found at; depth = absent
 	attr        bool      // one category per kind and class; otherwise one in all
 	wb          [9]uint64 // writebacks by log2 of the member's ways
@@ -229,12 +228,10 @@ type stage struct {
 // set4 is one set's recency stack four deep: tags most recent first,
 // the entries' values one byte each, rank 0 in the low byte, and the
 // index of the set's last survivor, counted like seen (see probe4).
-// Padding it to 32 bytes, so that no set straddles a cache line, read
-// no faster.
 type set4 struct {
 	tag  [4]uint32
 	vals uint32
-	pos  int32
+	pos  int
 }
 
 // BankOf builds a bank over fresh caches. It returns an error for a
@@ -306,8 +303,7 @@ func (b *Bank) BlockShift() uint32 {
 // exactly as an LRU cache of its geometry, probed with the references
 // one by one, would. The batch stands for n >= len(refs) references of
 // the stream: the n-len(refs) others were stripped by the caller (see
-// Bank) and count as accesses that hit. The bank overwrites refs, which
-// must hold fewer than 2^31 references.
+// Bank) and count as accesses that hit. The bank overwrites refs.
 func (b *Bank) AccessBatch(refs []uint32, n int) { b.access(refs, n, false) }
 
 // AccessBatchFetch is AccessBatch for a read-only stream of word-aligned
@@ -358,24 +354,16 @@ func (b *Bank) access(refs []uint32, n int, fetch bool) {
 
 // probe4 streams src through a stage four deep, counting ranks and
 // writebacks, and writes the survivors to dst, which may be src itself.
-// A set's position, counted from the stage's last reset, is stale when
-// it lies below seen: that survivor went out in an earlier batch. Every
-// position resets before seen could leave the int32 range, so they stay
-// exact over a stream of any length, in batches of fewer than 2^31.
+// Positions count survivors over the bank's life, so advancing seen
+// past a batch resets every one of them.
 func (s *stage) probe4(src, dst []uint32) []uint32 {
-	if s.seen > math.MaxInt32-len(src) {
-		for i := range s.sets {
-			s.sets[i].pos = -1
-		}
-		s.seen = 0
-	}
 	sets, shift, mask := s.sets, s.shift, s.mask
 	// Ranks 0-4 in an array of eight, so r&7 needs no bounds check, and
 	// the 1-, 2- and 4-way members' writebacks in memory: the loop has
 	// no registers to spare for them.
 	var hist [8]uint64
 	var wb [3]uint64
-	base, n := int32(s.seen), int32(0)
+	base, n := s.seen, 0
 	for _, w := range src {
 		blk := w >> (shift & 31) // shift < 32; the mask spares the check
 		st := &sets[blk&mask]
@@ -422,7 +410,7 @@ func (s *stage) probe4(src, dst []uint32) []uint32 {
 		dst[n] = w
 		n++
 	}
-	s.seen += int(n)
+	s.seen = base + n
 	copy(s.hist, hist[:5])
 	s.wb[0], s.wb[1], s.wb[2] = wb[0], wb[1], wb[2]
 	return dst[:n]

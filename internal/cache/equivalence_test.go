@@ -3,7 +3,6 @@ package cache_test
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -248,50 +247,6 @@ func TestBankMatchesScalar(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestPositionsAcrossReset starts every stage of a Table-2 bank 10,000
-// survivors below the point where probe4 resets its int32 positions,
-// and feeds localityStream in batches of random length, so top-of-stack
-// writes fold into survivors of their batch on both sides of the reset.
-// Every stage must have reset, and every member must match the
-// reference model.
-func TestPositionsAcrossReset(t *testing.T) {
-	var grid []cache.Config
-	for kb := 1; kb <= 128; kb *= 2 {
-		for _, a := range []int{1, 2, 4} {
-			grid = append(grid, cache.Config{SizeBytes: kb << 10, BlockBytes: 64, Assoc: a})
-		}
-	}
-	refs := localityStream(200000)
-	want := referenceOf(grid, refs)
-	members := make([]*cache.Cache, len(grid))
-	for i, cfg := range grid {
-		members[i] = cache.MustNew(cfg)
-	}
-	bank, err := cache.BankOf(members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := math.MaxInt32 - 10000
-	bank.SetSeen(start)
-	state := uint32(2718)
-	for off := 0; off < len(refs); {
-		state = state*1664525 + 1013904223
-		end := min(off+int(state>>20)%700, len(refs))
-		bank.AccessBatch(slices.Clone(refs[off:end]), end-off)
-		off = end
-	}
-	for i, seen := range bank.Seen() {
-		if seen >= start {
-			t.Errorf("stage %d: seen %d, so its positions never reset", i, seen)
-		}
-	}
-	for i, c := range members {
-		if c.Stats() != want[i].stats {
-			t.Errorf("%v: bank %+v, reference %+v", grid[i], c.Stats(), want[i].stats)
 		}
 	}
 }

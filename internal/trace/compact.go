@@ -188,21 +188,7 @@ func decompactChunk(payload []byte, nRefs int, out []uint32, sp *splitter) ([]ui
 				sp.fetch.add(uint32(word), 0)
 			default:
 				// KindWrite is 2 and KindRead 1: tag>>1 is the write flag.
-				// The data stream's add, keep included, stays in line
-				// (see stream.add).
-				d, write := &sp.data, uint32(tag>>1)
-				if blk := uint32(word) >> d.shift; blk == d.prev && write == 0 {
-					d.dropped++
-				} else if n := len(d.buf); blk == d.prev && n > 0 {
-					d.buf[n-1] |= write
-					d.dropped++
-				} else {
-					d.prev = blk
-					d.buf = append(d.buf, uint32(word)<<2|write<<1|write)
-					if len(d.buf) == cap(d.buf) {
-						d.flush()
-					}
-				}
+				sp.data.add(uint32(word), uint32(tag>>1))
 			}
 		}
 	}

@@ -259,29 +259,13 @@ func newSplitter(pairs []Pair, attribute bool) (*splitter, error) {
 
 // packed feeds packed trace words into the fetch and data streams.
 func (sp *splitter) packed(ch []uint32) {
-	d := &sp.data
 	for _, w := range ch {
-		word := w & addrMask
 		if w>>kindShift == uint32(KindFetch) {
-			sp.fetch.add(word, 0)
-			continue
-		}
-		// KindWrite is 2 and KindRead 1, so the kind's high bit is the
-		// write flag. The data stream's add, keep included, stays in
-		// line (see stream.add).
-		write := w >> (kindShift + 1)
-		blk := word >> d.shift
-		if blk == d.prev && write == 0 {
-			d.dropped++
-		} else if n := len(d.buf); blk == d.prev && n > 0 {
-			d.buf[n-1] |= write
-			d.dropped++
+			sp.fetch.add(w&addrMask, 0)
 		} else {
-			d.prev = blk
-			d.buf = append(d.buf, word<<2|write<<1|write)
-			if len(d.buf) == cap(d.buf) {
-				d.flush()
-			}
+			// KindWrite is 2 and KindRead 1, so the kind's high bit is
+			// the write flag.
+			sp.data.add(w&addrMask, w>>(kindShift+1))
 		}
 	}
 }
@@ -330,10 +314,7 @@ func newStream(b *cache.Bank, access func([]uint32, int)) stream {
 // write is cache.RefWrite for a data write and 0 otherwise. Only the
 // drop of a read or fetch stays in line, so add inlines into the
 // decoder and the splitter, as CI's Inlining step checks; with keep in
-// it, it would not. The two loops that feed the data stream,
-// splitter.packed and decompactChunk, spell out add and keep in line
-// instead, since a data reference survives the filter far more often
-// than a fetch.
+// it, it would not.
 func (s *stream) add(word, write uint32) {
 	if word>>s.shift == s.prev && write == 0 {
 		s.dropped++
