@@ -53,7 +53,7 @@ func TestGolden(t *testing.T) {
 // for the quick-scale Table 2 sweep, byte for byte, at one worker and
 // at eight. They carry the machine's hook outputs (priority switches,
 // handler and inlet latencies, queue waits, the instruction mix) and
-// the hooked replay's per-class miss attribution. The command reports
+// the attributing replay's per-class misses. The command reports
 // each dump on a "wrote" line, workload by workload and, within one,
 // in the sweep's backend order.
 func TestMetricsGolden(t *testing.T) {

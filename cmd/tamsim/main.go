@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if nic {
 				i = 1
 			}
-			tracks[i][k].rp.Feed(refs)
+			tracks[i][k].feed(refs)
 		}
 	}
 	// Each node replays its stream through a private pair per geometry
@@ -258,11 +258,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 // refCount returns the number of references counted in c.
 func refCount(c *trace.Counts) uint64 { return c.TotalFetches() + c.TotalReads() + c.TotalWrites() }
 
+// densityEvery is a miss-density track's sampling period, in fetches.
+const densityEvery = 1000
+
 // density replays one stream through a pair of one geometry as it is
-// fed, sampling its misses every 1000 fetches (trace.Hooks.Sample), and
-// keeps the samples for a miss-density track.
+// fed, and keeps its misses for a miss-density track: the stream is cut
+// after every densityEvery fetches, counting the fetches the replay
+// kernel strips, and each cut samples the pair's misses since the
+// previous one.
 type density struct {
+	pair    trace.Pair
 	rp      *trace.Replayer
+	fetches uint64
+	last    [2]uint64   // I- and D-misses at the previous cut
 	samples [][3]uint64 // fetches so far, I-misses and D-misses since the last sample
 }
 
@@ -271,18 +279,43 @@ func newDensity(g cache.Config) (*density, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &density{}
-	d.rp, err = trace.NewReplayer([]trace.Pair{p}, &trace.Hooks{SampleEvery: 1000,
-		Sample: func(_ int, fetches, iMisses, dMisses uint64) {
-			d.samples = append(d.samples, [3]uint64{fetches, iMisses, dMisses})
-		}})
-	return d, err
+	rp, err := trace.NewReplayer([]trace.Pair{p}, nil)
+	return &density{pair: p, rp: rp}, err
 }
 
-// emit ends the stream and writes its samples onto b's pid timeline as
-// the I- and D-miss density counter tracks, their names prefixed by
-// label.
+// feed replays the stream's next references, packed trace words,
+// cutting after every densityEvery-th fetch.
+func (d *density) feed(refs []uint32) {
+	start := 0
+	for i, w := range refs {
+		if k, _ := trace.Decode(w); k == trace.KindFetch {
+			if d.fetches++; d.fetches%densityEvery == 0 {
+				d.rp.Feed(refs[start : i+1])
+				start = i + 1
+				d.cut(true)
+			}
+		}
+	}
+	d.rp.Feed(refs[start:])
+}
+
+// cut flushes the replay, so the pair's statistics are exact, and
+// samples its misses since the previous cut: always when full is set,
+// and otherwise only if either count moved.
+func (d *density) cut(full bool) {
+	d.rp.Flush()
+	im, dm := d.pair.I.Stats().Misses, d.pair.D.Stats().Misses
+	if di, dd := im-d.last[0], dm-d.last[1]; full || di != 0 || dd != 0 {
+		d.samples = append(d.samples, [3]uint64{d.fetches, di, dd})
+	}
+	d.last = [2]uint64{im, dm}
+}
+
+// emit ends the stream, with a final sample if the pair missed since
+// the last cut, and writes the samples onto b's pid timeline as the I-
+// and D-miss density counter tracks, their names prefixed by label.
 func (d *density) emit(b *obs.EventBuffer, pid int32, label string) {
+	d.cut(false)
 	d.rp.Close()
 	for _, s := range d.samples {
 		b.Counter(label+"I-miss density", "miss-density", pid, s[0], "misses", s[1])

@@ -9,6 +9,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,43 +135,78 @@ func TestMissDensityGolden(t *testing.T) {
 }
 
 // TestMissDensityTrackEmitsCounters feeds a synthetic stream to a
-// density track and checks what it writes: one I- and one D-miss
-// counter per 1000 fetches, on the given pid, named with the label.
+// density track, one reference at a time, in slices of 7 and of 1000,
+// and whole, and checks what it writes: one I- and one D-miss counter
+// per 1000 fetches, and a last one for the misses after the last cut,
+// on the given pid, named with the label. Every fetch misses, so each
+// I-miss counter holds exactly the fetches since the previous cut,
+// which the cut after the 1000th fetch, not before it, gives. However
+// the stream is sliced, the counters are the same, and each series
+// sums to its pair's final misses.
 func TestMissDensityTrackEmitsCounters(t *testing.T) {
 	var rec trace.Recording
+	// One fetch per 64-byte block: 700 blocks cycle through a 1K
+	// direct-mapped cache's 16 lines.
 	for i := uint32(0); i < 3000; i++ {
-		rec.Fetch(mem.UserCodeBase + 4*(i%700))
+		rec.Fetch(mem.UserCodeBase + 64*(i%700))
 		rec.Read(mem.HeapBase + 4*(i%900))
 	}
+	// 500 fetches of code not yet run miss after the last cut.
+	for i := uint32(0); i < 500; i++ {
+		rec.Fetch(mem.UserCodeBase + 64*(700+i))
+	}
+	var refs []uint32
+	rec.Do(func(k trace.Kind, addr uint32) { refs = append(refs, trace.Encode(k, addr)) })
 	cfg := cache.Config{SizeBytes: 1024, BlockBytes: 64, Assoc: 1}
 	for _, label := range []string{"", "nic."} {
-		d, err := newDensity(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var misses uint64
-		rec.Do(func(k trace.Kind, addr uint32) { d.rp.Feed([]uint32{trace.Encode(k, addr)}) })
-		b := obs.NewEventBuffer()
-		d.emit(b, 3, label)
-		names := map[string]int{}
-		for _, e := range b.Events() {
-			if e.Ph != obs.PhCounter {
-				t.Errorf("unexpected phase %c", e.Ph)
-				continue
+		var first []obs.Event
+		for _, n := range []int{1, 7, 1000, len(refs)} {
+			d, err := newDensity(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if e.Pid != 3 {
-				t.Errorf("pid = %d, want 3", e.Pid)
+			for rest := refs; len(rest) > 0; rest = rest[min(n, len(rest)):] {
+				d.feed(rest[:min(n, len(rest))])
 			}
-			names[e.Name]++
-			misses += e.ArgV
-		}
-		if misses == 0 {
-			t.Fatal("no misses; test data too small")
-		}
-		// Two series (I and D), 3 full samples each for 3000 fetches.
-		want := map[string]int{label + "I-miss density": 3, label + "D-miss density": 3}
-		if !maps.Equal(names, want) {
-			t.Errorf("label %q: counter tracks %v, want %v", label, names, want)
+			b := obs.NewEventBuffer()
+			d.emit(b, 3, label)
+			names, sums := map[string]int{}, map[string]uint64{}
+			var iSeries []uint64
+			for _, e := range b.Events() {
+				if e.Ph != obs.PhCounter {
+					t.Errorf("unexpected phase %c", e.Ph)
+					continue
+				}
+				if e.Pid != 3 {
+					t.Errorf("pid = %d, want 3", e.Pid)
+				}
+				names[e.Name]++
+				sums[e.Name] += e.ArgV
+				if e.Name == label+"I-miss density" {
+					iSeries = append(iSeries, e.ArgV)
+				}
+			}
+			if want := []uint64{1000, 1000, 1000, 500}; !slices.Equal(iSeries, want) {
+				t.Errorf("label %q, slices of %d: I-misses per cut %v, want %v", label, n, iSeries, want)
+			}
+			// Two series (I and D), 3 full samples each for 3500 fetches
+			// and the final partial one.
+			want := map[string]int{label + "I-miss density": 4, label + "D-miss density": 4}
+			if !maps.Equal(names, want) {
+				t.Errorf("label %q, slices of %d: counter tracks %v, want %v", label, n, names, want)
+			}
+			im, dm := d.pair.I.Stats().Misses, d.pair.D.Stats().Misses
+			if im == 0 || dm == 0 {
+				t.Fatal("no I- or D-misses; test data too small")
+			}
+			if got := [2]uint64{sums[label+"I-miss density"], sums[label+"D-miss density"]}; got != [2]uint64{im, dm} {
+				t.Errorf("label %q, slices of %d: series sum to %v misses, want %v", label, n, got, [2]uint64{im, dm})
+			}
+			if first == nil {
+				first = b.Events()
+			} else if !slices.Equal(b.Events(), first) {
+				t.Errorf("label %q: slices of %d write %v, slices of 1 %v", label, n, b.Events(), first)
+			}
 		}
 	}
 }

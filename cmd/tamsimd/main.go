@@ -113,7 +113,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8347", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", 0, "max concurrently executing jobs (0 = GOMAXPROCS)")
-	replayPar := flag.Int("replay-parallel", 1, "cache-replay workers within one sweep unit")
 	cacheEntries := flag.Int("cache-entries", 32, "compiled-program cache capacity")
 	maxInstrs := flag.Uint64("max-instructions", 0, "default per-job instruction budget (0 = 2e9)")
 	journalPath := flag.String("journal", "", "write-ahead job journal path (empty = no journal)")
@@ -143,7 +142,6 @@ func main() {
 
 	cfg := server.Config{
 		Workers:                *workers,
-		ReplayParallelism:      *replayPar,
 		CacheEntries:           *cacheEntries,
 		DefaultMaxInstructions: *maxInstrs,
 		StoreDir:               *storeDir,

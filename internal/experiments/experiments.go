@@ -564,16 +564,12 @@ type nodeReplay struct {
 // newNodeReplay starts the replays; with mcs non-nil, every node's
 // replay attributes its misses into mcs, one entry per geometry.
 func newNodeReplay(nodes int, geoms []cache.Config, mcs []trace.MissCounts) (*nodeReplay, error) {
-	var h *trace.Hooks
-	if mcs != nil {
-		h = &trace.Hooks{Misses: mcs}
-	}
 	n := &nodeReplay{}
 	for k := 0; k < nodes; k++ {
 		pairs, err := newPairs(geoms)
 		var rp *trace.Replayer
 		if err == nil {
-			rp, err = trace.NewReplayer(pairs, h)
+			rp, err = trace.NewReplayer(pairs, mcs)
 		}
 		if err != nil {
 			n.close()
@@ -789,9 +785,9 @@ func fanOut(ctx context.Context, open func(node int) (trace.Source, error), node
 	groups := replayGroups(len(geoms), parallelism)
 	err := parallel.ForEachContext(ctx, parallelism, len(groups), func(gi int) error {
 		lo, hi := groups[gi][0], groups[gi][1]
-		var h *trace.Hooks
+		var misses []trace.MissCounts
 		if mcs != nil {
-			h = &trace.Hooks{Misses: mcs[lo:hi]}
+			misses = mcs[lo:hi]
 		}
 		for k := 0; k < nodes; k++ {
 			pairs, err := newPairs(geoms[lo:hi])
@@ -802,7 +798,7 @@ func fanOut(ctx context.Context, open func(node int) (trace.Source, error), node
 			if err != nil {
 				return err
 			}
-			if err := trace.Replay(ctx, src, pairs, h); err != nil {
+			if err := trace.Replay(ctx, src, pairs, misses); err != nil {
 				return err
 			}
 			addStats(out[lo:hi], pairs)

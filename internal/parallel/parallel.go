@@ -1,6 +1,7 @@
 // Package parallel provides the bounded worker pool underneath the
-// experiment engine's fan-out paths: concurrent (workload,
-// implementation) simulations and per-geometry trace replays.
+// experiment engine's fan-out paths: concurrent simulations, each of
+// which replays its own streams while it records, and the geometry
+// groups of a kept recording's replay.
 //
 // Results stay deterministic because callers index their output by task
 // position, never by completion order; the pool only decides *when* a

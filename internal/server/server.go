@@ -34,11 +34,6 @@ type Config struct {
 	// Workers bounds the number of concurrently executing jobs
 	// (0 = GOMAXPROCS). Jobs past the bound queue until a slot frees.
 	Workers int
-	// ReplayParallelism bounds the geometry-replay fan-out within one
-	// sweep unit (0 = 1): the job pool is the unit of concurrency, so
-	// per-unit fan-out defaults to serial. A run job replays while it
-	// records, on its own goroutine.
-	ReplayParallelism int
 	// CacheEntries bounds the compiled-code cache (0 = 32 artifacts).
 	CacheEntries int
 	// DefaultMaxInstructions is the per-simulation instruction budget
@@ -72,8 +67,8 @@ type Config struct {
 	ShardWorkers []string
 	// Shard tunes the coordinator. Its Workers field is taken from
 	// ShardWorkers, its Metrics is the server's /metricz registry, and
-	// its Local is the server's own unit path at ReplayParallelism, so
-	// a shard no worker takes records into this daemon's store.
+	// its Local is the server's own unit path, so a shard no worker
+	// takes records into this daemon's store.
 	Shard shard.Config
 	// StoreDir is the content-addressed recording store's disk tier
 	// ("" = memory only). Daemons sharing a directory share recordings.
@@ -128,9 +123,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.DefaultMaxInstructions == 0 {
 		cfg.DefaultMaxInstructions = 2_000_000_000
-	}
-	if cfg.ReplayParallelism == 0 {
-		cfg.ReplayParallelism = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := obs.NewShared()

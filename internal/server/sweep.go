@@ -5,13 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"jmtam/api"
 	"jmtam/internal/cache"
 	"jmtam/internal/core"
 	"jmtam/internal/experiments"
-	"jmtam/internal/parallel"
 	"jmtam/internal/shard"
 	"jmtam/internal/trace"
 	"jmtam/internal/tracestore"
@@ -112,23 +110,18 @@ func (s *Server) decodeCheckpoints(req *SweepRequest, checkpoints map[int]json.R
 	return resume
 }
 
-// sweepUnits executes the grid in-process, one unit at a time on a
-// bounded pool: resumed positions are filled from their journaled
-// checkpoints, every fresh unit is checkpointed as it lands, and each
-// position emits one progress event naming where its recording came
-// from.
+// sweepUnits executes the grid in-process, one unit at a time: resumed
+// positions are filled from their journaled checkpoints, every fresh
+// unit is checkpointed as it lands, and each position emits one
+// progress event naming where its recording came from.
 func (s *Server) sweepUnits(ctx context.Context, job *Job, req *SweepRequest, resume map[int]SweepRunSummary) ([]SweepRunSummary, error) {
 	geoms := req.Spec().CacheConfigs()
 	nimpl := len(req.impls)
-	total := len(req.Workloads) * nimpl
-	par := parallel.Workers(s.cfg.ReplayParallelism)
-	replayPar := 1
-	if total > 0 && par/total > 1 {
-		replayPar = par / total
-	}
-	units := make([]SweepRunSummary, total)
-	var done atomic.Int64
-	err := parallel.ForEachContext(ctx, par, total, func(i int) error {
+	units := make([]SweepRunSummary, len(req.Workloads)*nimpl)
+	for i := range units {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Grid positions are shard.Spec.Units order: workload-major,
 		// implementation-minor.
 		wl, impl := req.Workloads[i/nimpl], req.impls[i%nimpl]
@@ -136,23 +129,19 @@ func (s *Server) sweepUnits(ctx context.Context, job *Job, req *SweepRequest, re
 		source := "checkpoint"
 		if !resumed {
 			var err error
-			u, source, err = s.unit(ctx, wl, impl, geoms, req.Penalties, replayPar)
+			u, source, err = s.unit(ctx, wl, impl, geoms, req.Penalties)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			s.checkpointUnit(job, i, u)
 		}
 		units[i] = u
 		job.emit(api.RunProgressEvent{
 			Type: api.EventRun, ID: job.ID,
-			Done: int(done.Add(1)), Total: total,
+			Done: i + 1, Total: len(units),
 			Program: wl.Program, Arg: wl.Arg,
 			Impl: impl.String(), Source: source,
 		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return units, nil
 }
@@ -164,7 +153,7 @@ func (s *Server) localUnit(ctx context.Context, spec *shard.Spec, u shard.Unit) 
 	if err != nil {
 		return SweepRunSummary{}, err
 	}
-	row, _, err := s.unit(ctx, u.Workload, impl, spec.CacheConfigs(), spec.Penalties, s.cfg.ReplayParallelism)
+	row, _, err := s.unit(ctx, u.Workload, impl, spec.CacheConfigs(), spec.Penalties)
 	return row, err
 }
 
@@ -178,7 +167,7 @@ func (s *Server) localUnit(ctx context.Context, spec *shard.Spec, u shard.Unit) 
 // fixed geometry, never the grid), so a store-served unit is identical
 // to a freshly simulated one for every backend. The returned source
 // names where the recording came from.
-func (s *Server) unit(ctx context.Context, wl WorkloadSpec, impl core.Impl, geoms []cache.Config, penalties []int, par int) (SweepRunSummary, string, error) {
+func (s *Server) unit(ctx context.Context, wl WorkloadSpec, impl core.Impl, geoms []cache.Config, penalties []int) (SweepRunSummary, string, error) {
 	desc := tracestore.Desc{Program: wl.Program, Arg: wl.Arg, Impl: impl.String(), Nodes: 1}
 	data, src, err := s.fleet.GetOrRecord(ctx, desc.Key(), func(ctx context.Context) ([]byte, error) {
 		r, rec, err := experiments.RecordOneContext(ctx, experiments.Workload{Name: wl.Program, Arg: wl.Arg}, impl, core.Options{})
@@ -211,7 +200,7 @@ func (s *Server) unit(ctx context.Context, wl WorkloadSpec, impl core.Impl, geom
 	}
 	stats, err := experiments.ReplayStreamFanOutContext(ctx, func() (*trace.Reader, error) {
 		return trace.NewReader(bytes.NewReader(data))
-	}, geoms, par)
+	}, geoms, 1)
 	if err != nil {
 		return SweepRunSummary{}, "", err
 	}

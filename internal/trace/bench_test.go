@@ -81,11 +81,11 @@ func benchReplay(b *testing.B, refs int, open func() (Source, error), geoms []ca
 		if err != nil {
 			b.Fatal(err)
 		}
-		var h *Hooks
+		var misses []MissCounts
 		if attribute {
-			h = &Hooks{Misses: make([]MissCounts, len(pairs))}
+			misses = make([]MissCounts, len(pairs))
 		}
-		if err := Replay(context.Background(), src, pairs, h); err != nil {
+		if err := Replay(context.Background(), src, pairs, misses); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -201,9 +201,9 @@ func decompactChunk(payload []byte, nRefs int, out []uint32, sp *splitter) ([]ui
 // Reader streams a compacted recording: the header is parsed up front,
 // then Next decodes one chunk at a time into a reused buffer, so a
 // reader holds one decoded chunk (≤ 256 KB) regardless of trace length.
-// Unhooked replay decodes each chunk straight into the kernel's streams
-// instead and holds no decoded chunk. A Reader consumes its source
-// exactly once; open a fresh Reader per replay pass.
+// Replay decodes each chunk straight into the kernel's streams instead
+// and holds no decoded chunk. A Reader consumes its source exactly
+// once; open a fresh Reader per replay pass.
 type Reader struct {
 	br         *bufio.Reader
 	counts     Counts

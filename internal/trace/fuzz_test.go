@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"jmtam/internal/mem"
@@ -66,10 +67,10 @@ func FuzzCompactRoundTrip(f *testing.F) {
 
 // FuzzDecompact feeds arbitrary bytes to the decoder: it must never
 // panic or over-allocate, and anything it accepts must re-compact to a
-// decodable stream of the same length. The unhooked replay of a Reader
-// over the same bytes, which decodes straight into the kernel's
-// streams, must fail exactly when Decompact does, and otherwise match
-// the replay of the decompacted recording.
+// decodable stream of the same length. The replay of a Reader over the
+// same bytes, which decodes straight into the kernel's streams, must
+// fail exactly when Decompact does, and otherwise match the replay of
+// the decompacted recording.
 func FuzzDecompact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("JTR2\x01\x00\x00"))
@@ -150,16 +151,15 @@ func FuzzReaderChunks(f *testing.F) {
 // FuzzReplayMatchesScalar decodes the fuzz input into a reference
 // stream in four 64 KB windows, one at the base of each §3.1 class
 // segment, so most references repeat a block, and requires the replay
-// kernel's results, pulled from the packed and the streamed source and
-// pushed in random slices alike, with no hooks, attribution, sampling
-// and both, to equal the
-// reference model's over the Table-2 grid and the kernel geometries.
-// Each 3-byte record is a kind, a run length and a word: the run
-// touches consecutive words, so fetch runs compact to run ops, and runs
-// cross the stream buffers' batches and split same-block write runs
-// between them; bits 15:14 of a word pick the segment. every is the
-// sampling period, SampleEvery (0 for the default). Decoding stops at
-// 16K references, four buffers' worth.
+// kernel's results, pulled from the packed and the streamed source,
+// pushed in random slices, and pushed and flushed at cuts alike, with
+// and without attribution, to equal the reference model's over the
+// Table-2 grid and the kernel geometries. Each 3-byte record is a kind,
+// a run length and a word: the run touches consecutive words, so fetch
+// runs compact to run ops, and runs cross the stream buffers' batches
+// and split same-block write runs between them; bits 15:14 of a word
+// pick the segment. every is the cut period in fetches (0 for 1000).
+// Decoding stops at 16K references, four buffers' worth.
 func FuzzReplayMatchesScalar(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x02, 0x10, 0x00, 0x05, 0x10, 0x00, 0x01, 0x10, 0x40}, uint8(1))
@@ -196,8 +196,8 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 		flushed = append(flushed, 1, 0xff, 0x2f+k)
 	}
 	f.Add(flushed, uint8(0))
-	// A fetch cuts a sample between a read and a write to its word, in
-	// sets every segment shares: the write finds both streams just
+	// A fetch cuts the stream between a read and a write to its word,
+	// in sets every segment shares: the write finds both streams just
 	// flushed.
 	cut := []byte{0x01, 0x00, 0x10, 0x00, 0x00, 0x00, 0x02, 0x00, 0x10}
 	for k := byte(0); k < 4; k++ {
@@ -224,9 +224,9 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 			}
 		}
 		want := scalarReplay(rec, geoms, int(every))
-		for name, replay := range replays(t, rec) {
-			for _, hook := range hookSets {
-				checkReplay(t, name+"/"+hook, replay, geoms, hook, int(every), want)
+		for name, replay := range replays(t, rec, int(every)) {
+			for _, attribute := range []bool{false, true} {
+				checkReplay(t, fmt.Sprintf("%s/attribute=%v", name, attribute), replay, geoms, attribute, want)
 			}
 		}
 	})

@@ -50,10 +50,10 @@ var chunkPool = sync.Pool{New: func() any { return new([chunkWords]uint32) }}
 
 // Recording is a compact in-memory reference trace and the execution
 // engine's only reference sink: a simulation records its stream by
-// running with a Recording attached, and Replay then streams the
-// recording through cache pairs. Recording once and replaying per
-// geometry turns the N-geometry fan-out into N independent,
-// parallelizable passes.
+// running with a Recording attached. A Replayer runs the stream through
+// the cache pairs of every geometry in one pass, fed by the recording's
+// drain while the simulation records (see Drain), or by Replay from a
+// kept recording.
 //
 // Each reference costs four bytes ({kind:2, addr:30} packed words in
 // chunked append-only buffers). Counts hold the §3.1 per-class

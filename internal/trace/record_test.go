@@ -116,7 +116,7 @@ func TestReplayMatchesInlineFanOut(t *testing.T) {
 	}
 	pairs := newPairs(t, cfgs)
 	rec.ReplayAll(pairs)
-	want := scalarReplay(&rec, cfgs, testSampleEvery)
+	want := scalarReplay(&rec, cfgs, testCutEvery)
 	for i, cfg := range cfgs {
 		if p := pairs[i]; p.I.Stats() != want[i].i || p.D.Stats() != want[i].d {
 			t.Errorf("%v: replayed I/D stats %+v/%+v != inline %+v/%+v",
@@ -164,9 +164,11 @@ func TestReplayAllMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestReplaySampledMatchesReplay checks the sampling hook observes
-// without perturbing: statistics match an unhooked replay, samples are
-// monotone, and their miss deltas sum to the total misses.
+// TestReplaySampledMatchesReplay checks that Flush observes without
+// perturbing: a replay sampled by flushing after every 1000th fetch
+// ends with the unflushed replay's statistics, and its misses since
+// each cut sum, cut by cut, to those of an unflushed replay of the
+// stream up to the cut.
 func TestReplaySampledMatchesReplay(t *testing.T) {
 	var rec Recording
 	for i := uint32(0); i < 5000; i++ {
@@ -181,31 +183,40 @@ func TestReplaySampledMatchesReplay(t *testing.T) {
 	if err := Replay(context.Background(), rec.Chunks(), want, nil); err != nil {
 		t.Fatal(err)
 	}
-	var samples int
-	var iSum, dSum, lastInstr uint64
-	h := &Hooks{SampleEvery: 1000, Sample: func(_ int, instrs, iMiss, dMiss uint64) {
-		samples++
-		iSum += iMiss
-		dSum += dMiss
-		if instrs < lastInstr {
-			t.Errorf("sample timestamps not monotone: %d after %d", instrs, lastInstr)
-		}
-		lastInstr = instrs
-	}}
-	if err := Replay(context.Background(), rec.Chunks(), got, h); err != nil {
+	samples, err := flushed(&rec, 1000)(got, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g, w := got[0], want[0]
 	if g.I.Stats() != w.I.Stats() || g.D.Stats() != w.D.Stats() {
-		t.Errorf("sampled replay stats differ: I %+v vs %+v, D %+v vs %+v",
+		t.Errorf("flushed replay stats differ: I %+v vs %+v, D %+v vs %+v",
 			g.I.Stats(), w.I.Stats(), g.D.Stats(), w.D.Stats())
 	}
-	if iSum != w.I.Stats().Misses || dSum != w.D.Stats().Misses {
-		t.Errorf("sample sums (%d, %d) != total misses (%d, %d)",
-			iSum, dSum, w.I.Stats().Misses, w.D.Stats().Misses)
+	if len(samples[0]) != 5 {
+		t.Errorf("%d cuts for 5000 fetches at every=1000, want 5", len(samples[0]))
 	}
-	if samples < 5 {
-		t.Errorf("only %d samples for 5000 fetches at every=1000", samples)
+	refs := words(&rec)
+	var iSum, dSum, fetches uint64
+	end := 0
+	for _, s := range samples[0] {
+		iSum += s.iMiss
+		dSum += s.dMiss
+		for ; fetches < s.instrs; end++ {
+			if k, _ := Decode(refs[end]); k == KindFetch {
+				fetches++
+			}
+		}
+		prefix := newPairs(t, cfgs)
+		rp, err := NewReplayer(prefix, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Feed(refs[:end])
+		rp.Close()
+		if p := prefix[0]; iSum != p.I.Stats().Misses || dSum != p.D.Stats().Misses {
+			t.Errorf("cut at %d fetches: deltas sum to (%d, %d), unflushed replay (%d, %d)",
+				s.instrs, iSum, dSum, p.I.Stats().Misses, p.D.Stats().Misses)
+		}
 	}
 }
 

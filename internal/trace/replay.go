@@ -11,34 +11,25 @@ import (
 )
 
 // Source yields a recorded reference stream in chunks, in order, for
-// Replay's pull loop. Next returns the next chunk as packed trace
-// words, and io.EOF after the last; a sampled replay reads it, to cut
-// the stream at sample boundaries. split feeds the next chunk straight
-// into the kernel's fetch and data streams, and also returns io.EOF
-// after the last. A *Reader is a Source over compacted bytes, and
-// Recording.Chunks returns one over the packed in-memory form, so the
-// replay kernel consumes either without caring which.
+// Replay's pull loop: split feeds the next chunk straight into the
+// kernel's fetch and data streams, and returns io.EOF after the last.
+// A *Reader is a Source over compacted bytes, and Recording.Chunks
+// returns one over the packed in-memory form, so the replay kernel
+// consumes either without caring which.
 type Source interface {
-	Next() ([]uint32, error)
 	split(*splitter) error
 }
 
 // cursor walks a packed recording's chunk list.
 type cursor struct{ chunks [][]uint32 }
 
-func (c *cursor) Next() ([]uint32, error) {
-	if len(c.chunks) == 0 {
-		return nil, io.EOF
-	}
-	ch := c.chunks[0]
-	c.chunks = c.chunks[1:]
-	return ch, nil
-}
-
 func (c *cursor) split(sp *splitter) error {
-	ch, err := c.Next()
-	sp.packed(ch)
-	return err
+	if len(c.chunks) == 0 {
+		return io.EOF
+	}
+	sp.packed(c.chunks[0])
+	c.chunks = c.chunks[1:]
+	return nil
 }
 
 // Chunks returns a Source over the recording's packed chunks: the
@@ -53,28 +44,6 @@ const replayBlockWords = 1 << 12
 
 // streamBufs recycles the stream buffers between replays.
 var streamBufs = sync.Pool{New: func() any { return new([replayBlockWords]uint32) }}
-
-// Hooks are the replay kernel's optional observers. Hooked or not, the
-// kernel runs the same split, stripped streams through the same banks,
-// and cache statistics are identical either way.
-type Hooks struct {
-	// Misses, when non-nil, holds one entry per pair; each pair's misses
-	// accumulate into its entry by reference kind and §3.1 class.
-	// Entries are added to, never reset, so replaying several streams
-	// through fresh pairs sums their attribution. The pairs' banks then
-	// count misses by kind and class (see cache.AttributingBankOf).
-	Misses []MissCounts
-	// Sample, when non-nil, receives each pair's miss density. The
-	// stream is cut after every SampleEvery instruction fetches (1000
-	// when SampleEvery <= 0), counting fetches the kernel strips, and at
-	// each cut Sample is called once per pair, in pair order, with the
-	// pair's index, the cumulative fetch count, and the pair's I- and
-	// D-cache misses since the previous cut. At the end of the stream a
-	// final partial sample reports each pair that missed since the last
-	// cut, again in pair order. Samples thus arrive cut by cut.
-	Sample      func(pair int, instrs, iMisses, dMisses uint64)
-	SampleEvery int
-}
 
 // Replayer is the replay kernel, fed by pushes: Feed hands it the next
 // references of one stream, in order and in slices of any length, and
@@ -92,51 +61,46 @@ type Hooks struct {
 // pairs' I-caches and one of their D-caches, which also count the
 // dropped references as accesses; the banks hold the contents and the
 // pairs receive statistics only, so a pair that has seen an access is
-// an error. Hooks attribute misses in the banks and cut the batches at
-// sample boundaries (see Hooks).
+// an error.
 type Replayer struct {
-	pairs []Pair
-	h     *Hooks
-	sp    *splitter
-	cuts  *cutter // nil unless sampling
+	pairs  []Pair
+	misses []MissCounts
+	sp     *splitter
 }
 
-// NewReplayer starts a replay of one stream through fresh pairs, with
-// optional hooks. It takes two stream buffers from a pool, which Close
-// returns.
-func NewReplayer(pairs []Pair, h *Hooks) (*Replayer, error) {
-	sp, err := newSplitter(pairs, h != nil && h.Misses != nil)
+// NewReplayer starts a replay of one stream through fresh pairs. With
+// misses non-nil, which then holds one entry per pair, the pairs' banks
+// count misses by reference kind and §3.1 class (see
+// cache.AttributingBankOf), and Close adds each pair's into its entry;
+// entries are never reset, so replaying several streams through fresh
+// pairs sums their attribution. It takes two stream buffers from a
+// pool, which Close returns.
+func NewReplayer(pairs []Pair, misses []MissCounts) (*Replayer, error) {
+	sp, err := newSplitter(pairs, misses != nil)
 	if err != nil {
 		return nil, err
 	}
-	rp := &Replayer{pairs: pairs, h: h, sp: sp}
-	if h != nil && h.Sample != nil {
-		rp.cuts = newCutter(h, pairs)
-	}
-	return rp, nil
+	return &Replayer{pairs: pairs, misses: misses, sp: sp}, nil
 }
 
 // Feed replays the stream's next references, packed trace words.
-func (rp *Replayer) Feed(refs []uint32) {
-	if rp.cuts == nil {
-		rp.sp.packed(refs)
-	} else {
-		rp.cuts.feed(refs, rp.sp)
-	}
-}
+func (rp *Replayer) Feed(refs []uint32) { rp.sp.packed(refs) }
 
-// Close ends the stream: both streams flush into the banks, a sampled
-// replay reports its final partial sample, and the attribution adds
-// into Hooks.Misses. The pairs' statistics are then complete, and the
-// stream buffers go back to the pool. Feed must not be called after.
+// Flush hands every reference fed so far to the banks, so each pair's
+// statistics are exact until the next Feed. It does not end the stream,
+// and the pairs' statistics after Close are the same whether or where
+// it was called.
+func (rp *Replayer) Flush() { rp.sp.flush() }
+
+// Close ends the stream: both streams flush into the banks and the
+// attribution adds into misses. The pairs' statistics are then
+// complete, and the stream buffers go back to the pool. Feed must not
+// be called after.
 func (rp *Replayer) Close() {
 	rp.sp.flush()
-	if rp.cuts != nil {
-		rp.cuts.cut(false)
-	}
-	if rp.h != nil && rp.h.Misses != nil {
+	if rp.misses != nil {
 		for i, p := range rp.pairs {
-			rp.h.Misses[i].add(p)
+			rp.misses[i].add(p)
 		}
 	}
 	rp.sp.release()
@@ -144,15 +108,14 @@ func (rp *Replayer) Close() {
 
 // Replay streams src through every pair in one pass of a Replayer,
 // pulling one chunk at a time; a *Reader decodes a run of sequential
-// fetches straight to the blocks it crosses unless the replay samples.
-// It takes fresh pairs.
+// fetches straight to the blocks it crosses. It takes fresh pairs, and
+// attributes misses into misses as NewReplayer does.
 //
 // The context is checked before every chunk; on cancellation Replay
 // returns ctx.Err() and the pairs' statistics are partial and must be
-// discarded, as they must on a source error. Either way no final
-// sample is reported.
-func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
-	rp, err := NewReplayer(pairs, h)
+// discarded, as they must on a source error.
+func Replay(ctx context.Context, src Source, pairs []Pair, misses []MissCounts) error {
+	rp, err := NewReplayer(pairs, misses)
 	if err != nil {
 		return err
 	}
@@ -166,13 +129,7 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 			default:
 			}
 		}
-		if rp.cuts == nil {
-			err = src.split(rp.sp)
-		} else {
-			var ch []uint32
-			ch, err = src.Next()
-			rp.Feed(ch)
-		}
+		err = src.split(rp.sp)
 	}
 	if err != io.EOF {
 		rp.sp.release()
@@ -180,52 +137,6 @@ func Replay(ctx context.Context, src Source, pairs []Pair, h *Hooks) error {
 	}
 	rp.Close()
 	return nil
-}
-
-// cutter cuts a sampled replay after every every-th fetch: both streams
-// flush, so each pair's statistics are exact at the cut, and each pair
-// reports its misses since the previous cut.
-type cutter struct {
-	sample         func(pair int, instrs, iMisses, dMisses uint64)
-	pairs          []Pair
-	every, fetches uint64
-	last           [][2]uint64 // each pair's I- and D-misses at the previous cut
-}
-
-func newCutter(h *Hooks, pairs []Pair) *cutter {
-	every := uint64(1000)
-	if h.SampleEvery > 0 {
-		every = uint64(h.SampleEvery)
-	}
-	return &cutter{sample: h.Sample, pairs: pairs, every: every, last: make([][2]uint64, len(pairs))}
-}
-
-// feed passes refs into sp's streams, cutting after every every-th
-// fetch.
-func (c *cutter) feed(refs []uint32, sp *splitter) {
-	for _, w := range refs {
-		if w>>kindShift != uint32(KindFetch) {
-			sp.data.add(w&addrMask, w>>(kindShift+1))
-			continue
-		}
-		sp.fetch.add(w&addrMask, 0)
-		if c.fetches++; c.fetches%c.every == 0 {
-			sp.flush()
-			c.cut(true)
-		}
-	}
-}
-
-// cut reports each pair's misses since the previous cut: every pair's
-// when full is set, and only a pair's that missed otherwise.
-func (c *cutter) cut(full bool) {
-	for i, p := range c.pairs {
-		im, dm := p.I.Stats().Misses, p.D.Stats().Misses
-		if di, dd := im-c.last[i][0], dm-c.last[i][1]; full || di != 0 || dd != 0 {
-			c.sample(i, c.fetches, di, dd)
-		}
-		c.last[i] = [2]uint64{im, dm}
-	}
 }
 
 // splitter is the kernel's front end: the fetch stream bound for the

@@ -28,7 +28,8 @@ var kernelGeoms = []cache.Config{
 	{SizeBytes: 64 << 10, BlockBytes: 64, Assoc: 16},
 }
 
-// sample is one miss-density sample as the Sample hook reports it.
+// sample is one pair's misses at a cut: the fetches so far and the I-
+// and D-misses since the previous cut.
 type sample struct{ instrs, iMiss, dMiss uint64 }
 
 // outcome is everything one pair's replay can be observed to produce.
@@ -38,16 +39,21 @@ type outcome struct {
 	samples []sample
 }
 
-const testSampleEvery = 97
+const testCutEvery = 97
+
+// cutPeriod is the cut period for every: every-th fetch, or 1000 for 0.
+func cutPeriod(every int) uint64 {
+	if every > 0 {
+		return uint64(every)
+	}
+	return 1000
+}
 
 // scalarReplay is the reference: Recording.Do plus one access of the
 // reference model per reference, attributing misses inline and
-// sampling them as Hooks says, with SampleEvery set to every.
+// sampling them after every every-th fetch (see cutPeriod).
 func scalarReplay(rec *Recording, geoms []cache.Config, every int) []outcome {
-	period := uint64(1000)
-	if every > 0 {
-		period = uint64(every)
-	}
+	period := cutPeriod(every)
 	out := make([]outcome, len(geoms))
 	for g, cfg := range geoms {
 		ic, dc := cachetest.New(cfg), cachetest.New(cfg)
@@ -78,41 +84,24 @@ func scalarReplay(rec *Recording, geoms []cache.Config, every int) []outcome {
 				}
 			}
 		})
-		if iMiss != 0 || dMiss != 0 {
-			o.samples = append(o.samples, sample{fetches, iMiss, dMiss})
-		}
 		o.i, o.d = ic.Stats(), dc.Stats()
 	}
 	return out
 }
 
-// hookSets names the hook combinations checkReplay takes.
-var hookSets = []string{"none", "attribution", "sampling", "both"}
-
-// checkReplay replays through fresh pairs of geoms with the named hook
-// set, sampling with SampleEvery set to every, and requires cache
-// statistics, miss attribution and density samples identical to want,
-// and samples that arrive cut by cut, in pair order within a cut.
-func checkReplay(t *testing.T, name string, replay replayFunc, geoms []cache.Config, hook string, every int, want []outcome) {
+// checkReplay replays through fresh pairs of geoms, attributing misses
+// when attribute is set, and requires cache statistics, miss
+// attribution and the replay's samples at its cuts, if it cuts,
+// identical to want.
+func checkReplay(t *testing.T, name string, replay replayFunc, geoms []cache.Config, attribute bool, want []outcome) {
 	t.Helper()
 	pairs := newPairs(t, geoms)
-	h := &Hooks{SampleEvery: every}
-	samples := make([][]sample, len(geoms))
-	type call struct {
-		pair   int
-		instrs uint64
+	var misses []MissCounts
+	if attribute {
+		misses = make([]MissCounts, len(geoms))
 	}
-	var calls []call
-	if hook == "attribution" || hook == "both" {
-		h.Misses = make([]MissCounts, len(geoms))
-	}
-	if hook == "sampling" || hook == "both" {
-		h.Sample = func(pair int, instrs, iMiss, dMiss uint64) {
-			samples[pair] = append(samples[pair], sample{instrs, iMiss, dMiss})
-			calls = append(calls, call{pair, instrs})
-		}
-	}
-	if err := replay(pairs, h); err != nil {
+	samples, err := replay(pairs, misses)
+	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	for g, p := range pairs {
@@ -121,20 +110,12 @@ func checkReplay(t *testing.T, name string, replay replayFunc, geoms []cache.Con
 			t.Errorf("%s geom %v: stats I=%+v D=%+v, want I=%+v D=%+v",
 				name, geoms[g], p.I.Stats(), p.D.Stats(), w.i, w.d)
 		}
-		if h.Misses != nil && h.Misses[g] != w.misses {
-			t.Errorf("%s geom %v: attribution %+v, want %+v", name, geoms[g], h.Misses[g], w.misses)
+		if misses != nil && misses[g] != w.misses {
+			t.Errorf("%s geom %v: attribution %+v, want %+v", name, geoms[g], misses[g], w.misses)
 		}
-		if h.Sample != nil && !slices.Equal(samples[g], w.samples) {
+		if samples != nil && !slices.Equal(samples[g], w.samples) {
 			t.Errorf("%s geom %v: %d samples %v, want %d %v",
 				name, geoms[g], len(samples[g]), samples[g], len(w.samples), w.samples)
-		}
-	}
-	// A later pair continues the cut; an earlier one starts the next.
-	for k := 1; k < len(calls); k++ {
-		prev, cur := calls[k-1], calls[k]
-		if cur.pair > prev.pair && cur.instrs != prev.instrs || cur.pair <= prev.pair && cur.instrs < prev.instrs {
-			t.Errorf("%s: sample of pair %d at %d follows pair %d at %d", name, cur.pair, cur.instrs, prev.pair, prev.instrs)
-			break
 		}
 	}
 }
@@ -155,16 +136,21 @@ func sources(t *testing.T, rec *Recording) map[string]func() Source {
 	}
 }
 
-// replayFunc replays one stream through fresh pairs with hooks.
-type replayFunc func(pairs []Pair, h *Hooks) error
+// replayFunc replays one stream through fresh pairs, attributing misses
+// into misses unless it is nil. One that cuts the stream returns each
+// pair's samples, cut by cut; one that does not returns nil.
+type replayFunc func(pairs []Pair, misses []MissCounts) ([][]sample, error)
 
 // replays returns every way the kernel takes the recording: Replay
-// pulling each of its sources, and a Replayer it is pushed to (see
-// pushed).
-func replays(t *testing.T, rec *Recording) map[string]replayFunc {
-	out := map[string]replayFunc{"pushed": pushed(rec, uint64(rec.Len()))}
+// pulling each of its sources, and a Replayer it is pushed to, in
+// random slices (see pushed) or cut after every every-th fetch (see
+// flushed).
+func replays(t *testing.T, rec *Recording, every int) map[string]replayFunc {
+	out := map[string]replayFunc{"pushed": pushed(rec, uint64(rec.Len())), "flushed": flushed(rec, every)}
 	for name, open := range sources(t, rec) {
-		out[name] = func(pairs []Pair, h *Hooks) error { return Replay(context.Background(), open(), pairs, h) }
+		out[name] = func(pairs []Pair, misses []MissCounts) ([][]sample, error) {
+			return nil, Replay(context.Background(), open(), pairs, misses)
+		}
 	}
 	return out
 }
@@ -174,10 +160,10 @@ func replays(t *testing.T, rec *Recording) map[string]replayFunc {
 // chunks, which cross the recording's chunk boundaries.
 func pushed(rec *Recording, seed uint64) replayFunc {
 	refs := words(rec)
-	return func(pairs []Pair, h *Hooks) error {
-		rp, err := NewReplayer(pairs, h)
+	return func(pairs []Pair, misses []MissCounts) ([][]sample, error) {
+		rp, err := NewReplayer(pairs, misses)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		src := rng.New(seed)
 		for rest := refs; len(rest) > 0; {
@@ -196,7 +182,44 @@ func pushed(rec *Recording, seed uint64) replayFunc {
 			rest = rest[n:]
 		}
 		rp.Close()
-		return nil
+		return nil, nil
+	}
+}
+
+// flushed feeds rec's references to a Replayer cut after every
+// every-th fetch (see cutPeriod), counting the fetches the kernel
+// strips: it feeds the part up to each cut, calls Flush, and samples
+// each pair's misses since the previous cut.
+func flushed(rec *Recording, every int) replayFunc {
+	refs, period := words(rec), cutPeriod(every)
+	return func(pairs []Pair, misses []MissCounts) ([][]sample, error) {
+		rp, err := NewReplayer(pairs, misses)
+		if err != nil {
+			return nil, err
+		}
+		samples := make([][]sample, len(pairs))
+		last := make([][2]uint64, len(pairs))
+		var fetches uint64
+		start := 0
+		for i, w := range refs {
+			if k, _ := Decode(w); k != KindFetch {
+				continue
+			}
+			if fetches++; fetches%period != 0 {
+				continue
+			}
+			rp.Feed(refs[start : i+1])
+			rp.Flush()
+			start = i + 1
+			for g, p := range pairs {
+				im, dm := p.I.Stats().Misses, p.D.Stats().Misses
+				samples[g] = append(samples[g], sample{fetches, im - last[g][0], dm - last[g][1]})
+				last[g] = [2]uint64{im, dm}
+			}
+		}
+		rp.Feed(refs[start:])
+		rp.Close()
+		return samples, nil
 	}
 }
 
@@ -213,11 +236,12 @@ func newPairs(t *testing.T, geoms []cache.Config) []Pair {
 }
 
 // TestReplayKernelEquivalence drives the replay kernel over every
-// combination of input (pulled from either chunk source, or pushed in
-// random slices), hook set, geometry set and trace — the random
-// traces' lengths straddle the stream-buffer and chunk boundaries — and
-// requires cache statistics, miss attribution and density samples
-// identical to the reference model's.
+// combination of input (pulled from either chunk source, pushed in
+// random slices, or pushed and flushed at cuts), attribution on or off,
+// geometry set and trace — the random traces' lengths straddle the
+// stream-buffer and chunk boundaries — and requires cache statistics,
+// miss attribution and the samples at the cuts identical to the
+// reference model's.
 func TestReplayKernelEquivalence(t *testing.T) {
 	type namedTrace struct {
 		name string
@@ -238,16 +262,16 @@ func TestReplayKernelEquivalence(t *testing.T) {
 	traces = append(traces, namedTrace{"longrun", record(longRun)})
 	for _, tr := range traces {
 		rec := tr.rec
-		runs := replays(t, rec)
+		runs := replays(t, rec, testCutEvery)
 		// The fourth set is the Table-2 grid, ten stages in one bank; the
 		// last puts a second block size behind an 8-byte one.
 		for _, geoms := range [][]cache.Config{kernelGeoms[:1], kernelGeoms[:3], kernelGeoms, table2Geoms(),
 			{{SizeBytes: 1 << 10, BlockBytes: 8, Assoc: 1}, {SizeBytes: 8 << 10, BlockBytes: 64, Assoc: 4}}} {
-			want := scalarReplay(rec, geoms, testSampleEvery)
-			for _, how := range []string{"packed", "streamed", "pushed"} {
-				for _, hook := range hookSets {
-					name := fmt.Sprintf("%s/geoms=%d/%s/%s", tr.name, len(geoms), how, hook)
-					checkReplay(t, name, runs[how], geoms, hook, testSampleEvery, want)
+			want := scalarReplay(rec, geoms, testCutEvery)
+			for _, how := range []string{"packed", "streamed", "pushed", "flushed"} {
+				for _, attribute := range []bool{false, true} {
+					name := fmt.Sprintf("%s/geoms=%d/%s/attribute=%v", tr.name, len(geoms), how, attribute)
+					checkReplay(t, name, runs[how], geoms, attribute, want)
 				}
 			}
 		}
@@ -256,24 +280,19 @@ func TestReplayKernelEquivalence(t *testing.T) {
 
 // TestReplayCancelled pins cancellation on every kernel path: an
 // already-cancelled context returns its error before any chunk is
-// consumed, with or without hooks.
+// consumed, with or without attribution.
 func TestReplayCancelled(t *testing.T) {
 	rec := record(randomRefs(5, chunkWords+1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	hooks := map[string]*Hooks{
-		"none":        nil,
-		"attribution": {Misses: make([]MissCounts, 1)},
-		"sampling":    {Sample: func(int, uint64, uint64, uint64) { t.Error("sample emitted after cancellation") }},
-	}
 	for srcName, open := range sources(t, rec) {
-		for hook, h := range hooks {
+		for _, misses := range [][]MissCounts{nil, make([]MissCounts, 1)} {
 			pairs := newPairs(t, kernelGeoms[:1])
-			if err := Replay(ctx, open(), pairs, h); !errors.Is(err, context.Canceled) {
-				t.Errorf("%s/%s: err = %v, want context.Canceled", srcName, hook, err)
+			if err := Replay(ctx, open(), pairs, misses); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s/attribute=%v: err = %v, want context.Canceled", srcName, misses != nil, err)
 			}
 			if n := pairs[0].I.Stats().Accesses + pairs[0].D.Stats().Accesses; n != 0 {
-				t.Errorf("%s/%s: %d accesses replayed after cancellation", srcName, hook, n)
+				t.Errorf("%s/attribute=%v: %d accesses replayed after cancellation", srcName, misses != nil, n)
 			}
 		}
 	}

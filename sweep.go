@@ -9,12 +9,11 @@ import (
 
 // Sweep re-exports the full-evaluation driver: it runs a set of
 // workloads under the configured backends (Sweep.Impls, default
-// {MD, AM}) across a grid of cache geometries
-// and derives the paper's tables and figures. Simulations record their
-// reference streams once; the geometry fan-out splits the grid into one
-// group per replay worker and drives each group with a vectorized
-// single-pass kernel that decodes the trace once for all of the group's
-// cache pairs. Set Sweep.Parallelism to bound the worker pool
+// {MD, AM}) across a grid of cache geometries and derives the paper's
+// tables and figures. Each simulation replays its reference streams
+// through every geometry of the grid while it records them, in one
+// pass of the replay kernel, so no whole trace is held. Set
+// Sweep.Parallelism to bound how many simulations run at once
 // (0 = GOMAXPROCS). Results are identical at every setting.
 type (
 	Sweep    = experiments.Sweep
