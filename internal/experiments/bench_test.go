@@ -58,9 +58,11 @@ func BenchmarkNodeRatio(b *testing.B) {
 // reference. "stream" pulls each through trace.Replay from a Reader,
 // which decodes straight into the kernel, as a warm sweep unit does;
 // "packed" decodes each chunk and feeds it to a trace.Replayer, as a
-// recording's drain feeds one. Real streams spread their references
-// over many sets and ranks, so the banks' branches predict worse here
-// than on the synthetic streams of BenchmarkBank and
+// recording's drain feeds one; "decode" only decodes each chunk through
+// Reader.Next, the same loop "stream" runs without the strip, so it
+// reads the decoder's own share of both. Real streams spread their
+// references over many sets and ranks, so the banks' branches predict
+// worse here than on the synthetic streams of BenchmarkBank and
 // BenchmarkReplayAll. Run it on one goroutine:
 //
 //	go test -run '^$' -bench ReplayPaper -cpu 1 ./internal/experiments/
@@ -79,11 +81,17 @@ func BenchmarkReplayPaper(b *testing.B) {
 		}
 	}
 	geoms := table2Grid()
-	for _, mode := range []string{"stream", "packed"} {
+	for _, mode := range []string{"stream", "packed", "decode"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, blob := range blobs {
-					if err := replayBlob(blob, geoms, mode == "stream"); err != nil {
+					var err error
+					if mode == "decode" {
+						err = decodeBlob(blob)
+					} else {
+						err = replayBlob(blob, geoms, mode == "stream")
+					}
+					if err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -122,5 +130,22 @@ func replayBlob(blob []byte, geoms []cache.Config, stream bool) error {
 			return err
 		}
 		rp.Feed(ch)
+	}
+}
+
+// decodeBlob decodes one compacted recording to its end through
+// trace.Reader.Next.
+func decodeBlob(blob []byte) error {
+	rd, err := trace.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		return err
+	}
+	for {
+		if _, err := rd.Next(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
 	}
 }

@@ -142,58 +142,144 @@ func compactChunk(dst []byte, c []uint32) []byte {
 // decompactChunk decodes one payload, the exact inverse of
 // compactChunk, and rejects any payload that does not decode to exactly
 // nRefs in-range references. With sp nil it appends the packed words
-// to out; otherwise it builds no packed words and feeds each reference
-// straight into sp's fetch or data stream, a fetch run in one step per
-// block it touches.
+// to out. Otherwise it builds no packed words: it strips each reference
+// into sp's fetch or data stream by the rule the stream comment proves,
+// a fetch run in one step per block it crosses, and hands each full
+// batch to its bank. Both streams' state is held in locals for the
+// whole chunk, loaded from sp once and stored back once.
 func decompactChunk(payload []byte, nRefs int, out []uint32, sp *splitter) ([]uint32, error) {
-	var last [3]uint32
-	emitted := 0
-	for emitted < nRefs {
-		v, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, errors.New("trace: truncated chunk payload")
+	var (
+		last           [4]uint32 // word address per tag; a run's is KindFetch's
+		fShift, dShift uint32
+		fPrev, dPrev   uint32
+		fBuf, dBuf     *[replayBlockWords]uint32
+		fN, dN         int // batch lengths
+		fDrop, dDrop   int
+		err            error
+	)
+	if sp != nil {
+		f, d := &sp.fetch, &sp.data
+		fShift, fPrev, fN, fDrop = f.shift, f.prev, len(f.buf), f.dropped
+		dShift, dPrev, dN, dDrop = d.shift, d.prev, len(d.buf), d.dropped
+		fBuf, dBuf = (*[replayBlockWords]uint32)(f.buf[:replayBlockWords]), (*[replayBlockWords]uint32)(d.buf[:replayBlockWords])
+	}
+	i, left := uint(0), nRefs
+	for left > 0 {
+		// One op. Its one-, two- and four-byte forms decode in line: a
+		// four-byte op is most often a data reference that changes
+		// segment.
+		var v uint64
+		if i < uint(len(payload)) && payload[i] < 0x80 {
+			v = uint64(payload[i])
+			i++
+		} else if i+1 < uint(len(payload)) && payload[i+1] < 0x80 {
+			v = uint64(payload[i]&0x7f) | uint64(payload[i+1])<<7
+			i += 2
+		} else if i+3 < uint(len(payload)) && payload[i+3] < 0x80 && payload[i+2] >= 0x80 {
+			v = uint64(payload[i]&0x7f) | uint64(payload[i+1]&0x7f)<<7 | uint64(payload[i+2]&0x7f)<<14 | uint64(payload[i+3])<<21
+			i += 4
+		} else {
+			var n int
+			if v, n = binary.Uvarint(payload[i:]); n <= 0 {
+				err = errors.New("trace: truncated chunk payload")
+				break
+			}
+			i += uint(n)
 		}
-		payload = payload[n:]
-		switch tag := v & 3; tag {
-		case tagRun:
+		tag := v & 3
+		if tag == tagRun {
 			cnt := v >> 2
-			if cnt == 0 || cnt > uint64(nRefs-emitted) {
-				return nil, fmt.Errorf("trace: fetch run of %d in chunk with %d references left", cnt, nRefs-emitted)
+			if cnt == 0 || cnt > uint64(left) {
+				err = fmt.Errorf("trace: fetch run of %d in chunk with %d references left", cnt, left)
+				break
 			}
 			if uint64(last[KindFetch])+cnt > addrMask {
-				return nil, errors.New("trace: fetch run overflows the address space")
+				err = errors.New("trace: fetch run overflows the address space")
+				break
 			}
-			w := last[KindFetch]
-			last[KindFetch] += uint32(cnt)
-			emitted += int(cnt)
-			if sp != nil {
-				sp.fetch.run(w+1, last[KindFetch])
+			first, end := last[KindFetch]+1, last[KindFetch]+uint32(cnt)
+			last[KindFetch] = end
+			left -= int(cnt)
+			if sp == nil {
+				for w := first; w <= end; w++ {
+					out = append(out, w)
+				}
 				continue
 			}
-			for ; cnt > 0; cnt-- {
-				w++
-				out = append(out, w)
+			// One step per block: its first word alone can survive, and
+			// the run's own first word survives as itself.
+			b, eb := first>>fShift, end>>fShift
+			fDrop += int(end-first) - int(eb-b)
+			ref := first << 2
+			if b == fPrev {
+				fDrop++
+				b++
+				ref = b << (fShift + 2)
+			}
+			for ; b <= eb; b++ {
+				fBuf[fN] = ref
+				if fN++; fN == replayBlockWords {
+					sp.fetch.access(fBuf[:fN], fN+fDrop)
+					fN, fDrop = 0, 0
+				}
+				ref = (b + 1) << (fShift + 2)
+			}
+			fPrev = eb
+			continue
+		}
+		word := int64(last[tag]) + unzigzag(v>>2)
+		if word < 0 || word > addrMask {
+			err = fmt.Errorf("trace: delta walks word address to %d", word)
+			break
+		}
+		w := uint32(word)
+		last[tag] = w
+		left--
+		switch {
+		case sp == nil:
+			out = append(out, uint32(tag)<<kindShift|w)
+		case tag == uint64(KindFetch):
+			if blk := w >> fShift; blk == fPrev {
+				fDrop++
+			} else {
+				fPrev = blk
+				fBuf[fN] = w << 2
+				if fN++; fN == replayBlockWords {
+					sp.fetch.access(fBuf[:fN], fN+fDrop)
+					fN, fDrop = 0, 0
+				}
 			}
 		default:
-			word := int64(last[tag]) + unzigzag(v>>2)
-			if word < 0 || word > addrMask {
-				return nil, fmt.Errorf("trace: delta walks word address to %d", word)
-			}
-			last[tag] = uint32(word)
-			emitted++
-			switch {
-			case sp == nil:
-				out = append(out, uint32(tag)<<kindShift|uint32(word))
-			case tag == uint64(KindFetch):
-				sp.fetch.add(uint32(word), 0)
-			default:
-				// KindWrite is 2 and KindRead 1: tag>>1 is the write flag.
-				sp.data.add(uint32(word), uint32(tag>>1))
+			// KindWrite is 2 and KindRead 1: tag>>1 is the write flag. A
+			// read of the previous block drops, and a write to it folds
+			// into the batch's last entry unless the batch is empty. A
+			// survivor's bit 1 keeps its own kind when a later write
+			// folds into bit 0.
+			write, blk := uint32(tag>>1), w>>dShift
+			if blk == dPrev && write == 0 {
+				dDrop++
+			} else if blk == dPrev && dN > 0 {
+				dBuf[dN-1] |= write
+				dDrop++
+			} else {
+				dPrev = blk
+				dBuf[dN] = w<<2 | write<<1 | write
+				if dN++; dN == replayBlockWords {
+					sp.data.access(dBuf[:dN], dN+dDrop)
+					dN, dDrop = 0, 0
+				}
 			}
 		}
 	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes after chunk", len(payload))
+	if sp != nil {
+		sp.fetch.prev, sp.fetch.buf, sp.fetch.dropped = fPrev, fBuf[:fN], fDrop
+		sp.data.prev, sp.data.buf, sp.data.dropped = dPrev, dBuf[:dN], dDrop
+	}
+	if err == nil && i != uint(len(payload)) {
+		err = fmt.Errorf("trace: %d trailing bytes after chunk", uint(len(payload))-i)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -201,9 +287,10 @@ func decompactChunk(payload []byte, nRefs int, out []uint32, sp *splitter) ([]ui
 // Reader streams a compacted recording: the header is parsed up front,
 // then Next decodes one chunk at a time into a reused buffer, so a
 // reader holds one decoded chunk (≤ 256 KB) regardless of trace length.
-// Replay decodes each chunk straight into the kernel's streams instead
-// and holds no decoded chunk. A Reader consumes its source exactly
-// once; open a fresh Reader per replay pass.
+// Replay decodes each chunk straight into the kernel's streams instead,
+// in the same loop (decompactChunk), and holds no decoded chunk. A
+// Reader consumes its source exactly once; open a fresh Reader per
+// replay pass.
 type Reader struct {
 	br         *bufio.Reader
 	counts     Counts

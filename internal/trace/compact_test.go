@@ -3,10 +3,15 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"testing"
 
 	"jmtam/internal/cache"
+	"jmtam/internal/mem"
 	"jmtam/internal/rng"
 )
 
@@ -164,6 +169,14 @@ func TestCompactRatioSequential(t *testing.T) {
 	}
 }
 
+// decodeErrors returns Decompact's error on data and the error of a
+// streamed replay of it through one geometry.
+func decodeErrors(t *testing.T, data []byte) (error, error) {
+	t.Helper()
+	_, err := Decompact(data)
+	return err, streamedReplay(data, newPairs(t, kernelGeoms[:1]))
+}
+
 func TestDecompactRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -174,30 +187,137 @@ func TestDecompactRejectsGarbage(t *testing.T) {
 		append([]byte("JTR2\x01\x00"), 0xff), // torn total
 	}
 	for i, data := range cases {
-		if _, err := Decompact(data); err == nil {
+		err, rerr := decodeErrors(t, data)
+		if err == nil {
 			t.Errorf("case %d: Decompact accepted garbage", i)
+		}
+		if fmt.Sprint(rerr) != fmt.Sprint(err) {
+			t.Errorf("case %d: streamed replay error %v, Decompact's %v", i, rerr, err)
 		}
 	}
 }
 
 // TestDecompactTornTail truncates a valid compact stream at every
 // length: every prefix but the full one must fail cleanly (no panic, no
-// silent short decode).
+// silent short decode), and a streamed replay of it with the same
+// error.
 func TestDecompactTornTail(t *testing.T) {
 	rec := record(randomRefs(3, 5000))
 	data := rec.CompactAnnotated([]byte("meta"))
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Decompact(data[:cut]); err == nil {
+		err, rerr := decodeErrors(t, data[:cut])
+		if err == nil {
 			t.Fatalf("torn tail at %d/%d decoded without error", cut, len(data))
 		}
+		if fmt.Sprint(rerr) != fmt.Sprint(err) {
+			t.Fatalf("torn tail at %d/%d: streamed replay error %v, Decompact's %v", cut, len(data), rerr, err)
+		}
 	}
-	if _, err := Decompact(data); err != nil {
-		t.Fatalf("full stream failed: %v", err)
+	if err, rerr := decodeErrors(t, data); err != nil || rerr != nil {
+		t.Fatalf("full stream failed: Decompact %v, streamed replay %v", err, rerr)
 	}
 	// Trailing junk after the final chunk is ignored by Decompact's
 	// reader (the header's reference count bounds the stream), so a
 	// range-fetched prefix of a longer object still decodes — but a
 	// *corrupt* tail inside the counted chunks must not.
+}
+
+// craftedChunk is a payload for a one-chunk stream of nRefs references
+// (see chunkBlob) and the error the chunk decoder must return on it, or
+// "" for a valid one.
+type craftedChunk struct {
+	name    string
+	nRefs   int
+	payload []byte
+	err     string
+}
+
+// ops encodes payload ops; op and runOp build them.
+func ops(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+func op(k Kind, delta int64) uint64 { return zigzag(delta)<<2 | uint64(k) }
+func runOp(n uint64) uint64         { return n<<2 | tagRun }
+
+// craftedChunks hit every check of the chunk decoder once, and pass its
+// in-line op forms of each length.
+var craftedChunks = []craftedChunk{
+	{"valid, one- to five-byte ops and a run", 7, ops(op(KindFetch, 5), runOp(2), op(KindWrite, 100), op(KindRead, 1<<12),
+		op(KindRead, 1<<19), op(KindFetch, 1<<26)), ""},
+	{"two-byte op cut at the payload's end", 2, append(ops(op(KindFetch, 1)), 0x80), "truncated chunk payload"},
+	{"four-byte op cut at the payload's end", 2, append(ops(op(KindFetch, 1)), 0x80, 0x80, 0x80), "truncated chunk payload"},
+	{"11-byte op", 1, append(bytes.Repeat([]byte{0x80}, 10), 0x01), "truncated chunk payload"},
+	{"10-byte op past 64 bits", 1, append(bytes.Repeat([]byte{0xff}, 9), 0x02), "truncated chunk payload"},
+	{"empty run", 1, ops(runOp(0)), "fetch run of 0 in chunk with 1 references left"},
+	{"run past the chunk's count", 2, ops(op(KindFetch, 1), runOp(2)), "fetch run of 2 in chunk with 1 references left"},
+	{"run past the address space", 3, ops(op(KindFetch, addrMask-1), runOp(2)), "fetch run overflows the address space"},
+	{"delta below 0", 1, ops(op(KindRead, -1)), "delta walks word address to -1"},
+	{"delta above addrMask", 2, ops(op(KindWrite, 1), op(KindWrite, addrMask)), "delta walks word address to 1073741824"},
+	{"trailing bytes", 1, ops(op(KindFetch, 1), op(KindFetch, 1)), "1 trailing bytes after chunk"},
+}
+
+// chunkBlob is a compact stream of one chunk of nRefs references with
+// the given payload, and zero counts.
+func chunkBlob(nRefs int, payload []byte) []byte {
+	b := append([]byte("JTR2\x01\x00"), ops(uint64(nRefs))...)
+	b = append(b, make([]byte, 3*mem.NumClasses)...)
+	b = append(b, ops(uint64(nRefs), uint64(len(payload)))...)
+	return append(b, payload...)
+}
+
+// TestDecompactChecks runs each crafted chunk through both outputs of
+// the chunk decoder (see checkDecoders), and requires the error it was
+// crafted for; a valid chunk must decode to its references.
+func TestDecompactChecks(t *testing.T) {
+	for _, c := range craftedChunks {
+		data := chunkBlob(c.nRefs, c.payload)
+		checkDecoders(t, data)
+		_, err := Decompact(data)
+		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.err)
+		}
+	}
+	rec, err := Decompact(chunkBlob(craftedChunks[0].nRefs, craftedChunks[0].payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ref{{KindFetch, 5 << 2}, {KindFetch, 6 << 2}, {KindFetch, 7 << 2}, {KindWrite, 100 << 2},
+		{KindRead, 1 << 12 << 2}, {KindRead, (1<<12 + 1<<19) << 2}, {KindFetch, (7 + 1<<26) << 2}}
+	if got := refsOf(rec); !slices.Equal(got, want) {
+		t.Fatalf("valid chunk decoded to %v, want %v", got, want)
+	}
+}
+
+// TestDecodersAgreeOnMutations flips, drops and inserts bytes in a few
+// thousand compacted random streams, and checks each result with
+// checkDecoders: a seeded stand-in for fuzzing, which stops gaining new
+// inputs within seconds here.
+func TestDecodersAgreeOnMutations(t *testing.T) {
+	src := rng.New(1)
+	for i := 0; i < 3000; i++ {
+		n := src.Intn(400)
+		if i%1000 == 999 {
+			n = chunkWords + src.Intn(400) // two chunks
+		}
+		data := record(randomRefs(uint64(i), n)).Compact()
+		for m := 1 + src.Intn(3); m > 0; m-- {
+			at := src.Intn(len(data))
+			switch src.Intn(3) {
+			case 0:
+				data[at] ^= 1 << src.Intn(8)
+			case 1:
+				data = slices.Delete(data, at, at+1)
+			default:
+				data = slices.Insert(data, at, byte(src.Uint64()))
+			}
+		}
+		checkDecoders(t, data)
+	}
 }
 
 func TestReaderNextEOF(t *testing.T) {

@@ -65,12 +65,9 @@ func FuzzCompactRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecompact feeds arbitrary bytes to the decoder: it must never
-// panic or over-allocate, and anything it accepts must re-compact to a
-// decodable stream of the same length. The replay of a Reader over the
-// same bytes, which decodes straight into the kernel's streams, must
-// fail exactly when Decompact does, and otherwise match the replay of
-// the decompacted recording.
+// FuzzDecompact feeds arbitrary bytes to the decoder (see
+// checkDecoders), seeded with valid recordings and with the crafted
+// chunks of TestDecompactChecks.
 func FuzzDecompact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("JTR2\x01\x00\x00"))
@@ -83,35 +80,54 @@ func FuzzDecompact(f *testing.F) {
 	}
 	f.Add(rec.CompactAnnotated([]byte(`{"p":"x"}`)))
 	f.Add(record(randomRefs(4, 3000)).Compact())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Decompact(data)
-		streamed := newPairs(t, kernelGeoms)
-		rd, rerr := NewReader(bytes.NewReader(data))
-		if rerr == nil {
-			rerr = Replay(context.Background(), rd, streamed, nil)
+	for _, c := range craftedChunks {
+		f.Add(chunkBlob(c.nRefs, c.payload))
+	}
+	f.Fuzz(checkDecoders)
+}
+
+// checkDecoders decodes data both ways the chunk decoder serves:
+// through Reader.Next, as Decompact does, and through Reader.split, as
+// Replay from a Reader does. Neither may panic or over-allocate. Both
+// must reject data with the same error, or both accept it; then it must
+// replay to the same statistics either way and re-compact to a
+// decodable stream of the same length.
+func checkDecoders(t *testing.T, data []byte) {
+	t.Helper()
+	got, err := Decompact(data)
+	streamed := newPairs(t, kernelGeoms)
+	rerr := streamedReplay(data, streamed)
+	if fmt.Sprint(err) != fmt.Sprint(rerr) {
+		t.Fatalf("Decompact error %v, streamed replay error %v", err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	want := newPairs(t, kernelGeoms)
+	got.ReplayAll(want)
+	for g, p := range streamed {
+		if p.I.Stats() != want[g].I.Stats() || p.D.Stats() != want[g].D.Stats() {
+			t.Fatalf("%v: streamed I=%+v D=%+v, decompacted I=%+v D=%+v", kernelGeoms[g],
+				p.I.Stats(), p.D.Stats(), want[g].I.Stats(), want[g].D.Stats())
 		}
-		if (err == nil) != (rerr == nil) {
-			t.Fatalf("Decompact error %v, streamed replay error %v", err, rerr)
-		}
-		if err != nil {
-			return
-		}
-		want := newPairs(t, kernelGeoms)
-		got.ReplayAll(want)
-		for g, p := range streamed {
-			if p.I.Stats() != want[g].I.Stats() || p.D.Stats() != want[g].D.Stats() {
-				t.Fatalf("%v: streamed I=%+v D=%+v, decompacted I=%+v D=%+v", kernelGeoms[g],
-					p.I.Stats(), p.D.Stats(), want[g].I.Stats(), want[g].D.Stats())
-			}
-		}
-		again, err := Decompact(got.Compact())
-		if err != nil {
-			t.Fatalf("re-decode of accepted input failed: %v", err)
-		}
-		if again.Len() != got.Len() || again.Counts != got.Counts {
-			t.Fatalf("unstable round-trip: %d vs %d", again.Len(), got.Len())
-		}
-	})
+	}
+	again, err := Decompact(got.Compact())
+	if err != nil {
+		t.Fatalf("re-decode of accepted input failed: %v", err)
+	}
+	if again.Len() != got.Len() || again.Counts != got.Counts {
+		t.Fatalf("unstable round-trip: %d vs %d", again.Len(), got.Len())
+	}
+}
+
+// streamedReplay replays compacted bytes through pairs by Replay from a
+// Reader, which decodes each chunk straight into the kernel's streams.
+func streamedReplay(data []byte, pairs []Pair) error {
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	return Replay(context.Background(), rd, pairs, nil)
 }
 
 // FuzzReaderChunks checks that the streaming Reader yields exactly the

@@ -203,7 +203,11 @@ func (sp *splitter) release() {
 // counted. A dropped write ORs its flag into the batch's last entry,
 // which by induction is the same block and is dirtied one reference
 // earlier; in an empty batch, just flushed, the write survives and the
-// bank handles it as a top-of-stack write (see cache.Bank).
+// bank handles it as a top-of-stack write (see cache.Bank). So in a run
+// of sequential fetches only the first word of each block it crosses
+// can survive. add and keep apply this rule to one reference, and
+// decompactChunk applies it in line, with the stream's fields held in
+// locals for a chunk.
 type stream struct {
 	access  func(refs []uint32, n int) // the bank's batch entry point
 	shift   uint32                     // word address to block at the bank's smallest block size
@@ -224,8 +228,8 @@ func newStream(b *cache.Bank, access func([]uint32, int)) stream {
 // add passes one reference at word address word through the filter;
 // write is cache.RefWrite for a data write and 0 otherwise. Only the
 // drop of a read or fetch stays in line, so add inlines into the
-// decoder and the splitter, as CI's Inlining step checks; with keep in
-// it, it would not.
+// splitter, as CI's Inlining step checks; with keep in it, it would
+// not.
 func (s *stream) add(word, write uint32) {
 	if word>>s.shift == s.prev && write == 0 {
 		s.dropped++
@@ -248,30 +252,6 @@ func (s *stream) keep(word, write uint32) {
 	// push, in line, so that a survivor costs one call. Bit 1 keeps the
 	// reference's own kind when a later write folds into bit 0.
 	s.buf = append(s.buf, word<<2|write<<1|write)
-	if len(s.buf) == cap(s.buf) {
-		s.flush()
-	}
-}
-
-// run passes a straight-line run of fetches, of words first through
-// last, through the filter in one step per block the run touches: only
-// the first word of a block can survive.
-func (s *stream) run(first, last uint32) {
-	b, end := first>>s.shift, last>>s.shift
-	s.dropped += int(last-first) - int(end-b)
-	if b == s.prev {
-		s.dropped++
-	} else {
-		s.push(first << 2)
-	}
-	for b++; b <= end; b++ {
-		s.push(b << (s.shift + 2))
-	}
-	s.prev = end
-}
-
-func (s *stream) push(ref uint32) {
-	s.buf = append(s.buf, ref)
 	if len(s.buf) == cap(s.buf) {
 		s.flush()
 	}
