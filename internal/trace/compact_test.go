@@ -295,8 +295,8 @@ func TestDecompactChecks(t *testing.T) {
 
 // TestDecodersAgreeOnMutations flips, drops and inserts bytes in a few
 // thousand compacted random streams, and checks each result with
-// checkDecoders: a seeded stand-in for fuzzing, which stops gaining new
-// inputs within seconds here.
+// checkDecoders: seeded mutations that every test run repeats, where a
+// short fuzz run may cover few.
 func TestDecodersAgreeOnMutations(t *testing.T) {
 	src := rng.New(1)
 	for i := 0; i < 3000; i++ {
