@@ -1,7 +1,9 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"jmtam/api"
+	"jmtam/internal/core"
+	"jmtam/internal/experiments"
 	"jmtam/internal/shard"
 	"jmtam/internal/trace"
 	"jmtam/internal/tracestore"
@@ -240,4 +244,38 @@ func TestSweepStoreDiskTier(t *testing.T) {
 	if c["store.disk.hits"] != 2 {
 		t.Fatalf("store.disk.hits = %d, want 2", c["store.disk.hits"])
 	}
+}
+
+// TestStoredRecordingsGolden pins the bytes of every recording a
+// quick-scale sweep stores, one per program and backend, by SHA-256, as
+// read back over GET /v1/recordings/{key}.
+func TestStoredRecordingsGolden(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	impls := core.BackendNames()
+	body, err := json.Marshal(api.SweepRequest{Scale: "quick", SizesKB: []int{8}, Assocs: []int{4}, Impls: impls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepResultBytes(t, ts.URL, string(body))
+	var sums strings.Builder
+	for _, w := range experiments.QuickWorkloads() {
+		for _, name := range impls {
+			impl, err := core.ParseImpl(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := tracestore.Desc{Program: w.Name, Arg: w.Arg, Impl: impl.String(), Nodes: 1}.Key()
+			resp, err := ts.Client().Get(ts.URL + "/v1/recordings/" + key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s %d %s: status %d, %v", w.Name, w.Arg, name, resp.StatusCode, err)
+			}
+			fmt.Fprintf(&sums, "%x  %s %d %s\n", sha256.Sum256(data), w.Name, w.Arg, name)
+		}
+	}
+	checkGolden(t, "recordings.sha256", sums.String())
 }
