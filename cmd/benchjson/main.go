@@ -5,7 +5,6 @@
 //	benchjson                      # writes BENCH_table2.json
 //	benchjson -o /tmp/bench.json -scale paper
 //	benchjson -distributed 2       # same sweep through the shard coordinator
-//	benchjson -recording-bytes     # add packed vs compacted trace sizes
 //	benchjson -o /tmp/b.json -baseline BENCH_table2.json -max-regress 10%
 //
 // The "quick" scale (the default) matches BenchmarkTable2 in the root
@@ -41,7 +40,6 @@ import (
 	"jmtam/internal/server"
 	"jmtam/internal/shard"
 	"jmtam/internal/stats"
-	"jmtam/internal/trace"
 )
 
 // result is the schema of BENCH_table2.json.
@@ -63,21 +61,6 @@ type result struct {
 	// it pins each backend's replayed 8K 4-way misses; a new backend
 	// joins the trail here without failing the gate.
 	BackendGeomean map[string]float64 `json:"md_relative_geomean_8k_4way_m24,omitempty"`
-	// RecordingBytes tracks trace compaction per (workload, impl) when
-	// run with -recording-bytes; absent otherwise. The perf gate ignores
-	// it — sizes inform, they do not gate.
-	RecordingBytes []recordingSize `json:"recording_bytes,omitempty"`
-}
-
-// recordingSize is one workload's trace footprint: packed 4 B/ref
-// versus the compacted wire form.
-type recordingSize struct {
-	Program      string  `json:"program"`
-	Impl         string  `json:"impl"`
-	Refs         int     `json:"refs"`
-	PackedBytes  int     `json:"packed_bytes"`
-	CompactBytes int     `json:"compact_bytes"`
-	Ratio        float64 `json:"ratio"`
 }
 
 func main() {
@@ -86,7 +69,6 @@ func main() {
 	distributed := flag.Int("distributed", 0, "farm the sweep across N in-process workers over loopback HTTP (0 = run in-process)")
 	baseline := flag.String("baseline", "", "committed result file to compare against (perf gate)")
 	maxRegress := flag.String("max-regress", "10%", "ms/op regression tolerance vs -baseline, e.g. 10%")
-	recBytes := flag.Bool("recording-bytes", false, "record each workload once per impl and report packed vs compacted trace sizes")
 	flag.Parse()
 
 	var ws []experiments.Workload
@@ -110,9 +92,6 @@ func main() {
 		benchDistributed(&res, ws, *distributed)
 	} else {
 		benchLocal(&res, ws)
-	}
-	if *recBytes {
-		measureRecordingBytes(&res, ws)
 	}
 	measureBackendGeomean(&res, ws)
 
@@ -243,34 +222,6 @@ func measureBackendGeomean(res *result, ws []experiments.Workload) {
 		}
 		if len(xs) > 0 {
 			res.BackendGeomean[b.Name] = stats.GeoMean(xs)
-		}
-	}
-}
-
-// measureRecordingBytes simulates each (workload, impl) once and
-// reports the packed versus compacted trace footprint — the
-// compaction win tracked alongside ms/op.
-func measureRecordingBytes(res *result, ws []experiments.Workload) {
-	for _, w := range ws {
-		for _, impl := range []core.Impl{core.ImplMD, core.ImplAM} {
-			_, rec, err := experiments.RecordOne(w, impl, core.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
-			}
-			info, err := trace.CompactStat(rec.Compact())
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
-			}
-			res.RecordingBytes = append(res.RecordingBytes, recordingSize{
-				Program:      w.Name,
-				Impl:         impl.String(),
-				Refs:         info.Refs,
-				PackedBytes:  info.PackedBytes,
-				CompactBytes: info.CompactBytes,
-				Ratio:        info.Ratio(),
-			})
 		}
 	}
 }

@@ -86,8 +86,9 @@ func TestStreamReplayMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestCompactStatFields pins the size accounting benchjson's
-// -recording-bytes column reports.
+// TestCompactStatFields pins the size accounting trace.CompactStat
+// reports, which the recording store's peer checks and byte savings
+// read.
 func TestCompactStatFields(t *testing.T) {
 	r := &trace.Recording{}
 	for i := uint32(0); i < 1000; i++ {

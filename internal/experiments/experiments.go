@@ -463,7 +463,7 @@ func forEachCell(ctx context.Context, cells []cell, par int, fn func(i int) erro
 // recorded, which is the twin's one stream (the machine flushes the
 // recording it leaves at every switch).
 func (c cell) run(ctx context.Context, twin *cell, geoms []cache.Config, extra func(k int, nic bool, refs []uint32)) (r, t *Run, err error) {
-	cs, err := c.build()
+	cs, err := Build(c.w, c.impl, c.opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -647,7 +647,7 @@ func addStats(out []CacheStats, pairs []trace.Pair) {
 // sizes, and hands each finished simulation to fn before releasing it.
 func simulate(cells []cell, parallelism int, fn func(i int, cs *core.ClusterSim)) error {
 	return forEachCell(context.Background(), cells, parallelism, func(i int) error {
-		cs, err := cells[i].build()
+		cs, err := Build(cells[i].w, cells[i].impl, cells[i].opt)
 		if err != nil {
 			return err
 		}
@@ -660,17 +660,18 @@ func simulate(cells []cell, parallelism int, fn func(i int, cs *core.ClusterSim)
 	})
 }
 
-// build compiles and loads the cell's simulation with the default
-// instruction budget.
-func (c cell) build() (*core.ClusterSim, error) {
-	spec, err := programs.ByName(c.w.Name)
+// Build compiles and loads w's simulation under impl, with a budget of
+// two billion instructions unless opt sets one. The caller runs it,
+// say through Simulate, and closes it.
+func Build(w Workload, impl core.Impl, opt core.Options) (*core.ClusterSim, error) {
+	spec, err := programs.ByName(w.Name)
 	if err != nil {
 		return nil, err
 	}
-	if c.opt.MaxInstructions == 0 {
-		c.opt.MaxInstructions = 2_000_000_000
+	if opt.MaxInstructions == 0 {
+		opt.MaxInstructions = 2_000_000_000
 	}
-	return core.BuildCluster(c.impl, spec.Build(c.w.Arg), c.opt)
+	return core.BuildCluster(impl, spec.Build(w.Arg), opt)
 }
 
 // validate checks every geometry.
@@ -687,18 +688,12 @@ func validate(geoms []cache.Config) error {
 // trace recording attached, returning the run (cache statistics
 // unfilled) and the recorded reference stream. The recording can then
 // be replayed through any number of cache geometries without
-// re-simulating.
+// re-simulating. It is the one-node case of RecordCluster.
 func RecordOne(w Workload, impl core.Impl, opt core.Options) (*Run, *trace.Recording, error) {
-	return RecordOneContext(context.Background(), w, impl, opt)
-}
-
-// RecordOneContext is RecordOne with cooperative cancellation of the
-// simulation step loop: the one-node case of RecordClusterContext.
-func RecordOneContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, *trace.Recording, error) {
 	if opt.Nodes > 1 {
 		return nil, nil, fmt.Errorf("experiments: RecordOne runs one node, not %d; use RecordCluster", opt.Nodes)
 	}
-	r, recs, err := RecordClusterContext(ctx, w, impl, opt)
+	r, recs, err := RecordCluster(w, impl, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -15,18 +15,12 @@ import (
 // statistics are merged across nodes; Run.Ticks carries the elapsed
 // lockstep time, the multi-node analogue of a cycle count.
 func RecordCluster(w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
-	return RecordClusterContext(context.Background(), w, impl, opt)
-}
-
-// RecordClusterContext is RecordCluster with cooperative cancellation
-// of the simulation step loop.
-func RecordClusterContext(ctx context.Context, w Workload, impl core.Impl, opt core.Options) (*Run, []*trace.Recording, error) {
-	cs, err := cell{w, impl, opt}.build()
+	cs, err := Build(w, impl, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer cs.Close()
-	r, recs, err := record(ctx, cs, true, nil)
+	r, recs, err := record(context.Background(), cs, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}

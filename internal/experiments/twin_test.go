@@ -42,10 +42,10 @@ func diffRuns(a, b *Run) []string {
 // once, against the two-phase path. For every quick workload under
 // every backend at N = 1, 4 and 8, with and without an observability
 // sink, each cell's run must equal, every field of it (NIC and metrics
-// included), the run RecordClusterContext and
-// ReplayClusterFanOutContext give it through the Table-2 grid. Each
-// node's two offload streams, as Simulate hands them to its extra
-// callback, must also make AM's own recording word for word.
+// included), the run RecordCluster and ReplayClusterFanOutContext give
+// it through the Table-2 grid. Each node's two offload streams, as
+// Simulate hands them to its extra callback, must also make AM's own
+// recording word for word.
 func TestTwinRunsMatchSeparateRuns(t *testing.T) {
 	geoms := table2Grid()
 	ctx := context.Background()
@@ -77,7 +77,7 @@ func TestTwinRunsMatchSeparateRuns(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for i, c := range cells {
-					r, recs, err := RecordClusterContext(ctx, w, c.impl, opt())
+					r, recs, err := RecordCluster(w, c.impl, opt())
 					if err != nil {
 						t.Fatalf("%s/%s: %v", name, c.impl, err)
 					}
@@ -93,7 +93,7 @@ func TestTwinRunsMatchSeparateRuns(t *testing.T) {
 				}
 			}
 			merged := make([][]uint32, nodes)
-			cs, err := cell{w, core.ImplOffload, core.Options{Nodes: nodes}}.build()
+			cs, err := Build(w, core.ImplOffload, core.Options{Nodes: nodes})
 			if err != nil {
 				t.Fatal(err)
 			}

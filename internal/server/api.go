@@ -8,10 +8,12 @@
 // Wire types live in the root api package — the server re-exports them
 // as aliases and adds normalization on top. The package reuses the
 // façade's execution machinery — core.Compile / Compiled.NewCluster for
-// cached builds, experiments.Simulate for a run job's cache fan-out,
-// which replays while the simulation records, and the recording store
-// plus experiments.ReplayStreamFanOutContext for each sweep unit — so a
-// job served over HTTP produces byte-identical results to a direct
+// cached builds; experiments.Simulate for a run job's cache fan-out,
+// which replays while the simulation records, and for a sweep unit's
+// recording, which a trace.Encoder compacts while the simulation
+// records it; and the recording store plus
+// experiments.ReplayStreamFanOutContext for each sweep unit's replay —
+// so a job served over HTTP produces byte-identical results to a direct
 // jmtam.Run call.
 package server
 

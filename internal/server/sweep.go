@@ -160,22 +160,33 @@ func (s *Server) localUnit(ctx context.Context, spec *shard.Spec, u shard.Unit) 
 // unit executes one grid cell and returns its wire row. It resolves the
 // cell's compacted recording through the fleet — local store, then
 // peers, then simulate once — and streams it through the grid without
-// materializing the packed form. The simulation summary rides in the
-// recording's annotation, so a fetched unit needs no re-simulation. For
-// backends with NIC-resident inlets the recorded stream is the compute
-// engine's references only (the NIC's stream replays against its own
-// fixed geometry, never the grid), so a store-served unit is identical
-// to a freshly simulated one for every backend. The returned source
-// names where the recording came from.
+// materializing the packed form. A simulation compacts its stream while
+// it records, through a trace.Encoder on the stream's drain, so it
+// holds no more than the compacted bytes; the unit then replays those
+// bytes as it would a stored recording's. The simulation summary rides
+// in the recording's annotation, so a fetched unit needs no
+// re-simulation. For backends with NIC-resident inlets the recorded
+// stream is the compute engine's references only (the NIC's stream
+// replays against its own fixed geometry, never the grid), so a
+// store-served unit is identical to a freshly simulated one for every
+// backend. The returned source names where the recording came from.
 func (s *Server) unit(ctx context.Context, wl WorkloadSpec, impl core.Impl, geoms []cache.Config, penalties []int) (SweepRunSummary, string, error) {
 	desc := tracestore.Desc{Program: wl.Program, Arg: wl.Arg, Impl: impl.String(), Nodes: 1}
 	data, src, err := s.fleet.GetOrRecord(ctx, desc.Key(), func(ctx context.Context) ([]byte, error) {
-		r, rec, err := experiments.RecordOneContext(ctx, experiments.Workload{Name: wl.Program, Arg: wl.Arg}, impl, core.Options{})
+		cs, err := experiments.Build(experiments.Workload{Name: wl.Program, Arg: wl.Arg}, impl, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.GaugeAdd("sweep.recording.bytes", int64(rec.Bytes()))
-		defer s.metrics.GaugeAdd("sweep.recording.bytes", -int64(rec.Bytes()))
+		defer cs.Close()
+		var enc trace.Encoder
+		r, err := experiments.Simulate(ctx, cs, nil, true, func(_ int, nic bool, refs []uint32) {
+			if !nic {
+				enc.Add(refs)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
 		meta := tracestore.RunMeta{
 			Desc:         desc,
 			Instructions: r.Instructions,
@@ -185,7 +196,10 @@ func (s *Server) unit(ctx context.Context, wl WorkloadSpec, impl core.Impl, geom
 			Threads:      r.Threads,
 			Quanta:       r.Quanta,
 		}
-		return rec.CompactAnnotated(meta.Encode()), nil
+		blob := enc.Bytes(meta.Encode(), &r.Counts)
+		s.metrics.GaugeAdd("sweep.recording.bytes", int64(len(blob)))
+		defer s.metrics.GaugeAdd("sweep.recording.bytes", -int64(len(blob)))
+		return blob, nil
 	})
 	if err != nil {
 		return SweepRunSummary{}, "", err

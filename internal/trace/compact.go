@@ -52,7 +52,7 @@ const (
 	maxChunkPayload = 5*chunkWords + 16
 )
 
-var compactMagic = [4]byte{'J', 'T', 'R', '2'}
+const compactMagic = "JTR2"
 
 // tagRun marks a run of sequential instruction fetches; tags 0..2 are
 // the Kind values themselves.
@@ -73,51 +73,49 @@ func (r *Recording) Compact() []byte {
 // summary there so a fetched recording needs no side channel. The
 // annotation never affects replay.
 func (r *Recording) CompactAnnotated(annotation []byte) []byte {
-	if len(annotation) > maxAnnotation {
-		annotation = annotation[:maxAnnotation]
-	}
-	total := r.held()
-	// Typical traces land well under two bytes per reference.
-	out := make([]byte, 0, 64+len(annotation)+total/2)
-	out = append(out, compactMagic[:]...)
-	out = append(out, compactVersion)
-	out = binary.AppendUvarint(out, uint64(len(annotation)))
-	out = append(out, annotation...)
-	out = binary.AppendUvarint(out, uint64(total))
-	out = appendCounts(out, &r.Counts)
-	var payload []byte
+	var e Encoder
 	for _, c := range r.chunks() {
-		if len(c) == 0 {
-			continue
+		e.Add(c)
+	}
+	return e.Bytes(annotation, &r.Counts)
+}
+
+// Encoder compacts a reference stream while it is produced, say from a
+// recording's drain: Add takes the stream's packed words in slices of
+// any length, and Bytes returns what CompactAnnotated returns for a
+// recording of the same stream. A chunk ends after every chunkWords
+// references, however the stream is sliced, and the encoder keeps only
+// the ended chunks' encoded bytes. The zero Encoder is ready to use.
+type Encoder struct {
+	ended [][]byte // each ended chunk's header and payload
+	size  int      // bytes in ended
+	total int      // references in ended
+	// The open chunk: its reference count, per-kind last word
+	// addresses, pending fetch run and payload so far.
+	n       int
+	last    [3]uint32
+	run     int
+	payload []byte
+}
+
+// Add encodes the stream's next references.
+func (e *Encoder) Add(refs []uint32) {
+	for len(refs) > 0 {
+		n := min(len(refs), chunkWords-e.n)
+		e.encode(refs[:n])
+		if refs = refs[n:]; e.n == chunkWords {
+			e.end()
 		}
-		payload = compactChunk(payload[:0], c)
-		out = binary.AppendUvarint(out, uint64(len(c)))
-		out = binary.AppendUvarint(out, uint64(len(payload)))
-		out = append(out, payload...)
 	}
-	return out
 }
 
-func appendCounts(out []byte, c *Counts) []byte {
-	for cls := 0; cls < int(mem.NumClasses); cls++ {
-		out = binary.AppendUvarint(out, c.Fetches[cls])
-	}
-	for cls := 0; cls < int(mem.NumClasses); cls++ {
-		out = binary.AppendUvarint(out, c.Reads[cls])
-	}
-	for cls := 0; cls < int(mem.NumClasses); cls++ {
-		out = binary.AppendUvarint(out, c.Writes[cls])
-	}
-	return out
-}
-
-// compactChunk delta+varint encodes one packed chunk. Per-kind last
-// word-address registers start at zero (the decoder mirrors this), and
+// encode delta+varint encodes refs into the open chunk, with the
+// chunk's state in locals. The per-kind last word-address registers
+// start at zero in every chunk (the decoder mirrors this), and
 // consecutive +1-word fetches coalesce into run ops.
-func compactChunk(dst []byte, c []uint32) []byte {
-	var last [3]uint32 // word index per kind
-	run := 0
-	for _, w := range c {
+func (e *Encoder) encode(refs []uint32) {
+	last, run, dst := e.last, e.run, e.payload
+	for _, w := range refs {
 		k := w >> kindShift
 		word := w & addrMask
 		if k == uint32(KindFetch) && word == last[KindFetch]+1 {
@@ -133,20 +131,59 @@ func compactChunk(dst []byte, c []uint32) []byte {
 		last[k] = word
 		dst = binary.AppendUvarint(dst, zigzag(delta)<<2|uint64(k))
 	}
-	if run > 0 {
-		dst = binary.AppendUvarint(dst, uint64(run)<<2|tagRun)
+	e.n += len(refs)
+	e.last, e.run, e.payload = last, run, dst
+}
+
+// end ends the open chunk, keeps a copy of its header and payload, and
+// opens the next chunk.
+func (e *Encoder) end() {
+	if e.run > 0 {
+		e.payload = binary.AppendUvarint(e.payload, uint64(e.run)<<2|tagRun)
 	}
-	return dst
+	c := make([]byte, 0, 2*binary.MaxVarintLen64+len(e.payload))
+	c = binary.AppendUvarint(c, uint64(e.n))
+	c = binary.AppendUvarint(c, uint64(len(e.payload)))
+	c = append(c, e.payload...)
+	e.ended, e.size, e.total = append(e.ended, c), e.size+len(c), e.total+e.n
+	e.n, e.last, e.run, e.payload = 0, [3]uint32{}, 0, e.payload[:0]
+}
+
+// Bytes ends the stream and returns its compact form, with annotation
+// (cut to 1 MiB) and counts in the header. counts are the stream's
+// per-class counts: a Reader refuses a header whose counts do not sum
+// to the references added. Add must not follow Bytes.
+func (e *Encoder) Bytes(annotation []byte, counts *Counts) []byte {
+	if e.n > 0 {
+		e.end()
+	}
+	if len(annotation) > maxAnnotation {
+		annotation = annotation[:maxAnnotation]
+	}
+	head := append([]byte(compactMagic), compactVersion)
+	head = binary.AppendUvarint(head, uint64(len(annotation)))
+	head = append(head, annotation...)
+	head = binary.AppendUvarint(head, uint64(e.total))
+	for _, cs := range []*[mem.NumClasses]uint64{&counts.Fetches, &counts.Reads, &counts.Writes} {
+		for _, v := range cs {
+			head = binary.AppendUvarint(head, v)
+		}
+	}
+	out := append(make([]byte, 0, len(head)+e.size), head...)
+	for _, c := range e.ended {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // decompactChunk decodes one payload, the exact inverse of
-// compactChunk, and rejects any payload that does not decode to exactly
-// nRefs in-range references. With sp nil it appends the packed words
-// to out. Otherwise it builds no packed words: it strips each reference
-// into sp's fetch or data stream by the rule the stream comment proves,
-// a fetch run in one step per block it crosses, and hands each full
-// batch to its bank. Both streams' state is held in locals for the
-// whole chunk, loaded from sp once and stored back once.
+// Encoder.encode, and rejects any payload that does not decode to
+// exactly nRefs in-range references. With sp nil it appends the packed
+// words to out. Otherwise it builds no packed words: it strips each
+// reference into sp's fetch or data stream by the rule the stream
+// comment proves, a fetch run in one step per block it crosses, and
+// hands each full batch to its bank. Both streams' state is held in
+// locals for the whole chunk, loaded from sp once and stored back once.
 func decompactChunk(payload []byte, nRefs int, out []uint32, sp *splitter) ([]uint32, error) {
 	var (
 		last           [4]uint32 // word address per tag; a run's is KindFetch's
@@ -309,7 +346,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: compact header: %w", noEOF(err))
 	}
-	if !bytes.Equal(magic[:4], compactMagic[:]) {
+	if string(magic[:4]) != compactMagic {
 		return nil, errors.New("trace: not a compact recording (bad magic)")
 	}
 	if magic[4] != compactVersion {
@@ -345,24 +382,26 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
+// readCounts reads the header's per-class counts, and refuses them
+// unless they sum to the reference total.
 func (rd *Reader) readCounts() error {
-	read := func(dst *[mem.NumClasses]uint64) error {
-		for cls := 0; cls < int(mem.NumClasses); cls++ {
+	left := uint64(rd.total)
+	for _, dst := range []*[mem.NumClasses]uint64{&rd.counts.Fetches, &rd.counts.Reads, &rd.counts.Writes} {
+		for cls := range dst {
 			v, err := binary.ReadUvarint(rd.br)
 			if err != nil {
 				return fmt.Errorf("trace: compact header counts: %w", noEOF(err))
 			}
-			dst[cls] = v
+			if v > left {
+				return fmt.Errorf("trace: compact header counts exceed its %d references", rd.total)
+			}
+			dst[cls], left = v, left-v
 		}
-		return nil
 	}
-	if err := read(&rd.counts.Fetches); err != nil {
-		return err
+	if left != 0 {
+		return fmt.Errorf("trace: compact header counts miss %d of its %d references", left, rd.total)
 	}
-	if err := read(&rd.counts.Reads); err != nil {
-		return err
-	}
-	return read(&rd.counts.Writes)
+	return nil
 }
 
 // noEOF upgrades a bare EOF to ErrUnexpectedEOF: inside a header or
@@ -447,22 +486,6 @@ func (rd *Reader) chunk() ([]byte, int, error) {
 	}
 	rd.remaining -= int(nRefs)
 	return rd.payload, int(nRefs), nil
-}
-
-// Do streams every remaining reference, in order, to fn.
-func (rd *Reader) Do(fn func(k Kind, addr uint32)) error {
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, w := range c {
-			fn(Decode(w))
-		}
-	}
 }
 
 // Decompact decodes a compacted recording back into the packed

@@ -262,27 +262,49 @@ var craftedChunks = []craftedChunk{
 }
 
 // chunkBlob is a compact stream of one chunk of nRefs references with
-// the given payload, and zero counts.
-func chunkBlob(nRefs int, payload []byte) []byte {
-	b := append([]byte("JTR2\x01\x00"), ops(uint64(nRefs))...)
-	b = append(b, make([]byte, 3*mem.NumClasses)...)
+// the given payload, whose header counts counted references, all as
+// fetches of the first class: a reader checks only the counts' sum.
+func chunkBlob(nRefs, counted int, payload []byte) []byte {
+	b := append([]byte("JTR2\x01\x00"), ops(uint64(nRefs), uint64(counted))...)
+	b = append(b, make([]byte, 3*mem.NumClasses-1)...)
 	b = append(b, ops(uint64(nRefs), uint64(len(payload)))...)
 	return append(b, payload...)
 }
 
+// miscounted are header counts that do not sum to the seven references
+// of the valid crafted chunk, and the error each must meet.
+var miscounted = []struct {
+	counted int
+	err     string
+}{
+	{0, "compact header counts miss 7 of its 7 references"},
+	{6, "compact header counts miss 1 of its 7 references"},
+	{8, "compact header counts exceed its 7 references"},
+}
+
 // TestDecompactChecks runs each crafted chunk through both outputs of
 // the chunk decoder (see checkDecoders), and requires the error it was
-// crafted for; a valid chunk must decode to its references.
+// crafted for; a valid chunk must decode to its references. The valid
+// chunk under headers whose counts do not sum to its references must
+// be refused.
 func TestDecompactChecks(t *testing.T) {
 	for _, c := range craftedChunks {
-		data := chunkBlob(c.nRefs, c.payload)
+		data := chunkBlob(c.nRefs, c.nRefs, c.payload)
 		checkDecoders(t, data)
 		_, err := Decompact(data)
 		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
 			t.Errorf("%s: error %v, want %q", c.name, err, c.err)
 		}
 	}
-	rec, err := Decompact(chunkBlob(craftedChunks[0].nRefs, craftedChunks[0].payload))
+	valid := craftedChunks[0]
+	for _, m := range miscounted {
+		data := chunkBlob(valid.nRefs, m.counted, valid.payload)
+		checkDecoders(t, data)
+		if _, err := Decompact(data); err == nil || !strings.Contains(err.Error(), m.err) {
+			t.Errorf("header counting %d of %d references: error %v, want %q", m.counted, valid.nRefs, err, m.err)
+		}
+	}
+	rec, err := Decompact(chunkBlob(valid.nRefs, valid.nRefs, valid.payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +313,40 @@ func TestDecompactChecks(t *testing.T) {
 	if got := refsOf(rec); !slices.Equal(got, want) {
 		t.Fatalf("valid chunk decoded to %v, want %v", got, want)
 	}
+}
+
+// TestEncoderMatchesCompact feeds random streams to an Encoder in
+// slices of 1–7 references, and in slices cut one reference short of a
+// chunk, at a chunk and one past it, and requires the bytes
+// CompactAnnotated gives for a recording of the stream.
+func TestEncoderMatchesCompact(t *testing.T) {
+	src := rng.New(5)
+	ann := []byte("meta")
+	for _, n := range []int{0, 1, 100, chunkWords - 1, chunkWords, chunkWords + 1, 3*chunkWords + 5} {
+		rec := record(randomRefs(uint64(n)+11, n))
+		want := rec.CompactAnnotated(ann)
+		slicings := map[string]func() int{"1-7": func() int { return 1 + src.Intn(7) }}
+		for _, k := range []int{chunkWords - 1, chunkWords, chunkWords + 1} {
+			slicings[fmt.Sprint(k)] = func() int { return k }
+		}
+		for name, next := range slicings {
+			if got := encodeSliced(words(rec), next, ann, &rec.Counts); !bytes.Equal(got, want) {
+				t.Errorf("n=%d, slices of %s: %d bytes differ from CompactAnnotated's %d", n, name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// encodeSliced feeds ws to an Encoder in slices of the lengths next
+// returns, and returns its bytes.
+func encodeSliced(ws []uint32, next func() int, annotation []byte, counts *Counts) []byte {
+	var e Encoder
+	for len(ws) > 0 {
+		n := min(next(), len(ws))
+		e.Add(ws[:n])
+		ws = ws[n:]
+	}
+	return e.Bytes(annotation, counts)
 }
 
 // TestDecodersAgreeOnMutations flips, drops and inserts bytes in a few

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"testing"
 
 	"jmtam/internal/mem"
@@ -12,10 +13,11 @@ import (
 
 // FuzzCompactRoundTrip interprets the fuzz input as a (kind, addr)
 // reference stream, compacts it, and asserts the decoded stream is
-// identical — refs, counts, and lengths.
+// identical — refs, counts, and lengths. An Encoder fed the stream in
+// slices of slice+1 references must give the same bytes.
 func FuzzCompactRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x10, 0x00, 0x00, 0x00})
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x00, 0x10, 0x00, 0x00, 0x00}, uint16(0))
 	// A run of sequential fetches followed by a data burst.
 	seed := make([]byte, 0, 64)
 	for i := 0; i < 8; i++ {
@@ -26,8 +28,8 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		seed = append(seed, byte(1+i%2))
 		seed = binary.LittleEndian.AppendUint32(seed, uint32(0x40_0000+i*8))
 	}
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(seed, uint16(2))
+	f.Fuzz(func(t *testing.T, data []byte, slice uint16) {
 		rec := &Recording{}
 		for len(data) >= 5 {
 			k := Kind(data[0] % 3)
@@ -43,6 +45,9 @@ func FuzzCompactRoundTrip(f *testing.F) {
 			data = data[5:]
 		}
 		compacted := rec.Compact()
+		if sliced := encodeSliced(words(rec), func() int { return int(slice) + 1 }, nil, &rec.Counts); !bytes.Equal(sliced, compacted) {
+			t.Fatalf("Encoder fed slices of %d: %d bytes differ from Compact's %d", int(slice)+1, len(sliced), len(compacted))
+		}
 		got, err := Decompact(compacted)
 		if err != nil {
 			t.Fatalf("Decompact: %v", err)
@@ -67,7 +72,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 
 // FuzzDecompact feeds arbitrary bytes to the decoder (see
 // checkDecoders), seeded with valid recordings and with the crafted
-// chunks of TestDecompactChecks.
+// chunks and miscounted headers of TestDecompactChecks.
 func FuzzDecompact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("JTR2\x01\x00\x00"))
@@ -81,7 +86,10 @@ func FuzzDecompact(f *testing.F) {
 	f.Add(rec.CompactAnnotated([]byte(`{"p":"x"}`)))
 	f.Add(record(randomRefs(4, 3000)).Compact())
 	for _, c := range craftedChunks {
-		f.Add(chunkBlob(c.nRefs, c.payload))
+		f.Add(chunkBlob(c.nRefs, c.nRefs, c.payload))
+	}
+	for _, m := range miscounted {
+		f.Add(chunkBlob(craftedChunks[0].nRefs, m.counted, craftedChunks[0].payload))
 	}
 	f.Fuzz(checkDecoders)
 }
@@ -148,11 +156,17 @@ func FuzzReaderChunks(f *testing.F) {
 			t.Fatal(err)
 		}
 		var streamed []uint32
-		if err := rd.Do(func(k Kind, a uint32) { streamed = append(streamed, Encode(k, a)) }); err != nil {
-			t.Fatal(err)
+		for {
+			c, err := rd.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed = append(streamed, c...)
 		}
-		var direct []uint32
-		rec.Do(func(k Kind, a uint32) { direct = append(direct, Encode(k, a)) })
+		direct := words(rec)
 		if len(streamed) != len(direct) {
 			t.Fatalf("streamed %d words, want %d", len(streamed), len(direct))
 		}

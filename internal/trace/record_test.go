@@ -78,8 +78,8 @@ func TestRecordingChunkRollover(t *testing.T) {
 	if rec.Len() != n {
 		t.Fatalf("Len = %d, want %d", rec.Len(), n)
 	}
-	if rec.Bytes() < 4*n {
-		t.Errorf("Bytes = %d, below payload %d", rec.Bytes(), 4*n)
+	if len(rec.full) != 2 || len(rec.tail) != 17 {
+		t.Errorf("%d full chunks and a tail of %d, want 2 and 17", len(rec.full), len(rec.tail))
 	}
 	i := 0
 	rec.Do(func(k Kind, addr uint32) {
@@ -306,8 +306,8 @@ func TestDrainSeesEveryReferenceOnce(t *testing.T) {
 			rec.Flush()
 			flushes++
 		}
-		if rec.Len() != i+1 || rec.Bytes() != 4*chunkWords {
-			t.Fatalf("after ref %d: Len = %d, Bytes = %d; want %d and one chunk", i, rec.Len(), rec.Bytes(), i+1)
+		if rec.Len() != i+1 || len(rec.full) != 0 || cap(rec.tail) != chunkWords {
+			t.Fatalf("after ref %d: Len = %d, %d full chunks and a tail of cap %d; want %d and one chunk", i, rec.Len(), len(rec.full), cap(rec.tail), i+1)
 		}
 	}
 	rec.Flush()
